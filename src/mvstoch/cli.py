@@ -25,6 +25,7 @@ files.  Exit codes: 0 all checks passed, 1 a tolerance was breached,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from pathlib import Path
@@ -118,14 +119,16 @@ def build_driver_spec(cfg: dict) -> DriverSpec:
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    """Write a CSV report; fields holding commas (kernel names) are quoted."""
     def fmt(x):
         if isinstance(x, float):
             return f"{x:.17g}"
         return str(x)
 
-    lines = [",".join(header)]
-    lines += [",".join(fmt(x) for x in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([fmt(x) for x in row] for row in rows)
 
 
 def write_summary(out_dir: Path, payload: dict) -> None:

@@ -20,6 +20,20 @@ evaluated from one stationary mass vector, and closed forms are attached:
     int_0^t variation^2   = (T^(2a+1) - (T-t)^(2a+1)) / (2a + 1)
     int_0^t (int psi^2)   = a^2 / (2a(2a-1)) * (T^(2a) - (T-t)^(2a)),  a > 1/2
 
+The mixture-last (Veraar) variants never hold a per-atom path for every
+scenario.  The FV variant is linear in |psi| and eta >= 0, so it equals the
+mix-first sum
+
+    int_0^t int |psi_r| deta d|A|_r
+
+taken left-endpoint, time-first, against the mixed path int |psi| deta.
+The square-root variant is accumulated per atom in column blocks; it needs
+a single row, not one per scenario, when the density is deterministic and
+the bracket increments agree across scenarios (checked on the data, at
+O(P N) cost).  The eta-mixes themselves are formed a block of grid times at
+a time, so no array of shape (P, N + 1, J + 1) is built and, for a
+deterministic density, the condition layer's memory does not grow with P.
+
 The measure-valuedness certificate re-atomizes the spec across dyadic
 spatial refinements and flags the square-density condition as divergent
 when its sup grows by more than ``growth_factor`` across the probe window
@@ -53,6 +67,10 @@ __all__ = [
     "measure_valuedness_certificate",
 ]
 
+#: Entries per scenario row in one block of a spec walked by grid time (row
+#: blocks) or by atom (column blocks): 256 KB of float64, which stays in cache.
+BLOCK_ENTRIES = 2**15
+
 
 @dataclass(frozen=True)
 class PowerLawDensity:
@@ -65,7 +83,7 @@ class PowerLawDensity:
         if self.alpha <= 0 or self.horizon <= 0:
             raise ValueError("need alpha > 0 and a positive horizon")
 
-    def mass_antiderivative(self, z: np.ndarray, t: float) -> np.ndarray:
+    def mass_antiderivative(self, z: np.ndarray, t: float | np.ndarray) -> np.ndarray:
         return np.maximum(z - t, 0.0) ** self.alpha
 
     def variation(self, t: float) -> float:
@@ -119,12 +137,11 @@ class DominatedSpec:
         """The alpha-power integrand with exact cell masses; eta is Lebesgue."""
         profile = PowerLawDensity(alpha, timegrid.horizon)
         grid = CompactGrid(timegrid.horizon, n_cells)
-        z = grid.atoms
-        masses = np.empty((1, timegrid.n_steps + 1, grid.n_atoms))
-        for l, t in enumerate(timegrid.times):
-            prim = profile.mass_antiderivative(z, t)
-            masses[0, l, 0] = 0.0
-            masses[0, l, 1:] = np.diff(prim)
+        z, t = grid.atoms[None, :], timegrid.times[:, None]  # properties: read once
+        masses = np.zeros((1, timegrid.n_steps + 1, grid.n_atoms))
+        for rows in _blocks(timegrid.n_steps + 1, grid.n_atoms):
+            prim = profile.mass_antiderivative(z, t[rows])
+            np.subtract(prim[:, 1:], prim[:, :-1], out=masses[0, rows, 1:])
         eta = np.zeros(grid.n_atoms)
         eta[1:] = grid.cell_width
         return cls(grid, timegrid, masses, eta, profile=profile)
@@ -165,12 +182,15 @@ class DominatedSpec:
     def n_scenario_rows(self) -> int:
         return self.point_masses.shape[0]
 
-    def density_values(self) -> np.ndarray:
-        """Atomized Radon-Nikodym derivative masses / eta (zero off the support)."""
-        eta = self.eta
-        out = np.divide(self.point_masses, eta[None, None, :],
-                        out=np.zeros_like(self.point_masses), where=eta > 0)
-        return out
+    def density_values(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+        """Atomized Radon-Nikodym derivative masses / eta (zero off the support).
+
+        ``rows`` (grid times) and ``cols`` (atoms) select a block, so callers
+        can walk the density without forming all of it.
+        """
+        masses = self.point_masses[:, rows, cols]
+        eta = self.eta[cols]
+        return np.divide(masses, eta, out=np.zeros_like(masses), where=eta > 0)
 
     def reatomize(self, n_cells: int) -> "DominatedSpec":
         if self.profile is not None:
@@ -215,10 +235,7 @@ def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, 
     if upto is not None:
         dS = dS * upto.increment_mask()
     slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
-    contrib = slot_masses * dS[:, :, None]  # masses already carry eta
-    per_atom = np.concatenate(
-        [np.zeros((dS.shape[0], 1, hi - lo + 1)), np.cumsum(contrib, axis=1)], axis=1
-    )
+    per_atom = _running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
     if exact_sum:
         P, n1, _ = per_atom.shape
         out = np.empty((P, n1))
@@ -243,14 +260,54 @@ def compare_classic_vs_mv(spec: DominatedSpec, S: DriverPath,
     return {"max_abs_discrepancy": max(r["max_discrepancy"] for r in rows), "per_set": rows}
 
 
+def _running_sum(increments: np.ndarray) -> np.ndarray:
+    """Partial sums along the time axis from 0: (R, N, ...) -> (R, N + 1, ...)."""
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1) + increments.shape[2:])
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
+
+
 def _trapezoid_against(values: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Trapezoid accumulation of grid-point values against dV; (P, N + 1)."""
     avg = 0.5 * (values[:, :-1] + values[:, 1:])
-    contrib = avg * np.diff(V, axis=1)
-    P = max(values.shape[0], V.shape[0])
-    out = np.zeros((P, values.shape[1]))
-    np.cumsum(np.broadcast_to(contrib, (P, contrib.shape[1])), axis=1, out=out[:, 1:])
-    return out
+    return _running_sum(avg * np.diff(V, axis=1))
+
+
+def _blocks(n: int, width: int) -> list[slice]:
+    """Slices covering range(n), each spanning about BLOCK_ENTRIES / width indices."""
+    step = max(1, BLOCK_ENTRIES // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def _eta_mix(spec: DominatedSpec, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """int fn(psi_t) deta at every grid time, (Pw, N + 1), a row block at a time."""
+    return np.concatenate(
+        [np.sum(fn(spec.density_values(rows=rows)) * spec.eta, axis=2)
+         for rows in _blocks(spec.timegrid.n_steps + 1, spec.grid.n_atoms)], axis=1)
+
+
+def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
+                  var_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mixture-last condition paths: FV variant and square-root variant.
+
+    FV: int int_0^t |psi_r(z)| d|A|_r deta(z), linear in |psi|, so it is the
+    left-endpoint time sum of ``abs_mix`` against d|A|, (P, N + 1).
+    Square root: int sqrt(int_0^t psi_r(z)^2 d<M>_r) deta(z), accumulated
+    per atom over column blocks of about BLOCK_ENTRIES / N atoms (set by the
+    grid, never by P).  One row serves every scenario when the density is
+    deterministic and the bracket increments are equal across scenarios;
+    otherwise there is one row per scenario.
+    """
+    fv = _running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
+    dqv = np.diff(qv, axis=1)
+    if spec.n_scenario_rows == 1 and np.all(dqv == dqv[:1]):
+        dqv = dqv[:1]
+    N = spec.timegrid.n_steps
+    root = np.zeros((dqv.shape[0], N + 1))
+    for cols in _blocks(spec.grid.n_atoms, N):
+        sq = np.square(spec.density_values(rows=slice(0, N), cols=cols))
+        root += np.sqrt(_running_sum(sq * dqv[:, :, None])) @ spec.eta[cols]
+    return fv, root
 
 
 def _finiteness(path: np.ndarray) -> dict:
@@ -270,12 +327,17 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     reports finiteness and the path sup.  The implication "c64 finite
     forces c63 finite" holds pointwise by the Cauchy-Schwarz inequality
     and is asserted here.
+
+    The FV Veraar variant uses the mix-first identity: with eta >= 0 and
+    |psi| >= 0, mixing the per-atom time sums equals the left-endpoint time
+    sum of the mixed path int |psi| deta against d|A|.  The square-root
+    variant runs on one row when the spec has one density row and the
+    bracket increments are equal in every scenario, and on one row per
+    scenario otherwise.  No array of shape (P, N + 1, J + 1) is formed.
     """
-    dens = spec.density_values()  # (Pw, N + 1, J + 1)
-    eta = spec.eta
-    abs_mix = np.sum(np.abs(dens) * eta, axis=2)  # int |psi| deta at grid points
-    sq_mix = np.sum(dens * dens * eta, axis=2)  # int |psi|^2 deta
-    eta_total = float(eta.sum())
+    abs_mix = _eta_mix(spec, np.abs)  # int |psi| deta at grid points, (Pw, N + 1)
+    sq_mix = _eta_mix(spec, np.square)  # int |psi|^2 deta
+    eta_total = float(spec.eta.sum())
 
     c63_path = _trapezoid_against(abs_mix**2, V)
     c64_path = _trapezoid_against(eta_total * sq_mix, V)
@@ -287,16 +349,7 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     c67_a = _trapezoid_against(abs_mix, var_a)
     c67_b = _trapezoid_against(abs_mix**2, qv)
 
-    # mixture-last variants: accumulate per atom in time, then sqrt/mix
-    dens_b = np.broadcast_to(dens, (var_a.shape[0],) + dens.shape[1:])
-    per_atom_a = np.abs(dens_b[:, :-1]) * np.diff(var_a, axis=1)[:, :, None]
-    atom_time_a = np.concatenate(
-        [np.zeros_like(per_atom_a[:, :1]), np.cumsum(per_atom_a, axis=1)], axis=1)
-    veraar_a = atom_time_a @ eta
-    per_atom_m = dens_b[:, :-1] ** 2 * np.diff(qv, axis=1)[:, :, None]
-    atom_time_m = np.concatenate(
-        [np.zeros_like(per_atom_m[:, :1]), np.cumsum(per_atom_m, axis=1)], axis=1)
-    veraar_b = np.sqrt(atom_time_m) @ eta
+    veraar_a, veraar_b = _veraar_paths(spec, abs_mix, qv, var_a)
 
     out = {
         "c63": _finiteness(c63_path),
@@ -334,11 +387,8 @@ def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
     sq_mix = np.einsum("pnij,pnj->pn", phi.psi**2, phi.rho)
     inner64 = phi.rho.sum(axis=2) * sq_mix
     dV = np.diff(V, axis=1)
-    P = V.shape[0]
-    c63 = np.zeros((P, V.shape[1]))
-    c64 = np.zeros_like(c63)
-    np.cumsum(np.broadcast_to(inner63, dV.shape) * dV, axis=1, out=c63[:, 1:])
-    np.cumsum(np.broadcast_to(inner64, dV.shape) * dV, axis=1, out=c64[:, 1:])
+    c63 = _running_sum(np.broadcast_to(inner63, dV.shape) * dV)
+    c64 = _running_sum(np.broadcast_to(inner64, dV.shape) * dV)
     if np.any(c63 > c64 + 1e-9 * (1 + np.abs(c64))):
         raise AssertionError("Cauchy-Schwarz ordering of the condition paths failed")
     return {"c63": _finiteness(c63), "c64": _finiteness(c64)}
@@ -358,10 +408,7 @@ def measure_valuedness_certificate(spec: DominatedSpec, S: DriverPath, V: np.nda
     J0 = spec.grid.n_cells
     for k in range(doublings + 1):
         probe_spec = spec.reatomize(J0 * 2**k) if k > 0 else spec
-        dens = probe_spec.density_values()
-        sq_mix = np.sum(dens * dens * probe_spec.eta, axis=2)
-        path = _trapezoid_against(sq_mix, V)
-        values.append(float(np.max(path)))
+        values.append(float(np.max(_trapezoid_against(_eta_mix(probe_spec, np.square), V))))
     if values[0] <= 0.0:
         divergent = False
         ratio = 1.0

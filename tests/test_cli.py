@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -124,6 +125,21 @@ class TestVolterraCommand:
         slopes = (out / "volterra_slopes.csv").read_text().strip().splitlines()
         assert slopes[0] == "alpha,slope"
         assert len(slopes) == 2
+
+    def test_report_rows_parse_with_kernel_names_intact(self, tmp_path):
+        cfg = self.volterra_config(
+            tmp_path, kernels=[{"name": "power_alpha", "alpha": 0.75},
+                               {"name": "affine", "level": 1.0, "slope": 2.0}])
+        out = tmp_path / "out"
+        assert main(["volterra", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "volterra_report.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        for row in rows:
+            assert list(row) == ["kernel", "identity_gap", "density_route_gap"]
+            assert None not in row.values()
+        assert rows[1]["kernel"] == "affine[1.0,2.0]"
+        assert float(rows[1]["identity_gap"]) <= 1e-10
 
     def test_unknown_kernel_exits_two(self, tmp_path):
         cfg = self.volterra_config(tmp_path, kernels=[{"name": "nope"}])

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from mvstoch import dominated as dom
 from mvstoch.dominated import (
     DominatedSpec,
     PowerLawDensity,
@@ -195,6 +197,103 @@ class TestConditionEvaluator:
                 lambda t, z, a=a, b=b: np.sin(a * z + b * t) + 0.2, S.timegrid, grid)
             out = condition_evaluator(spec, S, S.control)  # raises if ordering fails
             assert out["c64"]["finite"] and out["c63"]["finite"]
+
+
+def broadcast_veraar_paths(spec, qv, var_a):
+    """Oracle: the dense mixture-last formula, per-atom time paths for every scenario."""
+    dens = spec.density_values()
+    dens_b = np.broadcast_to(dens, (var_a.shape[0],) + dens.shape[1:])
+    per_atom_a = np.abs(dens_b[:, :-1]) * np.diff(var_a, axis=1)[:, :, None]
+    atom_time_a = np.concatenate(
+        [np.zeros_like(per_atom_a[:, :1]), np.cumsum(per_atom_a, axis=1)], axis=1)
+    per_atom_m = dens_b[:, :-1] ** 2 * np.diff(qv, axis=1)[:, :, None]
+    atom_time_m = np.concatenate(
+        [np.zeros_like(per_atom_m[:, :1]), np.cumsum(per_atom_m, axis=1)], axis=1)
+    return atom_time_a @ spec.eta, np.sqrt(atom_time_m) @ spec.eta
+
+
+def rel_gap(new, old):
+    new, old = np.broadcast_arrays(new, old)
+    gap, scale = np.max(np.abs(new - old)), np.max(np.abs(old))
+    return float(gap / scale if scale > 0 else gap)
+
+
+class TestVeraarAgainstBroadcastOracle:
+    def check(self, spec, S, qv=None):
+        qv_S, var_a = S.decomposition_paths()
+        qv = qv_S if qv is None else qv
+        fv, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
+        oracle_fv, oracle_root = broadcast_veraar_paths(spec, qv, var_a)
+        assert fv.shape == oracle_fv.shape
+        assert rel_gap(fv, oracle_fv) <= 1e-12
+        assert rel_gap(root, oracle_root) <= 1e-12
+        return oracle_fv, oracle_root
+
+    @pytest.mark.parametrize("driver", [DriverSpec("brownian"),
+                                        DriverSpec("mixture", drift=0.4, jump_rate=3.0,
+                                                   jump_std=0.3)])
+    def test_power_law(self, driver):
+        S = simulate_driver(driver, TimeGrid(1.0, 48), ScenarioSet.monte_carlo(5, 19))
+        # three column blocks of atoms
+        spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 2 * (dom.BLOCK_ENTRIES // 48) + 300)
+        oracle_fv, oracle_root = self.check(spec, S)
+        sup = condition_evaluator(spec, S, S.control)["c_veraar"]["sup"]
+        assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
+
+    def test_adapted_density_mixture_with_jumps(self):
+        tg = TimeGrid(1.0, 40)
+        S = simulate_driver(DriverSpec("mixture", vol=0.8, drift=0.3, jump_rate=4.0,
+                                       jump_mean=0.1, jump_std=0.5),
+                            tg, ScenarioSet.monte_carlo(7, 43))
+        spec = DominatedSpec.from_adapted_density(
+            lambda t, z, s: np.cos(3 * z + 2 * t + s), S,
+            CompactGrid(1.0, dom.BLOCK_ENTRIES // 40 + 77))
+        _, var_a = S.decomposition_paths()
+        assert spec.n_scenario_rows == 7
+        assert not np.all(var_a == var_a[:1])  # the jumps make var_a scenario-dependent
+        oracle_fv, oracle_root = self.check(spec, S)
+        sup = condition_evaluator(spec, S, S.control)["c_veraar"]["sup"]
+        assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
+
+    def test_deterministic_density_scenario_dependent_bracket(self):
+        # unequal bracket increments take the one-row-per-scenario branch
+        S = brownian(4, 24)
+        spec = DominatedSpec.from_density_callable(lambda t, z: np.sin(z + t) + 0.5, S.timegrid,
+                                                   CompactGrid(1.0, 1500))
+        rng = np.random.default_rng(47)
+        qv = np.zeros((4, 25))
+        qv[:, 1:] = np.cumsum(rng.uniform(0.0, 0.1, size=(4, 24)), axis=1)
+        self.check(spec, S, qv=qv)
+
+
+class TestPowerProfileVectorised:
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0, 1.3, 2.0])
+    def test_equals_row_loop(self, alpha):
+        tg = TimeGrid(1.0, 37)
+        spec = DominatedSpec.from_power_profile(alpha, tg, 3000)  # four row blocks
+        profile = PowerLawDensity(alpha, 1.0)
+        loop = np.empty((1, tg.n_steps + 1, spec.grid.n_atoms))
+        for l, t in enumerate(tg.times):
+            prim = profile.mass_antiderivative(spec.grid.atoms, t)
+            loop[0, l, 0] = 0.0
+            loop[0, l, 1:] = np.diff(prim)
+        assert np.array_equal(spec.point_masses, loop)
+
+
+class TestConditionEvaluatorMemory:
+    def test_peak_does_not_scale_with_scenarios(self):
+        tg = TimeGrid(1.0, 8)
+        spec = DominatedSpec.from_power_profile(1.0, tg, 16384)
+        peaks = {}
+        for P in (1, 64):
+            S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(P, 3))
+            tracemalloc.start()
+            try:
+                condition_evaluator(spec, S, S.control)
+                peaks[P] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.5 * peaks[1], peaks
 
 
 class TestCertificate:
