@@ -8,13 +8,12 @@ volterra    kernel decomposition identities plus the roughness diagnostic
 example7    consolidated power-law study across a list of exponents
 conditions  dominated-case integrability condition report
 
-Usage: ``mvstoch <subcommand> --config cfg.json [--out DIR] [--seed N]
-[--threads N]``.  The config is a JSON object; every tolerance and probe
-parameter is read from it (see the README for the schema and defaults).
-``--seed`` overrides the scenario seed, ``--out`` the output directory.
-``--threads`` is accepted for orchestration symmetry; computations are
-deterministic ordered reductions and any data parallelism is delegated to
-the linear-algebra backend.
+Usage: ``mvstoch <subcommand> --config cfg.json [--out DIR] [--seed N]``.
+The config is a JSON object; every tolerance and probe parameter is read
+from it (see the README for the schema and defaults).  ``--seed`` overrides
+the scenario seed, ``--out`` the output directory.  Computations are
+deterministic ordered reductions; any data parallelism is delegated to the
+linear-algebra backend.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical
@@ -318,12 +317,16 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     seed = seed_override if seed_override is not None else int(scen_cfg.get("seed", 12345))
     T = timegrid.horizon
 
-    sc2 = ScenarioSet.monte_carlo(2, seed)
+    S = simulate_driver(DriverSpec("brownian"), timegrid, ScenarioSet.monte_carlo(2, seed))
+    # terminal-variance check: one draw of the isometry stream serves every exponent
+    iso_P = int(iso_cfg.get("scenarios", 20000))
+    tg_iso = TimeGrid(T, int(iso_cfg.get("n_steps", 1024)))
+    u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
+    terminals = vol.power_volterra_terminals(alphas, u_indices, tg_iso, iso_P, seed=seed)
     rows = []
     all_ok = True
-    for alpha in alphas:
+    for a, alpha in enumerate(alphas):
         phi, spec = dom.power_law_integrand(alpha, timegrid, J)
-        S = simulate_driver(DriverSpec("brownian"), timegrid, sc2)
         # variation closed form at t = 0 and t = T/2
         var = np.sum(np.abs(phi.weights[0, :, 0, :]), axis=1)
         idx_half = timegrid.n_steps // 2
@@ -346,16 +349,12 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
             c66_rel = float("nan")
             c66_ok = cert["c66_probe"]["divergent"]
         cert_ok = cert["hypotheses_met"] is (alpha > 0.5)
-        # terminal-variance check against the closed second moment
-        iso_P = int(iso_cfg.get("scenarios", 20000))
-        tg_iso = TimeGrid(T, int(iso_cfg.get("n_steps", 1024)))
-        u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
-        terms = vol.power_volterra_terminals(alpha, u_indices, tg_iso, iso_P, seed=seed)
+        # terminal variance against the closed second moment
         iso_z = 0.0
         for col, u_idx in enumerate(u_indices):
             u = tg_iso.times[u_idx]
             target = u ** (2 * alpha + 1) / (2 * alpha + 1)
-            sample = float(np.var(terms[:, col], ddof=1))
+            sample = float(np.var(terminals[:, a, col], ddof=1))
             se = sample * np.sqrt(2.0 / (iso_P - 1))
             iso_z = max(iso_z, abs(sample - target) / se)
         # roughness slope
@@ -385,7 +384,7 @@ def run_conditions(cfg: dict, out_dir: Path, seed_override: int | None = None) -
     spec_cfg = _get(cfg, "integrand", {"kind": "power_law", "alpha": 1.0})
     if spec_cfg.get("kind") != "power_law":
         raise ConfigError("the conditions experiment is defined for the power_law integrand")
-    _, spec = dom.power_law_integrand(float(spec_cfg.get("alpha", 1.0)), timegrid, J)
+    spec = dom.DominatedSpec.from_power_profile(float(spec_cfg.get("alpha", 1.0)), timegrid, J)
     report = dom.condition_evaluator(spec, S, S.control)
     probe_cfg = _get(cfg, "probe", {})
     doublings = int(probe_cfg.get("doublings", 3))
@@ -421,7 +420,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)

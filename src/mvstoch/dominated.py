@@ -50,7 +50,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import DriverPath, StoppingRule, TimeGrid
+from .drivers import DriverPath, StoppingRule, TimeGrid, running_sum
 from .grid import CompactGrid
 from .integrands import MeasureProcess
 from .mvintegral import evaluate_charge, mv_integral
@@ -235,7 +235,7 @@ def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, 
     if upto is not None:
         dS = dS * upto.increment_mask()
     slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
-    per_atom = _running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
+    per_atom = running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
     if exact_sum:
         P, n1, _ = per_atom.shape
         out = np.empty((P, n1))
@@ -260,17 +260,10 @@ def compare_classic_vs_mv(spec: DominatedSpec, S: DriverPath,
     return {"max_abs_discrepancy": max(r["max_discrepancy"] for r in rows), "per_set": rows}
 
 
-def _running_sum(increments: np.ndarray) -> np.ndarray:
-    """Partial sums along the time axis from 0: (R, N, ...) -> (R, N + 1, ...)."""
-    out = np.zeros((increments.shape[0], increments.shape[1] + 1) + increments.shape[2:])
-    np.cumsum(increments, axis=1, out=out[:, 1:])
-    return out
-
-
 def _trapezoid_against(values: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Trapezoid accumulation of grid-point values against dV; (P, N + 1)."""
     avg = 0.5 * (values[:, :-1] + values[:, 1:])
-    return _running_sum(avg * np.diff(V, axis=1))
+    return running_sum(avg * np.diff(V, axis=1))
 
 
 def _blocks(n: int, width: int) -> list[slice]:
@@ -298,7 +291,7 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
     deterministic and the bracket increments are equal across scenarios;
     otherwise there is one row per scenario.
     """
-    fv = _running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
+    fv = running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
     dqv = np.diff(qv, axis=1)
     if spec.n_scenario_rows == 1 and np.all(dqv == dqv[:1]):
         dqv = dqv[:1]
@@ -306,7 +299,7 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
     root = np.zeros((dqv.shape[0], N + 1))
     for cols in _blocks(spec.grid.n_atoms, N):
         sq = np.square(spec.density_values(rows=slice(0, N), cols=cols))
-        root += np.sqrt(_running_sum(sq * dqv[:, :, None])) @ spec.eta[cols]
+        root += np.sqrt(running_sum(sq * dqv[:, :, None])) @ spec.eta[cols]
     return fv, root
 
 
@@ -387,8 +380,8 @@ def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
     sq_mix = np.einsum("pnij,pnj->pn", phi.psi**2, phi.rho)
     inner64 = phi.rho.sum(axis=2) * sq_mix
     dV = np.diff(V, axis=1)
-    c63 = _running_sum(np.broadcast_to(inner63, dV.shape) * dV)
-    c64 = _running_sum(np.broadcast_to(inner64, dV.shape) * dV)
+    c63 = running_sum(np.broadcast_to(inner63, dV.shape) * dV)
+    c64 = running_sum(np.broadcast_to(inner64, dV.shape) * dV)
     if np.any(c63 > c64 + 1e-9 * (1 + np.abs(c64))):
         raise AssertionError("Cauchy-Schwarz ordering of the condition paths failed")
     return {"c63": _finiteness(c63), "c64": _finiteness(c64)}

@@ -13,13 +13,15 @@ Discrete-time conventions used throughout the package:
     limit of a path at tau is its value at index tau - 1 (index N for the
     never marker).  No interpolation anywhere.
 
-Two scenario models are supported.  Monte Carlo ensembles draw scenario
-blocks from generators seeded by a fixed function of the master seed, so
-ensembles are reproducible and could be generated concurrently per block;
-all reductions are deterministic ordered sums.  Scenario trees carry an
-explicit per-level partition into filtration atoms (scenario indices are
-arranged so atoms are contiguous blocks), probabilities are explicit, and
-expectations are exact weighted sums.
+Two scenario models are supported.  Monte Carlo ensembles come from one
+seeded block source, ``increment_blocks``, which the driver simulator and
+the power-kernel samplers in ``volterra`` share (the tests check that they
+agree), so ensembles are reproducible and could be generated per block
+concurrently.  Paths accumulate through one ``running_sum`` and every
+reduction is a deterministic ordered sum.  Scenario trees carry an explicit
+per-level partition into filtration atoms (scenario indices are arranged so
+atoms are contiguous blocks), probabilities are explicit, and expectations
+are exact weighted sums.
 
 Control processes: a driver's control path V is a nonnegative increasing
 process against which squared stochastic integrals are bounded before any
@@ -42,7 +44,8 @@ Doob bound makes the margin certain.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -54,7 +57,9 @@ __all__ = [
     "DriverPath",
     "PredictablePath",
     "StoppingRule",
+    "increment_blocks",
     "simulate_driver",
+    "running_sum",
     "control_process",
     "ito_integral",
     "energy_integral",
@@ -146,28 +151,33 @@ class ScenarioSet:
             raise ValueError("digits only exist in tree mode")
         return self._digits
 
-    def atom_ids(self, level: int) -> np.ndarray:
-        """Id of the filtration atom containing each scenario at time t_level."""
+    def atom_size(self, level: int) -> int:
+        """Scenarios per filtration atom at time t_level."""
         if not self.is_tree:
             raise ValueError("filtration atoms only exist in tree mode")
         if not (0 <= level <= self.depth):
             raise ValueError("level out of range")
-        block = self.branching ** (self.depth - level)
-        return np.arange(self.n_scenarios) // block
+        return self.branching ** (self.depth - level)
+
+    def atom_ids(self, level: int) -> np.ndarray:
+        """Id of the filtration atom containing each scenario at time t_level."""
+        return np.arange(self.n_scenarios) // self.atom_size(level)
 
     def atoms(self, level: int) -> list[np.ndarray]:
         ids = self.atom_ids(level)
         return [np.flatnonzero(ids == a) for a in range(ids[-1] + 1)]
 
     def is_measurable(self, values: np.ndarray, level: int, tol: float = 0.0) -> bool:
-        """True if per-scenario values are constant on every level atom."""
-        ids = self.atom_ids(level)
+        """True if per-scenario values are constant on every level atom.
+
+        Atoms are contiguous blocks, so each row is compared with its atom's first.
+        """
+        block = self.atom_size(level)
         v = np.asarray(values)
-        for a in range(ids[-1] + 1):
-            block = v[ids == a]
-            if np.any(np.abs(block - block[0]) > tol):
-                return False
-        return True
+        if v.shape[:1] != (self.n_scenarios,):
+            raise ValueError("need one value per scenario")
+        per_atom = v.reshape((-1, block) + v.shape[1:])
+        return not np.any(np.abs(per_atom - per_atom[:, :1]) > tol)
 
     def random_predictable(self, rng: np.random.Generator, n_steps: int, d: int = 1,
                            scale: float = 1.0) -> "PredictablePath":
@@ -309,9 +319,12 @@ class DriverPath:
                 if not self.scenarios.is_measurable(self.values[:, level, :], level):
                     raise AssertionError(f"driver not adapted at level {level}")
 
-    @property
+    @cached_property
     def increments(self) -> np.ndarray:
-        return np.diff(self.values, axis=1)
+        """Path increments (P, N, d), computed once on first read; read-only."""
+        inc = np.diff(self.values, axis=1)
+        inc.setflags(write=False)
+        return inc
 
     def decomposition_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """Bracket path of the martingale part and variation of the FV part.
@@ -331,8 +344,7 @@ class DriverPath:
         if self.spec.kind in ("fv_drift", "mixture"):
             var_a += abs(self.spec.drift) * t[None, :]
         if self.jump_increments is not None:
-            jump_var = np.cumsum(np.abs(self.jump_increments[:, :, 0]), axis=1)
-            var_a[:, 1:] += jump_var
+            var_a += running_sum(np.abs(self.jump_increments[:, :, 0]))
         return qv, var_a
 
     def to_csv(self, path) -> None:
@@ -344,36 +356,35 @@ class DriverPath:
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def chunk_generators(seed: int, n_scenarios: int) -> Iterator[tuple[int, int, np.random.Generator]]:
-    """Deterministic per-chunk generators: scenario i lives in chunk i // SCENARIO_CHUNK."""
-    n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
-    seeds = np.random.SeedSequence(seed).spawn(n_chunks)
-    for c in range(n_chunks):
-        lo = c * SCENARIO_CHUNK
-        hi = min(lo + SCENARIO_CHUNK, n_scenarios)
-        yield lo, hi, np.random.default_rng(seeds[c])
+def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int
+                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
+    """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per chunk.
 
-
-def sample_increments(spec: DriverSpec, timegrid: TimeGrid, rng: np.random.Generator,
-                      n: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Increments (n, N, d) for one scenario block, plus the pure-jump part.
-
-    Draw order per block is fixed (diffusion normals, Poisson counts, jump
-    normals) so results are a deterministic function of the block seed.
+    Scenario i always lands in chunk i // SCENARIO_CHUNK, drawn from that
+    chunk's child of SeedSequence(seed) in a fixed order (diffusion normals,
+    Poisson counts, jump normals): one (spec, grid, seed) is one driver.
     """
     N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
-    inc = np.zeros((n, N, d))
-    jumps = None
-    if spec.kind in ("brownian", "mixture") and spec.vol > 0:
-        inc += spec.vol * math.sqrt(dt) * rng.standard_normal((n, N, d))
-    if spec.kind in ("fv_drift", "mixture"):
-        inc += spec.drift * dt
-    if spec.kind in ("compound_poisson", "mixture") and spec.jump_rate > 0:
-        counts = rng.poisson(spec.jump_rate * dt, size=(n, N, d))
-        z = rng.standard_normal((n, N, d))
-        jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
-        inc += jumps
-    return inc, jumps
+    n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
+    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        rng = np.random.default_rng(child)
+        lo = c * SCENARIO_CHUNK
+        hi = min(lo + SCENARIO_CHUNK, n_scenarios)
+        shape = (hi - lo, N, d)
+        if spec.kind in ("brownian", "mixture") and spec.vol > 0:
+            inc = rng.standard_normal(shape)
+            inc *= spec.vol * math.sqrt(dt)
+        else:
+            inc = np.zeros(shape)
+        jumps = None
+        if spec.kind in ("fv_drift", "mixture"):
+            inc += spec.drift * dt
+        if spec.has_jumps:
+            counts = rng.poisson(spec.jump_rate * dt, size=shape)
+            z = rng.standard_normal(shape)
+            jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
+            inc += jumps
+        yield lo, hi, inc, jumps
 
 
 def _tree_increments(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet) -> np.ndarray:
@@ -403,19 +414,23 @@ def simulate_driver(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet
     """Simulate the ensemble and attach the documented control path."""
     P, N, d = scenarios.n_scenarios, timegrid.n_steps, spec.d
     if scenarios.is_tree:
-        inc = _tree_increments(spec, timegrid, scenarios)
-        jumps = None
+        values, jumps = running_sum(_tree_increments(spec, timegrid, scenarios)), None
     else:
-        inc = np.empty((P, N, d))
-        jumps = np.zeros((P, N, d)) if spec.has_jumps else None
-        for lo, hi, rng in chunk_generators(scenarios.seed, P):
-            block, block_jumps = sample_increments(spec, timegrid, rng, hi - lo)
-            inc[lo:hi] = block
-            if block_jumps is not None:
+        values = np.empty((P, N + 1, d))
+        jumps = np.empty((P, N, d)) if spec.has_jumps else None
+        for lo, hi, inc, block_jumps in increment_blocks(spec, timegrid, scenarios.seed, P):
+            values[lo:hi] = running_sum(inc)
+            if jumps is not None:
                 jumps[lo:hi] = block_jumps
-    values = np.concatenate([np.zeros((P, 1, d)), np.cumsum(inc, axis=1)], axis=1)
     control = control_process(spec, timegrid, P)
     return DriverPath(spec, timegrid, scenarios, values, control, jump_increments=jumps)
+
+
+def running_sum(increments: np.ndarray) -> np.ndarray:
+    """Partial sums along the time axis from 0: (R, N, ...) -> (R, N + 1, ...)."""
+    out = np.zeros((increments.shape[0], increments.shape[1] + 1) + increments.shape[2:])
+    np.cumsum(increments, axis=1, out=out[:, 1:])
+    return out
 
 
 def control_process(spec: DriverSpec, timegrid: TimeGrid, n_scenarios: int) -> np.ndarray:
@@ -453,11 +468,7 @@ def ito_integral(H: PredictablePath, S: DriverPath, upto: StoppingRule | None = 
     if H.d != S.spec.d:
         raise ValueError("component count mismatch")
     inc = _masked_increments(S, upto)
-    contrib = np.sum(H.values * inc, axis=2)
-    P = inc.shape[0]
-    out = np.zeros((P, S.timegrid.n_steps + 1))
-    np.cumsum(contrib, axis=1, out=out[:, 1:])
-    return out
+    return running_sum(np.sum(H.values * inc, axis=2))
 
 
 def energy_integral(H: PredictablePath | np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -468,12 +479,7 @@ def energy_integral(H: PredictablePath | np.ndarray, A: np.ndarray) -> np.ndarra
     dA = np.diff(A, axis=1)
     if np.any(dA < 0):
         raise ValueError("integrator must be nondecreasing")
-    sq = np.sum(vals * vals, axis=2)
-    contrib = sq * dA
-    P = max(sq.shape[0], A.shape[0])
-    out = np.zeros((P, A.shape[1]))
-    np.cumsum(np.broadcast_to(contrib, (P, contrib.shape[1])), axis=1, out=out[:, 1:])
-    return out
+    return running_sum(np.sum(vals * vals, axis=2) * dA)
 
 
 def stopping_weights(tau: StoppingRule, V: np.ndarray, scenarios: ScenarioSet) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .drivers import DriverPath, StoppingRule, ito_integral, stopping_weights
+from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
 from .integrands import MeasureProcess, evaluate, integrand_seminorm, integrability_check, _family_evals
 
@@ -116,9 +116,7 @@ def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = 
     if phi.d != S.spec.d:
         raise ValueError("component count mismatch")
     P, N = S.scenarios.n_scenarios, S.timegrid.n_steps
-    dS = S.increments
-    if upto is not None:
-        dS = dS * upto.increment_mask()[:, :, None]
+    dS = _masked_increments(S, upto)
     out = _charge_buffer((P, N + 1, phi.grid.n_atoms), memory_cap)
     block = max(1, memory_cap // max(1, (N + 1) * phi.grid.n_atoms))
     for lo in range(0, P, block):
@@ -169,14 +167,9 @@ def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
                       upto: StoppingRule | None) -> np.ndarray:
     """ito integrals of phi(f) for each row f of ``functions``; (n_f, P, N + 1)."""
     evals = np.einsum("pnij,kj->pnki", phi.weights, functions)
-    dS = S.increments
-    if upto is not None:
-        dS = dS * upto.increment_mask()[:, :, None]
+    dS = _masked_increments(S, upto)
     contrib = np.einsum("pnki,pni->pnk", np.broadcast_to(evals, dS.shape[:2] + evals.shape[2:]), dS)
-    P, N, K = contrib.shape
-    out = np.zeros((K, P, N + 1))
-    out[:, :, 1:] = np.cumsum(contrib, axis=1).transpose(2, 0, 1)
-    return out
+    return np.moveaxis(running_sum(contrib), 2, 0)
 
 
 def fubini_check_regular(phi: MeasureProcess, S: DriverPath, fam: TestFamily,

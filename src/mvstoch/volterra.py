@@ -37,7 +37,6 @@ not depend on any parallel schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -46,11 +45,13 @@ from scipy.signal import fftconvolve
 
 from .drivers import (
     DriverPath,
+    DriverSpec,
     PredictablePath,
     ScenarioSet,
     TimeGrid,
-    chunk_generators,
+    increment_blocks,
     ito_integral,
+    running_sum,
 )
 from .grid import CompactGrid
 from .integrands import MeasureProcess, integrability_check
@@ -285,8 +286,7 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
     psi = np.where(t[:, None] > t[None, :N], psi, 0.0)
     dS = S.increments[:, :, 0]
     inner = np.einsum("kj,pj->pk", psi, dS)  # driver integral of psi(t_k, .) up to k
-    time_part = np.zeros_like(inner)
-    np.cumsum(inner[:, 1:] * dt, axis=1, out=time_part[:, 1:])
+    time_part = running_sum(inner[:, 1:] * dt)
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
     x = diag + time_part
     rebuilt = np.cumsum(psi[1:, :] * dt, axis=0)
@@ -329,42 +329,45 @@ def diagonal_jump_check(kernel: VolterraKernel, M: DriverPath) -> dict:
     """
     P = M.scenarios.n_scenarios
     N = M.timegrid.n_steps
-    stat = np.zeros((P, N + 1))
-    if M.jump_increments is not None:
+    if M.jump_increments is None:
+        stat = np.zeros((P, N + 1))
+    else:
         diag = np.broadcast_to(kernel.diagonal(), (P, N, kernel.d))
         weighted = np.sum(diag * M.jump_increments, axis=2)
-        stat[:, 1:] = np.sqrt(np.cumsum(weighted**2, axis=1))
+        stat = np.sqrt(running_sum(weighted**2))
     mean_horizon = float(M.scenarios.probs @ stat[:, -1])
     return {"stat": stat, "mean_at_horizon": mean_horizon}
 
 
-def power_volterra_terminals(alpha: float, u_indices: Sequence[int], timegrid: TimeGrid,
-                             n_scenarios: int, seed: int) -> np.ndarray:
-    """Streamed samples of the power-kernel path at chosen grid indices.
+def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
+                             timegrid: TimeGrid, n_scenarios: int, seed: int) -> np.ndarray:
+    """Streamed power-kernel path samples at chosen grid indices, (P, n_alpha, n_u).
 
-    Uses the same block seeding as the driver simulator, so values agree
-    with materializing the full Brownian ensemble; memory stays bounded
-    for large scenario counts.  Returns (P, len(u_indices)).
+    Reads, chunk by chunk through the shared block source, the Brownian
+    driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(n_scenarios,
+    seed)``; each chunk is drawn once for all exponents.
     """
-    N, dt = timegrid.n_steps, timegrid.dt
+    N = timegrid.n_steps
     t = timegrid.times
-    out = np.empty((n_scenarios, len(u_indices)))
-    weights = [np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u]) for u in u_indices]
-    for lo, hi, rng in chunk_generators(seed, n_scenarios):
-        dW = rng.standard_normal((hi - lo, N, 1))[:, :, 0] * math.sqrt(dt)
-        for c, w in enumerate(weights):
-            out[lo:hi, c] = dW @ w
+    out = np.empty((n_scenarios, len(alphas), len(u_indices)))
+    weights = [[np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u]) for u in u_indices]
+               for alpha in alphas]
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios):
+        dW = dW[:, :, 0]
+        for a, row in enumerate(weights):
+            for c, w in enumerate(row):
+                out[lo:hi, a, c] = dW @ w  # one gemv per column: a gemm rounds differently
     return out
 
 
 def power_volterra_paths(alpha: float, timegrid: TimeGrid, n_scenarios: int, seed: int,
                          block: int = 256) -> np.ndarray:
-    """Full power-kernel ensemble via FFT convolution, in scenario blocks."""
+    """Full power-kernel ensemble via FFT convolution over the shared Brownian blocks."""
     N, dt = timegrid.n_steps, timegrid.dt
     w = (np.arange(N + 1) * dt) ** alpha
     out = np.empty((n_scenarios, N + 1))
-    for lo, hi, rng in chunk_generators(seed, n_scenarios):
-        dW = rng.standard_normal((hi - lo, N, 1))[:, :, 0] * math.sqrt(dt)
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios):
+        dW = dW[:, :, 0]
         for b in range(lo, hi, block):
             e = min(b + block, hi)
             out[b:e] = fftconvolve(dW[b - lo : e - lo], w[None, :], axes=1)[:, : N + 1]

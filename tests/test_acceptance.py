@@ -162,13 +162,13 @@ class TestCriterion4TerminalVarianceIsometry:
         N = 2048
         tg = TimeGrid(1.0, N)
         worst_z = 0.0
-        for alpha in (0.5, 1.0):
-            u_indices = [N // 2, N]
-            terms = power_volterra_terminals(alpha, u_indices, tg, P, seed=59)
+        alphas, u_indices = (0.5, 1.0), [N // 2, N]
+        terms = power_volterra_terminals(alphas, u_indices, tg, P, seed=59)
+        for a, alpha in enumerate(alphas):
             for col, u_idx in enumerate(u_indices):
                 u = tg.times[u_idx]
                 target = u ** (2 * alpha + 1) / (2 * alpha + 1)
-                sample = float(np.var(terms[:, col], ddof=1))
+                sample = float(np.var(terms[:, a, col], ddof=1))
                 se = sample * math.sqrt(2.0 / (P - 1))
                 z = abs(sample - target) / se
                 worst_z = max(worst_z, z)

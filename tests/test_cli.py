@@ -70,6 +70,11 @@ class TestFubiniCommand:
         path.write_text("{not json")
         assert main(["fubini", "--config", str(path)]) == 2
 
+    def test_threads_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["fubini", "--config", fubini_config(tmp_path), "--threads", "4"])
+        assert exc.value.code == 2
+
     def test_missing_time_block_exits_two(self, tmp_path):
         cfg = write_config(tmp_path, "incomplete.json",
                            {"scenarios": {"mode": "monte_carlo", "count": 2, "seed": 1}})
@@ -213,14 +218,7 @@ class TestElementaryFromConfig:
         assert main(["fubini", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
-class TestThreadsFlagAndConditionGrowth:
-    def test_threads_flag_does_not_change_output(self, tmp_path):
-        cfg = fubini_config(tmp_path)
-        out1, out2 = tmp_path / "t1", tmp_path / "t2"
-        assert main(["fubini", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["fubini", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-        assert (out1 / "fubini_report.csv").read_bytes() == (out2 / "fubini_report.csv").read_bytes()
-
+class TestConditionGrowth:
     def test_conditions_report_carries_growth_ratios(self, tmp_path):
         cfg = write_config(tmp_path, "cond2.json", {
             "time": {"T": 1.0, "N": 64},

@@ -12,6 +12,7 @@ from mvstoch.drivers import (
     energy_integral,
     ito_integral,
     localizing_sequence,
+    running_sum,
     simulate_driver,
     stopping_weights,
     weighted_l2_sq,
@@ -347,3 +348,76 @@ class TestTreeBranchProbabilities:
     def test_invalid_branch_weights(self):
         with pytest.raises(ValueError):
             ScenarioSet.tree(2, 2, level_probs=[0.4, 0.4])
+
+
+def _is_measurable_loop(sc, values, level, tol=0.0):
+    """Reference: one boolean mask per atom, O(P) each."""
+    ids = sc.atom_ids(level)
+    v = np.asarray(values)
+    for a in range(ids[-1] + 1):
+        block = v[ids == a]
+        if np.any(np.abs(block - block[0]) > tol):
+            return False
+    return True
+
+
+class TestIsMeasurable:
+    @pytest.mark.parametrize("branching, depth, d", [(2, 7, 1), (3, 4, 2)])
+    def test_matches_per_atom_loop(self, branching, depth, d):
+        rng = np.random.default_rng(branching * 10 + depth)
+        sc = ScenarioSet.tree(branching, depth)
+        tol = 1e-3
+        for level in range(depth + 1):
+            ids = sc.atom_ids(level)
+            base = rng.normal(size=(ids[-1] + 1, d))[ids]
+            noisy = base + rng.uniform(-tol / 2, tol / 2, size=base.shape)
+            cases = [(base[:, 0], 0.0), (base, 0.0), (noisy, 0.0), (noisy, tol),
+                     (rng.normal(size=base.shape), tol)]
+            for shift in (0.5 * tol, 3.0 * tol):
+                bumped = base.copy()
+                bumped[rng.integers(sc.n_scenarios), rng.integers(d)] += shift
+                cases += [(bumped, tol), (bumped, 0.0)]
+            for values, t in cases:
+                assert sc.is_measurable(values, level, tol=t) == _is_measurable_loop(
+                    sc, values, level, tol=t)
+
+    def test_single_scenario_perturbation_at_deepest_atoms(self):
+        sc = ScenarioSet.tree(2, 6)
+        level = sc.depth - 1  # atoms are pairs of scenarios
+        values = np.repeat(np.arange(sc.n_scenarios // 2, dtype=float), 2)
+        assert sc.is_measurable(values, level)
+        for p in (0, 1, sc.n_scenarios // 2 + 1, sc.n_scenarios - 1):
+            bumped = values.copy()
+            bumped[p] += 1e-6
+            assert not sc.is_measurable(bumped, level)
+            assert not _is_measurable_loop(sc, bumped, level)
+            assert sc.is_measurable(bumped, level, tol=2e-6)
+            assert sc.is_measurable(bumped, sc.depth)  # singleton atoms
+
+    def test_rejects_wrong_length_and_monte_carlo(self):
+        sc = ScenarioSet.tree(2, 3)
+        with pytest.raises(ValueError):
+            sc.is_measurable(np.zeros(4), 1)
+        with pytest.raises(ValueError):
+            ScenarioSet.monte_carlo(8, 0).is_measurable(np.zeros(8), 1)
+
+
+class TestIncrementsCache:
+    def test_computed_once_and_read_only(self):
+        path = brownian_path(P=4, N=8)
+        first = path.increments
+        assert path.increments is first
+        assert np.array_equal(first, np.diff(path.values, axis=1))
+        with pytest.raises(ValueError):
+            first[0, 0, 0] = 1.0
+
+
+class TestRunningSum:
+    @pytest.mark.parametrize("shape", [(5, 9), (4, 7, 3)])
+    def test_zero_row_then_cumsum(self, shape):
+        x = np.random.default_rng(1).normal(size=shape)
+        out = running_sum(x)
+        assert out.shape == (shape[0], shape[1] + 1) + shape[2:]
+        assert np.all(out[:, 0] == 0.0)
+        zero_row = np.zeros((shape[0], 1) + shape[2:])
+        assert np.array_equal(out, np.concatenate([zero_row, np.cumsum(x, axis=1)], axis=1))

@@ -3,6 +3,7 @@ import pytest
 
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
+    SCENARIO_CHUNK,
     DriverPath,
     DriverSpec,
     PredictablePath,
@@ -64,7 +65,7 @@ class TestVolterraDirect:
         # oracle: sum_j (T - t_j)^(2a) dt of the squared kernel weights
         alpha, N, P = 0.5, 256, 40_000
         tg = TimeGrid(1.0, N)
-        term = power_volterra_terminals(alpha, [N], tg, P, seed=11)[:, 0]
+        term = power_volterra_terminals([alpha], [N], tg, P, seed=11)[:, 0, 0]
         sample_var = float(np.var(term))
         t = tg.times[:N]
         discrete = float(np.sum((1.0 - t) ** (2 * alpha)) * tg.dt)
@@ -83,11 +84,47 @@ class TestVolterraDirect:
         N, P = 32, 20
         tg = TimeGrid(1.0, N)
         S = brownian(P, N, seed=77)
-        term = power_volterra_terminals(1.0, [N // 2, N], tg, P, seed=77)
+        term = power_volterra_terminals([1.0], [N // 2, N], tg, P, seed=77)[:, 0]
         for c, u in enumerate((N // 2, N)):
             w = np.maximum(tg.times[u] - tg.times[:N], 0.0) ** 1.0 * (tg.times[:N] < tg.times[u])
             direct = ito_integral(PredictablePath(w[None, :, None]), S)[:, -1]
             np.testing.assert_allclose(term[:, c], direct, atol=1e-12)
+
+
+class TestSharedBrownianSource:
+    """The streamed power-kernel samplers read the driver simulate_driver builds."""
+
+    N = 32
+    P = SCENARIO_CHUNK + 3  # crosses a chunk boundary
+
+    @pytest.fixture(scope="class")
+    def driver(self):
+        return brownian(self.P, self.N, seed=19)
+
+    def test_terminals_match_volterra_direct(self, driver):
+        tg, alphas, u_indices = driver.timegrid, (0.4, 1.0, 2.0), [self.N // 2, self.N - 1, self.N]
+        terms = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=19)
+        assert terms.shape == (self.P, len(alphas), len(u_indices))
+        for a, alpha in enumerate(alphas):
+            direct = volterra_direct(power_kernel(alpha, tg), driver, method="direct")
+            for c, u in enumerate(u_indices):
+                scale = np.max(np.abs(direct[:, u]))
+                np.testing.assert_allclose(terms[:, a, c], direct[:, u], rtol=1e-12,
+                                           atol=1e-12 * scale)
+
+    def test_paths_match_volterra_direct_fft(self, driver):
+        tg = driver.timegrid
+        for alpha in (0.25, 0.75):
+            paths = power_volterra_paths(alpha, tg, self.P, seed=19)
+            fft = volterra_direct(power_kernel(alpha, tg), driver, method="fft")
+            np.testing.assert_allclose(paths, fft, rtol=1e-12, atol=1e-12 * np.max(np.abs(fft)))
+
+    def test_batched_exponents_equal_single_calls(self):
+        tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
+        batched = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=5)
+        for a, alpha in enumerate(alphas):
+            single = power_volterra_terminals([alpha], u_indices, tg, self.P, seed=5)
+            assert np.array_equal(batched[:, a], single[:, 0])
 
 
 class TestInducedPhi:
