@@ -388,11 +388,12 @@ def run_conditions(cfg: dict, out_dir: Path, seed_override: int | None = None) -
     report = dom.condition_evaluator(spec, S, S.control)
     probe_cfg = _get(cfg, "probe", {})
     doublings = int(probe_cfg.get("doublings", 3))
+    # spatial-refinement growth ratio per condition (sup at 2^k J over sup at J);
+    # the refined grid is also the certificate's last probe, so it is built once
+    refined = dom.condition_evaluator(spec.reatomize(J * 2**doublings), S, S.control)
     cert = dom.measure_valuedness_certificate(
         spec, S, S.control, growth_factor=float(probe_cfg.get("growth_factor", 1.5)),
-        doublings=doublings)
-    # spatial-refinement growth ratio per condition (sup at 2^k J over sup at J)
-    refined = dom.condition_evaluator(spec.reatomize(J * 2**doublings), S, S.control)
+        doublings=doublings, finest_sup=refined["c66"]["sup"])
     for key in ("c63", "c64", "c66", "c67", "c_veraar"):
         base = report[key]["sup"]
         report[key]["growth_ratio"] = refined[key]["sup"] / base if base > 0 else 1.0

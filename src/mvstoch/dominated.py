@@ -388,7 +388,8 @@ def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
 
 
 def measure_valuedness_certificate(spec: DominatedSpec, S: DriverPath, V: np.ndarray,
-                                   growth_factor: float = 1.5, doublings: int = 3) -> dict:
+                                   growth_factor: float = 1.5, doublings: int = 3,
+                                   finest_sup: float | None = None) -> dict:
     """Sufficient-hypothesis report for the integral staying measure-valued.
 
     Structural hypotheses (dominated form, product-measurable density)
@@ -396,10 +397,16 @@ def measure_valuedness_certificate(spec: DominatedSpec, S: DriverPath, V: np.nda
     probed under dyadic spatial refinement: divergence is declared when
     the sup grows by more than ``growth_factor`` across the whole
     ``doublings``-wide window.  No claim is made about the converse.
+    A caller that has already run :func:`condition_evaluator` on
+    ``spec.reatomize(J * 2**doublings)`` against the same ``V`` passes its
+    ``["c66"]["sup"]`` as ``finest_sup``, and the last probe is not rebuilt.
     """
     values = []
     J0 = spec.grid.n_cells
     for k in range(doublings + 1):
+        if k == doublings and finest_sup is not None:
+            values.append(float(finest_sup))
+            continue
         probe_spec = spec.reatomize(J0 * 2**k) if k > 0 else spec
         values.append(float(np.max(_trapezoid_against(_eta_mix(probe_spec, np.square), V))))
     if values[0] <= 0.0:

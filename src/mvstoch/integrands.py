@@ -322,20 +322,30 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
     Returns the projected process, the assignment array (P, N) of net
     indices (ties resolved to the lowest index) and the pointwise
     distances attained.
+
+    The distances depend on a (scenario, slot) pair only through its row
+    of family evaluations, so they are computed once per run of equal rows
+    over consecutive scenarios at a slot (on a tree, one run per atom) and
+    gathered back.  Rows are compared with ``!=``, so the split is exact
+    and assumes no adaptedness; a NaN row starts a run of its own.
     """
     if len(net) == 0:
         raise ValueError("empty net")
     evals = _family_evals(phi, fam)  # (P, N, K, d)
     P, N = evals.shape[:2]
-    dists = np.empty((P, N, len(net)))
+    fresh = np.ones((N, P), dtype=bool)  # slot-major: each run is contiguous
+    fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
+    run = np.cumsum(fresh).reshape(N, P).T - 1  # (P, N) run index of every pair
+    heads = evals.transpose(1, 0, 2, 3)[fresh]  # (U, K, d), one row per run
+    dists = np.empty((len(heads), len(net)))
     for j, m in enumerate(net):
         b = fam.evaluate_measure(m)  # (K, d) or (K,)
         b = b if b.ndim == 2 else b[:, None]
-        gap = evals - b[None, None]
-        dists[:, :, j] = np.einsum("k,pnk->pn", fam.delta_weights,
-                                   np.sqrt(np.sum(gap * gap, axis=3)))
-    assignment = np.argmin(dists, axis=2)
-    attained = np.take_along_axis(dists, assignment[:, :, None], axis=2)[:, :, 0]
+        gap = heads - b[None]
+        dists[:, j] = np.einsum("k,uk->u", fam.delta_weights, np.sqrt(np.sum(gap * gap, axis=2)))
+    best = np.argmin(dists, axis=1)
+    assignment = best[run]
+    attained = dists[np.arange(len(dists)), best][run]
     net_w = np.stack([m.weights for m in net])
     projected = MeasureProcess("kernel", phi.grid, net_w[assignment])
     return projected, assignment, attained

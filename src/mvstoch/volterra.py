@@ -30,9 +30,10 @@ The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
 Stationary power kernels get an FFT convolution fast path for the large
-ensembles this needs.  All diagnostic levels read one shared fine
-ensemble; direct evaluation is independent per scenario and results do
-not depend on any parallel schedule.
+ensembles this needs; ``scipy.signal`` is imported only where that path
+runs, since importing it takes about a second.  All diagnostic levels
+read one shared fine ensemble; direct evaluation is independent per
+scenario and results do not depend on any parallel schedule.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .drivers import (
     DriverPath,
@@ -191,6 +191,8 @@ def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto")
     if method == "fft":
         if kernel.stationary_profile is None:
             raise ValueError("no stationary profile for the fft path")
+        from scipy.signal import fftconvolve
+
         w = kernel.stationary_profile(np.arange(N + 1) * S.timegrid.dt)
         out = fftconvolve(dS[:, :, 0], w[None, :], axes=1)[:, : N + 1]
         out[:, 0] = 0.0
@@ -363,6 +365,8 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
 def power_volterra_paths(alpha: float, timegrid: TimeGrid, n_scenarios: int, seed: int,
                          block: int = 256) -> np.ndarray:
     """Full power-kernel ensemble via FFT convolution over the shared Brownian blocks."""
+    from scipy.signal import fftconvolve
+
     N, dt = timegrid.n_steps, timegrid.dt
     w = (np.arange(N + 1) * dt) ** alpha
     out = np.empty((n_scenarios, N + 1))

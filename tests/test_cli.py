@@ -1,10 +1,16 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mvstoch
 from mvstoch.cli import main
+from mvstoch.dominated import DominatedSpec
 
 
 def write_config(tmp_path, name, payload):
@@ -235,6 +241,35 @@ class TestConditionGrowth:
         # the square-density condition diverges under refinement below 1/2
         assert payload["conditions"]["c66"]["growth_ratio"] > 1.5
         assert payload["certificate"]["hypotheses_met"] is False
+
+    def test_each_probe_grid_built_once(self, tmp_path, monkeypatch):
+        built = []
+        original = DominatedSpec.from_power_profile.__func__
+
+        def counting(cls, alpha, timegrid, n_cells):
+            built.append(n_cells)
+            return original(cls, alpha, timegrid, n_cells)
+
+        monkeypatch.setattr(DominatedSpec, "from_power_profile", classmethod(counting))
+        cfg = write_config(tmp_path, "cond3.json", {
+            "time": {"T": 1.0, "N": 32},
+            "grid": {"J": 16},
+            "scenarios": {"mode": "monte_carlo", "count": 2, "seed": 2},
+            "driver": {"kind": "brownian"},
+            "integrand": {"kind": "power_law", "alpha": 0.25},
+        })
+        assert main(["conditions", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert sorted(built) == [16, 32, 64, 128]
+
+
+class TestImportCost:
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        src = str(Path(mvstoch.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        code = "import sys, mvstoch.cli; print('scipy.signal' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestDeterminismAcrossSubcommands:

@@ -323,6 +323,15 @@ class TestCertificate:
         assert len(probe["values"]) == probe["doublings"] + 1
         assert probe["growth_ratio"] > probe["growth_factor"]
 
+    @pytest.mark.parametrize("alpha", [0.25, 1.0])
+    def test_finest_sup_from_refined_conditions(self, alpha):
+        S = brownian(2, 32)
+        _, spec = power_law_integrand(alpha, S.timegrid, n_cells=64)
+        refined = condition_evaluator(spec.reatomize(64 * 2**3), S, S.control)
+        given = measure_valuedness_certificate(spec, S, S.control,
+                                               finest_sup=refined["c66"]["sup"])
+        assert given == measure_valuedness_certificate(spec, S, S.control)
+
     def test_array_spec_cannot_probe(self):
         tg = TimeGrid(1.0, 4)
         grid = CompactGrid(1.0, 4)

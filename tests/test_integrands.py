@@ -278,6 +278,100 @@ class TestProjectToNet:
             project_to_net(phi, [], self.fam)
 
 
+def _project_loop(phi, net, fam):
+    """Reference: the weak* distance for every (scenario, slot) pair, (P, N, len(net))."""
+    evals = np.einsum("pnij,kj->pnki", phi.weights, fam.functions)
+    P, N = evals.shape[:2]
+    dists = np.empty((P, N, len(net)))
+    for j, m in enumerate(net):
+        b = fam.evaluate_measure(m)
+        b = b if b.ndim == 2 else b[:, None]
+        gap = evals - b[None, None]
+        dists[:, :, j] = np.einsum("k,pnk->pn", fam.delta_weights,
+                                   np.sqrt(np.sum(gap * gap, axis=3)))
+    assignment = np.argmin(dists, axis=2)
+    attained = np.take_along_axis(dists, assignment[:, :, None], axis=2)[:, :, 0]
+    return np.stack([m.weights for m in net])[assignment], assignment, attained
+
+
+def _tree_values(sc, n_steps, rng, d, n_atoms):
+    """Continuous per-atom values at every slot, shape (P, N, d, n_atoms)."""
+    w = np.empty((sc.n_scenarios, n_steps, d, n_atoms))
+    for j in range(n_steps):
+        ids = sc.atom_ids(j)
+        w[:, j] = rng.uniform(-0.5, 0.5, size=(ids[-1] + 1, d, n_atoms))[ids]
+    return w
+
+
+class TestProjectToNetAgainstLoop:
+    """Distances computed once per run of equal rows match the per-pair loop bit for bit."""
+
+    def setup_method(self):
+        self.grid = CompactGrid(1.0, 4)
+        self.fam = build_test_family(self.grid, 20)
+
+    def check(self, phi, net):
+        projected, assignment, attained = project_to_net(phi, net, self.fam)
+        w_ref, a_ref, d_ref = _project_loop(phi, net, self.fam)
+        assert assignment.shape == attained.shape == phi.weights.shape[:2]
+        assert np.array_equal(assignment, a_ref)
+        assert np.array_equal(attained, d_ref, equal_nan=True)
+        assert np.array_equal(projected.weights, w_ref)
+        return assignment, attained
+
+    def test_deterministic_single_scenario(self):
+        phi = random_kernel(self.grid, 5, np.random.default_rng(1), P=1)
+        self.check(phi, weak_star_net(1.0, 40, self.grid))
+
+    def test_depth_six_lattice_process(self):
+        sc = ScenarioSet.tree(2, 6)
+        phi = random_lattice_process(self.grid, TimeGrid(1.0, 6), sc, np.random.default_rng(2))
+        for n in (4, 16, 64):
+            self.check(phi, weak_star_net(1.0, n, self.grid))
+
+    def test_tree_adapted_continuous_values(self):
+        sc = ScenarioSet.tree(3, 4)
+        w = _tree_values(sc, 4, np.random.default_rng(3), 1, self.grid.n_atoms)
+        self.check(MeasureProcess("kernel", self.grid, w), weak_star_net(1.0, 64, self.grid))
+
+    def test_iid_weights_without_repeated_rows(self):
+        phi = random_kernel(self.grid, 6, np.random.default_rng(4), P=50, scale=0.5)
+        self.check(phi, weak_star_net(1.0, 64, self.grid))
+
+    def test_two_components(self):
+        sc = ScenarioSet.tree(2, 5)
+        w = _tree_values(sc, 5, np.random.default_rng(5), 2, self.grid.n_atoms)
+        self.check(MeasureProcess("kernel", self.grid, w), weak_star_net(1.0, 64, self.grid, d=2))
+
+    def test_signed_zero_rows(self):
+        net = weak_star_net(1.0, 16, self.grid)
+        w = np.zeros((4, 2, 1, self.grid.n_atoms))
+        w[:, 1, 0, 0] = 0.5
+        w[1, 0] = -0.0  # slot 0: scenario 1 differs from scenario 0 only by the sign of zero
+        w[3, 1, 0, 1:] = -0.0  # slot 1: scenario 3 against scenario 2
+        assert np.array_equal(w[0, 0], w[1, 0]) and np.signbit(w[1, 0]).all()
+        self.check(MeasureProcess("kernel", self.grid, w), net)
+
+    def test_nan_rows(self):
+        w = np.random.default_rng(6).uniform(-0.5, 0.5, size=(5, 3, 1, self.grid.n_atoms))
+        w[1:3] = w[0]
+        w[1, 1, 0, 2] = np.nan
+        w[2, 1, 0, 2] = np.nan  # equal NaN rows do not compare equal
+        w[4, :, 0, 0] = np.nan
+        _, attained = self.check(MeasureProcess("kernel", self.grid, w),
+                                 weak_star_net(1.0, 16, self.grid))
+        assert np.isnan(attained[1, 1]) and np.isnan(attained[4]).all()
+
+    def test_duplicated_net_elements_take_lowest_index(self):
+        base = weak_star_net(1.0, 12, self.grid)
+        net = [base[0], base[7], base[3], base[7], base[3], base[9]]
+        idx = np.array([[1, 2, 3], [1, 2, 3], [3, 4, 4], [3, 4, 0],
+                        [5, 2, 2], [5, 2, 2], [1, 1, 4], [1, 1, 3]])
+        phi = MeasureProcess("kernel", self.grid, np.stack([m.weights for m in net])[idx])
+        assignment, _ = self.check(phi, net)
+        assert np.array_equal(assignment, np.array([0, 1, 2, 1, 2, 5])[idx])
+
+
 class TestRectangleRefine:
     def test_full_space_single_rectangle(self):
         grid = CompactGrid(1.0, 2)
