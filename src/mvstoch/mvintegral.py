@@ -23,20 +23,18 @@ elementary integrands it is dominated by the integrand seminorm whenever
 the driver's control inequality holds (exactly on scenario trees with
 late enough horizons, within Monte Carlo error otherwise).
 
-Charge ensembles are stored dense, (P, N + 1, J + 1); above a configurable
-entry cap the array is placed in a temporary on-disk memmap and filled in
-scenario blocks.  Per-scenario integration is independent (the block loop
-could be parallelized); ensembles are immutable after the build and every
-reduction is a deterministic ordered sum.
+The charge is accumulated in blocks of grid times that carry the running
+measure (P, J + 1) into each block's time cumsum, so it equals one
+sequential sum bit for bit; ``mv_integral`` fills a dense (P, N + 1, J + 1)
+ensemble from the blocks, the Volterra decomposition keeps two slices.
+Every reduction is a deterministic ordered sum.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import tempfile
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +44,7 @@ from .integrands import MeasureProcess, evaluate, integrand_seminorm, integrabil
 
 __all__ = [
     "ChargePath",
+    "charge_blocks",
     "mv_integral",
     "evaluate_charge",
     "maximal_seminorm",
@@ -54,11 +53,10 @@ __all__ = [
     "seminorm_domination_check",
     "convergence_transfer_check",
     "standard_cell_sets",
-    "MEMORY_CAP_ENTRIES",
 ]
 
-# dense charge storage above this many float64 entries goes to a temp memmap
-MEMORY_CAP_ENTRIES = 1 << 27
+# float64 entries (2 MB) of one charge block over all scenarios and atoms; at least one time
+BLOCK_ENTRIES = 2**18
 
 
 @dataclass
@@ -67,68 +65,58 @@ class ChargePath:
 
     grid: CompactGrid
     weights: np.ndarray  # (P, N + 1, J + 1)
-    stopped_at: StoppingRule | None = None
 
     def __post_init__(self):
         if self.weights.ndim != 3 or self.weights.shape[2] != self.grid.n_atoms:
             raise ValueError("charge weights must be (P, N + 1, J + 1)")
 
-    @property
-    def n_scenarios(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def n_indices(self) -> int:
-        return self.weights.shape[1]
-
-    def evaluate(self, g: np.ndarray) -> np.ndarray:
-        return evaluate_charge(self, g)
-
     def __sub__(self, other: "ChargePath") -> "ChargePath":
-        return ChargePath(self.grid, np.asarray(self.weights) - np.asarray(other.weights))
+        return ChargePath(self.grid, self.weights - other.weights)
 
     def __add__(self, other: "ChargePath") -> "ChargePath":
-        return ChargePath(self.grid, np.asarray(self.weights) + np.asarray(other.weights))
+        return ChargePath(self.grid, self.weights + other.weights)
 
     def __mul__(self, scalar: float) -> "ChargePath":
-        return ChargePath(self.grid, np.asarray(self.weights) * float(scalar))
+        return ChargePath(self.grid, self.weights * float(scalar))
 
     __rmul__ = __mul__
 
 
-def _charge_buffer(shape: tuple[int, ...], cap: int) -> np.ndarray:
-    entries = math.prod(shape)
-    if entries <= cap:
-        return np.zeros(shape)
-    tmp = tempfile.NamedTemporaryFile(prefix="mvstoch_charge_", suffix=".dat", delete=False)
-    tmp.close()
-    buf = np.memmap(tmp.name, dtype=np.float64, mode="w+", shape=shape)
-    buf[:] = 0.0
-    os.unlink(tmp.name)  # space is reclaimed once the mapping is released
-    return buf
-
-
-def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None,
-                memory_cap: int = MEMORY_CAP_ENTRIES) -> ChargePath:
-    """Accumulate the measure-valued integral of phi against the driver."""
+def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None
+                  ) -> Iterator[tuple[int, np.ndarray]]:
+    """The running charge in blocks of grid times: (lo, block) pairs, where
+    ``block[:, k]`` is the measure at time lo + k and row 0 repeats the last
+    row of the previous block (zeros first).  One buffer is reused, so a
+    block is valid until the next one is drawn.
+    """
     if phi.n_steps != S.timegrid.n_steps:
         raise ValueError("time grid mismatch")
     if phi.d != S.spec.d:
         raise ValueError("component count mismatch")
-    P, N = S.scenarios.n_scenarios, S.timegrid.n_steps
+    P, N, n_atoms = S.scenarios.n_scenarios, S.timegrid.n_steps, phi.grid.n_atoms
     dS = _masked_increments(S, upto)
-    out = _charge_buffer((P, N + 1, phi.grid.n_atoms), memory_cap)
-    block = max(1, memory_cap // max(1, (N + 1) * phi.grid.n_atoms))
-    for lo in range(0, P, block):
-        hi = min(lo + block, P)
-        if phi.weights.shape[0] == 1:
-            inc = np.einsum("nij,pni->pnj", phi.weights[0], dS[lo:hi])
-        else:
-            inc = np.einsum("pnij,pni->pnj", phi.weights[lo:hi], dS[lo:hi])
-        np.cumsum(inc, axis=1, out=out[lo:hi, 1:])
-    if not np.all(np.isfinite(out)):
-        raise OverflowError("measure-valued integral overflowed")
-    return ChargePath(phi.grid, out, stopped_at=upto)
+    step = min(N, max(1, BLOCK_ENTRIES // (P * n_atoms)))
+    buf = np.zeros((P, step + 1, n_atoms))
+    for lo in range(0, N, step):
+        hi = min(lo + step, N)
+        block = buf[:, : hi - lo + 1]
+        # a one-row integrand broadcasts over scenarios
+        np.einsum("pnij,pni->pnj", phi.weights[:, lo:hi], dS[:, lo:hi], out=block[:, 1:])
+        for k in range(1, hi - lo + 1):  # cumsum order; np.cumsum along this axis is 3x slower
+            np.add(block[:, k - 1], block[:, k], out=block[:, k])
+        # a running sum never returns to finite values, so the last row tells
+        if not np.all(np.isfinite(block[:, -1])):
+            raise OverflowError("measure-valued integral overflowed")
+        yield lo, block
+        buf[:, 0] = block[:, -1]
+
+
+def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> ChargePath:
+    """Accumulate the measure-valued integral of phi against the driver."""
+    out = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1, phi.grid.n_atoms))
+    for lo, block in charge_blocks(phi, S, upto):
+        out[:, lo + 1 : lo + block.shape[1]] = block[:, 1:]
+    return ChargePath(phi.grid, out)
 
 
 def evaluate_charge(charge: ChargePath, g: np.ndarray) -> np.ndarray:
@@ -136,12 +124,12 @@ def evaluate_charge(charge: ChargePath, g: np.ndarray) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.shape != (charge.grid.n_atoms,):
         raise ValueError("test function does not match the grid")
-    return np.asarray(charge.weights) @ g
+    return charge.weights @ g
 
 
 def maximal_seminorm(charge: ChargePath, fam: TestFamily, probs: np.ndarray) -> float:
     """Aggregate running-sup L2 seminorm of the charge over the family."""
-    Z = np.einsum("plj,kj->pkl", np.asarray(charge.weights), fam.functions)
+    Z = np.einsum("plj,kj->pkl", charge.weights, fam.functions)
     M = np.max(np.abs(Z), axis=2)  # (P, K)
     per_k = probs @ (M * M)
     return float(np.sqrt(fam.gammas @ per_k))
@@ -178,7 +166,7 @@ def fubini_check_regular(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
     if not integrability_check(phi, S.control, S.timegrid)["member"]:
         raise ValueError("integrand fails the finiteness check")
     charge = mv_integral(phi, S, upto=upto)
-    lhs = np.einsum("plj,kj->kpl", np.asarray(charge.weights), fam.functions)
+    lhs = np.einsum("plj,kj->kpl", charge.weights, fam.functions)
     rhs = _paired_ito_paths(phi, S, fam.functions, upto)
     return _discrepancy_rows(lhs, rhs, [f"u_{k+1}" for k in range(fam.size)])
 
@@ -204,7 +192,7 @@ def fubini_check_general(phi: MeasureProcess, S: DriverPath,
         sets = standard_cell_sets(phi.grid)
     functions = np.stack([phi.grid.indicator(lo, hi) for _, lo, hi in sets])
     charge = mv_integral(phi, S, upto=upto)
-    lhs = np.einsum("plj,kj->kpl", np.asarray(charge.weights), functions)
+    lhs = np.einsum("plj,kj->kpl", charge.weights, functions)
     rhs = _paired_ito_paths(phi, S, functions, upto)
     return _discrepancy_rows(lhs, rhs, [name for name, _, _ in sets])
 
@@ -218,7 +206,7 @@ def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
     scenarios = S.scenarios
     probs = scenarios.probs
     charge = mv_integral(phi, S, upto=tau)
-    Z = np.einsum("plj,kj->pkl", np.asarray(charge.weights), fam.functions)
+    Z = np.einsum("plj,kj->pkl", charge.weights, fam.functions)
     M2 = np.max(np.abs(Z), axis=2) ** 2  # (P, K)
     r_sq_p = M2 @ fam.gammas
     r_value = float(np.sqrt(probs @ r_sq_p))
@@ -262,7 +250,7 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
         q_gap = integrand_seminorm(phi_n, fam, tau, V, scenarios, minus=phi)
         charge_n = mv_integral(phi_n, S, upto=tau)
         r_gap = maximal_seminorm(charge_n - target, fam, probs)
-        Z = np.einsum("plj,kj->pkl", np.asarray(charge_n.weights), fam.functions)
+        Z = np.einsum("plj,kj->pkl", charge_n.weights, fam.functions)
         norms = np.sqrt(probs @ (np.max(np.abs(Z), axis=2) ** 2))
         ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
         rows.append({"n": n, "q_gap": q_gap, "r_gap": r_gap,

@@ -29,17 +29,16 @@ in t) of inner driver integrals of the density.
 The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
-Stationary power kernels get an FFT convolution fast path for the large
-ensembles this needs; ``scipy.signal`` is imported only where that path
-runs, since importing it takes about a second.  All diagnostic levels
-read one shared fine ensemble; direct evaluation is independent per
-scenario and results do not depend on any parallel schedule.
+Stationary kernels get an FFT convolution path (``numpy.fft``); the
+power-kernel sampler transforms each block of one Brownian draw once for
+every exponent and keeps only per-path total variations, never the
+ensemble.  Results do not depend on any parallel schedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -55,7 +54,7 @@ from .drivers import (
 )
 from .grid import CompactGrid
 from .integrands import MeasureProcess, integrability_check
-from .mvintegral import mv_integral
+from .mvintegral import charge_blocks
 
 __all__ = [
     "VolterraKernel",
@@ -68,6 +67,7 @@ __all__ = [
     "decompose",
     "variation_condition_check",
     "density_construction",
+    "level_variations",
     "semimartingale_diagnostic",
     "diagonal_jump_check",
     "power_volterra_terminals",
@@ -175,6 +175,20 @@ def make_kernel(name: str, params: dict, timegrid: TimeGrid) -> VolterraKernel:
     raise KeyError(f"unknown kernel {name!r}")
 
 
+def _fft_paths(dW: np.ndarray, profiles: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
+    """X_l = sum_{j < l} w[l - j] dW[:, j], l = 0..N, for each (N + 1,) profile w:
+    one forward rFFT of the (P, N) increments, one inverse per profile, at the
+    full convolution length 2N rounded up to a power of two."""
+    N = dW.shape[1]
+    n = 1 << (2 * N - 1).bit_length()
+    spectrum = np.fft.rfft(dW, n, axis=1)
+    for w in profiles:
+        w = np.concatenate(([0.0], w[1:]))  # lag 0 is the slot's own increment: j < l
+        x = np.fft.irfft(spectrum * np.fft.rfft(w, n), n, axis=1)[:, : N + 1]
+        x[:, 0] = 0.0
+        yield x
+
+
 def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto") -> np.ndarray:
     """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct.
 
@@ -191,12 +205,8 @@ def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto")
     if method == "fft":
         if kernel.stationary_profile is None:
             raise ValueError("no stationary profile for the fft path")
-        from scipy.signal import fftconvolve
-
         w = kernel.stationary_profile(np.arange(N + 1) * S.timegrid.dt)
-        out = fftconvolve(dS[:, :, 0], w[None, :], axes=1)[:, : N + 1]
-        out[:, 0] = 0.0
-        return out
+        return next(_fft_paths(dS[:, :, 0], [w]))
     K = kernel.per_scenario(dS.shape[0])
     l = np.arange(N + 1)
     masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
@@ -229,8 +239,11 @@ def induced_phi(kernel: VolterraKernel, timegrid: TimeGrid) -> MeasureProcess:
 def variation_condition_check(kernel: VolterraKernel, S: DriverPath,
                               V: np.ndarray) -> dict:
     """Finiteness of the accumulated squared t-variation of the kernel."""
-    phi = induced_phi(kernel, S.timegrid)
-    out = integrability_check(phi, V, S.timegrid)
+    return _variation_check(induced_phi(kernel, S.timegrid), V, S.timegrid)
+
+
+def _variation_check(phi: MeasureProcess, V: np.ndarray, timegrid: TimeGrid) -> dict:
+    out = integrability_check(phi, V, timegrid)
     return {"integrable": out["member"], "d_path": out["d_path"], "sup": out["sup"],
             **({"location": out["location"]} if "location" in out else {})}
 
@@ -243,18 +256,19 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
     maximal gap to the reconstruction, and the left-limit remainder used
     by the tree predictability assertion.
     """
-    check = variation_condition_check(kernel, S, S.control)
+    phi = induced_phi(kernel, S.timegrid)
+    check = _variation_check(phi, S.control, S.timegrid)
     if not check["integrable"]:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    phi = induced_phi(kernel, S.timegrid)
-    charge = mv_integral(phi, S)
-    cum = np.cumsum(np.asarray(charge.weights), axis=2)  # pair with I_{[0, t_l]}
-    N = S.timegrid.n_steps
-    y = cum[:, N, :]  # horizon charge against growing indicators
-    y_leftlim = np.zeros_like(y)
-    idx = np.arange(1, N + 1)
-    y_leftlim[:, 1:] = cum[:, idx - 1, idx]
+    # pairing with I_{[0, t_l]} is a cumsum over atoms: Y_l pairs the horizon
+    # charge, the left limit at l the charge at l - 1 with atoms 0..l
+    y_leftlim = np.zeros_like(diag)
+    for lo, block in charge_blocks(phi, S):
+        hi = lo + block.shape[1] - 1
+        l = np.arange(lo + 1, hi + 1)
+        y_leftlim[:, l] = np.cumsum(block[:, :-1, : hi + 1], axis=2)[:, l - 1 - lo, l]
+    y = np.cumsum(block[:, -1], axis=1)
     x_direct = volterra_direct(kernel, S, method="direct")
     x_reconstructed = diag + y
     gap = float(np.max(np.abs(x_direct - x_reconstructed)))
@@ -298,25 +312,25 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
     return {"x": x, "diag": diag, "kernel_rebuild_residual": residual}
 
 
-def semimartingale_diagnostic(Y: np.ndarray, timegrid: TimeGrid,
-                              n_levels: int = 6) -> dict:
-    """Scaling of mean total variation across dyadic subsamplings.
-
-    Level k keeps every 2**k-th grid point of the finest ensemble; the
-    slope of log(mean TV) against log(1/mesh) is estimated by least
-    squares.  Slopes near zero indicate paths of finite variation.
-    """
+def level_variations(Y: np.ndarray, n_levels: int = 6) -> np.ndarray:
+    """Per-path total variation keeping every 2**k-th point, (P, n_levels)."""
     if n_levels < 3:
         raise ValueError("need at least three refinement levels")
-    P, n1 = Y.shape
-    if (n1 - 1) % 2 ** (n_levels - 1) != 0:
+    if (Y.shape[1] - 1) % 2 ** (n_levels - 1) != 0:
         raise ValueError("finest grid must divide by the subsampling strides")
-    rows = []
-    for k in range(n_levels):
-        stride = 2**k
-        sub = Y[:, ::stride]
-        tv = float(np.mean(np.sum(np.abs(np.diff(sub, axis=1)), axis=1)))
-        rows.append({"stride": stride, "mesh": timegrid.dt * stride, "mean_tv": tv})
+    return np.stack([np.sum(np.abs(np.diff(Y[:, :: 2**k], axis=1)), axis=1)
+                     for k in range(n_levels)], axis=1)
+
+
+def semimartingale_diagnostic(tv: np.ndarray, timegrid: TimeGrid) -> dict:
+    """Scaling of mean total variation across dyadic subsamplings.
+
+    ``tv`` is a (P, n_levels) table from ``level_variations``; the slope of
+    log(mean TV) against log(1/mesh) is estimated by least squares.
+    Slopes near zero indicate paths of finite variation.
+    """
+    rows = [{"stride": 2**k, "mesh": timegrid.dt * 2**k, "mean_tv": float(np.mean(tv[:, k]))}
+            for k in range(tv.shape[1])]
     x = np.log([1.0 / r["mesh"] for r in rows])
     y = np.log([r["mean_tv"] for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])
@@ -362,18 +376,16 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
     return out
 
 
-def power_volterra_paths(alpha: float, timegrid: TimeGrid, n_scenarios: int, seed: int,
-                         block: int = 256) -> np.ndarray:
-    """Full power-kernel ensemble via FFT convolution over the shared Brownian blocks."""
-    from scipy.signal import fftconvolve
-
-    N, dt = timegrid.n_steps, timegrid.dt
-    w = (np.arange(N + 1) * dt) ** alpha
-    out = np.empty((n_scenarios, N + 1))
+def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
+                         seed: int, n_levels: int = 6, block: int = 256) -> np.ndarray:
+    """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
+    paths on the shared Brownian blocks, (n_alpha, P, n_levels); each block of
+    ``block`` scenarios is transformed once for all exponents."""
+    profiles = [(np.arange(timegrid.n_steps + 1) * timegrid.dt) ** alpha for alpha in alphas]
+    out = np.empty((len(alphas), n_scenarios, n_levels))
     for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios):
-        dW = dW[:, :, 0]
         for b in range(lo, hi, block):
             e = min(b + block, hi)
-            out[b:e] = fftconvolve(dW[b - lo : e - lo], w[None, :], axes=1)[:, : N + 1]
-    out[:, 0] = 0.0
+            for a, paths in enumerate(_fft_paths(dW[b - lo : e - lo, :, 0], profiles)):
+                out[a, b:e] = level_variations(paths, n_levels)
     return out

@@ -179,10 +179,9 @@ class TestCriterion4TerminalVarianceIsometry:
 class TestCriterion5AlphaThreshold:
     def test_slope_and_certificate(self):
         tg = TimeGrid(1.0, 2**13)
-        slopes = {}
-        for alpha in (0.25, 0.75):
-            Y = power_volterra_paths(alpha, tg, 2000, seed=61)
-            slopes[alpha] = semimartingale_diagnostic(Y, tg, n_levels=8)["slope"]
+        alphas = (0.25, 0.75)
+        tv = power_volterra_paths(alphas, tg, 2000, seed=61, n_levels=8)
+        slopes = {alpha: semimartingale_diagnostic(t, tg)["slope"] for alpha, t in zip(alphas, tv)}
         assert -0.1 <= slopes[0.75] <= 0.1
         assert 0.15 <= slopes[0.25] <= 0.35
 

@@ -263,13 +263,30 @@ class TestConditionGrowth:
 
 
 class TestImportCost:
-    def test_cli_import_leaves_scipy_signal_unloaded(self):
+    def run_fresh(self, code):
         src = str(Path(mvstoch.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        code = "import sys, mvstoch.cli; print('scipy.signal' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_cli_import_leaves_scipy_signal_unloaded(self):
+        code = "import sys, mvstoch.cli; print('scipy.signal' in sys.modules)"
+        assert self.run_fresh(code) == "False"
+
+    def test_volterra_run_loads_no_scipy(self, tmp_path):
+        # scipy is a test dependency only: the FFT paths use numpy.fft
+        cfg = write_config(tmp_path, "volterra.json", {
+            "time": {"T": 1.0, "N": 16},
+            "scenarios": {"mode": "monte_carlo", "count": 4, "seed": 7},
+            "kernels": [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}],
+            "alphas": [0.25, 0.75],
+            "diagnostic": {"n_steps": 64, "scenarios": 8, "levels": 3, "seed": 3},
+        })
+        code = ("import sys; from mvstoch.cli import main; "
+                f"rc = main(['volterra', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert self.run_fresh(code) == "0 []"
 
 
 class TestDeterminismAcrossSubcommands:

@@ -24,8 +24,11 @@ from mvstoch.integrands import (
     random_lattice_process,
     truncate,
 )
+from mvstoch import mvintegral
+from mvstoch.drivers import _masked_increments
 from mvstoch.mvintegral import (
     ChargePath,
+    charge_blocks,
     convergence_transfer_check,
     evaluate_charge,
     fubini_check_general,
@@ -133,15 +136,15 @@ class TestMvIntegral:
         assert np.array_equal(np.asarray(mv_integral(whole, S).weights),
                               np.asarray(mv_integral(split, S).weights))
 
-    def test_memory_cap_spills_to_memmap(self):
+    def test_block_size_one_equals_dense_path(self, monkeypatch):
         S = brownian(4, 6)
         grid = CompactGrid(1.0, 3)
         rng = np.random.default_rng(4)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(4, 6, 1, 4)))
         dense = mv_integral(phi, S)
-        spilled = mv_integral(phi, S, memory_cap=8)
-        assert isinstance(spilled.weights, np.memmap)
-        assert np.array_equal(np.asarray(dense.weights), np.asarray(spilled.weights))
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)
+        blocked = mv_integral(phi, S)
+        assert np.array_equal(np.asarray(dense.weights), np.asarray(blocked.weights))
 
     def test_overflow_raises(self):
         S = brownian(2, 4)
@@ -151,6 +154,64 @@ class TestMvIntegral:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError):
                 charge = mv_integral(phi * 1e8, S)
+
+
+def dense_charge_oracle(phi, S, upto=None):
+    """The former dense fill: one time cumsum per scenario block into zeros."""
+    P, N = S.scenarios.n_scenarios, S.timegrid.n_steps
+    dS = _masked_increments(S, upto)
+    out = np.zeros((P, N + 1, phi.grid.n_atoms))
+    for lo in range(0, P, 3):
+        hi = min(lo + 3, P)
+        if phi.weights.shape[0] == 1:
+            inc = np.einsum("nij,pni->pnj", phi.weights[0], dS[lo:hi])
+        else:
+            inc = np.einsum("pnij,pni->pnj", phi.weights[lo:hi], dS[lo:hi])
+        np.cumsum(inc, axis=1, out=out[lo:hi, 1:])
+    return out
+
+
+class TestChargeBlocks:
+    """The time-blocked accumulator against the former dense fill."""
+
+    @pytest.mark.parametrize("block_entries", [1, 97, mvintegral.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("rows", [1, "P"])
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("stopped", [False, True])
+    def test_equals_dense_fill(self, monkeypatch, block_entries, rows, d, stopped):
+        P, N = 7, 23
+        S = brownian(P, N, d=d)
+        grid = CompactGrid(1.0, 5)
+        rng = np.random.default_rng(11)
+        n_rows = P if rows == "P" else 1
+        phi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, 6)))
+        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+        charge = mv_integral(phi, S, upto=tau)
+        assert np.array_equal(np.asarray(charge.weights), dense_charge_oracle(phi, S, tau))
+
+    def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):
+        S = brownian(3, 10)
+        grid = CompactGrid(1.0, 4)
+        phi = MeasureProcess("kernel", grid, np.random.default_rng(2).normal(size=(1, 10, 1, 5)))
+        dense = dense_charge_oracle(phi, S)
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 3 * 5 * 4)  # four times per block
+        seen = []
+        for lo, block in charge_blocks(phi, S):
+            assert np.array_equal(block, dense[:, lo : lo + block.shape[1]])
+            seen.append((lo, block.shape[1]))
+        assert seen == [(0, 5), (4, 5), (8, 3)]
+
+    def test_overflow_raises_from_the_first_block(self, monkeypatch):
+        S = brownian(2, 6)
+        grid = CompactGrid(1.0, 2)
+        w = np.zeros((1, 6, 1, 3))
+        w[0, 0] = 1e308
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)  # one time per block
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = charge_blocks(MeasureProcess("kernel", grid, w) * 1e8, S)
+            with pytest.raises(OverflowError):
+                next(blocks)
 
 
 class TestEvaluateCharge:

@@ -1,6 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mvstoch import mvintegral
+from mvstoch import volterra as vol
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
     SCENARIO_CHUNK,
@@ -10,6 +14,7 @@ from mvstoch.drivers import (
     ScenarioSet,
     TimeGrid,
     control_process,
+    increment_blocks,
     ito_integral,
     simulate_driver,
 )
@@ -21,6 +26,7 @@ from mvstoch.volterra import (
     density_construction,
     diagonal_jump_check,
     induced_phi,
+    level_variations,
     load_tabulated_csv,
     make_kernel,
     power_kernel,
@@ -75,10 +81,11 @@ class TestVolterraDirect:
 
     def test_fft_path_matches_direct(self):
         S = brownian(8, 64)
-        k = power_kernel(0.75, S.timegrid)
-        direct = volterra_direct(k, S, method="direct")
-        fft = volterra_direct(k, S, method="fft")
-        np.testing.assert_allclose(fft, direct, atol=1e-10)
+        # the affine profile is nonzero at lag 0, which the sum over j < l excludes
+        for k in (power_kernel(0.75, S.timegrid), affine_kernel(1.0, 2.0, S.timegrid)):
+            direct = volterra_direct(k, S, method="direct")
+            fft = volterra_direct(k, S, method="fft")
+            np.testing.assert_allclose(fft, direct, atol=1e-10)
 
     def test_terminal_sampler_matches_driver_route(self):
         N, P = 32, 20
@@ -113,18 +120,46 @@ class TestSharedBrownianSource:
                                            atol=1e-12 * scale)
 
     def test_paths_match_volterra_direct_fft(self, driver):
-        tg = driver.timegrid
-        for alpha in (0.25, 0.75):
-            paths = power_volterra_paths(alpha, tg, self.P, seed=19)
+        tg, alphas = driver.timegrid, (0.25, 0.75)
+        tv = power_volterra_paths(alphas, tg, self.P, seed=19, n_levels=4)
+        assert tv.shape == (len(alphas), self.P, 4)
+        for a, alpha in enumerate(alphas):
             fft = volterra_direct(power_kernel(alpha, tg), driver, method="fft")
-            np.testing.assert_allclose(paths, fft, rtol=1e-12, atol=1e-12 * np.max(np.abs(fft)))
+            np.testing.assert_allclose(tv[a], level_variations(fft, 4), rtol=1e-12)
 
     def test_batched_exponents_equal_single_calls(self):
         tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
         batched = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=5)
+        batched_tv = power_volterra_paths(alphas, tg, self.P, seed=5, n_levels=3)
         for a, alpha in enumerate(alphas):
             single = power_volterra_terminals([alpha], u_indices, tg, self.P, seed=5)
             assert np.array_equal(batched[:, a], single[:, 0])
+            single_tv = power_volterra_paths([alpha], tg, self.P, seed=5, n_levels=3)
+            assert np.array_equal(batched_tv[a], single_tv[0])
+
+    def test_streamed_slopes_equal_fftconvolve_ensemble(self):
+        # the former route: a full ensemble per exponent from scipy's fftconvolve
+        # in blocks of 256 rows, then the mean total variation per level
+        from scipy.signal import fftconvolve
+
+        N, n_levels, alphas = 256, 5, (0.25, 0.75)
+        tg = TimeGrid(1.0, N)
+        streamed = power_volterra_paths(alphas, tg, self.P, seed=23, n_levels=n_levels)
+        for a, alpha in enumerate(alphas):
+            w = (np.arange(N + 1) * tg.dt) ** alpha
+            Y = np.empty((self.P, N + 1))
+            for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, 23, self.P):
+                for b in range(lo, hi, 256):
+                    e = min(b + 256, hi)
+                    Y[b:e] = fftconvolve(dW[b - lo : e - lo, :, 0], w[None, :], axes=1)[:, : N + 1]
+            Y[:, 0] = 0.0
+            means = [float(np.mean(np.sum(np.abs(np.diff(Y[:, :: 2**k], axis=1)), axis=1)))
+                     for k in range(n_levels)]
+            mesh = [tg.dt * 2**k for k in range(n_levels)]
+            slope = float(np.polyfit(np.log([1.0 / m for m in mesh]), np.log(means), 1)[0])
+            out = semimartingale_diagnostic(streamed[a], tg)
+            assert [r["mean_tv"] for r in out["levels"]] == means
+            assert out["slope"] == slope
 
 
 class TestInducedPhi:
@@ -185,6 +220,63 @@ class TestDecompose:
         out = decompose(k, S)
         assert out["condition_ok"]
         assert out["max_identity_gap"] <= 1e-10
+
+    @pytest.mark.parametrize("block_entries", [1, mvintegral.BLOCK_ENTRIES])
+    def test_remainders_equal_dense_cumsum(self, monkeypatch, block_entries):
+        # oracle: the dense charge and its full cumsum over atoms
+        N, P = 24, 6
+        rng = np.random.default_rng(31)
+        S1 = brownian(P, N, seed=4)
+        S2 = simulate_driver(DriverSpec("brownian", d=2), TimeGrid(1.0, N),
+                             ScenarioSet.monte_carlo(P, 4))
+        tg = S1.timegrid
+        random = tabulated_kernel(rng.normal(size=(P, N + 1, N + 1, 1)), tg, name="random")
+        cases = [(power_kernel(0.75, tg), S1), (affine_kernel(1.0, 2.0, tg), S1),
+                 (random_fv_kernel(rng, tg), S1), (random, S1),
+                 (tabulated_kernel(rng.normal(size=(N + 1, N + 1, 2)), tg, name="d2"), S2)]
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+        for kernel, S in cases:
+            phi = induced_phi(kernel, tg)
+            inc = np.einsum("pnij,pni->pnj",
+                            np.broadcast_to(phi.weights, (P,) + phi.weights.shape[1:]),
+                            S.increments)
+            charge = np.zeros((P, N + 1, N + 1))
+            np.cumsum(inc, axis=1, out=charge[:, 1:])
+            cum = np.cumsum(charge, axis=2)
+            idx = np.arange(1, N + 1)
+            out = decompose(kernel, S)
+            assert np.array_equal(out["y"], cum[:, N, :]), kernel.name
+            assert np.array_equal(out["y_leftlim"][:, 1:], cum[:, idx - 1, idx]), kernel.name
+            assert np.all(out["y_leftlim"][:, 0] == 0.0)
+
+    def test_induced_phi_built_once(self, monkeypatch):
+        calls = []
+        original = vol.induced_phi
+
+        def counting(kernel, timegrid):
+            calls.append(kernel.name)
+            return original(kernel, timegrid)
+
+        monkeypatch.setattr(vol, "induced_phi", counting)
+        S = brownian(4, 16)
+        decompose(power_kernel(0.75, S.timegrid), S)
+        assert calls == ["power_alpha[0.75]"]
+
+    def test_peak_memory_flat_in_scenarios(self):
+        # the charge is held one block of grid times at a time, never (P, N + 1, N + 1);
+        # at N = 512 one block of either run holds about BLOCK_ENTRIES values
+        tg = TimeGrid(1.0, 512)
+        kernel = power_kernel(0.75, tg)
+        peaks = {}
+        for P in (1, 64):
+            S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(P, 3))
+            tracemalloc.start()
+            try:
+                decompose(kernel, S)
+                peaks[P] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 1.5 * peaks[1], peaks
 
     def test_left_limit_remainder_predictable_on_tree(self):
         tg = TimeGrid(4.0, 3)
@@ -267,22 +359,20 @@ class TestDiagnostic:
     def test_smooth_deterministic_path(self):
         tg = TimeGrid(1.0, 2**9)
         Y = np.sin(2 * np.pi * tg.times)[None, :]
-        out = semimartingale_diagnostic(Y, tg, n_levels=4)
+        out = semimartingale_diagnostic(level_variations(Y, n_levels=4), tg)
         assert abs(out["slope"]) < 0.05
 
     def test_rough_and_regular_power_paths(self):
         tg = TimeGrid(1.0, 2**12)
-        rough = power_volterra_paths(0.25, tg, 400, seed=5)
-        smooth = power_volterra_paths(0.75, tg, 400, seed=5)
-        s_rough = semimartingale_diagnostic(rough, tg, n_levels=6)["slope"]
-        s_smooth = semimartingale_diagnostic(smooth, tg, n_levels=6)["slope"]
+        rough, smooth = power_volterra_paths([0.25, 0.75], tg, 400, seed=5, n_levels=6)
+        s_rough = semimartingale_diagnostic(rough, tg)["slope"]
+        s_smooth = semimartingale_diagnostic(smooth, tg)["slope"]
         assert 0.13 <= s_rough <= 0.37
         assert abs(s_smooth) <= 0.12
 
     def test_needs_three_levels(self):
-        tg = TimeGrid(1.0, 8)
         with pytest.raises(ValueError):
-            semimartingale_diagnostic(np.zeros((2, 9)), tg, n_levels=2)
+            level_variations(np.zeros((2, 9)), n_levels=2)
 
 
 class TestDiagonalJumpCheck:
