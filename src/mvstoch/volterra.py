@@ -377,7 +377,7 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
 
 
 def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
-                         seed: int, n_levels: int = 6, block: int = 256) -> np.ndarray:
+                         seed: int, n_levels: int = 6, block: int = 64) -> np.ndarray:
     """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
     paths on the shared Brownian blocks, (n_alpha, P, n_levels); each block of
     ``block`` scenarios is transformed once for all exponents."""
