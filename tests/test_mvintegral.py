@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mvstoch import mvintegral
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
     DriverSpec,
@@ -10,6 +11,7 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     TimeGrid,
+    _masked_increments,
     ito_integral,
     simulate_driver,
 )
@@ -24,8 +26,6 @@ from mvstoch.integrands import (
     random_lattice_process,
     truncate,
 )
-from mvstoch import mvintegral
-from mvstoch.drivers import _masked_increments
 from mvstoch.mvintegral import (
     ChargePath,
     charge_blocks,
@@ -142,9 +142,10 @@ class TestMvIntegral:
         rng = np.random.default_rng(4)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(4, 6, 1, 4)))
         dense = mv_integral(phi, S)
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)  # one grid time per block
         blocked = mv_integral(phi, S)
-        assert np.array_equal(np.asarray(dense.weights), np.asarray(blocked.weights))
+        assert np.array_equal(dense.weights, blocked.weights)
+        assert np.array_equal(blocked.weights, dense_charge_oracle(phi, S))
 
     def test_overflow_raises(self):
         S = brownian(2, 4)
