@@ -25,31 +25,32 @@ late enough horizons, within Monte Carlo error otherwise).
 
 The charge is accumulated in blocks of grid times that carry the running
 measure (P, J + 1) into each block's time cumsum, so it equals one
-sequential sum bit for bit; ``mv_integral`` fills a dense (P, N + 1, J + 1)
-ensemble from the blocks, the Volterra decomposition keeps two slices.
-Every reduction is a deterministic ordered sum.
+sequential sum bit for bit.  The integral is known through its pairings:
+``paired_charge`` pairs each block with K test functions as it is drawn
+and keeps the (P, K, N + 1) paths, which is all the interchange checks,
+the seminorms and the convergence transfer read; the Volterra
+decomposition keeps two slices.  No consumer holds the dense
+(P, N + 1, J + 1) ensemble; ``mv_integral`` fills it from the same blocks
+as a small-size reference.  Every reduction is a deterministic ordered sum.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
-from .integrands import MeasureProcess, evaluate, integrand_seminorm, integrability_check, _family_evals
+from .integrands import MeasureProcess, integrand_seminorm, integrability_check, _family_evals
 
 __all__ = [
-    "ChargePath",
     "charge_blocks",
+    "paired_charge",
     "mv_integral",
-    "evaluate_charge",
     "maximal_seminorm",
-    "fubini_check_regular",
-    "fubini_check_general",
+    "fubini_check",
     "seminorm_domination_check",
     "convergence_transfer_check",
     "standard_cell_sets",
@@ -57,29 +58,6 @@ __all__ = [
 
 # float64 entries (2 MB) of one charge block over all scenarios and atoms; at least one time
 BLOCK_ENTRIES = 2**18
-
-
-@dataclass
-class ChargePath:
-    """Per-scenario, per-time-index signed measure ensemble."""
-
-    grid: CompactGrid
-    weights: np.ndarray  # (P, N + 1, J + 1)
-
-    def __post_init__(self):
-        if self.weights.ndim != 3 or self.weights.shape[2] != self.grid.n_atoms:
-            raise ValueError("charge weights must be (P, N + 1, J + 1)")
-
-    def __sub__(self, other: "ChargePath") -> "ChargePath":
-        return ChargePath(self.grid, self.weights - other.weights)
-
-    def __add__(self, other: "ChargePath") -> "ChargePath":
-        return ChargePath(self.grid, self.weights + other.weights)
-
-    def __mul__(self, scalar: float) -> "ChargePath":
-        return ChargePath(self.grid, self.weights * float(scalar))
-
-    __rmul__ = __mul__
 
 
 def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None
@@ -111,26 +89,50 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None 
         buf[:, 0] = block[:, -1]
 
 
-def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> ChargePath:
-    """Accumulate the measure-valued integral of phi against the driver."""
+def _pair(out: np.ndarray, lo: int, block: np.ndarray, functions: np.ndarray) -> None:
+    """Pair the measures of a ``charge_blocks`` block (rows 1..) with the rows
+    of ``functions`` into their times in out (P, K, N + 1)."""
+    np.einsum("plj,kj->pkl", block[:, 1:], functions, out=out[:, :, lo + 1 : lo + block.shape[1]])
+
+
+def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
+                  upto: StoppingRule | None = None) -> np.ndarray:
+    """The integral paired with each row of ``functions`` at every time,
+    (P, K, N + 1); each block of the charge is paired as it is drawn."""
+    functions = np.asarray(functions, dtype=float)
+    if functions.ndim != 2 or functions.shape[1] != phi.grid.n_atoms:
+        raise ValueError("test functions do not match the grid")
+    out = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
+    for lo, block in charge_blocks(phi, S, upto):
+        _pair(out, lo, block, functions)
+    return out
+
+
+def _paired_in_step(phi: MeasureProcess, minus: MeasureProcess, S: DriverPath,
+                    functions: np.ndarray, upto: StoppingRule | None) -> tuple[np.ndarray, np.ndarray]:
+    """``paired_charge`` of phi, and the pairing of phi's charge minus that of
+    ``minus``: the two block streams are drawn in step and the difference of
+    each pair of blocks is paired, as the dense difference would be."""
+    shape = (S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1)
+    paired, gap = np.zeros(shape), np.zeros(shape)
+    for (lo, block), (_, other) in zip(charge_blocks(phi, S, upto), charge_blocks(minus, S, upto)):
+        _pair(paired, lo, block, functions)
+        _pair(gap, lo, block - other, functions)
+    return paired, gap
+
+
+def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:
+    """The dense (P, N + 1, J + 1) charge; a reference for small sizes."""
     out = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1, phi.grid.n_atoms))
     for lo, block in charge_blocks(phi, S, upto):
         out[:, lo + 1 : lo + block.shape[1]] = block[:, 1:]
-    return ChargePath(phi.grid, out)
+    return out
 
 
-def evaluate_charge(charge: ChargePath, g: np.ndarray) -> np.ndarray:
-    """Pair every (scenario, time index) measure with the grid function g."""
-    g = np.asarray(g, dtype=float)
-    if g.shape != (charge.grid.n_atoms,):
-        raise ValueError("test function does not match the grid")
-    return charge.weights @ g
-
-
-def maximal_seminorm(charge: ChargePath, fam: TestFamily, probs: np.ndarray) -> float:
-    """Aggregate running-sup L2 seminorm of the charge over the family."""
-    Z = np.einsum("plj,kj->pkl", charge.weights, fam.functions)
-    M = np.max(np.abs(Z), axis=2)  # (P, K)
+def maximal_seminorm(paired: np.ndarray, fam: TestFamily, probs: np.ndarray) -> float:
+    """Aggregate running-sup L2 seminorm over the family, from the (P, K, N + 1)
+    pairings of a charge with ``fam.functions``."""
+    M = np.max(np.abs(paired), axis=2)  # (P, K)
     per_k = probs @ (M * M)
     return float(np.sqrt(fam.gammas @ per_k))
 
@@ -160,17 +162,6 @@ def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
     return np.moveaxis(running_sum(contrib), 2, 0)
 
 
-def fubini_check_regular(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
-                         upto: StoppingRule | None = None) -> dict:
-    """Compare pairing-the-integral with integrating-the-pairing per family member."""
-    if not integrability_check(phi, S.control, S.timegrid)["member"]:
-        raise ValueError("integrand fails the finiteness check")
-    charge = mv_integral(phi, S, upto=upto)
-    lhs = np.einsum("plj,kj->kpl", charge.weights, fam.functions)
-    rhs = _paired_ito_paths(phi, S, fam.functions, upto)
-    return _discrepancy_rows(lhs, rhs, [f"u_{k+1}" for k in range(fam.size)])
-
-
 def standard_cell_sets(grid: CompactGrid) -> list[tuple[str, int, int]]:
     """Default indicator sets: empty handled separately; full space,
     singleton atoms at both ends and the midpoint, and a left half."""
@@ -184,17 +175,25 @@ def standard_cell_sets(grid: CompactGrid) -> list[tuple[str, int, int]]:
     ]
 
 
-def fubini_check_general(phi: MeasureProcess, S: DriverPath,
-                         sets: Sequence[tuple[str, int, int]] | None = None,
-                         upto: StoppingRule | None = None) -> dict:
-    """Same comparison with indicator test functions of atom-index ranges."""
+def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
+                 sets: Sequence[tuple[str, int, int]] | None = None,
+                 upto: StoppingRule | None = None) -> dict:
+    """Compare pairing-the-integral with integrating-the-pairing, for every
+    family member ("regular") and for indicators of atom-index ranges
+    ("general", ``standard_cell_sets`` by default).  The charge is paired
+    once with both stacked; "paired" holds its (K, P, N + 1) family pairings.
+    """
+    if not integrability_check(phi, S.control, S.timegrid)["member"]:
+        raise ValueError("integrand fails the finiteness check")
     if sets is None:
         sets = standard_cell_sets(phi.grid)
-    functions = np.stack([phi.grid.indicator(lo, hi) for _, lo, hi in sets])
-    charge = mv_integral(phi, S, upto=upto)
-    lhs = np.einsum("plj,kj->kpl", charge.weights, functions)
+    K = fam.size
+    functions = np.vstack([fam.functions] + [phi.grid.indicator(lo, hi) for _, lo, hi in sets])
+    lhs = np.moveaxis(paired_charge(phi, S, functions, upto), 1, 0)
     rhs = _paired_ito_paths(phi, S, functions, upto)
-    return _discrepancy_rows(lhs, rhs, [name for name, _, _ in sets])
+    return {"regular": _discrepancy_rows(lhs[:K], rhs[:K], [f"u_{k+1}" for k in range(K)]),
+            "general": _discrepancy_rows(lhs[K:], rhs[K:], [name for name, _, _ in sets]),
+            "paired": lhs[:K]}
 
 
 def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
@@ -205,8 +204,7 @@ def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
         raise ValueError("domination check is stated for elementary integrands")
     scenarios = S.scenarios
     probs = scenarios.probs
-    charge = mv_integral(phi, S, upto=tau)
-    Z = np.einsum("plj,kj->pkl", charge.weights, fam.functions)
+    Z = paired_charge(phi, S, fam.functions, upto=tau)
     M2 = np.max(np.abs(Z), axis=2) ** 2  # (P, K)
     r_sq_p = M2 @ fam.gammas
     r_value = float(np.sqrt(probs @ r_sq_p))
@@ -243,15 +241,14 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     """
     scenarios = S.scenarios
     probs = scenarios.probs
-    target = mv_integral(phi, S, upto=tau)
     sup = np.max(np.abs(fam.functions), axis=1)
     rows = []
     for n, phi_n in enumerate(processes, start=1):
-        q_gap = integrand_seminorm(phi_n, fam, tau, V, scenarios, minus=phi)
-        charge_n = mv_integral(phi_n, S, upto=tau)
-        r_gap = maximal_seminorm(charge_n - target, fam, probs)
-        Z = np.einsum("plj,kj->pkl", charge_n.weights, fam.functions)
+        Z, Z_gap = _paired_in_step(phi_n, phi, S, fam.functions, tau)
+        r_gap = maximal_seminorm(Z_gap, fam, probs)
         norms = np.sqrt(probs @ (np.max(np.abs(Z), axis=2) ** 2))
+        del Z, Z_gap  # the seminorm's family evaluations need not sit on top of them
+        q_gap = integrand_seminorm(phi_n, fam, tau, V, scenarios, minus=phi)
         ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
         rows.append({"n": n, "q_gap": q_gap, "r_gap": r_gap,
                      "uniform_bound": float(np.max(ratios))})

@@ -39,10 +39,8 @@ from mvstoch.integrands import (
     variation_path,
 )
 from mvstoch.mvintegral import (
-    ChargePath,
     convergence_transfer_check,
-    fubini_check_general,
-    fubini_check_regular,
+    fubini_check,
     maximal_seminorm,
     seminorm_domination_check,
     standard_cell_sets,
@@ -123,9 +121,9 @@ class TestCriterion2FubiniExactness:
                 yield make_dominated(dspec)
 
             for phi in integrands():
-                reg = fubini_check_regular(phi, S, fam)
-                gen = fubini_check_general(phi, S, sets=standard_cell_sets(grid))
-                worst = max(worst, reg["max_abs_discrepancy"], gen["max_abs_discrepancy"])
+                checks = fubini_check(phi, S, fam, sets=standard_cell_sets(grid))
+                worst = max(worst, checks["regular"]["max_abs_discrepancy"],
+                            checks["general"]["max_abs_discrepancy"])
         assert worst <= 1e-10
         report(2, f"max interchange discrepancy {worst:.2e} over 3 drivers x 12 integrands")
 
@@ -233,6 +231,11 @@ class TestCriterion7SeminormSuite:
         V = identity_control(tg, 6)
         tau = StoppingRule.never(sc, 4)
         rng = np.random.default_rng(67)
+
+        def r(charge):  # maximal seminorm of a dense (P, N + 1, J + 1) charge
+            return maximal_seminorm(np.einsum("plj,kj->pkl", charge, fam.functions),
+                                    fam, sc.probs)
+
         for _ in range(100):
             a = MeasureProcess("kernel", grid, rng.normal(size=(6, 4, 1, 4)))
             b = MeasureProcess("kernel", grid, rng.normal(size=(6, 4, 1, 4)))
@@ -243,13 +246,12 @@ class TestCriterion7SeminormSuite:
             assert qab <= qa + qb + 1e-12 * max(1.0, qa + qb)
             qla = integrand_seminorm(lam * a, fam, tau, V, sc)
             assert abs(qla - abs(lam) * qa) <= 1e-12 * max(1.0, qa)
-            ca = ChargePath(grid, rng.normal(size=(6, 5, 4)))
-            cb = ChargePath(grid, rng.normal(size=(6, 5, 4)))
-            ra = maximal_seminorm(ca, fam, sc.probs)
-            rb = maximal_seminorm(cb, fam, sc.probs)
-            rab = maximal_seminorm(ca + cb, fam, sc.probs)
+            ca = rng.normal(size=(6, 5, 4))
+            cb = rng.normal(size=(6, 5, 4))
+            ra, rb = r(ca), r(cb)
+            rab = r(ca + cb)
             assert rab <= ra + rb + 1e-12 * max(1.0, ra + rb)
-            rla = maximal_seminorm(lam * ca, fam, sc.probs)
+            rla = r(lam * ca)
             assert abs(rla - abs(lam) * ra) <= 1e-12 * max(1.0, ra)
 
     def test_domination_tree_exact_and_monte_carlo(self):

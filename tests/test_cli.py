@@ -156,6 +156,28 @@ class TestVolterraCommand:
         cfg = self.volterra_config(tmp_path, kernels=[{"name": "nope"}])
         assert main(["volterra", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    def test_kernel_failing_the_variation_condition_is_reported(self, tmp_path):
+        # the exploding kernel of test_exploding_kernel_flagged, as a tabulated CSV
+        matrix = np.zeros((9, 9))
+        matrix[8, 2] = 1e200
+        matrix[7, 2] = -1e200
+        kernel_csv = tmp_path / "exploding.csv"
+        np.savetxt(kernel_csv, matrix, delimiter=",")
+        cfg = self.volterra_config(
+            tmp_path, time={"T": 1.0, "N": 8},
+            kernels=[{"name": "affine"}, {"name": "tabulated", "path": str(kernel_csv)}])
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            assert main(["volterra", "--config", cfg, "--out", str(out)]) == 1
+        # split from the right into kernel, identity_gap, density_route_gap
+        lines = (out / "volterra_report.csv").read_text().splitlines()
+        rows = [line.rsplit(",", 2) for line in lines[1:]]
+        assert len(rows) == 2 and all(len(row) == 3 for row in rows)
+        assert float(rows[0][1]) <= 1e-10
+        assert rows[1][0].startswith("tabulated")
+        assert np.isnan(float(rows[1][1])) and np.isnan(float(rows[1][2]))
+        assert json.loads((out / "summary.json").read_text())["pass"] is False
+
 
 class TestExample7Command:
     def test_single_alpha_report(self, tmp_path):

@@ -26,7 +26,7 @@ from mvstoch.drivers import (
 )
 from mvstoch.grid import CompactGrid
 from mvstoch.integrands import variation_path
-from mvstoch.mvintegral import evaluate_charge, mv_integral, standard_cell_sets
+from mvstoch.mvintegral import standard_cell_sets
 
 
 def brownian(P, N, T=1.0, seed=19):

@@ -431,11 +431,12 @@ class TestRegistry:
 class TestInducedFubiniBridge:
     def test_prefix_pairings_match_driver_integrals_at_every_index(self):
         # the induced integrand satisfies the interchange identity pathwise
-        from mvstoch.mvintegral import fubini_check_general
+        from mvstoch.grid import build_test_family
+        from mvstoch.mvintegral import fubini_check
 
         S = brownian(25, 48, seed=15)
         k = random_fv_kernel(np.random.default_rng(8), S.timegrid)
         phi = induced_phi(k, S.timegrid)
         sets = [(f"[0,t_{i}]", 0, i) for i in (0, 12, 24, 48)]
-        report = fubini_check_general(phi, S, sets=sets)
+        report = fubini_check(phi, S, build_test_family(phi.grid, 4), sets=sets)["general"]
         assert report["max_abs_discrepancy"] <= 1e-12
