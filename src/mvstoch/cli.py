@@ -203,9 +203,9 @@ def run_fubini(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
             regular["per_f"] = regular["per_f"] + [
                 {"test": "corrupted", "max_discrepancy": gap, "scenario": -1, "time_index": -1}]
         for check_name, report in (("regular", regular), ("general", general)):
-            for r in report["per_f" if "per_f" in report else "per_set"]:
+            for r in report["per_f"]:
                 rows.append([label, check_name, r["test"], r["max_discrepancy"],
-                             r.get("scenario", -1), r.get("time_index", -1)])
+                             r["scenario"], r["time_index"]])
             worst = max(worst, report["max_abs_discrepancy"])
     write_csv(out_dir / "fubini_report.csv",
               ["integrand", "check", "test", "max_discrepancy", "scenario", "time_index"], rows)
@@ -237,16 +237,16 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
     for label, phi in _integrand_list(cfg, grid, timegrid, scenarios, S):
         result = approximate_elementary(phi, tau, S.control, fam, scenarios,
                                         schedule=schedule, c=ball, tol=tol)
-        transfer = convergence_transfer_check(phi, result.processes, S, tau, S.control, fam)
+        r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
         v_pre = S.control[np.arange(scenarios.n_scenarios), tau.pre_index()]
         v_norm = float(np.sqrt(scenarios.probs @ (v_pre**2)))
         c_phi = continuity_constant(phi, fam, tau, S.control, scenarios)["lower"]
         bound = 2 * result.truncation_level * v_norm + 2 * c_phi
-        for rep, tr in zip(result.reports, transfer):
-            rows.append([label, rep.index, rep.net_size, rep.q_error, tr["r_gap"],
+        for rep, r_gap in zip(result.reports, r_gaps):
+            rows.append([label, rep.index, rep.net_size, rep.q_error, r_gap,
                          rep.uniform_constant, bound, rep.rectangle_count])
             all_ok &= rep.uniform_constant <= bound + 1e-12
-            all_ok &= tr["r_gap"] <= rep.q_error + 1e-12
+            all_ok &= r_gap <= rep.q_error + 1e-12
         errs = [r.q_error for r in result.reports]
         all_ok &= all(b < a for a, b in zip(errs, errs[1:])) and result.converged
     write_csv(out_dir / "approx_report.csv",

@@ -13,8 +13,9 @@ measure-valued route and the two agree to float accumulation error.
 Condition reports: the integrability conditions from the classic
 literature are accumulated against a control path with the trapezoid rule
 over the grid-point values of the inner spatial sums.  For the power-law
-profile ``alpha * (z - t)^(alpha - 1) I_{z > t} dz`` the inner sums are
-evaluated from one stationary mass vector, and closed forms are attached:
+profile ``alpha * (z - t)^(alpha - 1) I_{z > t} dz`` the spec holds exact
+cell masses, differenced from the mass antiderivative one block of grid
+times (rows) at a time, and closed forms are attached:
 
     variation(t)          = (T - t)^alpha
     int_0^t variation^2   = (T^(2a+1) - (T-t)^(2a+1)) / (2a + 1)
@@ -211,7 +212,7 @@ def make_dominated(spec: DominatedSpec) -> MeasureProcess:
     """Kernel-representation process of a dominated spec (d = 1)."""
     slots = spec.point_masses[:, : spec.timegrid.n_steps, :]
     psi = spec.density_values()[:, : spec.timegrid.n_steps, None, :]
-    rho = np.broadcast_to(spec.eta, slots.shape).copy()
+    rho = np.broadcast_to(spec.eta, slots.shape)
     var_sq = spec.profile.var_sq_integral if spec.profile is not None else None
     return MeasureProcess("kernel", spec.grid, slots[:, :, None, :],
                           psi=psi, rho=rho, var_sq_integral=var_sq)

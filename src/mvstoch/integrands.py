@@ -41,7 +41,7 @@ single-threaded and deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -206,9 +206,16 @@ def variation_path(phi: MeasureProcess) -> np.ndarray:
     return np.sum(np.abs(phi.weights), axis=3)
 
 
-def _family_evals(phi: MeasureProcess, fam: TestFamily) -> np.ndarray:
-    """Pairings with every family member; shape (P, N, K, d)."""
-    return np.einsum("pnij,kj->pnki", phi.weights, fam.functions)
+def _family_evals(phi: MeasureProcess, functions: np.ndarray) -> np.ndarray:
+    """Pairings with every row of ``functions`` (K, J + 1); shape (P, N, K, d)."""
+    return np.einsum("pnij,kj->pnki", phi.weights, functions)
+
+
+def _weighted_sq_norms(evals: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Squared weighted L2 norms of the (P, N, K, d) evaluations against the
+    (P, N) stopping weights, one per family member: (K,)."""
+    sq = np.sum(evals * evals, axis=3)  # (P, N, K)
+    return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
 
 
 def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
@@ -219,13 +226,11 @@ def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
     With ``minus`` the seminorm of the difference (evaluations subtract;
     no measure-level arithmetic is needed).
     """
-    evals = _family_evals(phi, fam)
+    evals = _family_evals(phi, fam.functions)
     if minus is not None:
-        evals = evals - _family_evals(minus, fam)
+        evals = evals - _family_evals(minus, fam.functions)
     w = stopping_weights(tau, V, scenarios)
-    sq = np.sum(evals * evals, axis=3)  # (P, N, K)
-    per_k = np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
-    return float(np.sqrt(fam.gammas @ per_k))
+    return float(np.sqrt(fam.gammas @ _weighted_sq_norms(evals, w)))
 
 
 def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
@@ -236,9 +241,7 @@ def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
     the variation path, which dominates every ratio.
     """
     w = stopping_weights(tau, V, scenarios)
-    evals = _family_evals(phi, fam)
-    sq = np.sum(evals * evals, axis=3)
-    norms = np.sqrt(np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:])))
+    norms = np.sqrt(_weighted_sq_norms(_family_evals(phi, fam.functions), w))
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
     lower = float(np.max(ratios))
@@ -331,7 +334,7 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
     """
     if len(net) == 0:
         raise ValueError("empty net")
-    evals = _family_evals(phi, fam)  # (P, N, K, d)
+    evals = _family_evals(phi, fam.functions)  # (P, N, K, d)
     P, N = evals.shape[:2]
     fresh = np.ones((N, P), dtype=bool)  # slot-major: each run is contiguous
     fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
@@ -417,7 +420,7 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     if not member["member"]:
         raise ValueError("integrand fails the finiteness check")
     if phi.kind == "elementary":
-        report = ApproxReport(1, 0, 0.0, _uniform_constant(phi, fam, tau, V, scenarios),
+        report = ApproxReport(1, 0, 0.0, continuity_constant(phi, fam, tau, V, scenarios)["lower"],
                               len(phi.terms or []))
         return ApproxResult([phi], [report], True, c or 0.0)
     if c is None:
@@ -432,14 +435,9 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         q_err = integrand_seminorm(elem, fam, tau, V, scenarios, minus=phi)
         processes.append(elem)
         reports.append(ApproxReport(i, len(net), q_err,
-                                    _uniform_constant(elem, fam, tau, V, scenarios),
+                                    continuity_constant(elem, fam, tau, V, scenarios)["lower"],
                                     len(elem.terms or [])))
     return ApproxResult(processes, reports, reports[-1].q_error <= tol, c)
-
-
-def _uniform_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
-                      V: np.ndarray, scenarios: ScenarioSet) -> float:
-    return continuity_constant(phi, fam, tau, V, scenarios)["lower"]
 
 
 def integrability_check(phi: MeasureProcess, V: np.ndarray,

@@ -27,11 +27,12 @@ The charge is accumulated in blocks of grid times that carry the running
 measure (P, J + 1) into each block's time cumsum, so it equals one
 sequential sum bit for bit.  The integral is known through its pairings:
 ``paired_charge`` pairs each block with K test functions as it is drawn
-and keeps the (P, K, N + 1) paths, which is all the interchange checks,
-the seminorms and the convergence transfer read; the Volterra
-decomposition keeps two slices.  No consumer holds the dense
-(P, N + 1, J + 1) ensemble; ``mv_integral`` fills it from the same blocks
-as a small-size reference.  Every reduction is a deterministic ordered sum.
+and keeps the (P, K, N + 1) paths, which is all the interchange checks
+and the seminorms read.  The convergence transfer reads only the paired
+charge gap: it draws the approximant's and the target's block streams in
+step and pairs their difference.  The Volterra decomposition keeps two
+slices.  No consumer holds the dense (P, N + 1, J + 1) ensemble;
+``mv_integral`` fills it from the same blocks as a small-size reference.  Every reduction is a deterministic ordered sum.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import numpy as np
 
 from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
-from .integrands import MeasureProcess, integrand_seminorm, integrability_check, _family_evals
+from .integrands import MeasureProcess, integrability_check, _family_evals
 
 __all__ = [
     "charge_blocks",
@@ -108,17 +109,15 @@ def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
     return out
 
 
-def _paired_in_step(phi: MeasureProcess, minus: MeasureProcess, S: DriverPath,
-                    functions: np.ndarray, upto: StoppingRule | None) -> tuple[np.ndarray, np.ndarray]:
-    """``paired_charge`` of phi, and the pairing of phi's charge minus that of
-    ``minus``: the two block streams are drawn in step and the difference of
-    each pair of blocks is paired, as the dense difference would be."""
-    shape = (S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1)
-    paired, gap = np.zeros(shape), np.zeros(shape)
+def _paired_gap(phi: MeasureProcess, minus: MeasureProcess, S: DriverPath,
+                functions: np.ndarray, upto: StoppingRule | None) -> np.ndarray:
+    """The pairing of phi's charge minus that of ``minus``, (P, K, N + 1): the
+    two block streams are drawn in step and the difference of each pair of
+    blocks is paired, as the dense difference would be."""
+    gap = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
     for (lo, block), (_, other) in zip(charge_blocks(phi, S, upto), charge_blocks(minus, S, upto)):
-        _pair(paired, lo, block, functions)
         _pair(gap, lo, block - other, functions)
-    return paired, gap
+    return gap
 
 
 def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:
@@ -156,7 +155,7 @@ def _discrepancy_rows(lhs_stack: np.ndarray, rhs_stack: np.ndarray, labels: Sequ
 def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
                       upto: StoppingRule | None) -> np.ndarray:
     """ito integrals of phi(f) for each row f of ``functions``; (n_f, P, N + 1)."""
-    evals = np.einsum("pnij,kj->pnki", phi.weights, functions)
+    evals = _family_evals(phi, functions)
     dS = _masked_increments(S, upto)
     contrib = np.einsum("pnki,pni->pnk", np.broadcast_to(evals, dS.shape[:2] + evals.shape[2:]), dS)
     return np.moveaxis(running_sum(contrib), 2, 0)
@@ -210,7 +209,7 @@ def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
     r_value = float(np.sqrt(probs @ r_sq_p))
 
     w = stopping_weights(tau, V, scenarios)
-    evals = _family_evals(phi, fam)
+    evals = _family_evals(phi, fam.functions)
     sq = np.sum(evals * evals, axis=3)  # (P, N, K)
     q_sq_p = np.einsum("pn,pnk,k->p", w / probs[:, None],
                        np.broadcast_to(sq, w.shape + sq.shape[2:]), fam.gammas)
@@ -231,25 +230,12 @@ def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
 
 
 def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureProcess],
-                               S: DriverPath, tau: StoppingRule, V: np.ndarray,
-                               fam: TestFamily) -> list[dict]:
-    """Transfer of integrand convergence to the integral processes.
-
-    For each approximant reports the integrand-seminorm gap to phi, the
-    maximal-seminorm gap between the stopped integrals, and the uniform
-    family bound of the approximant's integral.
+                               S: DriverPath, tau: StoppingRule, fam: TestFamily) -> list[float]:
+    """Transfer of integrand convergence to the integral processes: for each
+    approximant, the maximal-seminorm gap between its stopped integral and
+    phi's.  The integrand-seminorm gap that dominates it is the q-error of
+    the approximation report (``integrand_seminorm(phi_n, ..., minus=phi)``).
     """
-    scenarios = S.scenarios
-    probs = scenarios.probs
-    sup = np.max(np.abs(fam.functions), axis=1)
-    rows = []
-    for n, phi_n in enumerate(processes, start=1):
-        Z, Z_gap = _paired_in_step(phi_n, phi, S, fam.functions, tau)
-        r_gap = maximal_seminorm(Z_gap, fam, probs)
-        norms = np.sqrt(probs @ (np.max(np.abs(Z), axis=2) ** 2))
-        del Z, Z_gap  # the seminorm's family evaluations need not sit on top of them
-        q_gap = integrand_seminorm(phi_n, fam, tau, V, scenarios, minus=phi)
-        ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
-        rows.append({"n": n, "q_gap": q_gap, "r_gap": r_gap,
-                     "uniform_bound": float(np.max(ratios))})
-    return rows
+    probs = S.scenarios.probs
+    return [maximal_seminorm(_paired_gap(phi_n, phi, S, fam.functions, tau), fam, probs)
+            for phi_n in processes]

@@ -46,7 +46,6 @@ from .drivers import (
     DriverPath,
     DriverSpec,
     PredictablePath,
-    ScenarioSet,
     TimeGrid,
     increment_blocks,
     ito_integral,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mvstoch
+from mvstoch import integrands
 from mvstoch.cli import main
 from mvstoch.dominated import DominatedSpec
 
@@ -113,6 +114,23 @@ class TestApproxCommand:
         cfg = self.approx_config(
             tmp_path, scenarios={"mode": "monte_carlo", "count": 8, "seed": 1})
         assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_each_seminorm_computed_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = integrands.integrand_seminorm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        # rebind it in every module that imported it, so that any caller counts
+        for name, module in list(sys.modules.items()):
+            if name.startswith("mvstoch") and getattr(module, "integrand_seminorm", None) is original:
+                monkeypatch.setattr(module, "integrand_seminorm", counting)
+        cfg = self.approx_config(tmp_path, integrand={"kind": "random_lattice", "count": 2,
+                                                      "seed": 2024, "ball": 1.0})
+        assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(calls) == 2 * 3  # one per schedule step of each lattice integrand
 
 
 class TestVolterraCommand:

@@ -12,6 +12,7 @@ from mvstoch.dominated import (
     classic_fubini_rhs,
     compare_classic_vs_mv,
     condition_evaluator,
+    general_kernel_conditions,
     make_dominated,
     measure_valuedness_certificate,
     power_law_integrand,
@@ -25,7 +26,7 @@ from mvstoch.drivers import (
     simulate_driver,
 )
 from mvstoch.grid import CompactGrid
-from mvstoch.integrands import variation_path
+from mvstoch.integrands import MeasureProcess, variation_path
 from mvstoch.mvintegral import standard_cell_sets
 
 
@@ -58,6 +59,11 @@ class TestMakeDominated:
         phi = make_dominated(spec)
         for slot in range(5):
             np.testing.assert_allclose(phi.weights[0, slot, 0], spec.eta, atol=1e-15)
+        # the kernel payload reads eta through a view; a copy gives the same conditions
+        assert np.shares_memory(phi.rho, spec.eta)
+        copied = MeasureProcess("kernel", grid, phi.weights, psi=phi.psi, rho=phi.rho.copy())
+        V = np.linspace(0.0, 1.0, 6)[None]
+        assert general_kernel_conditions(phi, V) == general_kernel_conditions(copied, V)
 
     def test_zero_eta_gives_zero_process(self):
         tg = TimeGrid(1.0, 3)

@@ -22,6 +22,7 @@ from mvstoch.integrands import (
     approximate_elementary,
     elementary_process,
     evaluate,
+    integrand_seminorm,
     random_elementary_process,
     random_lattice_process,
     truncate,
@@ -197,8 +198,7 @@ class TestChargeBlocks:
         assert np.array_equal(mv_integral(phi, S, upto=tau), dense)
         assert np.array_equal(paired_charge(phi, S, functions, upto=tau), pair(dense, functions))
         # the in-step difference pairs as the difference of the dense charges
-        paired, gap = mvintegral._paired_in_step(phi, psi, S, functions, tau)
-        assert np.array_equal(paired, pair(dense, functions))
+        gap = mvintegral._paired_gap(phi, psi, S, functions, tau)
         assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions))
 
     def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):
@@ -455,12 +455,15 @@ class TestConvergenceTransfer:
         self.fam = build_test_family(self.grid, 30)
         self.tau = StoppingRule.never(self.sc, 3)
 
+    def q_gap(self, phi_n, phi):
+        return integrand_seminorm(phi_n, self.fam, self.tau, self.S.control, self.sc, minus=phi)
+
     def test_constant_sequence_all_zero(self):
         rng = np.random.default_rng(29)
         phi = random_lattice_process(self.grid, self.tg, self.sc, rng)
-        rows = convergence_transfer_check(phi, [phi, phi], self.S, self.tau,
-                                          self.S.control, self.fam)
-        assert all(r["q_gap"] == 0.0 and r["r_gap"] == 0.0 for r in rows)
+        r_gaps = convergence_transfer_check(phi, [phi, phi], self.S, self.tau, self.fam)
+        assert r_gaps == [0.0, 0.0]
+        assert self.q_gap(phi, phi) == 0.0
 
     def test_truncation_sequence_r_below_q(self):
         rng = np.random.default_rng(31)
@@ -473,20 +476,21 @@ class TestConvergenceTransfer:
                 w[rows_in[1:], j] = w[rows_in[0], j]
         phi = MeasureProcess("kernel", self.grid, w)
         seq = [truncate(phi, c) for c in (1.0, 2.0, 4.0)]
-        rows = convergence_transfer_check(phi, seq, self.S, self.tau, self.S.control, self.fam)
-        for r in rows:
-            assert r["r_gap"] <= r["q_gap"] + 1e-12
+        r_gaps = convergence_transfer_check(phi, seq, self.S, self.tau, self.fam)
+        assert len(r_gaps) == len(seq)
+        for phi_n, r_gap in zip(seq, r_gaps):
+            assert r_gap <= self.q_gap(phi_n, phi) + 1e-12
 
     def test_pipeline_output_converges_in_r(self):
         rng = np.random.default_rng(2024)
         phi = random_lattice_process(self.grid, self.tg, self.sc, rng, c=1.0)
         result = approximate_elementary(phi, self.tau, self.S.control, self.fam, self.sc,
                                         schedule=(4, 16, 64), c=1.0)
-        rows = convergence_transfer_check(phi, result.processes, self.S, self.tau,
-                                          self.S.control, self.fam)
-        assert rows[-1]["r_gap"] <= 1e-6
-        for r in rows:
-            assert r["r_gap"] <= r["q_gap"] + 1e-12
+        r_gaps = convergence_transfer_check(phi, result.processes, self.S, self.tau, self.fam)
+        assert len(r_gaps) == len(result.reports)
+        assert r_gaps[-1] <= 1e-6
+        for rep, r_gap in zip(result.reports, r_gaps):
+            assert r_gap <= rep.q_error + 1e-12
 
 
 class TestFamilyInvariance:
@@ -509,7 +513,7 @@ class TestFamilyInvariance:
         w = stopping_weights(tau, V, sc)
 
         def q_sq(fam, gammas):
-            evals = _family_evals(phi, fam)
+            evals = _family_evals(phi, fam.functions)
             sq = np.sum(evals * evals, axis=3)
             return float(gammas @ np.einsum("pn,pnk->k", w, sq))
 
