@@ -14,8 +14,13 @@ Condition reports: the integrability conditions from the classic
 literature are accumulated against a control path with the trapezoid rule
 over the grid-point values of the inner spatial sums.  For the power-law
 profile ``alpha * (z - t)^(alpha - 1) I_{z > t} dz`` the spec holds exact
-cell masses, differenced from the mass antiderivative one block of grid
-times (rows) at a time, and closed forms are attached:
+cell masses and closed forms are attached.  When the grids are commensurate
+(J = m N, so grid time t_l is atom m l) the masses are stationary: row l,
+atom j is m0[j - m l] for the one vector m0[k] = (k h)^a - ((k - 1) h)^a,
+k >= 1 (zero otherwise), and ``point_masses`` is a read-only strided view of
+it.  The eta-mixes of such a spec are prefix sums of fn(m0 / h) h read at
+J - m l, so a spec and every certificate probe cost O(N + J).  Other grids
+difference the antiderivative one block of grid times (rows) at a time.
 
     variation(t)          = (T - t)^alpha
     int_0^t variation^2   = (T^(2a+1) - (T-t)^(2a+1)) / (2a + 1)
@@ -111,7 +116,9 @@ class DominatedSpec:
     ``point_masses`` has shape (P or 1, N + 1, J + 1): row l holds the atom
     masses of the measure parametrized by the grid point t_l.  Rows
     0 .. N - 1 are the predictable slot values of the induced integrand;
-    row N only feeds the trapezoid condition quadrature.
+    row N only feeds the trapezoid condition quadrature.  It may be a
+    read-only strided view: a stationary power-law spec keeps its mass
+    vector in ``stationary`` (None for every other spec).
     """
 
     def __init__(self, grid: CompactGrid, timegrid: TimeGrid, point_masses: np.ndarray,
@@ -131,6 +138,7 @@ class DominatedSpec:
         self.eta = eta
         self.profile = profile
         self.density_fn = density_fn
+        self.stationary: np.ndarray | None = None  # m0 when row l reads m0[j - (J / N) l]
 
     # -- constructors --------------------------------------------------------
     @classmethod
@@ -138,13 +146,23 @@ class DominatedSpec:
         """The alpha-power integrand with exact cell masses; eta is Lebesgue."""
         profile = PowerLawDensity(alpha, timegrid.horizon)
         grid = CompactGrid(timegrid.horizon, n_cells)
-        z, t = grid.atoms[None, :], timegrid.times[:, None]  # properties: read once
-        masses = np.zeros((1, timegrid.n_steps + 1, grid.n_atoms))
-        for rows in _blocks(timegrid.n_steps + 1, grid.n_atoms):
-            prim = profile.mass_antiderivative(z, t[rows])
-            np.subtract(prim[:, 1:], prim[:, :-1], out=masses[0, rows, 1:])
+        N, J = timegrid.n_steps, n_cells
+        z = grid.atoms  # property: read once
         eta = np.zeros(grid.n_atoms)
         eta[1:] = grid.cell_width
+        if J % N == 0:  # t_l is atom m l: every row is the t = 0 row shifted by m l atoms
+            m = J // N
+            padded = np.zeros(m * N + J + 1)
+            padded[m * N + 1 :] = np.diff(profile.mass_antiderivative(z, 0.0))
+            masses = np.lib.stride_tricks.sliding_window_view(padded, J + 1)[m * N :: -m]
+            spec = cls(grid, timegrid, masses[None], eta, profile=profile)
+            spec.stationary = padded[m * N :]
+            return spec
+        t = timegrid.times[:, None]
+        masses = np.zeros((1, N + 1, grid.n_atoms))
+        for rows in _blocks(N + 1, grid.n_atoms):
+            prim = profile.mass_antiderivative(z[None, :], t[rows])
+            np.subtract(prim[:, 1:], prim[:, :-1], out=masses[0, rows, 1:])
         return cls(grid, timegrid, masses, eta, profile=profile)
 
     @classmethod
@@ -275,7 +293,15 @@ def _blocks(n: int, width: int) -> list[slice]:
 
 
 def _eta_mix(spec: DominatedSpec, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """int fn(psi_t) deta at every grid time, (Pw, N + 1), a row block at a time."""
+    """int fn(psi_t) deta at every grid time, (Pw, N + 1), a row block at a time.
+
+    A stationary spec needs one prefix sum: row l holds m0 shifted by m l
+    atoms, so its mix is the sum of fn(m0 / h) h up to atom J - m l (fn(0) = 0).
+    """
+    if spec.stationary is not None:
+        J, N, h = spec.grid.n_cells, spec.timegrid.n_steps, spec.grid.cell_width
+        prefix = np.cumsum(fn(spec.stationary / h) * h)
+        return prefix[J - (J // N) * np.arange(N + 1)][None]
     return np.concatenate(
         [np.sum(fn(spec.density_values(rows=rows)) * spec.eta, axis=2)
          for rows in _blocks(spec.timegrid.n_steps + 1, spec.grid.n_atoms)], axis=1)

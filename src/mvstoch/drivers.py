@@ -385,6 +385,7 @@ def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenario
             jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
             inc += jumps
         yield lo, hi, inc, jumps
+        del inc, jumps  # free this chunk before the next one is drawn
 
 
 def _tree_increments(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet) -> np.ndarray:

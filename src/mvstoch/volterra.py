@@ -372,6 +372,7 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
         for a, row in enumerate(weights):
             for c, w in enumerate(row):
                 out[lo:hi, a, c] = dW @ w  # one gemv per column: a gemm rounds differently
+        del dW  # with increment_blocks' own del, one chunk is alive while the next is drawn
     return out
 
 

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -277,13 +278,107 @@ class TestPowerProfileVectorised:
     def test_equals_row_loop(self, alpha):
         tg = TimeGrid(1.0, 37)
         spec = DominatedSpec.from_power_profile(alpha, tg, 3000)  # four row blocks
-        profile = PowerLawDensity(alpha, 1.0)
-        loop = np.empty((1, tg.n_steps + 1, spec.grid.n_atoms))
-        for l, t in enumerate(tg.times):
-            prim = profile.mass_antiderivative(spec.grid.atoms, t)
-            loop[0, l, 0] = 0.0
-            loop[0, l, 1:] = np.diff(prim)
-        assert np.array_equal(spec.point_masses, loop)
+        assert spec.stationary is None  # 3000 is not a multiple of 37
+        assert np.array_equal(spec.point_masses, row_loop_spec(alpha, tg, 3000).point_masses)
+
+
+def row_loop_spec(alpha, tg, n_cells):
+    """The power-law spec with dense masses, one row per grid time: walks the row-block path."""
+    grid = CompactGrid(tg.horizon, n_cells)
+    profile = PowerLawDensity(alpha, tg.horizon)
+    loop = np.zeros((1, tg.n_steps + 1, grid.n_atoms))
+    for l, t in enumerate(tg.times):
+        loop[0, l, 1:] = np.diff(profile.mass_antiderivative(grid.atoms, t))
+    eta = np.zeros(grid.n_atoms)
+    eta[1:] = grid.cell_width
+    return DominatedSpec(grid, tg, loop, eta, profile=profile)
+
+
+def probe_sup(spec, V):
+    return float(np.max(dom._trapezoid_against(dom._eta_mix(spec, np.square), V)))
+
+
+class TestStationarySpec:
+    """Commensurate grids (J = m N): one mass vector read through a strided view.
+
+    The oracle is the dense row-loop spec.  On these dyadic grids the masses
+    are bit-equal; the mixes are prefix sums instead of per-row sums, so they
+    move by ulps.  Measured worst relative gaps over this matrix: mixes
+    1.6e-15, condition sups 1.0e-15, certificate probes 2.2e-15 (all at
+    alpha 0.25, m 8); alpha 1 and 2 are bit-equal throughout.
+    """
+
+    RTOL = 1e-13  # about 450 ulps
+
+    @pytest.fixture(scope="class")
+    def driver(self):
+        return brownian(2, 32)
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("alpha", [0.25, 0.4, 0.5, 0.75, 1.0, 1.3, 2.0])
+    def test_equals_row_loop(self, driver, alpha, m):
+        tg, V = driver.timegrid, driver.control
+        spec = DominatedSpec.from_power_profile(alpha, tg, m * tg.n_steps)
+        oracle = row_loop_spec(alpha, tg, m * tg.n_steps)
+        assert spec.stationary is not None and oracle.stationary is None
+        assert np.array_equal(spec.point_masses, oracle.point_masses)
+        exact = alpha in (1.0, 2.0)
+        for fn in (np.abs, np.square):
+            got, want = dom._eta_mix(spec, fn), dom._eta_mix(oracle, fn)
+            assert got.shape == want.shape == (1, tg.n_steps + 1)
+            assert np.array_equal(got, want) if exact else np.allclose(got, want, rtol=self.RTOL, atol=0)
+
+        got, want = condition_evaluator(spec, driver, V), condition_evaluator(oracle, driver, V)
+        assert got.keys() == want.keys()
+        for key in ("c63", "c64", "c66", "c67", "c_veraar"):
+            assert got[key]["finite"] is want[key]["finite"]
+            for sub in set(want[key]) - {"finite"}:
+                assert got[key][sub] == pytest.approx(want[key][sub], rel=0 if exact else self.RTOL, abs=0)
+        assert got["c66_value_at_horizon"] == pytest.approx(want["c66_value_at_horizon"],
+                                                            rel=0 if exact else self.RTOL, abs=0)
+
+        cert = measure_valuedness_certificate(spec, driver, V)
+        values = [probe_sup(row_loop_spec(alpha, tg, m * tg.n_steps * 2**k), V) for k in range(4)]
+        np.testing.assert_allclose(cert["c66_probe"]["values"], values, rtol=self.RTOL, atol=0)
+        assert cert["c66_probe"]["divergent"] is (values[-1] / values[0] > 1.5)
+        assert cert["hypotheses_met"] is not cert["c66_probe"]["divergent"]
+
+    def test_masses_are_read_only(self):
+        spec = DominatedSpec.from_power_profile(0.75, TimeGrid(1.0, 8), 32)
+        assert np.shares_memory(spec.point_masses, spec.stationary)
+        with pytest.raises(ValueError):
+            spec.point_masses[0, 1, 5] = 1.0
+
+
+class TestCertificateCost:
+    """The certificate's probes are O(N + J): no (N + 1) x (J + 1) masses array."""
+
+    @staticmethod
+    def certificate_peak(N, n_cells, alpha=0.75):
+        tg = TimeGrid(1.0, N)
+        S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(2, 3))
+        spec = DominatedSpec.from_power_profile(alpha, tg, n_cells)
+        tracemalloc.start()
+        try:
+            out = measure_valuedness_certificate(spec, S, S.control)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_does_not_grow_with_grid_times(self):
+        # probes up to J = 16384 atoms; N * J grows 64-fold from N = 16 to N = 1024
+        # (a dense masses array of the finest probe goes from 2.2 MB to 134 MB)
+        _, small = self.certificate_peak(16, 2048)
+        _, large = self.certificate_peak(1024, 2048)
+        assert large <= 1.5 * small, (small, large)
+
+    def test_probe_at_quarter_million_atoms(self):
+        # N = 2048 with a finest probe at J = 2^18: a dense probe would hold 4.3 GB
+        start = time.perf_counter()
+        out, peak = self.certificate_peak(2048, 2**15)
+        assert time.perf_counter() - start < 10.0
+        assert peak < 64 * 2**20, peak
+        assert out["hypotheses_met"] and not out["c66_probe"]["divergent"]
 
 
 class TestConditionEvaluatorMemory:

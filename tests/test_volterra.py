@@ -127,6 +127,20 @@ class TestSharedBrownianSource:
             fft = volterra_direct(power_kernel(alpha, tg), driver, method="fft")
             np.testing.assert_allclose(tv[a], level_variations(fft, 4), rtol=1e-12)
 
+    def test_terminals_hold_one_chunk_of_normals(self):
+        # two chunks: the first must be freed before the second is drawn, so
+        # the peak stays near one chunk's normals (2.0 chunks if it is not)
+        tg = TimeGrid(1.0, 64)
+        chunk_bytes = SCENARIO_CHUNK * tg.n_steps * 8
+        power_volterra_terminals([0.75], [32, 64], tg, 1, seed=3)  # one-time set-up untraced
+        tracemalloc.start()
+        try:
+            power_volterra_terminals([0.75], [32, 64], tg, 2 * SCENARIO_CHUNK, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * chunk_bytes, (peak, chunk_bytes)
+
     def test_batched_exponents_equal_single_calls(self):
         tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
         batched = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=5)
