@@ -238,7 +238,7 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
         result = approximate_elementary(phi, tau, S.control, fam, scenarios,
                                         schedule=schedule, c=ball, tol=tol)
         r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
-        v_pre = S.control[np.arange(scenarios.n_scenarios), tau.pre_index()]
+        v_pre = tau.left_limit(S.control)
         v_norm = float(np.sqrt(scenarios.probs @ (v_pre**2)))
         c_phi = continuity_constant(phi, fam, tau, S.control, scenarios)["lower"]
         bound = 2 * result.truncation_level * v_norm + 2 * c_phi

@@ -33,12 +33,13 @@ mix-first sum
     int_0^t int |psi_r| deta d|A|_r
 
 taken left-endpoint, time-first, against the mixed path int |psi| deta.
-The square-root variant is accumulated per atom in column blocks; it needs
-a single row, not one per scenario, when the density is deterministic and
-the bracket increments agree across scenarios (checked on the data, at
-O(P N) cost).  The eta-mixes themselves are formed a block of grid times at
-a time, so no array of shape (P, N + 1, J + 1) is built and, for a
-deterministic density, the condition layer's memory does not grow with P.
+The square-root variant is accumulated per atom in column blocks.  The
+driver's bracket is one deterministic row, so for a deterministic density
+the square-root path is one row too; its rows are the density's rows
+broadcast against the bracket's.  The eta-mixes themselves are formed a
+block of grid times at a time, so no array of shape (P, N + 1, J + 1) is
+built and, for a deterministic density, the condition layer's memory does
+not grow with P.
 
 The measure-valuedness certificate re-atomizes the spec across dyadic
 spatial refinements and flags the square-density condition as divergent
@@ -227,13 +228,12 @@ def power_law_integrand(alpha: float, timegrid: TimeGrid, n_cells: int) -> tuple
 
 
 def make_dominated(spec: DominatedSpec) -> MeasureProcess:
-    """Kernel-representation process of a dominated spec (d = 1)."""
+    """Kernel-representation process of a dominated spec (d = 1); weights and kernel are views."""
     slots = spec.point_masses[:, : spec.timegrid.n_steps, :]
-    psi = spec.density_values()[:, : spec.timegrid.n_steps, None, :]
     rho = np.broadcast_to(spec.eta, slots.shape)
     var_sq = spec.profile.var_sq_integral if spec.profile is not None else None
     return MeasureProcess("kernel", spec.grid, slots[:, :, None, :],
-                          psi=psi, rho=rho, var_sq_integral=var_sq)
+                          rho=rho, var_sq_integral=var_sq)
 
 
 def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int],
@@ -315,19 +315,18 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
     left-endpoint time sum of ``abs_mix`` against d|A|, (P, N + 1).
     Square root: int sqrt(int_0^t psi_r(z)^2 d<M>_r) deta(z), accumulated
     per atom over column blocks of about BLOCK_ENTRIES / N atoms (set by the
-    grid, never by P).  One row serves every scenario when the density is
-    deterministic and the bracket increments are equal across scenarios;
-    otherwise there is one row per scenario.
+    grid, never by P).  Its rows are the spec's rows broadcast against the
+    bracket's: one row for a deterministic density against the driver's
+    one-row bracket.
     """
     fv = running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
     dqv = np.diff(qv, axis=1)
-    if spec.n_scenario_rows == 1 and np.all(dqv == dqv[:1]):
-        dqv = dqv[:1]
     N = spec.timegrid.n_steps
-    root = np.zeros((dqv.shape[0], N + 1))
-    for cols in _blocks(spec.grid.n_atoms, N):
-        sq = np.square(spec.density_values(rows=slice(0, N), cols=cols))
-        root += np.sqrt(running_sum(sq * dqv[:, :, None])) @ spec.eta[cols]
+    root = np.zeros(np.broadcast_shapes((spec.n_scenario_rows,), dqv.shape[:1]) + (N + 1,))
+    for cols in _blocks(spec.grid.n_atoms, N):  # in place: fewer fresh blocks to page-fault
+        dens = spec.density_values(rows=slice(0, N), cols=cols)
+        path = running_sum(np.square(dens, out=dens) * dqv[:, :, None])
+        root += np.sqrt(path, out=path) @ spec.eta[cols]
     return fv, root
 
 
@@ -352,9 +351,8 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     The FV Veraar variant uses the mix-first identity: with eta >= 0 and
     |psi| >= 0, mixing the per-atom time sums equals the left-endpoint time
     sum of the mixed path int |psi| deta against d|A|.  The square-root
-    variant runs on one row when the spec has one density row and the
-    bracket increments are equal in every scenario, and on one row per
-    scenario otherwise.  No array of shape (P, N + 1, J + 1) is formed.
+    variant has one row per density row, as the driver's bracket is one
+    row.  No array of shape (P, N + 1, J + 1) is formed.
     """
     abs_mix = _eta_mix(spec, np.abs)  # int |psi| deta at grid points, (Pw, N + 1)
     sq_mix = _eta_mix(spec, np.square)  # int |psi|^2 deta
@@ -392,24 +390,25 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
 def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
     """Mixed-variation conditions for a general kernel integrand, any d.
 
-    Works from the process's density/kernel payload (a scenario- and
+    Works from the weights w = psi * rho and the kernel rho (a scenario- and
     time-dependent kernel is allowed, unlike the fixed-reference case):
 
-      c63: accumulate sum_i (int |psi^i| dkernel)^2 against dV
-      c64: accumulate kernel(K) * int |psi|^2 dkernel against dV
+      c63: accumulate sum_i (int |psi^i| dkernel)^2 = sum_i (sum |w^i|)^2 against dV
+      c64: accumulate kernel(K) * int |psi|^2 dkernel = rho(K) * sum_{rho > 0} w^2 / rho
 
     Values are slot quantities, so the accumulation is a left-endpoint
     sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.
     """
-    if phi.psi is None or phi.rho is None:
+    if phi.rho is None:
         raise ValueError("process carries no kernel payload")
-    abs_mix = np.einsum("pnij,pnj->pni", np.abs(phi.psi), phi.rho)
-    inner63 = np.sum(abs_mix**2, axis=2)  # (P, N)
-    sq_mix = np.einsum("pnij,pnj->pn", phi.psi**2, phi.rho)
-    inner64 = phi.rho.sum(axis=2) * sq_mix
+    w, rho = phi.weights, phi.rho[:, :, None, :]
+    inner63 = np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2)  # (P, N)
+    sq = w * w  # w = psi * rho vanishes where rho does, so only rho > 0 is divided
+    np.divide(sq, rho, out=sq, where=rho > 0)
+    inner64 = phi.rho.sum(axis=2) * np.sum(sq, axis=(2, 3))
     dV = np.diff(V, axis=1)
-    c63 = running_sum(np.broadcast_to(inner63, dV.shape) * dV)
-    c64 = running_sum(np.broadcast_to(inner64, dV.shape) * dV)
+    c63 = running_sum(inner63 * dV)
+    c64 = running_sum(inner64 * dV)
     if np.any(c63 > c64 + 1e-9 * (1 + np.abs(c64))):
         raise AssertionError("Cauchy-Schwarz ordering of the condition paths failed")
     return {"c63": _finiteness(c63), "c64": _finiteness(c64)}

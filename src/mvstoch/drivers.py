@@ -11,7 +11,10 @@ Discrete-time conventions used throughout the package:
     as the "never stops" marker.  "Strictly before tau" keeps exactly the
     increments whose right endpoint index is <= tau - 1, and the left
     limit of a path at tau is its value at index tau - 1 (index N for the
-    never marker).  No interpolation anywhere.
+    never marker), read by ``StoppingRule.left_limit``.  No interpolation
+    anywhere.
+  * A deterministic path (the control, the bracket, the drift variation)
+    is stored as one row (1, N + 1) and broadcasts over the scenarios.
 
 Two scenario models are supported.  Monte Carlo ensembles come from one
 seeded block source, ``increment_blocks``, which the driver simulator and
@@ -25,7 +28,8 @@ are exact weighted sums.
 
 Control processes: a driver's control path V is a nonnegative increasing
 process against which squared stochastic integrals are bounded before any
-stopping time.  Closed forms per driver (validated empirically by
+stopping time.  Every driver kind here has a closed form in time, so V is
+one row.  Closed forms per driver (validated empirically by
 ``control_inequality_check``, which the test suite runs at scale):
 
   * brownian            V_t = vol^2 * t
@@ -287,6 +291,10 @@ class StoppingRule:
         """Grid index realising the left limit at tau (clipped to 0..N)."""
         return np.clip(self.indices - 1, 0, self.n_steps)
 
+    def left_limit(self, path: np.ndarray) -> np.ndarray:
+        """Value at tau- of a (P or 1, N + 1) path, one per scenario: (P,)."""
+        return path[np.arange(path.shape[0]), self.pre_index()]
+
     def validate(self, scenarios: ScenarioSet) -> None:
         """Tree mode: {tau <= l} must be a union of level-l atoms."""
         if not scenarios.is_tree:
@@ -305,7 +313,7 @@ class DriverPath:
     timegrid: TimeGrid
     scenarios: ScenarioSet
     values: np.ndarray  # (P, N + 1, d)
-    control: np.ndarray  # (P, N + 1)
+    control: np.ndarray  # (1, N + 1): deterministic, broadcasts over scenarios
     jump_increments: np.ndarray | None = None  # (P, N, d) pure-jump part
 
     def __post_init__(self):
@@ -331,20 +339,16 @@ class DriverPath:
 
         Only defined for scalar drivers; idealized closed forms for the
         continuous parts, realized slot sums for jumps (multiple jumps in
-        one slot are seen at slot resolution).
+        one slot are seen at slot resolution).  The bracket is one row; the
+        variation is one row unless the driver jumps, then one per scenario.
         """
         if self.spec.d != 1:
             raise ValueError("decomposition paths are scalar-driver only")
-        t = self.timegrid.times
-        P = self.scenarios.n_scenarios
-        qv = np.zeros((P, len(t)))
-        var_a = np.zeros((P, len(t)))
-        if self.spec.kind in ("brownian", "mixture"):
-            qv += self.spec.vol**2 * t[None, :]
-        if self.spec.kind in ("fv_drift", "mixture"):
-            var_a += abs(self.spec.drift) * t[None, :]
+        t = self.timegrid.times[None, :]
+        qv = (self.spec.vol**2 if self.spec.kind in ("brownian", "mixture") else 0.0) * t
+        var_a = (abs(self.spec.drift) if self.spec.kind in ("fv_drift", "mixture") else 0.0) * t
         if self.jump_increments is not None:
-            var_a += running_sum(np.abs(self.jump_increments[:, :, 0]))
+            var_a = var_a + running_sum(np.abs(self.jump_increments[:, :, 0]))
         return qv, var_a
 
     def to_csv(self, path) -> None:
@@ -423,7 +427,7 @@ def simulate_driver(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet
             values[lo:hi] = running_sum(inc)
             if jumps is not None:
                 jumps[lo:hi] = block_jumps
-    control = control_process(spec, timegrid, P)
+    control = control_process(spec, timegrid)
     return DriverPath(spec, timegrid, scenarios, values, control, jump_increments=jumps)
 
 
@@ -434,8 +438,8 @@ def running_sum(increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def control_process(spec: DriverSpec, timegrid: TimeGrid, n_scenarios: int) -> np.ndarray:
-    """Documented control path per driver kind, broadcast over scenarios."""
+def control_process(spec: DriverSpec, timegrid: TimeGrid) -> np.ndarray:
+    """Documented control path per driver kind: one row (1, N + 1), broadcast over scenarios."""
     t = timegrid.times
     if spec.kind == "brownian":
         v = spec.vol**2 * t
@@ -446,7 +450,7 @@ def control_process(spec: DriverSpec, timegrid: TimeGrid, n_scenarios: int) -> n
     else:  # mixture
         rate_term = spec.jump_rate * spec.jump_second_moment
         v = C_MIX * (spec.vol**2 + abs(spec.drift) + rate_term) * t
-    return np.broadcast_to(v, (n_scenarios, len(t))).copy()
+    return v[None, :]
 
 
 def _masked_increments(S: DriverPath, upto: StoppingRule | None) -> np.ndarray:
@@ -490,9 +494,8 @@ def stopping_weights(tau: StoppingRule, V: np.ndarray, scenarios: ScenarioSet) -
     slots, zero otherwise.  The weighted sum of |H|^2 over (p, j) equals
     the expectation of V_{tau-} times the energy integral of H before tau.
     """
-    v_pre = V[np.arange(V.shape[0]), tau.pre_index()]
     dV = np.diff(V, axis=1)
-    return scenarios.probs[:, None] * v_pre[:, None] * dV * tau.increment_mask()
+    return scenarios.probs[:, None] * tau.left_limit(V)[:, None] * dV * tau.increment_mask()
 
 
 def weighted_l2_sq(weights: np.ndarray, values: np.ndarray) -> float:
@@ -504,14 +507,14 @@ def weighted_l2_sq(weights: np.ndarray, values: np.ndarray) -> float:
 
 def localizing_sequence(V: np.ndarray, levels: Sequence[float], scenarios: ScenarioSet,
                         extra: np.ndarray | None = None) -> list[StoppingRule]:
-    """First-passage rules tau_M = first index where V (or extra) reaches M."""
+    """First-passage rules tau_M = first index where V (or extra) reaches M, per scenario."""
     n_steps = V.shape[1] - 1
     watched = V if extra is None else np.maximum(V, extra)
     rules = []
     for M in levels:
         hit = watched >= M
         idx = np.where(hit.any(axis=1), hit.argmax(axis=1), n_steps + 1)
-        rule = StoppingRule(idx, n_steps)
+        rule = StoppingRule(np.broadcast_to(idx, scenarios.n_scenarios), n_steps)
         rule.validate(scenarios)
         rules.append(rule)
     return rules
@@ -526,14 +529,12 @@ def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[
     reported with the standard error of the per-scenario differences.
     """
     probs = S.scenarios.probs
-    v_pre = V[np.arange(V.shape[0]), tau.pre_index()]
+    v_pre = tau.left_limit(V)
     rows = []
     for H in integrands:
         stopped = ito_integral(H, S, upto=tau)
         lhs_p = np.max(stopped**2, axis=1)
-        energy = energy_integral(H, V)
-        d_pre = energy[np.arange(energy.shape[0]), tau.pre_index()]
-        rhs_p = v_pre * d_pre
+        rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
         lhs = float(probs @ lhs_p)
         rhs = float(probs @ rhs_p)
         diff = rhs_p - lhs_p

@@ -9,8 +9,8 @@ share one dense payload ``weights`` of shape (P or 1, N, d, J + 1):
     predictable rectangles ``A x (t_a, t_b]`` with ``A`` known at ``t_a``
     (the term list is kept alongside the dense payload);
   * ``kernel``: a density table against a nonnegative kernel, stored as
-    the resulting atom weights (``psi``/``rho`` factors are kept when the
-    process was built from them);
+    the resulting atom weights (the kernel ``rho`` is kept when the
+    process was built from one);
   * ``volterra``: atom weights induced by a two-parameter kernel (built
     by the volterra module).
 
@@ -106,7 +106,6 @@ class MeasureProcess:
     grid: CompactGrid
     weights: np.ndarray  # (P or 1, N, d, J + 1)
     terms: list[ElementaryTerm] | None = None
-    psi: np.ndarray | None = None
     rho: np.ndarray | None = None
     var_sq_integral: Callable[[float], float] | None = None
 
@@ -185,7 +184,7 @@ def kernel_process(grid: CompactGrid, psi: np.ndarray, rho: np.ndarray,
     if psi.ndim != 4 or rho.ndim != 3:
         raise ValueError("psi must be (P, N, d, J + 1) and rho (P, N, J + 1)")
     w = psi * rho[:, :, None, :]
-    return MeasureProcess("kernel", grid, w, psi=psi, rho=rho, var_sq_integral=var_sq_integral)
+    return MeasureProcess("kernel", grid, w, rho=rho, var_sq_integral=var_sq_integral)
 
 
 def evaluate(phi: MeasureProcess, f: np.ndarray,

@@ -203,7 +203,7 @@ class TestCriterion6ApproximationPipeline:
         fam = build_test_family(grid, grid.n_atoms + 2**grid.n_atoms)
         S = simulate_driver(DriverSpec("brownian"), tg, sc)
         tau = StoppingRule.never(sc, 3)
-        v_pre = S.control[np.arange(sc.n_scenarios), tau.pre_index()]
+        v_pre = tau.left_limit(S.control)
         v_norm = math.sqrt(float(sc.probs @ (v_pre**2)))
         final_errors = []
         for seed in (2024, 77, 4099):

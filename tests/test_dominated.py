@@ -24,10 +24,11 @@ from mvstoch.drivers import (
     ScenarioSet,
     TimeGrid,
     ito_integral,
+    running_sum,
     simulate_driver,
 )
 from mvstoch.grid import CompactGrid
-from mvstoch.integrands import MeasureProcess, variation_path
+from mvstoch.integrands import MeasureProcess, kernel_process, variation_path
 from mvstoch.mvintegral import standard_cell_sets
 
 
@@ -62,7 +63,7 @@ class TestMakeDominated:
             np.testing.assert_allclose(phi.weights[0, slot, 0], spec.eta, atol=1e-15)
         # the kernel payload reads eta through a view; a copy gives the same conditions
         assert np.shares_memory(phi.rho, spec.eta)
-        copied = MeasureProcess("kernel", grid, phi.weights, psi=phi.psi, rho=phi.rho.copy())
+        copied = MeasureProcess("kernel", grid, phi.weights, rho=phi.rho.copy())
         V = np.linspace(0.0, 1.0, 6)[None]
         assert general_kernel_conditions(phi, V) == general_kernel_conditions(copied, V)
 
@@ -262,8 +263,15 @@ class TestVeraarAgainstBroadcastOracle:
         sup = condition_evaluator(spec, S, S.control)["c_veraar"]["sup"]
         assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
 
+    def test_deterministic_density_root_is_one_row(self):
+        S = brownian(5, 16)
+        spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 64)
+        qv, var_a = S.decomposition_paths()
+        _, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
+        assert root.shape == (1, 17)
+
     def test_deterministic_density_scenario_dependent_bracket(self):
-        # unequal bracket increments take the one-row-per-scenario branch
+        # a bracket with unequal rows gives one square-root row per scenario
         S = brownian(4, 24)
         spec = DominatedSpec.from_density_callable(lambda t, z: np.sin(z + t) + 0.5, S.timegrid,
                                                    CompactGrid(1.0, 1500))
@@ -381,6 +389,21 @@ class TestCertificateCost:
         assert out["hypotheses_met"] and not out["c66_probe"]["divergent"]
 
 
+class TestPowerLawIntegrandMemory:
+    def test_no_dense_density(self):
+        # a dense (1, N, 1, J + 1) density would be 64.1 MB here
+        tg = TimeGrid(1.0, 2048)
+        power_law_integrand(0.75, tg, 4096)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            phi, spec = power_law_integrand(0.75, tg, 4096)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert phi.weights.shape == (1, 2048, 1, 4097)
+        assert peak <= 8 * 2**20
+
+
 class TestConditionEvaluatorMemory:
     def test_peak_does_not_scale_with_scenarios(self):
         tg = TimeGrid(1.0, 8)
@@ -472,6 +495,39 @@ class TestGeneralKernelConditions:
         out = general_kernel_conditions(phi, V)
         assert out["c63"]["finite"] and out["c64"]["finite"]
         assert out["c63"]["sup"] <= out["c64"]["sup"] + 1e-12
+
+    @staticmethod
+    def psi_oracle(psi, rho, V):
+        """The conditions read from the density psi itself (einsum against rho)."""
+        abs_mix = np.einsum("pnij,pnj->pni", np.abs(psi), rho)
+        inner63 = np.sum(abs_mix**2, axis=2)
+        inner64 = rho.sum(axis=2) * np.einsum("pnij,pnj->pn", psi**2, rho)
+        dV = np.diff(V, axis=1)
+        return np.max(running_sum(inner63 * dV)), np.max(running_sum(inner64 * dV))
+
+    def test_matches_psi_oracle_random_kernel(self):
+        rng = np.random.default_rng(53)
+        grid = CompactGrid(1.0, 9)
+        P, N, d = 5, 14, 2
+        psi = rng.normal(size=(P, N, d, 10))
+        rho = rng.uniform(0.0, 0.5, size=(P, N, 10))
+        rho[:, :, ::3] = 0.0  # massless atoms contribute nothing
+        V = np.linspace(0.0, 2.0, N + 1)[None]
+        out = general_kernel_conditions(kernel_process(grid, psi, rho), V)
+        c63, c64 = self.psi_oracle(psi, rho, V)
+        assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
+        assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.5])
+    def test_matches_psi_oracle_power_law(self, alpha):
+        tg = TimeGrid(1.0, 16)
+        phi, spec = power_law_integrand(alpha, tg, 64)
+        psi = spec.density_values()[:, :16, None, :]
+        V = np.linspace(0.0, 1.0, 17)[None]
+        out = general_kernel_conditions(phi, V)
+        c63, c64 = self.psi_oracle(psi, np.asarray(phi.rho), V)
+        assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
+        assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
 
     def test_requires_kernel_payload(self):
         from mvstoch.integrands import MeasureProcess

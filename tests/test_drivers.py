@@ -90,7 +90,7 @@ class TestControlProcess:
 
     def test_fv_control_includes_variation(self):
         tg = TimeGrid(1.0, 4)
-        v = control_process(DriverSpec("fv_drift", drift=-2.0), tg, 1)
+        v = control_process(DriverSpec("fv_drift", drift=-2.0), tg)
         np.testing.assert_allclose(v[0], (2.0 + 1e-9) * tg.times, atol=1e-15)
         assert np.all(np.diff(v[0]) > 0)
 
@@ -105,6 +105,62 @@ class TestControlProcess:
         tau = StoppingRule.never(sc, 32)
         report = control_inequality_check(path, path.control, hs, tau)
         assert report["min_margin"] >= -3 * report["min_margin_se"]
+
+
+ONE_ROW_KINDS = {
+    # spec, closed form of V_t / t, whether the drift variation jumps
+    "brownian": (DriverSpec("brownian", vol=1.3), 1.3**2, False),
+    "fv_drift": (DriverSpec("fv_drift", drift=-0.7), 0.7 + 1e-9, False),
+    "compound_poisson": (DriverSpec("compound_poisson", jump_rate=2.0, jump_mean=0.3, jump_std=0.5),
+                         4.0 * (1.0 + 2.0 * (0.3**2 + 0.5**2)), True),
+    "mixture": (DriverSpec("mixture", vol=0.8, drift=0.4, jump_rate=1.5, jump_std=0.6),
+                4.0 * (0.8**2 + 0.4 + 1.5 * 0.6**2), True),
+}
+
+
+class TestOneRowDeterministicPaths:
+    """The control, the bracket and a continuous drift variation are one row."""
+
+    P, N = 6, 10
+
+    def simulate(self, kind):
+        spec = ONE_ROW_KINDS[kind][0]
+        return simulate_driver(spec, TimeGrid(2.0, self.N), ScenarioSet.monte_carlo(self.P, 23))
+
+    @pytest.mark.parametrize("kind", sorted(ONE_ROW_KINDS))
+    def test_control_is_one_closed_form_row(self, kind):
+        S = self.simulate(kind)
+        rate = ONE_ROW_KINDS[kind][1]
+        assert S.control.shape == (1, self.N + 1)
+        np.testing.assert_allclose(S.control[0], rate * S.timegrid.times, rtol=1e-15, atol=0)
+        assert np.array_equal(control_process(S.spec, S.timegrid), S.control)
+
+    @pytest.mark.parametrize("kind", sorted(ONE_ROW_KINDS))
+    def test_bracket_one_row_variation_rows_follow_the_jumps(self, kind):
+        S = self.simulate(kind)
+        qv, var_a = S.decomposition_paths()
+        assert qv.shape == (1, self.N + 1)
+        jumps = ONE_ROW_KINDS[kind][2]
+        assert var_a.shape == ((self.P if jumps else 1), self.N + 1)
+
+    def test_left_limit_equals_index_expression(self):
+        rng = np.random.default_rng(31)
+        tau = StoppingRule(rng.integers(0, self.N + 2, size=self.P), self.N)
+        one = rng.uniform(size=(1, self.N + 1))
+        many = rng.uniform(size=(self.P, self.N + 1))
+        assert np.array_equal(tau.left_limit(one), one[np.zeros(self.P, int), tau.pre_index()])
+        assert np.array_equal(tau.left_limit(many), many[np.arange(self.P), tau.pre_index()])
+        assert tau.left_limit(one).shape == tau.left_limit(many).shape == (self.P,)
+
+    def test_localizing_one_row_control_gives_every_scenario_an_index(self):
+        S = self.simulate("brownian")
+        levels = [0.5, 2.0, 100.0]
+        one_row = S.control[:1]
+        dense = np.broadcast_to(one_row, (self.P, self.N + 1))
+        for rule, dense_rule in zip(localizing_sequence(one_row, levels, S.scenarios),
+                                    localizing_sequence(dense, levels, S.scenarios)):
+            assert rule.indices.shape == (self.P,)
+            assert np.array_equal(rule.indices, dense_rule.indices)
 
 
 class TestItoIntegral:

@@ -365,7 +365,7 @@ class TestDensityConstruction:
 def _subsample(S: DriverPath, stride: int) -> DriverPath:
     tg = TimeGrid(S.timegrid.horizon, S.timegrid.n_steps // stride)
     vals = S.values[:, ::stride]
-    control = control_process(S.spec, tg, S.scenarios.n_scenarios)
+    control = control_process(S.spec, tg)
     return DriverPath(S.spec, tg, S.scenarios, vals, control)
 
 
