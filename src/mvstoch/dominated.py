@@ -397,15 +397,20 @@ def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
       c64: accumulate kernel(K) * int |psi|^2 dkernel = rho(K) * sum_{rho > 0} w^2 / rho
 
     Values are slot quantities, so the accumulation is a left-endpoint
-    sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.
+    sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.  The atom sums
+    are taken in blocks of about BLOCK_ENTRIES / (d (J + 1)) slots, so no
+    temporary the size of the weights is formed.
     """
     if phi.rho is None:
         raise ValueError("process carries no kernel payload")
     w, rho = phi.weights, phi.rho[:, :, None, :]
-    inner63 = np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2)  # (P, N)
-    sq = w * w  # w = psi * rho vanishes where rho does, so only rho > 0 is divided
-    np.divide(sq, rho, out=sq, where=rho > 0)
-    inner64 = phi.rho.sum(axis=2) * np.sum(sq, axis=(2, 3))
+    inner63, sq_sum = np.empty(w.shape[:2]), np.empty(w.shape[:2])  # (P, N)
+    for s in _blocks(w.shape[1], w.shape[2] * w.shape[3]):
+        inner63[:, s] = np.sum(np.sum(np.abs(w[:, s]), axis=3) ** 2, axis=2)
+        sq = w[:, s] * w[:, s]  # w = psi * rho vanishes where rho does: divide where rho > 0
+        np.divide(sq, rho[:, s], out=sq, where=rho[:, s] > 0)
+        sq_sum[:, s] = np.sum(sq, axis=(2, 3))
+    inner64 = phi.rho.sum(axis=2) * sq_sum
     dV = np.diff(V, axis=1)
     c63 = running_sum(inner63 * dV)
     c64 = running_sum(inner64 * dV)

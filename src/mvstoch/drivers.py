@@ -20,11 +20,14 @@ Two scenario models are supported.  Monte Carlo ensembles come from one
 seeded block source, ``increment_blocks``, which the driver simulator and
 the power-kernel samplers in ``volterra`` share (the tests check that they
 agree), so ensembles are reproducible and could be generated per block
-concurrently.  Paths accumulate through one ``running_sum`` and every
-reduction is a deterministic ordered sum.  Scenario trees carry an explicit
-per-level partition into filtration atoms (scenario indices are arranged so
-atoms are contiguous blocks), probabilities are explicit, and expectations
-are exact weighted sums.
+concurrently.  A consumer that reads a few rows at a time asks for blocks
+of that many rows, which are the same numbers as the 4096-scenario chunks
+``simulate_driver`` takes whole; jump drivers come in whole chunks only.
+Paths accumulate through one ``running_sum`` and every reduction is a
+deterministic ordered sum.  Scenario trees carry an explicit per-level
+partition into filtration atoms (scenario indices are arranged so atoms are
+contiguous blocks), probabilities are explicit, and expectations are exact
+weighted sums.
 
 Control processes: a driver's control path V is a nonnegative increasing
 process against which squared stochastic integrals are bounded before any
@@ -360,36 +363,44 @@ class DriverPath:
         np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int
+def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
+                     rows: int = SCENARIO_CHUNK
                      ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
-    """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per chunk.
+    """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per row block.
 
     Scenario i always lands in chunk i // SCENARIO_CHUNK, drawn from that
     chunk's child of SeedSequence(seed) in a fixed order (diffusion normals,
     Poisson counts, jump normals): one (spec, grid, seed) is one driver.
+    Each chunk is drawn in blocks of ``rows`` scenarios, in order from the
+    chunk's own generator, which fills in C order: without jumps the blocks
+    are the whole-chunk draw, bit for bit.  A jump driver draws its counts
+    after the whole chunk's normals, so it takes only whole chunks.
     """
+    if rows < 1 or (spec.has_jumps and rows < SCENARIO_CHUNK):
+        raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
     N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
     n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
     for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         rng = np.random.default_rng(child)
-        lo = c * SCENARIO_CHUNK
-        hi = min(lo + SCENARIO_CHUNK, n_scenarios)
-        shape = (hi - lo, N, d)
-        if spec.kind in ("brownian", "mixture") and spec.vol > 0:
-            inc = rng.standard_normal(shape)
-            inc *= spec.vol * math.sqrt(dt)
-        else:
-            inc = np.zeros(shape)
-        jumps = None
-        if spec.kind in ("fv_drift", "mixture"):
-            inc += spec.drift * dt
-        if spec.has_jumps:
-            counts = rng.poisson(spec.jump_rate * dt, size=shape)
-            z = rng.standard_normal(shape)
-            jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
-            inc += jumps
-        yield lo, hi, inc, jumps
-        del inc, jumps  # free this chunk before the next one is drawn
+        chunk_end = min((c + 1) * SCENARIO_CHUNK, n_scenarios)
+        for lo in range(c * SCENARIO_CHUNK, chunk_end, rows):
+            hi = min(lo + rows, chunk_end)
+            shape = (hi - lo, N, d)
+            if spec.kind in ("brownian", "mixture") and spec.vol > 0:
+                inc = rng.standard_normal(shape)
+                inc *= spec.vol * math.sqrt(dt)
+            else:
+                inc = np.zeros(shape)
+            jumps = None
+            if spec.kind in ("fv_drift", "mixture"):
+                inc += spec.drift * dt
+            if spec.has_jumps:
+                counts = rng.poisson(spec.jump_rate * dt, size=shape)
+                z = rng.standard_normal(shape)
+                jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
+                inc += jumps
+            yield lo, hi, inc, jumps
+            del inc, jumps  # free this block before the next one is drawn
 
 
 def _tree_increments(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet) -> np.ndarray:

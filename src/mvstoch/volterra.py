@@ -29,10 +29,14 @@ in t) of inner driver integrals of the density.
 The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
-Stationary kernels get an FFT convolution path (``numpy.fft``); the
-power-kernel sampler transforms each block of one Brownian draw once for
-every exponent and keeps only per-path total variations, never the
-ensemble.  Results do not depend on any parallel schedule.
+Stationary kernels get an FFT convolution path (``numpy.fft``).  The
+power-kernel samplers draw the Brownian increments DRAW_ROWS scenarios at a
+time, the rows they transform or sum next, so their memory does not grow
+with the number of scenarios; every block is transformed in the same work
+buffers.  Each block is read once for every exponent, against profile
+spectra transformed once per call, and only per-path total variations (or
+terminal values) are kept, never the ensemble.  Results do not depend on
+any parallel schedule.
 """
 
 from __future__ import annotations
@@ -72,6 +76,9 @@ __all__ = [
     "power_volterra_terminals",
     "power_volterra_paths",
 ]
+
+#: Scenarios per Brownian draw of the power-kernel samplers: 256 KB at N = 2048.
+DRAW_ROWS = 16
 
 
 @dataclass
@@ -174,18 +181,38 @@ def make_kernel(name: str, params: dict, timegrid: TimeGrid) -> VolterraKernel:
     raise KeyError(f"unknown kernel {name!r}")
 
 
-def _fft_paths(dW: np.ndarray, profiles: Sequence[np.ndarray]) -> Iterator[np.ndarray]:
-    """X_l = sum_{j < l} w[l - j] dW[:, j], l = 0..N, for each (N + 1,) profile w:
-    one forward rFFT of the (P, N) increments, one inverse per profile, at the
-    full convolution length 2N rounded up to a power of two."""
-    N = dW.shape[1]
-    n = 1 << (2 * N - 1).bit_length()
-    spectrum = np.fft.rfft(dW, n, axis=1)
-    for w in profiles:
-        w = np.concatenate(([0.0], w[1:]))  # lag 0 is the slot's own increment: j < l
-        x = np.fft.irfft(spectrum * np.fft.rfft(w, n), n, axis=1)[:, : N + 1]
+def _fft_length(N: int) -> int:
+    return 1 << (2 * N - 1).bit_length()  # the full convolution length 2N, to a power of 2
+
+
+def _profile_spectra(profiles: Sequence[np.ndarray], N: int) -> list[np.ndarray]:
+    """rFFTs of (N + 1,) lag profiles w at ``_fft_length(N)``; lag 0 is the slot's
+    own increment, which the sum over j < l excludes."""
+    n = _fft_length(N)
+    return [np.fft.rfft(np.concatenate(([0.0], w[1:])), n) for w in profiles]
+
+
+def _fft_work(P: int, N: int) -> tuple[np.ndarray, ...]:
+    """Spectrum, product and path buffers of ``_fft_paths`` for P rows."""
+    n = _fft_length(N)
+    return np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex), np.empty((P, n))
+
+
+def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
+               work: tuple[np.ndarray, ...] | None = None) -> Iterator[np.ndarray]:
+    """X_l = sum_{j < l} w[l - j] dW[:, j], l = 0..N, for each profile spectrum
+    from ``_profile_spectra``: one forward rFFT of the (P, N) increments, one
+    inverse per profile.  The transforms write into ``work`` (at least P rows),
+    which a block loop passes again so that no block maps fresh pages; each
+    yielded path is overwritten by the next."""
+    P, N = dW.shape
+    n = _fft_length(N)
+    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N)))
+    np.fft.rfft(dW, n, axis=1, out=spectrum)
+    for s in spectra:
+        np.fft.irfft(np.multiply(spectrum, s, out=product), n, axis=1, out=x)
         x[:, 0] = 0.0
-        yield x
+        yield x[:, : N + 1]
 
 
 def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto") -> np.ndarray:
@@ -205,7 +232,7 @@ def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto")
         if kernel.stationary_profile is None:
             raise ValueError("no stationary profile for the fft path")
         w = kernel.stationary_profile(np.arange(N + 1) * S.timegrid.dt)
-        return next(_fft_paths(dS[:, :, 0], [w]))
+        return next(_fft_paths(dS[:, :, 0], _profile_spectra([w], N)))
     K = kernel.per_scenario(dS.shape[0])
     l = np.arange(N + 1)
     masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
@@ -317,8 +344,8 @@ def level_variations(Y: np.ndarray, n_levels: int = 6) -> np.ndarray:
         raise ValueError("need at least three refinement levels")
     if (Y.shape[1] - 1) % 2 ** (n_levels - 1) != 0:
         raise ValueError("finest grid must divide by the subsampling strides")
-    return np.stack([np.sum(np.abs(np.diff(Y[:, :: 2**k], axis=1)), axis=1)
-                     for k in range(n_levels)], axis=1)
+    diffs = (np.diff(Y[:, :: 2**k], axis=1) for k in range(n_levels))
+    return np.stack([np.sum(np.abs(d, out=d), axis=1) for d in diffs], axis=1)
 
 
 def semimartingale_diagnostic(tv: np.ndarray, timegrid: TimeGrid) -> dict:
@@ -358,34 +385,37 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
                              timegrid: TimeGrid, n_scenarios: int, seed: int) -> np.ndarray:
     """Streamed power-kernel path samples at chosen grid indices, (P, n_alpha, n_u).
 
-    Reads, chunk by chunk through the shared block source, the Brownian
-    driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(n_scenarios,
-    seed)``; each chunk is drawn once for all exponents.
+    Reads, DRAW_ROWS scenarios at a time through the shared block source, the
+    Brownian driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(
+    n_scenarios, seed)``; each block is drawn once for all exponents.
     """
     N = timegrid.n_steps
     t = timegrid.times
     out = np.empty((n_scenarios, len(alphas), len(u_indices)))
     weights = [[np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u]) for u in u_indices]
                for alpha in alphas]
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios):
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios,
+                                          rows=DRAW_ROWS):
         dW = dW[:, :, 0]
         for a, row in enumerate(weights):
             for c, w in enumerate(row):
                 out[lo:hi, a, c] = dW @ w  # one gemv per column: a gemm rounds differently
-        del dW  # with increment_blocks' own del, one chunk is alive while the next is drawn
+        del dW  # with increment_blocks' own del, one block is alive while the next is drawn
     return out
 
 
 def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
-                         seed: int, n_levels: int = 6, block: int = 64) -> np.ndarray:
+                         seed: int, n_levels: int = 6, block: int = DRAW_ROWS) -> np.ndarray:
     """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
     paths on the shared Brownian blocks, (n_alpha, P, n_levels); each block of
-    ``block`` scenarios is transformed once for all exponents."""
-    profiles = [(np.arange(timegrid.n_steps + 1) * timegrid.dt) ** alpha for alpha in alphas]
+    ``block`` scenarios is drawn and transformed once for all exponents."""
+    N = timegrid.n_steps
+    spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios):
-        for b in range(lo, hi, block):
-            e = min(b + block, hi)
-            for a, paths in enumerate(_fft_paths(dW[b - lo : e - lo, :, 0], profiles)):
-                out[a, b:e] = level_variations(paths, n_levels)
+    work = _fft_work(block, N)
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios,
+                                          rows=block):
+        for a, paths in enumerate(_fft_paths(dW[:, :, 0], spectra, work)):
+            out[a, lo:hi] = level_variations(paths, n_levels)
+        del dW  # with increment_blocks' own del, one block is alive while the next is drawn
     return out

@@ -403,6 +403,21 @@ class TestPowerLawIntegrandMemory:
         assert phi.weights.shape == (1, 2048, 1, 4097)
         assert peak <= 8 * 2**20
 
+    def test_general_kernel_conditions_in_slot_blocks(self):
+        # whole-weights |w| and w * w temporaries would be 64 MB each here
+        tg = TimeGrid(1.0, 2048)
+        phi, _ = power_law_integrand(0.75, tg, 4096)
+        V = np.linspace(0.0, 1.0, tg.n_steps + 1)[None]
+        general_kernel_conditions(phi, V)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            out = general_kernel_conditions(phi, V)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["c63"]["finite"] and out["c64"]["finite"]
+        assert peak <= 16 * 2**20, peak
+
 
 class TestConditionEvaluatorMemory:
     def test_peak_does_not_scale_with_scenarios(self):
@@ -528,6 +543,25 @@ class TestGeneralKernelConditions:
         c63, c64 = self.psi_oracle(psi, np.asarray(phi.rho), V)
         assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
         assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
+
+    def test_slot_blocks_equal_whole_weights_sums(self):
+        # 300 slots of 2 x 200 atoms span four slot blocks; the sums of the
+        # whole weights array are the reference, bit for bit
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=(3, 300, 2, 200))
+        rho = rng.uniform(0.0, 0.5, size=(3, 300, 200))
+        rho[:, :, ::5] = 0.0
+        V = np.linspace(0.0, 2.0, 301)[None]
+        phi = kernel_process(CompactGrid(1.0, 199), psi, rho)
+        w, r = phi.weights, rho[:, :, None, :]
+        sq = w * w
+        np.divide(sq, r, out=sq, where=r > 0)
+        dV = np.diff(V, axis=1)
+        c63 = running_sum(np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2) * dV)
+        c64 = running_sum(rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV)
+        out = general_kernel_conditions(phi, V)
+        assert out["c63"]["sup"] == float(np.max(c63))
+        assert out["c64"]["sup"] == float(np.max(c64))
 
     def test_requires_kernel_payload(self):
         from mvstoch.integrands import MeasureProcess

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvstoch.drivers import (
+    SCENARIO_CHUNK,
     DriverSpec,
     PredictablePath,
     ScenarioSet,
@@ -10,6 +11,7 @@ from mvstoch.drivers import (
     control_inequality_check,
     control_process,
     energy_integral,
+    increment_blocks,
     ito_integral,
     localizing_sequence,
     running_sum,
@@ -81,6 +83,44 @@ class TestSimulateDriver:
         sc = ScenarioSet.tree(2, 3)
         with pytest.raises(ValueError):
             simulate_driver(DriverSpec("compound_poisson", jump_rate=1.0, jump_std=1.0), tg, sc)
+
+
+class TestIncrementRowBlocks:
+    """Row blocks of a chunk are the chunk's own draw, in order."""
+
+    P = SCENARIO_CHUNK + 3  # crosses a chunk boundary
+
+    @pytest.mark.parametrize("spec", [DriverSpec("brownian", d=2, vol=0.8),
+                                      DriverSpec("fv_drift", drift=1.5),
+                                      DriverSpec("mixture", vol=0.7, drift=-0.3)])
+    @pytest.mark.parametrize("rows", [1, 7, 64, SCENARIO_CHUNK])
+    def test_blocks_concatenate_to_whole_chunks(self, spec, rows):
+        tg = TimeGrid(1.0, 5)
+        whole = [inc for _, _, inc, _ in increment_blocks(spec, tg, 17, self.P)]
+        bounds, blocks = [], []
+        for lo, hi, inc, jumps in increment_blocks(spec, tg, 17, self.P, rows=rows):
+            assert jumps is None and inc.shape == (hi - lo, 5, spec.d)
+            assert hi - lo <= rows and lo // SCENARIO_CHUNK == (hi - 1) // SCENARIO_CHUNK
+            bounds.append((lo, hi))
+            blocks.append(inc)
+        assert [hi for _, hi in bounds[:-1]] == [lo for lo, _ in bounds[1:]]
+        assert bounds[0][0] == 0 and bounds[-1][1] == self.P
+        assert np.array_equal(np.concatenate(blocks), np.concatenate(whole))
+
+    @pytest.mark.parametrize("rows", [0, -1])
+    def test_rows_must_be_positive(self, rows):
+        with pytest.raises(ValueError):
+            next(increment_blocks(DriverSpec("brownian"), TimeGrid(1.0, 4), 3, self.P, rows=rows))
+
+    @pytest.mark.parametrize("spec", [
+        DriverSpec("compound_poisson", jump_rate=2.0, jump_std=0.5),
+        DriverSpec("mixture", vol=0.5, jump_rate=1.0, jump_mean=0.2)])
+    def test_jump_driver_takes_whole_chunks_only(self, spec):
+        tg = TimeGrid(1.0, 4)
+        with pytest.raises(ValueError):
+            next(increment_blocks(spec, tg, 3, self.P, rows=SCENARIO_CHUNK - 1))
+        lo, hi, _, jumps = next(increment_blocks(spec, tg, 3, self.P))
+        assert (lo, hi) == (0, SCENARIO_CHUNK) and jumps is not None
 
 
 class TestControlProcess:

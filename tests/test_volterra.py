@@ -141,6 +141,26 @@ class TestSharedBrownianSource:
             tracemalloc.stop()
         assert peak <= 1.3 * chunk_bytes, (peak, chunk_bytes)
 
+    @pytest.mark.parametrize("sampler", ["terminals", "paths"])
+    def test_peak_flat_in_scenarios(self, sampler):
+        # one draw block against a whole chunk of blocks: a whole-chunk draw
+        # would hold 4096 rows of normals, 64 MB here
+        tg = TimeGrid(1.0, 2048)
+        if sampler == "terminals":
+            run = lambda P: power_volterra_terminals([0.75], [tg.n_steps], tg, P, seed=3)
+        else:
+            run = lambda P: power_volterra_paths([0.75], tg, P, seed=3, n_levels=3)
+        peaks = {}
+        for P in (vol.DRAW_ROWS, SCENARIO_CHUNK):
+            run(P)  # one-time set-up untraced
+            tracemalloc.start()
+            try:
+                run(P)
+                peaks[P] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[vol.DRAW_ROWS], peaks
+
     def test_batched_exponents_equal_single_calls(self):
         tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
         batched = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=5)
