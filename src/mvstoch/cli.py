@@ -12,8 +12,8 @@ Usage: ``mvstoch <subcommand> --config cfg.json [--out DIR] [--seed N]``.
 The config is a JSON object; every tolerance and probe parameter is read
 from it (see the README for the schema and defaults).  ``--seed`` overrides
 the scenario seed, ``--out`` the output directory.  Computations are
-deterministic ordered reductions; any data parallelism is delegated to the
-linear-algebra backend.
+deterministic; pairings of measures with test functions are BLAS matmuls
+kept on one thread, so results do not depend on the BLAS thread count.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical

@@ -479,11 +479,13 @@ def ito_integral(H: PredictablePath, S: DriverPath, upto: StoppingRule | None = 
     With ``upto`` the integral of H against the driver frozen strictly
     before tau: only increments with right endpoint <= tau - 1 contribute.
     """
-    if H.n_steps != S.timegrid.n_steps:
-        raise ValueError("time grid mismatch between integrand and driver")
-    if H.d != S.spec.d:
-        raise ValueError("component count mismatch")
-    inc = _masked_increments(S, upto)
+    return _ito_sum(H, _masked_increments(S, upto))
+
+
+def _ito_sum(H: PredictablePath, inc: np.ndarray) -> np.ndarray:
+    """``ito_integral`` against the (P, N, d) increments ``_masked_increments`` returned."""
+    if H.values.shape[1:] != inc.shape[1:]:
+        raise ValueError("integrand and driver differ in time grid or component count")
     return running_sum(np.sum(H.values * inc, axis=2))
 
 
@@ -541,9 +543,10 @@ def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[
     """
     probs = S.scenarios.probs
     v_pre = tau.left_limit(V)
+    inc = _masked_increments(S, tau)  # one mask for all integrands
     rows = []
     for H in integrands:
-        stopped = ito_integral(H, S, upto=tau)
+        stopped = _ito_sum(H, inc)
         lhs_p = np.max(stopped**2, axis=1)
         rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
         lhs = float(probs @ lhs_p)

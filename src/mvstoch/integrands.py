@@ -15,8 +15,9 @@ share one dense payload ``weights`` of shape (P or 1, N, d, J + 1):
     by the volterra module).
 
 Evaluating against a test function yields a predictable interval path, so
-all seminorm machinery reduces to weighted finite sums.  The aggregate
-seminorm over a test family,
+all seminorm machinery reduces to weighted finite sums.  Evaluations and
+the weak* distances pair through ``_pair_rows``, one BLAS matmul per
+scenario.  The aggregate seminorm over a test family,
 
     q(phi)^2 = sum_k gamma_k * ||phi(u_k)||^2_{L2(pre-tau weights)},
 
@@ -35,7 +36,7 @@ net enumeration is deterministic and documented in
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
-single-threaded and deterministic.
+deterministic, and each BLAS call in it stays on one thread.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ __all__ = [
 ]
 
 NET_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call; OpenBLAS threads a larger gemm
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def evaluate(phi: MeasureProcess, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     if f.shape != (phi.grid.n_atoms,):
         raise ValueError("test function does not match the grid")
-    vals = np.einsum("pnij,j->pni", phi.weights, f)
+    vals = _pair_rows(phi.weights, f[None]).reshape(phi.weights.shape[:3])
     path = PredictablePath(vals)
     if scenarios is not None and scenarios.is_tree and phi.is_random:
         path.check_adapted(scenarios)
@@ -205,42 +207,61 @@ def variation_path(phi: MeasureProcess) -> np.ndarray:
     return np.sum(np.abs(phi.weights), axis=3)
 
 
+def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Pair measures (P, ..., J + 1) with test functions (K, J + 1): (P, R, K), the middle
+    axes read as R rows in C order (a view for d = 1, strided weights too); ``out`` may be a
+    transposed view.  BLAS matmuls batched over scenarios, at most ``PAIR_ENTRIES`` per scenario:
+    a threaded gemm rounds by thread count, and one over all P R rows spins a second thread."""
+    rows = measures.reshape(measures.shape[0], -1, measures.shape[-1])
+    out = np.empty(rows.shape[:2] + (len(functions),)) if out is None else out
+    step = max(1, PAIR_ENTRIES // max(1, functions.size))
+    for lo in range(0, rows.shape[1], step):
+        np.matmul(rows[:, lo : lo + step], functions.T, out=out[:, lo : lo + step])
+    return out
+
+
 def _family_evals(phi: MeasureProcess, functions: np.ndarray) -> np.ndarray:
     """Pairings with every row of ``functions`` (K, J + 1); shape (P, N, K, d)."""
-    return np.einsum("pnij,kj->pnki", phi.weights, functions)
+    return _pair_rows(phi.weights, functions).reshape(phi.weights.shape[:3] + (-1,)).swapaxes(2, 3)
 
 
 def _weighted_sq_norms(evals: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Squared weighted L2 norms of the (P, N, K, d) evaluations against the
     (P, N) stopping weights, one per family member: (K,)."""
-    sq = np.sum(evals * evals, axis=3)  # (P, N, K)
+    sq = evals[..., 0] * evals[..., 0]  # (P, N, K), summed over components in np.sum's order
+    for i in range(1, evals.shape[3]):  # without a second evaluation-sized temporary
+        sq += evals[..., i] * evals[..., i]
     return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
 
 
 def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
-                       V: np.ndarray, scenarios: ScenarioSet,
-                       minus: MeasureProcess | None = None) -> float:
+                       V: np.ndarray, scenarios: ScenarioSet, minus: MeasureProcess | None = None,
+                       evals: np.ndarray | None = None, w: np.ndarray | None = None) -> float:
     """Aggregate L2 seminorm of the integrand over the test family.
 
     With ``minus`` the seminorm of the difference (evaluations subtract;
-    no measure-level arithmetic is needed).
+    no measure-level arithmetic is needed).  A caller that already holds
+    phi's ``_family_evals`` and the ``stopping_weights`` passes them.
     """
-    evals = _family_evals(phi, fam.functions)
+    evals = _family_evals(phi, fam.functions) if evals is None else evals
     if minus is not None:
         evals = evals - _family_evals(minus, fam.functions)
-    w = stopping_weights(tau, V, scenarios)
+    w = stopping_weights(tau, V, scenarios) if w is None else w
     return float(np.sqrt(fam.gammas @ _weighted_sq_norms(evals, w)))
 
 
-def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
-                        V: np.ndarray, scenarios: ScenarioSet) -> dict:
+def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
+                        scenarios: ScenarioSet, evals: np.ndarray | None = None,
+                        w: np.ndarray | None = None) -> dict:
     """Bracket the norm of f -> phi(f) as a map into the weighted L2 space.
 
     lower: best ratio over the family members; upper: weighted L2 norm of
-    the variation path, which dominates every ratio.
+    the variation path, which dominates every ratio.  ``evals`` and ``w``
+    as for ``integrand_seminorm``.
     """
-    w = stopping_weights(tau, V, scenarios)
-    norms = np.sqrt(_weighted_sq_norms(_family_evals(phi, fam.functions), w))
+    evals = _family_evals(phi, fam.functions) if evals is None else evals
+    w = stopping_weights(tau, V, scenarios) if w is None else w
+    norms = np.sqrt(_weighted_sq_norms(evals, w))
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
     lower = float(np.max(ratios))
@@ -340,15 +361,13 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
     run = np.cumsum(fresh).reshape(N, P).T - 1  # (P, N) run index of every pair
     heads = evals.transpose(1, 0, 2, 3)[fresh]  # (U, K, d), one row per run
     dists = np.empty((len(heads), len(net)))
-    for j, m in enumerate(net):
-        b = fam.evaluate_measure(m)  # (K, d) or (K,)
-        b = b if b.ndim == 2 else b[:, None]
-        gap = heads - b[None]
+    net_w = np.stack([m.weights for m in net])
+    for j, b in enumerate(_pair_rows(net_w, fam.functions)):  # (d, K)
+        gap = heads - b.T[None]
         dists[:, j] = np.einsum("k,uk->u", fam.delta_weights, np.sqrt(np.sum(gap * gap, axis=2)))
     best = np.argmin(dists, axis=1)
     assignment = best[run]
     attained = dists[np.arange(len(dists)), best][run]
-    net_w = np.stack([m.weights for m in net])
     projected = MeasureProcess("kernel", phi.grid, net_w[assignment])
     return projected, assignment, attained
 
@@ -431,10 +450,13 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         net = weak_star_net(c, n, phi.grid, d=phi.d)
         projected, assignment, _ = project_to_net(phi_c, net, fam)
         elem = rectangle_refine(projected, assignment, net, scenarios)
-        q_err = integrand_seminorm(elem, fam, tau, V, scenarios, minus=phi)
+        # once per step for both reports; phi's own stay per step (kept, they raise the peak RSS)
+        evals, w = _family_evals(elem, fam.functions), stopping_weights(tau, V, scenarios)
+        q_err = integrand_seminorm(elem, fam, tau, V, scenarios, minus=phi, evals=evals, w=w)
         processes.append(elem)
         reports.append(ApproxReport(i, len(net), q_err,
-                                    continuity_constant(elem, fam, tau, V, scenarios)["lower"],
+                                    continuity_constant(elem, fam, tau, V, scenarios,
+                                                        evals=evals, w=w)["lower"],
                                     len(elem.terms or [])))
     return ApproxResult(processes, reports, reports[-1].q_error <= tol, c)
 

@@ -28,11 +28,13 @@ measure (P, J + 1) into each block's time cumsum, so it equals one
 sequential sum bit for bit.  The integral is known through its pairings:
 ``paired_charge`` pairs each block with K test functions as it is drawn
 and keeps the (P, K, N + 1) paths, which is all the interchange checks
-and the seminorms read.  The convergence transfer reads only the paired
+and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
+matmuls, which round by the rows one call holds, so by block partition but
+not by thread count).  The convergence transfer reads only the paired
 charge gap: it draws the approximant's and the target's block streams in
 step and pairs their difference.  The Volterra decomposition keeps two
 slices.  No consumer holds the dense (P, N + 1, J + 1) ensemble;
-``mv_integral`` fills it from the same blocks as a small-size reference.  Every reduction is a deterministic ordered sum.
+``mv_integral`` fills it from the same blocks as a small-size reference.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ import numpy as np
 
 from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
-from .integrands import MeasureProcess, integrability_check, _family_evals
+from .integrands import MeasureProcess, integrability_check, _family_evals, _pair_rows
 
 __all__ = [
     "charge_blocks",
@@ -93,7 +95,7 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None 
 def _pair(out: np.ndarray, lo: int, block: np.ndarray, functions: np.ndarray) -> None:
     """Pair the measures of a ``charge_blocks`` block (rows 1..) with the rows
     of ``functions`` into their times in out (P, K, N + 1)."""
-    np.einsum("plj,kj->pkl", block[:, 1:], functions, out=out[:, :, lo + 1 : lo + block.shape[1]])
+    _pair_rows(block[:, 1:], functions, out=out[:, :, lo + 1 : lo + block.shape[1]].swapaxes(1, 2))
 
 
 def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,

@@ -344,6 +344,40 @@ class TestDeterminismAcrossSubcommands:
         assert main(["approx", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "approx_report.csv").read_bytes() == (out2 / "approx_report.csv").read_bytes()
 
+    @pytest.mark.parametrize("subcommand", ["fubini", "approx"])
+    def test_reports_independent_of_blas_threads(self, tmp_path, subcommand):
+        if subcommand == "fubini":
+            # a one-row integrand on 1025 atoms with 45 test functions: unbounded, its
+            # pairings would be gemms large enough for OpenBLAS to split across threads
+            weights = np.random.default_rng(12).uniform(-1, 1, size=(1, 1025)).tolist()
+            cfg = fubini_config(tmp_path, time={"T": 1.0, "N": 128}, grid={"J": 1024},
+                                scenarios={"mode": "monte_carlo", "count": 4, "seed": 3},
+                                test_family={"k_max": 40},
+                                integrand={"kind": "elementary",
+                                           "terms": [{"weights": weights, "start": 0, "stop": 128}]})
+        else:
+            cfg = write_config(tmp_path, "approx_threads.json", {
+                "time": {"T": 4.0, "N": 3},
+                "grid": {"J": 8, "T_K": 1.0},
+                "scenarios": {"mode": "tree", "branching": 2, "depth": 3},
+                "driver": {"kind": "brownian"},
+                "integrand": {"kind": "random_lattice", "count": 2, "seed": 2024, "ball": 1.0},
+                "schedule": [4, 16, 64],
+            })
+        src = str(Path(mvstoch.__file__).resolve().parent.parent)
+        reports = []
+        for threads in ("1", None):  # one BLAS thread, then the library's default
+            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+            env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"out_{threads}"
+            subprocess.run([sys.executable, "-m", "mvstoch.cli", subcommand, "--config", cfg,
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+            reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(reports[0]) == 2
+        assert reports[0] == reports[1]
+
     def test_conditions_outputs_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, "cond_det.json", {
             "time": {"T": 1.0, "N": 64},

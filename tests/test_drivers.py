@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -373,6 +375,42 @@ class TestControlInequality:
         tau = StoppingRule.never(sc, 32)
         rep = control_inequality_check(path, path.control, hs, tau)
         assert rep["min_margin"] >= -3 * rep["min_margin_se"]
+
+    def test_one_mask_for_all_integrands(self, monkeypatch):
+        path = brownian_path(P=300, N=16, T=4.0)
+        rng = np.random.default_rng(6)
+        hs = [PredictablePath(rng.uniform(-1, 1, size=(1, 16, 1))) for _ in range(4)]
+        hs.append(PredictablePath(rng.normal(size=(300, 16, 1))))
+        tau = StoppingRule(rng.integers(0, 18, size=300), 16)
+        # the per-integrand path: one ito_integral, so one mask, per integrand
+        probs, v_pre = path.scenarios.probs, tau.left_limit(path.control)
+        expected = []
+        for H in hs:
+            lhs_p = np.max(ito_integral(H, path, upto=tau) ** 2, axis=1)
+            rhs_p = v_pre * tau.left_limit(energy_integral(H, path.control))
+            diff = rhs_p - lhs_p
+            mean_diff = float(probs @ diff)
+            se = math.sqrt(float(probs @ (diff - mean_diff) ** 2) / len(diff))
+            lhs, rhs = float(probs @ lhs_p), float(probs @ rhs_p)
+            expected.append({"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "se": se})
+        masks = []
+        original = StoppingRule.increment_mask
+
+        def counting(self):
+            masks.append(1)
+            return original(self)
+
+        monkeypatch.setattr(StoppingRule, "increment_mask", counting)
+        rep = control_inequality_check(path, path.control, hs, tau)
+        assert len(masks) == 1
+        assert rep["per_integrand"] == expected  # bit for bit
+
+    def test_integrand_must_match_the_driver(self):
+        path = brownian_path(P=4, N=8)
+        tau = StoppingRule.never(path.scenarios, 8)
+        for bad in (np.ones((1, 9, 1)), np.ones((1, 8, 2))):
+            with pytest.raises(ValueError):
+                control_inequality_check(path, path.control, [PredictablePath(bad)], tau)
 
 
 class TestPredictablePath:

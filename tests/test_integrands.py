@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from mvstoch import integrands
 from mvstoch.dominated import power_law_integrand
-from mvstoch.drivers import ScenarioSet, StoppingRule, TimeGrid
+from mvstoch.drivers import ScenarioSet, StoppingRule, TimeGrid, stopping_weights
 from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family, weak_star_delta
 from mvstoch.integrands import (
     ElementaryTerm,
     MeasureProcess,
+    _pair_rows,
     approximate_elementary,
     continuity_constant,
     elementary_process,
@@ -128,6 +130,28 @@ class TestIntegrandSeminorm:
         tau = StoppingRule.never(sc, 1)
         q = integrand_seminorm(phi, fam, tau, V, sc)
         assert q == pytest.approx(math.sqrt(0.5 * 1 * 1 * 4 + 0.5 * 2 * 2 * 4))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_shared_evaluations_hold_two_more_arrays(self, d):
+        # the caller keeps its evaluations; the difference seminorm then holds
+        # minus's evaluations and the difference, and squares without a third
+        import tracemalloc
+
+        rng = np.random.default_rng(9)
+        sc, tg = ScenarioSet.monte_carlo(512, 0), TimeGrid(1.0, 16)
+        a = random_kernel(self.grid, 16, rng, P=512, d=d)
+        b = random_kernel(self.grid, 16, rng, P=512, d=d)
+        fam = build_test_family(self.grid, 40)
+        V, tau = identity_control(tg, 512), StoppingRule.never(sc, 16)
+        evals, w = integrands._family_evals(a, fam.functions), stopping_weights(tau, V, sc)
+        tracemalloc.start()
+        try:
+            q = integrand_seminorm(a, fam, tau, V, sc, minus=b, evals=evals, w=w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == integrand_seminorm(a, fam, tau, V, sc, minus=b)
+        assert peak <= 2.25 * evals.nbytes  # 2.99 with np.sum(evals * evals, axis=3)
 
 
 class TestContinuityConstant:
@@ -278,14 +302,75 @@ class TestProjectToNet:
             project_to_net(phi, [], self.fam)
 
 
+class TestPairRows:
+    """The one helper that pairs measures with test functions, against einsum."""
+
+    @staticmethod
+    def weights(case):
+        rng = np.random.default_rng(31)
+        if case == "strided_view":  # make_dominated's read-only sliding window, d = 1
+            phi, _ = power_law_integrand(0.75, TimeGrid(1.0, 64), 256)
+            assert not phi.weights.flags.writeable and phi.weights.strides[1] < 0
+            return phi.weights
+        P, N, d, n_atoms = {"d1": (5, 8, 1, 6), "d2": (3, 4, 2, 7), "one_row": (1, 16, 1, 33),
+                            "odd_rows": (7, 13, 1, 5)}[case]
+        return rng.normal(size=(P, N, d, n_atoms))
+
+    @pytest.mark.parametrize("pair_entries", [integrands.PAIR_ENTRIES, 40])
+    @pytest.mark.parametrize("case", ["d1", "d2", "one_row", "odd_rows", "strided_view"])
+    def test_within_rounding_of_einsum(self, monkeypatch, case, pair_entries):
+        w = self.weights(case)
+        n_atoms = w.shape[3]
+        f = np.random.default_rng(32).uniform(-1, 1, size=(9, n_atoms))
+        calls = []
+        matmul = np.matmul
+
+        def recording(a, b, out=None):
+            calls.append(a.shape[-2] * a.shape[-1] * b.shape[-1])  # multiply-adds per scenario
+            return matmul(a, b, out=out)
+
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", pair_entries)
+        monkeypatch.setattr(np, "matmul", recording)
+        got = _pair_rows(w, f)
+        monkeypatch.undo()
+        assert calls and max(calls) <= max(pair_entries, f.size)  # one row may exceed a small cap
+        P, N, d, _ = w.shape
+        ref = np.einsum("pnij,kj->pnik", w, f).reshape(P, N * d, len(f))
+        # |fl(w . f) - w . f| <= gamma_n |w| . |f| for either order of the n = J + 1 products
+        u = np.finfo(float).eps / 2
+        gamma = n_atoms * u / (1 - n_atoms * u)
+        bound = 2 * gamma * np.einsum("pnij,kj->pnik", np.abs(w), np.abs(f)).reshape(ref.shape)
+        assert got.shape == ref.shape
+        assert np.all(np.abs(got - ref) <= bound)
+
+    def test_strided_view_is_not_copied(self):
+        import tracemalloc
+
+        phi, _ = power_law_integrand(0.75, TimeGrid(1.0, 512), 4096)
+        f = build_test_family(phi.grid, 3).functions
+        dense = phi.weights.shape[1] * phi.weights.shape[3] * 8  # 16.8 MB as a dense array
+        tracemalloc.start()
+        try:
+            out = _pair_rows(phi.weights, f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1, 512, 3)
+        assert peak <= out.nbytes + 64 * 1024  # the output, no copy of the weights
+        assert peak < dense / 100
+
+
 def _project_loop(phi, net, fam):
-    """Reference: the weak* distance for every (scenario, slot) pair, (P, N, len(net))."""
-    evals = np.einsum("pnij,kj->pnki", phi.weights, fam.functions)
-    P, N = evals.shape[:2]
+    """Reference: the weak* distance for every (scenario, slot) pair, (P, N, len(net)).
+
+    Pairs through the package's helper, as ``project_to_net`` does, so that
+    the run-split distances compare bit for bit.
+    """
+    P, N, d, _ = phi.weights.shape
+    evals = _pair_rows(phi.weights, fam.functions).reshape(P, N, d, -1).swapaxes(2, 3)
     dists = np.empty((P, N, len(net)))
     for j, m in enumerate(net):
-        b = fam.evaluate_measure(m)
-        b = b if b.ndim == 2 else b[:, None]
+        b = _pair_rows(m.weights[None], fam.functions)[0].T  # (K, d)
         gap = evals - b[None, None]
         dists[:, :, j] = np.einsum("k,pnk->pn", fam.delta_weights,
                                    np.sqrt(np.sum(gap * gap, axis=3)))
@@ -451,6 +536,32 @@ class TestApproximateElementary:
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] <= 1e-6
         assert result.converged and result.monotone
+
+    def test_each_approximant_evaluated_once_per_step(self, monkeypatch):
+        phi = random_lattice_process(self.grid, self.tg, self.sc, np.random.default_rng(2024), c=1.0)
+        calls = {"evals": 0, "weights": 0}
+        evals, weights = integrands._family_evals, integrands.stopping_weights
+
+        def counting_evals(*args):
+            calls["evals"] += 1
+            return evals(*args)
+
+        def counting_weights(*args):
+            calls["weights"] += 1
+            return weights(*args)
+
+        monkeypatch.setattr(integrands, "_family_evals", counting_evals)
+        monkeypatch.setattr(integrands, "stopping_weights", counting_weights)
+        result = approximate_elementary(phi, self.tau, self.V, self.fam, self.sc,
+                                        schedule=(4, 16, 64), c=1.0)
+        # per step: the truncated input in project_to_net, the approximant, and phi
+        assert calls == {"evals": 3 * 3, "weights": 3}
+        monkeypatch.undo()
+        for elem, rep in zip(result.processes, result.reports):
+            assert rep.q_error == integrand_seminorm(elem, self.fam, self.tau, self.V, self.sc,
+                                                     minus=phi)
+            assert rep.uniform_constant == continuity_constant(elem, self.fam, self.tau, self.V,
+                                                               self.sc)["lower"]
 
     def test_unconverged_flag(self):
         rng = np.random.default_rng(3)

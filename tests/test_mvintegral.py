@@ -19,6 +19,7 @@ from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
 from mvstoch.integrands import (
     ElementaryTerm,
     MeasureProcess,
+    _pair_rows,
     approximate_elementary,
     elementary_process,
     evaluate,
@@ -49,9 +50,21 @@ def identity_control(timegrid, P):
     return np.broadcast_to(timegrid.times, (P, timegrid.n_steps + 1)).copy()
 
 
-def pair(charge, functions):
-    """Pair a dense (P, N + 1, J + 1) charge with K grid functions: (P, K, N + 1)."""
-    return np.einsum("plj,kj->pkl", charge, functions)
+def pair(charge, functions, step=None):
+    """Pair a dense (P, N + 1, J + 1) charge with K grid functions: (P, K, N + 1).
+
+    Through the package's pairing helper, into the transposed layout of
+    ``paired_charge``, times 1.. in blocks of ``step`` (default: all at once).
+    A BLAS matmul rounds by how many rows it holds, so the dense fill paired
+    in the time blocks ``charge_blocks`` draws equals the block stream bit for
+    bit.  ``TestPairRows`` bounds the helper against einsum.
+    """
+    P, n1, _ = charge.shape
+    out = np.zeros((P, len(functions), n1))
+    step = step or n1 - 1
+    for lo in range(1, n1, step):
+        _pair_rows(charge[:, lo : lo + step], functions, out=out[:, :, lo : lo + step].swapaxes(1, 2))
+    return out
 
 
 class TestMvIntegral:
@@ -196,10 +209,11 @@ class TestChargeBlocks:
         monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
         dense = dense_charge_oracle(phi, S, tau)
         assert np.array_equal(mv_integral(phi, S, upto=tau), dense)
-        assert np.array_equal(paired_charge(phi, S, functions, upto=tau), pair(dense, functions))
+        step = next(charge_blocks(phi, S, tau))[1].shape[1] - 1  # times per block
+        assert np.array_equal(paired_charge(phi, S, functions, upto=tau), pair(dense, functions, step))
         # the in-step difference pairs as the difference of the dense charges
         gap = mvintegral._paired_gap(phi, psi, S, functions, tau)
-        assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions))
+        assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions, step))
 
     def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):
         S = brownian(3, 10)
