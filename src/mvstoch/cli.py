@@ -13,7 +13,8 @@ The config is a JSON object; every tolerance and probe parameter is read
 from it (see the README for the schema and defaults).  ``--seed`` overrides
 the scenario seed, ``--out`` the output directory.  Computations are
 deterministic; pairings of measures with test functions are BLAS matmuls
-kept on one thread, so results do not depend on the BLAS thread count.
+kept on one thread, and the roughness diagnostic runs on up to two threads
+(``drivers.pull_blocks``): results depend on neither thread count.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical

@@ -19,10 +19,10 @@ Discrete-time conventions used throughout the package:
 Two scenario models are supported.  Monte Carlo ensembles come from one
 seeded block source, ``increment_blocks``, which the driver simulator and
 the power-kernel samplers in ``volterra`` share (the tests check that they
-agree), so ensembles are reproducible and could be generated per block
-concurrently.  A consumer that reads a few rows at a time asks for blocks
-of that many rows, which are the same numbers as the 4096-scenario chunks
-``simulate_driver`` takes whole; jump drivers come in whole chunks only.
+agree), so ensembles are reproducible.  A consumer that reads a few rows
+at a time asks for blocks of that many rows (the numbers of the 4096-scenario
+chunks ``simulate_driver`` takes whole; jump drivers take whole chunks only),
+and may consume them on up to two threads (``pull_blocks``), to the same results.
 Paths accumulate through one ``running_sum`` and every reduction is a
 deterministic ordered sum.  Scenario trees carry an explicit per-level
 partition into filtration atoms (scenario indices are arranged so atoms are
@@ -51,9 +51,11 @@ Doob bound makes the margin certain.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "PredictablePath",
     "StoppingRule",
     "increment_blocks",
+    "pull_blocks",
     "simulate_driver",
     "running_sum",
     "control_process",
@@ -76,6 +79,7 @@ __all__ = [
 ]
 
 SCENARIO_CHUNK = 4096  # fixed: scenario i always lands in chunk i // SCENARIO_CHUNK
+WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads of ``pull_blocks``
 C_MIX = 4.0
 EPS_FV = 1e-9
 
@@ -186,21 +190,6 @@ class ScenarioSet:
         per_atom = v.reshape((-1, block) + v.shape[1:])
         return not np.any(np.abs(per_atom - per_atom[:, :1]) > tol)
 
-    def random_predictable(self, rng: np.random.Generator, n_steps: int, d: int = 1,
-                           scale: float = 1.0) -> "PredictablePath":
-        """Adapted random interval values: slot j drawn per level-j atom."""
-        if self.is_tree:
-            if n_steps != self.depth:
-                raise ValueError("tree depth must match the time grid")
-            vals = np.empty((self.n_scenarios, n_steps, d))
-            for j in range(n_steps):
-                ids = self.atom_ids(j)
-                per_atom = rng.uniform(-scale, scale, size=(ids[-1] + 1, d))
-                vals[:, j, :] = per_atom[ids]
-        else:
-            vals = rng.uniform(-scale, scale, size=(self.n_scenarios, n_steps, d))
-        return PredictablePath(vals)
-
 
 @dataclass(frozen=True)
 class DriverSpec:
@@ -280,10 +269,6 @@ class StoppingRule:
     @classmethod
     def never(cls, scenarios: ScenarioSet, n_steps: int) -> "StoppingRule":
         return cls(np.full(scenarios.n_scenarios, n_steps + 1), n_steps)
-
-    @classmethod
-    def at_index(cls, scenarios: ScenarioSet, n_steps: int, index: int) -> "StoppingRule":
-        return cls(np.full(scenarios.n_scenarios, index), n_steps)
 
     def increment_mask(self) -> np.ndarray:
         """(P, N) bool: slot j kept iff its right endpoint j + 1 <= tau - 1."""
@@ -403,6 +388,35 @@ def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenario
             del inc, jumps  # free this block before the next one is drawn
 
 
+def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple]) -> None:
+    """Call ``consume(worker, block)`` on every block on WORKERS threads, the
+    caller being worker 0.  Blocks are pulled in order under one lock, so an
+    ``increment_blocks`` generator draws as on one thread, and consumed outside
+    it (numpy releases the GIL); the first error stops the pulls and is raised here."""
+    lock, failed = threading.Lock(), []
+
+    def pull():
+        with lock:
+            return None if failed else next(blocks, None)
+
+    def work(worker: int) -> None:
+        try:
+            while (block := pull()) is not None:
+                consume(worker, block)
+                del block  # free it before this worker draws the next one
+        except BaseException as exc:  # re-raised in the caller
+            failed.append(exc)
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, WORKERS)]
+    for t in threads:
+        t.start()
+    work(0)
+    for t in threads:
+        t.join()
+    if failed:
+        raise failed[0]
+
+
 def _tree_increments(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet) -> np.ndarray:
     if spec.kind in ("compound_poisson",) or spec.jump_rate > 0:
         raise ValueError("jump drivers are not supported in tree mode")
@@ -509,13 +523,6 @@ def stopping_weights(tau: StoppingRule, V: np.ndarray, scenarios: ScenarioSet) -
     """
     dV = np.diff(V, axis=1)
     return scenarios.probs[:, None] * tau.left_limit(V)[:, None] * dV * tau.increment_mask()
-
-
-def weighted_l2_sq(weights: np.ndarray, values: np.ndarray) -> float:
-    """Squared L2 norm of interval values against stopping weights."""
-    v = values if values.ndim == 3 else values[:, :, None]
-    sq = np.sum(v * v, axis=2)
-    return float(np.sum(np.broadcast_to(sq, weights.shape) * weights))
 
 
 def localizing_sequence(V: np.ndarray, levels: Sequence[float], scenarios: ScenarioSet,

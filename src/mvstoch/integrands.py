@@ -136,10 +136,6 @@ class MeasureProcess:
             raise ValueError("scenario dimension mismatch")
         return np.broadcast_to(self.weights, (n_scenarios,) + self.weights.shape[1:])
 
-    def value_at(self, scenario: int, slot: int) -> SignedMeasureVec:
-        p = scenario if self.is_random else 0
-        return SignedMeasureVec(self.grid, self.weights[p, slot].copy())
-
     def __add__(self, other: "MeasureProcess") -> "MeasureProcess":
         if self.grid is not other.grid and self.grid != other.grid:
             raise ValueError("grid mismatch")
@@ -360,11 +356,11 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
     fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
     run = np.cumsum(fresh).reshape(N, P).T - 1  # (P, N) run index of every pair
     heads = evals.transpose(1, 0, 2, 3)[fresh]  # (U, K, d), one row per run
-    dists = np.empty((len(heads), len(net)))
+    dists, gap = np.empty((len(heads), len(net))), np.empty_like(heads)  # gap: one for all j
     net_w = np.stack([m.weights for m in net])
     for j, b in enumerate(_pair_rows(net_w, fam.functions)):  # (d, K)
-        gap = heads - b.T[None]
-        dists[:, j] = np.einsum("k,uk->u", fam.delta_weights, np.sqrt(np.sum(gap * gap, axis=2)))
+        np.square(np.subtract(heads, b.T[None], out=gap), out=gap)
+        dists[:, j] = np.einsum("k,uk->u", fam.delta_weights, np.sqrt(np.sum(gap, axis=2)))
     best = np.argmin(dists, axis=1)
     assignment = best[run]
     attained = dists[np.arange(len(dists)), best][run]

@@ -133,9 +133,10 @@ def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = 
 def maximal_seminorm(paired: np.ndarray, fam: TestFamily, probs: np.ndarray) -> float:
     """Aggregate running-sup L2 seminorm over the family, from the (P, K, N + 1)
     pairings of a charge with ``fam.functions``."""
-    M = np.max(np.abs(paired), axis=2)  # (P, K)
-    per_k = probs @ (M * M)
-    return float(np.sqrt(fam.gammas @ per_k))
+    M = np.abs(paired[:, :, 0])  # (P, K): the running sup, slice by slice, with no |paired| copy
+    for t in range(1, paired.shape[2]):
+        np.maximum(M, np.abs(paired[:, :, t]), out=M)
+    return float(np.sqrt(fam.gammas @ (probs @ (M * M))))
 
 
 def _discrepancy_rows(lhs_stack: np.ndarray, rhs_stack: np.ndarray, labels: Sequence) -> dict:

@@ -35,8 +35,9 @@ time, the rows they transform or sum next, so their memory does not grow
 with the number of scenarios; every block is transformed in the same work
 buffers.  Each block is read once for every exponent, against profile
 spectra transformed once per call, and only per-path total variations (or
-terminal values) are kept, never the ensemble.  Results do not depend on
-any parallel schedule.
+terminal values) are kept, never the ensemble.  The path sampler runs on up
+to two threads, which draw in order and write their own rows: results do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from . import drivers
 from .drivers import (
     DriverPath,
     DriverSpec,
@@ -193,9 +195,10 @@ def _profile_spectra(profiles: Sequence[np.ndarray], N: int) -> list[np.ndarray]
 
 
 def _fft_work(P: int, N: int) -> tuple[np.ndarray, ...]:
-    """Spectrum, product and path buffers of ``_fft_paths`` for P rows."""
+    """P-row buffers: ``_fft_paths``' spectrum, product and path, then level differences."""
     n = _fft_length(N)
-    return np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex), np.empty((P, n))
+    return (np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex),
+            np.empty((P, n)), np.empty((P, N)))
 
 
 def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
@@ -207,7 +210,7 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
     yielded path is overwritten by the next."""
     P, N = dW.shape
     n = _fft_length(N)
-    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N)))
+    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N))[:3])
     np.fft.rfft(dW, n, axis=1, out=spectrum)
     for s in spectra:
         np.fft.irfft(np.multiply(spectrum, s, out=product), n, axis=1, out=x)
@@ -338,14 +341,21 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
     return {"x": x, "diag": diag, "kernel_rebuild_residual": residual}
 
 
-def level_variations(Y: np.ndarray, n_levels: int = 6) -> np.ndarray:
-    """Per-path total variation keeping every 2**k-th point, (P, n_levels)."""
+def level_variations(Y: np.ndarray, n_levels: int = 6, out: np.ndarray | None = None,
+                     buf: np.ndarray | None = None) -> np.ndarray:
+    """Per-path total variation keeping every 2**k-th point, (P, n_levels), into
+    ``out``; every level's differences go into ``buf``, of at least (P, N)."""
     if n_levels < 3:
         raise ValueError("need at least three refinement levels")
-    if (Y.shape[1] - 1) % 2 ** (n_levels - 1) != 0:
+    P, N = Y.shape[0], Y.shape[1] - 1
+    if N % 2 ** (n_levels - 1) != 0:
         raise ValueError("finest grid must divide by the subsampling strides")
-    diffs = (np.diff(Y[:, :: 2**k], axis=1) for k in range(n_levels))
-    return np.stack([np.sum(np.abs(d, out=d), axis=1) for d in diffs], axis=1)
+    out = np.empty((P, n_levels)) if out is None else out
+    buf = np.empty((P, N)) if buf is None else buf
+    for k, s in enumerate(2 ** np.arange(n_levels)):
+        d = np.subtract(Y[:, s::s], Y[:, :-s:s], out=buf[:P, : N // s])
+        np.sum(np.abs(d, out=d), axis=1, out=out[:, k])
+    return out
 
 
 def semimartingale_diagnostic(tv: np.ndarray, timegrid: TimeGrid) -> dict:
@@ -407,15 +417,20 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
 def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
                          seed: int, n_levels: int = 6, block: int = DRAW_ROWS) -> np.ndarray:
     """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
-    paths on the shared Brownian blocks, (n_alpha, P, n_levels); each block of
-    ``block`` scenarios is drawn and transformed once for all exponents."""
+    paths on the shared Brownian blocks, (n_alpha, P, n_levels).  Each block is drawn
+    and transformed once for all exponents, by one of ``drivers.WORKERS`` threads
+    (``drivers.pull_blocks``) in ``block // WORKERS`` rows, into its own buffers."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
-    work = _fft_work(block, N)
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios,
-                                          rows=block):
-        for a, paths in enumerate(_fft_paths(dW[:, :, 0], spectra, work)):
-            out[a, lo:hi] = level_variations(paths, n_levels)
-        del dW  # with increment_blocks' own del, one block is alive while the next is drawn
+    rows = max(1, block // drivers.WORKERS)
+    works = [_fft_work(rows, N) for _ in range(drivers.WORKERS)]
+
+    def consume(worker: int, item: tuple) -> None:
+        lo, hi, dW, _ = item
+        for a, paths in enumerate(_fft_paths(dW[:, :, 0], spectra, works[worker])):
+            level_variations(paths, n_levels, out[a, lo:hi], works[worker][3])
+
+    drivers.pull_blocks(consume, increment_blocks(DriverSpec("brownian"), timegrid, seed,
+                                                  n_scenarios, rows=rows))
     return out

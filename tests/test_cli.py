@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mvstoch
-from mvstoch import integrands
+from mvstoch import drivers, integrands
 from mvstoch.cli import main
 from mvstoch.dominated import DominatedSpec
 
@@ -314,6 +314,11 @@ class TestImportCost:
         code = "import sys, mvstoch.cli; print('scipy.signal' in sys.modules)"
         assert self.run_fresh(code) == "False"
 
+    def test_cli_import_leaves_concurrent_futures_unloaded(self):
+        # the diagnostic's worker threads are plain threading.Threads
+        code = "import sys, mvstoch.cli; print('concurrent.futures' in sys.modules)"
+        assert self.run_fresh(code) == "False"
+
     def test_volterra_run_loads_no_scipy(self, tmp_path):
         # scipy is a test dependency only: the FFT paths use numpy.fft
         cfg = write_config(tmp_path, "volterra.json", {
@@ -376,6 +381,36 @@ class TestDeterminismAcrossSubcommands:
                             "--out", str(out)], env=env, check=True, capture_output=True)
             reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
         assert len(reports[0]) == 2
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("subcommand", ["volterra", "example7"])
+    def test_reports_independent_of_workers(self, tmp_path, monkeypatch, subcommand):
+        # 40 diagnostic scenarios: five blocks of 8 rows at two workers, three of 16 at one
+        diagnostic = {"n_steps": 64, "scenarios": 40, "levels": 3, "seed": 3}
+        if subcommand == "volterra":
+            cfg = write_config(tmp_path, "volterra_workers.json", {
+                "time": {"T": 1.0, "N": 16},
+                "scenarios": {"mode": "monte_carlo", "count": 4, "seed": 7},
+                "kernels": [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}],
+                "alphas": [0.25, 0.75],
+                "diagnostic": diagnostic,
+            })
+        else:
+            cfg = write_config(tmp_path, "ex7_workers.json", {
+                "time": {"T": 1.0, "N": 64},
+                "grid": {"J": 64},
+                "scenarios": {"seed": 11},
+                "alphas": [0.25, 1.0],
+                "isometry": {"scenarios": 200, "n_steps": 64},
+                "diagnostic": diagnostic,
+            })
+        reports = []
+        for workers in (1, 2):
+            monkeypatch.setattr(drivers, "WORKERS", workers)
+            out = tmp_path / f"out_{workers}"
+            assert main([subcommand, "--config", cfg, "--out", str(out)]) == 0
+            reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        assert len(reports[0]) >= 2
         assert reports[0] == reports[1]
 
     def test_conditions_outputs_byte_identical(self, tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from mvstoch import drivers
 from mvstoch.drivers import (
     SCENARIO_CHUNK,
     DriverSpec,
@@ -16,11 +21,17 @@ from mvstoch.drivers import (
     increment_blocks,
     ito_integral,
     localizing_sequence,
+    pull_blocks,
     running_sum,
     simulate_driver,
     stopping_weights,
-    weighted_l2_sq,
 )
+from mvstoch.integrands import _weighted_sq_norms
+
+
+def weighted_sq_norm(w, H):
+    """Squared L2 norm of the (P, N) interval values H against stopping weights."""
+    return _weighted_sq_norms(H[:, :, None, None], w)[0]
 
 
 def brownian_path(P=200, N=64, T=1.0, seed=42, vol=1.0):
@@ -123,6 +134,74 @@ class TestIncrementRowBlocks:
             next(increment_blocks(spec, tg, 3, self.P, rows=SCENARIO_CHUNK - 1))
         lo, hi, _, jumps = next(increment_blocks(spec, tg, 3, self.P))
         assert (lo, hi) == (0, SCENARIO_CHUNK) and jumps is not None
+
+
+def counted(n_blocks, pulled):
+    """Blocks 0..n_blocks-1, recording each one pulled; a generator raises if
+    two threads advance it at once."""
+    for b in range(n_blocks):
+        pulled.append(b)
+        yield b
+
+
+def run_bounded(fn, timeout=30.0):
+    """fn() on a thread joined with a timeout; returns what it raised, or None."""
+    raised = []
+
+    def target():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+
+    t = threading.Thread(target=target)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "pull_blocks did not return"
+    return raised[0] if raised else None
+
+
+class TestPullBlocks:
+    def test_workers_fit_the_cpus(self):
+        assert 1 <= drivers.WORKERS <= min(2, len(os.sched_getaffinity(0)))
+
+    def test_every_block_consumed_once_under_contention(self, monkeypatch):
+        # more workers than cores, switching threads every microsecond
+        monkeypatch.setattr(drivers, "WORKERS", 4)
+        pulled, seen = [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            err = run_bounded(lambda: pull_blocks(lambda w, b: seen.append((w, b)),
+                                                  counted(2000, pulled)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert err is None
+        assert pulled == list(range(2000))
+        assert sorted(b for _, b in seen) == pulled
+        assert {w for w, _ in seen} <= set(range(4))
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_consumer_error_reaches_the_caller_and_stops_the_pool(self, monkeypatch, failing):
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        pulled = []
+
+        def consume(worker, block):
+            if worker == failing:
+                raise RuntimeError(f"block {block}")
+            time.sleep(0.01)  # the other worker keeps pulling until it sees the error
+
+        err = run_bounded(lambda: pull_blocks(consume, counted(1000, pulled)))
+        assert isinstance(err, RuntimeError)
+        assert len(pulled) < 100, len(pulled)  # 1000 if the other worker drew on
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_jump_driver_error_surfaces(self, monkeypatch, workers):
+        monkeypatch.setattr(drivers, "WORKERS", workers)
+        spec = DriverSpec("compound_poisson", jump_rate=2.0, jump_std=0.5)
+        blocks = increment_blocks(spec, TimeGrid(1.0, 4), 3, 10, rows=8)
+        with pytest.raises(ValueError, match="whole chunks"):
+            pull_blocks(lambda w, b: None, blocks)
 
 
 class TestControlProcess:
@@ -289,7 +368,7 @@ class TestStoppingWeights:
     def test_tau_zero_all_weights_vanish(self):
         sc = ScenarioSet.monte_carlo(4, 0)
         V = np.tile(np.linspace(0, 1, 6), (4, 1))
-        tau = StoppingRule.at_index(sc, 5, 0)
+        tau = StoppingRule(np.full(sc.n_scenarios, 0), 5)
         assert np.all(stopping_weights(tau, V, sc) == 0.0)
 
     def test_tree_hand_enumeration(self):
@@ -300,7 +379,7 @@ class TestStoppingWeights:
         w = stopping_weights(tau, V, sc)
         np.testing.assert_allclose(w, [[0.5 * 1.0 * 1.0], [0.5 * 2.0 * 2.0]])
         H = np.array([[3.0], [4.0]])
-        assert weighted_l2_sq(w, H) == pytest.approx(0.5 * 9 + 2.0 * 16)  # = 36.5
+        assert weighted_sq_norm(w, H) == pytest.approx(0.5 * 9 + 2.0 * 16)  # = 36.5
 
     def test_bounded_process_bound(self):
         rng = np.random.default_rng(3)
@@ -313,7 +392,7 @@ class TestStoppingWeights:
         w = stopping_weights(tau, V, sc)
         v_pre = V[np.arange(50), tau.pre_index()]
         bound = C**2 * np.mean(v_pre * (v_pre - V[:, 0]))
-        assert weighted_l2_sq(w, H) <= bound + 1e-12
+        assert weighted_sq_norm(w, H) <= bound + 1e-12
 
 
 class TestLocalizingSequence:
@@ -416,7 +495,9 @@ class TestControlInequality:
 class TestPredictablePath:
     def test_tree_adaptedness_check(self):
         sc = ScenarioSet.tree(2, 2)
-        good = sc.random_predictable(np.random.default_rng(0), 2)
+        rng = np.random.default_rng(0)  # slot j: one uniform per level-j atom
+        good = PredictablePath(np.stack([rng.uniform(-1, 1, sc.atom_ids(j)[-1] + 1)[sc.atom_ids(j)]
+                                         for j in range(2)], axis=1)[:, :, None])
         good.check_adapted(sc)
         bad = PredictablePath(np.arange(8.0).reshape(4, 2, 1))
         with pytest.raises(AssertionError):
@@ -450,7 +531,7 @@ class TestWeightIdentity:
         tau = StoppingRule(rng.integers(0, 14, size=40), 12)
         H = rng.normal(size=(40, 12))
         w = stopping_weights(tau, V, sc)
-        lhs = weighted_l2_sq(w, H)
+        lhs = weighted_sq_norm(w, H)
         masked = H * tau.increment_mask()
         energy = energy_integral(masked, V)
         v_pre = V[np.arange(40), tau.pre_index()]

@@ -84,8 +84,7 @@ class TestVariationPath:
         fam = build_test_family(grid, (3 + 1) + 2**4)
         var = variation_path(phi)
         for slot in range(2):
-            m = phi.value_at(0, slot)
-            sup = max(float(m.weights[0] @ u) for u in fam.functions)
+            sup = max(float(phi.weights[0, slot, 0] @ u) for u in fam.functions)
             assert sup == pytest.approx(var[0, slot, 0], abs=1e-12)
 
 

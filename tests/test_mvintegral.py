@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,32 @@ class TestMaximalSeminorm:
         r = maximal_seminorm(pair(w, fam.functions), fam, np.array([0.5, 0.5]))
         assert r == pytest.approx(math.sqrt(0.5 * 9 + 0.5 * 1))
 
+    def test_equals_the_sup_of_the_absolute_pairings(self):
+        # the sup is taken as max(max, -min), without a |paired| copy: same float,
+        # on all-negative, signed-zero and NaN paths too
+        grid = CompactGrid(1.0, 3)
+        fam = build_test_family(grid, 6)
+        probs = np.full(4, 0.25)
+        paired = np.random.default_rng(3).normal(size=(4, len(fam.functions), 7))
+        paired[0] = -np.abs(paired[0])
+        paired[1, :2] = -0.0
+        oracle = float(np.sqrt(fam.gammas @ (probs @ np.max(np.abs(paired), axis=2) ** 2)))
+        assert maximal_seminorm(paired, fam, probs) == oracle
+        paired[2, 0, 3] = np.nan
+        assert math.isnan(maximal_seminorm(paired, fam, probs))
+
+    def test_holds_no_copy_of_the_pairings(self):
+        grid = CompactGrid(1.0, 3)
+        fam = build_test_family(grid, 6)
+        paired = np.random.default_rng(4).normal(size=(2048, len(fam.functions), 33))
+        tracemalloc.start()
+        try:
+            maximal_seminorm(paired, fam, np.full(2048, 1 / 2048))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < paired.nbytes / 4  # (P, K) arrays only; a |paired| copy is all of it
+
 
 class TestFubiniRegular:
     def test_elementary_exact(self):
@@ -433,7 +460,7 @@ class TestSeminormDomination:
         fam = build_test_family(grid, 8)
         m = SignedMeasureVec(grid, np.array([[0.4, -0.2, 0.6, 0.0, -0.3]]))
         phi = elementary_process(grid, 32, [ElementaryTerm(m, 0, 32)])
-        tau = StoppingRule.at_index(S.scenarios, 32, 32)
+        tau = StoppingRule(np.full(S.scenarios.n_scenarios, 32), 32)
         out = seminorm_domination_check(phi, S, S.control, tau, fam)
         assert out["holds"]
 

@@ -2,8 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mvstoch import mvintegral
+from mvstoch import drivers, mvintegral
 from mvstoch import volterra as vol
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
@@ -98,6 +100,19 @@ class TestVolterraDirect:
             np.testing.assert_allclose(term[:, c], direct, atol=1e-12)
 
 
+def serial_paths(alphas, tg, P, seed, n_levels):
+    """power_volterra_paths as one thread's loop over DRAW_ROWS-row blocks, with
+    np.diff for the level differences."""
+    N = tg.n_steps
+    spectra = vol._profile_spectra([(np.arange(N + 1) * tg.dt) ** a for a in alphas], N)
+    out = np.empty((len(alphas), P, n_levels))
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=vol.DRAW_ROWS):
+        for a, paths in enumerate(vol._fft_paths(dW[:, :, 0], spectra)):
+            diffs = [np.diff(paths[:, :: 2**k], axis=1) for k in range(n_levels)]
+            out[a, lo:hi] = np.stack([np.sum(np.abs(d), axis=1) for d in diffs], axis=1)
+    return out
+
+
 class TestSharedBrownianSource:
     """The streamed power-kernel samplers read the driver simulate_driver builds."""
 
@@ -160,6 +175,31 @@ class TestSharedBrownianSource:
             finally:
                 tracemalloc.stop()
         assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[vol.DRAW_ROWS], peaks
+
+    def test_two_workers_hold_one_block_of_rows(self, monkeypatch):
+        # each of two workers draws DRAW_ROWS // 2 rows into its own half-size
+        # buffers (measured 1.09x one worker's peak; 1.96x at DRAW_ROWS each)
+        tg, peaks = TimeGrid(1.0, 2048), {}
+        for workers in (1, 2):
+            monkeypatch.setattr(drivers, "WORKERS", workers)
+            power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3)  # set-up untraced
+            tracemalloc.start()
+            try:
+                power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3)
+                peaks[workers] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2] <= 1.3 * peaks[1], peaks
+
+    @given(P=st.integers(1, SCENARIO_CHUNK + 3), block=st.integers(1, 40),
+           n_levels=st.integers(3, 5), workers=st.sampled_from([1, 2]))
+    @settings(max_examples=20, deadline=None)
+    def test_paths_equal_the_serial_block_loop(self, P, block, n_levels, workers):
+        tg, alphas = TimeGrid(1.0, 2 ** (n_levels - 1) * 3), (0.25, 0.75)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "WORKERS", workers)
+            tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels, block=block)
+        assert np.array_equal(tv, serial_paths(alphas, tg, P, 29, n_levels))
 
     def test_batched_exponents_equal_single_calls(self):
         tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
