@@ -13,7 +13,7 @@ The config is a JSON object; every tolerance and probe parameter is read
 from it (see the README for the schema and defaults).  ``--seed`` overrides
 the scenario seed, ``--out`` the output directory.  Computations are
 deterministic; pairings of measures with test functions are BLAS matmuls
-kept on one thread, and the roughness diagnostic runs on up to two threads
+kept on one thread, and the Monte Carlo samplers run on up to two threads
 (``drivers.pull_blocks``): results depend on neither thread count.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.

@@ -22,7 +22,8 @@ the power-kernel samplers in ``volterra`` share (the tests check that they
 agree), so ensembles are reproducible.  A consumer that reads a few rows
 at a time asks for blocks of that many rows (the numbers of the 4096-scenario
 chunks ``simulate_driver`` takes whole; jump drivers take whole chunks only),
-and may consume them on up to two threads (``pull_blocks``), to the same results.
+and up to two threads (``pull_blocks``) may consume them in order or draw
+whole chunks (``chunk_streams``) at once, to the same results.
 Paths accumulate through one ``running_sum`` and every reduction is a
 deterministic ordered sum.  Scenario trees carry an explicit per-level
 partition into filtration atoms (scenario indices are arranged so atoms are
@@ -54,7 +55,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -66,6 +67,7 @@ __all__ = [
     "DriverPath",
     "PredictablePath",
     "StoppingRule",
+    "chunk_streams",
     "increment_blocks",
     "pull_blocks",
     "simulate_driver",
@@ -339,13 +341,41 @@ class DriverPath:
             var_a = var_a + running_sum(np.abs(self.jump_increments[:, :, 0]))
         return qv, var_a
 
-    def to_csv(self, path) -> None:
-        P, n1, d = self.values.shape
-        scen = np.repeat(np.arange(P), n1)
-        step = np.tile(np.arange(n1), P)
-        cols = [scen, step] + [self.values[:, :, i].ravel() for i in range(d)]
-        header = "scenario,step," + ",".join(f"s_{i}" for i in range(d))
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="", fmt="%.17g")
+
+def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
+                  rows: int = SCENARIO_CHUNK) -> Iterator[tuple[int, int, Callable]]:
+    """``increment_blocks`` per chunk: (lo, hi, blocks), where ``blocks(buf=None)``
+    lazily draws the chunk's blocks from its own generator, into the first rows of
+    a C-contiguous ``buf`` when given.  Threads may draw different chunks at once."""
+    if rows < 1 or (spec.has_jumps and rows < SCENARIO_CHUNK):
+        raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
+    N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
+
+    def blocks(child, chunk_lo, chunk_hi, buf=None):
+        rng = np.random.default_rng(child)
+        for lo in range(chunk_lo, chunk_hi, rows):
+            hi = min(lo + rows, chunk_hi)
+            inc = np.empty((hi - lo, N, d)) if buf is None else buf[: hi - lo]
+            if spec.kind in ("brownian", "mixture") and spec.vol > 0:
+                rng.standard_normal(out=inc)
+                inc *= spec.vol * math.sqrt(dt)
+            else:
+                inc.fill(0.0)
+            jumps = None
+            if spec.kind in ("fv_drift", "mixture"):
+                inc += spec.drift * dt
+            if spec.has_jumps:
+                counts = rng.poisson(spec.jump_rate * dt, size=inc.shape)
+                z = rng.standard_normal(inc.shape)
+                jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
+                inc += jumps
+            yield lo, hi, inc, jumps
+            del inc, jumps  # free this block before the next one is drawn
+
+    n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
+    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        lo, hi = c * SCENARIO_CHUNK, min((c + 1) * SCENARIO_CHUNK, n_scenarios)
+        yield lo, hi, partial(blocks, child, lo, hi)
 
 
 def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
@@ -361,31 +391,8 @@ def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenario
     are the whole-chunk draw, bit for bit.  A jump driver draws its counts
     after the whole chunk's normals, so it takes only whole chunks.
     """
-    if rows < 1 or (spec.has_jumps and rows < SCENARIO_CHUNK):
-        raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
-    N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
-    n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
-    for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
-        rng = np.random.default_rng(child)
-        chunk_end = min((c + 1) * SCENARIO_CHUNK, n_scenarios)
-        for lo in range(c * SCENARIO_CHUNK, chunk_end, rows):
-            hi = min(lo + rows, chunk_end)
-            shape = (hi - lo, N, d)
-            if spec.kind in ("brownian", "mixture") and spec.vol > 0:
-                inc = rng.standard_normal(shape)
-                inc *= spec.vol * math.sqrt(dt)
-            else:
-                inc = np.zeros(shape)
-            jumps = None
-            if spec.kind in ("fv_drift", "mixture"):
-                inc += spec.drift * dt
-            if spec.has_jumps:
-                counts = rng.poisson(spec.jump_rate * dt, size=shape)
-                z = rng.standard_normal(shape)
-                jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
-                inc += jumps
-            yield lo, hi, inc, jumps
-            del inc, jumps  # free this block before the next one is drawn
+    for _, _, blocks in chunk_streams(spec, timegrid, seed, n_scenarios, rows):
+        yield from blocks()
 
 
 def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple]) -> None:

@@ -134,13 +134,6 @@ class SignedMeasure:
         object.__setattr__(self, "weights", w)
         self.weights.setflags(write=False)
 
-    def to_csv(self, path) -> None:
-        rows = np.column_stack([self.grid.atoms, self.weights])
-        np.savetxt(path, rows, delimiter=",", header="atom,weight", comments="", fmt="%.17g")
-
-    def descriptor(self) -> dict:
-        return {"T_K": self.grid.endpoint, "J": self.grid.n_cells, "d": 1}
-
 
 @dataclass(frozen=True)
 class SignedMeasureVec:
@@ -174,14 +167,6 @@ class SignedMeasureVec:
         if f.shape != (self.grid.n_atoms,):
             raise ValueError("test function does not match the grid")
         return self.weights @ f
-
-    def descriptor(self) -> dict:
-        return {"T_K": self.grid.endpoint, "J": self.grid.n_cells, "d": self.d}
-
-    def to_csv(self, path) -> None:
-        cols = [self.grid.atoms] + [self.weights[i] for i in range(self.d)]
-        header = "atom," + ",".join(f"weight_{i}" for i in range(self.d))
-        np.savetxt(path, np.column_stack(cols), delimiter=",", header=header, comments="", fmt="%.17g")
 
 
 def total_variation(m: SignedMeasure) -> float:

@@ -16,10 +16,9 @@ indicator I_{[0, t]}.  In discrete time the identity
     X = diagonal integral + Y
 
 is a finite-sum rearrangement and holds pathwise to accumulation error.
-Two versions of Y are reported: the identity-exact one (which sees the
-driver up to the evaluation index) and the left-limit form that drops the
-last increment, which is the one measurable at the previous grid time and
-feeds the predictability assertion on trees.
+``decompose`` reports the identity-exact Y (which sees the driver up to the
+evaluation index), ``left_limit_remainder`` the form that drops the last
+increment: measurable at the previous grid time, as tree checks assert.
 
 For kernels carrying a time-derivative density the classical
 absolutely-continuous route is also provided: X = diagonal integral plus
@@ -35,9 +34,9 @@ time, the rows they transform or sum next, so their memory does not grow
 with the number of scenarios; every block is transformed in the same work
 buffers.  Each block is read once for every exponent, against profile
 spectra transformed once per call, and only per-path total variations (or
-terminal values) are kept, never the ensemble.  The path sampler runs on up
-to two threads, which draw in order and write their own rows: results do not
-depend on the worker count.
+terminal values) are kept, never the ensemble.  Both run on up to two
+threads that write their own rows, drawing in order (paths) or a chunk each
+into their own buffer (terminals): results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -53,6 +52,7 @@ from .drivers import (
     DriverSpec,
     PredictablePath,
     TimeGrid,
+    chunk_streams,
     increment_blocks,
     ito_integral,
     running_sum,
@@ -70,6 +70,7 @@ __all__ = [
     "volterra_direct",
     "induced_phi",
     "decompose",
+    "left_limit_remainder",
     "variation_condition_check",
     "density_construction",
     "level_variations",
@@ -282,21 +283,16 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
 
     Returns the diagonal part, the remainder Y read from the horizon
     charge (identity-exact), the reconstruction, the direct path and its
-    maximal gap to the reconstruction, and the left-limit remainder used
-    by the tree predictability assertion.
+    maximal gap to the reconstruction.
     """
     phi = induced_phi(kernel, S.timegrid)
     check = _variation_check(phi, S.control, S.timegrid)
     if not check["integrable"]:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    # pairing with I_{[0, t_l]} is a cumsum over atoms: Y_l pairs the horizon
-    # charge, the left limit at l the charge at l - 1 with atoms 0..l
-    y_leftlim = np.zeros_like(diag)
-    for lo, block in charge_blocks(phi, S):
-        hi = lo + block.shape[1] - 1
-        l = np.arange(lo + 1, hi + 1)
-        y_leftlim[:, l] = np.cumsum(block[:, :-1, : hi + 1], axis=2)[:, l - 1 - lo, l]
+    # Y_l pairs the horizon charge with I_{[0, t_l]}: a cumsum over atoms
+    for _, block in charge_blocks(phi, S):
+        pass
     y = np.cumsum(block[:, -1], axis=1)
     x_direct = volterra_direct(kernel, S, method="direct")
     x_reconstructed = diag + y
@@ -305,11 +301,20 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
         "condition_ok": True,
         "diag": diag,
         "y": y,
-        "y_leftlim": y_leftlim,
         "x_reconstructed": x_reconstructed,
         "x_direct": x_direct,
         "max_identity_gap": gap,
     }
+
+
+def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
+    """The remainder's left limit at every grid time, (P, N + 1), zero at 0: the
+    charge at l - 1 paired with I_{[0, t_l]}, measurable at t_{l-1}."""
+    y_leftlim = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1))
+    for lo, block in charge_blocks(induced_phi(kernel, S.timegrid), S):
+        l = np.arange(lo + 1, lo + block.shape[1])
+        y_leftlim[:, l] = np.cumsum(block[:, :-1, : l[-1] + 1], axis=2)[:, l - 1 - lo, l]
+    return y_leftlim
 
 
 def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
@@ -395,22 +400,25 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
                              timegrid: TimeGrid, n_scenarios: int, seed: int) -> np.ndarray:
     """Streamed power-kernel path samples at chosen grid indices, (P, n_alpha, n_u).
 
-    Reads, DRAW_ROWS scenarios at a time through the shared block source, the
-    Brownian driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(
-    n_scenarios, seed)``; each block is drawn once for all exponents.
+    Reads the Brownian driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(
+    n_scenarios, seed)``, a chunk per ``drivers.pull_blocks`` worker, DRAW_ROWS rows at a
+    time into the worker's buffer; each block is drawn once for all exponents.
     """
     N = timegrid.n_steps
     t = timegrid.times
     out = np.empty((n_scenarios, len(alphas), len(u_indices)))
     weights = [[np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u]) for u in u_indices]
                for alpha in alphas]
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), timegrid, seed, n_scenarios,
-                                          rows=DRAW_ROWS):
-        dW = dW[:, :, 0]
-        for a, row in enumerate(weights):
-            for c, w in enumerate(row):
-                out[lo:hi, a, c] = dW @ w  # one gemv per column: a gemm rounds differently
-        del dW  # with increment_blocks' own del, one block is alive while the next is drawn
+    bufs = [np.empty((min(DRAW_ROWS, n_scenarios), N, 1)) for _ in range(drivers.WORKERS)]
+
+    def consume(worker: int, chunk: tuple) -> None:
+        for lo, hi, dW, _ in chunk[2](bufs[worker]):
+            for a, row in enumerate(weights):
+                for c, w in enumerate(row):  # one gemv per column: a gemm rounds differently
+                    out[lo:hi, a, c] = dW[:, :, 0] @ w
+
+    drivers.pull_blocks(consume, chunk_streams(DriverSpec("brownian"), timegrid, seed,
+                                               n_scenarios, rows=DRAW_ROWS))
     return out
 
 

@@ -349,7 +349,7 @@ class TestDeterminismAcrossSubcommands:
         assert main(["approx", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "approx_report.csv").read_bytes() == (out2 / "approx_report.csv").read_bytes()
 
-    @pytest.mark.parametrize("subcommand", ["fubini", "approx"])
+    @pytest.mark.parametrize("subcommand", ["fubini", "approx", "example7"])
     def test_reports_independent_of_blas_threads(self, tmp_path, subcommand):
         if subcommand == "fubini":
             # a one-row integrand on 1025 atoms with 45 test functions: unbounded, its
@@ -360,6 +360,17 @@ class TestDeterminismAcrossSubcommands:
                                 test_family={"k_max": 40},
                                 integrand={"kind": "elementary",
                                            "terms": [{"weights": weights, "start": 0, "stop": 128}]})
+        elif subcommand == "example7":
+            # three isometry chunks, two drawn at once: each worker's gemvs are
+            # 16 x 1024, large enough for OpenBLAS to split when it has threads
+            cfg = write_config(tmp_path, "ex7_threads.json", {
+                "time": {"T": 1.0, "N": 64},
+                "grid": {"J": 64},
+                "scenarios": {"seed": 11},
+                "alphas": [0.25, 1.0],
+                "isometry": {"scenarios": 2 * drivers.SCENARIO_CHUNK + 17, "n_steps": 1024},
+                "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3},
+            })
         else:
             cfg = write_config(tmp_path, "approx_threads.json", {
                 "time": {"T": 4.0, "N": 3},
@@ -401,7 +412,9 @@ class TestDeterminismAcrossSubcommands:
                 "grid": {"J": 64},
                 "scenarios": {"seed": 11},
                 "alphas": [0.25, 1.0],
-                "isometry": {"scenarios": 200, "n_steps": 64},
+                # three chunks, two drawn at once at two workers; at 64 steps the
+                # sum's discretization bias alone fails the isometry z-test here
+                "isometry": {"scenarios": 2 * drivers.SCENARIO_CHUNK + 17, "n_steps": 1024},
                 "diagnostic": diagnostic,
             })
         reports = []

@@ -6,6 +6,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvstoch import drivers
 from mvstoch.drivers import (
@@ -15,6 +17,7 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     TimeGrid,
+    chunk_streams,
     control_inequality_check,
     control_process,
     energy_integral,
@@ -134,6 +137,50 @@ class TestIncrementRowBlocks:
             next(increment_blocks(spec, tg, 3, self.P, rows=SCENARIO_CHUNK - 1))
         lo, hi, _, jumps = next(increment_blocks(spec, tg, 3, self.P))
         assert (lo, hi) == (0, SCENARIO_CHUNK) and jumps is not None
+
+
+def dense_chunks(spec, tg, seed, P):
+    """Each chunk's increments drawn in one call of its generator, (P, N, d)."""
+    chunk, dt = drivers.SCENARIO_CHUNK, tg.dt
+    children = np.random.SeedSequence(seed).spawn(-(-P // chunk))
+    out = []
+    for c, child in enumerate(children):
+        shape = (min(chunk, P - c * chunk), tg.n_steps, spec.d)
+        inc = np.zeros(shape)
+        if spec.kind in ("brownian", "mixture"):
+            inc = np.random.default_rng(child).standard_normal(shape) * (spec.vol * math.sqrt(dt))
+        if spec.kind in ("fv_drift", "mixture"):
+            inc = inc + spec.drift * dt
+        out.append(inc)
+    return np.concatenate(out)
+
+
+class TestChunkStreams:
+    """Row blocks, streamed or per chunk, fresh or into a reused buffer, are the
+    chunks' whole draws, at block and chunk boundaries anywhere."""
+
+    @given(kind=st.sampled_from(["brownian", "fv_drift", "mixture"]), chunk=st.integers(1, 40),
+           P=st.integers(1, 130), rows=st.integers(1, 50), N=st.integers(1, 6),
+           d=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_row_blocks_equal_the_dense_chunk_draw(self, kind, chunk, P, rows, N, d):
+        spec, tg = DriverSpec(kind, d=d, vol=0.7, drift=-0.3), TimeGrid(2.0, N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "SCENARIO_CHUNK", chunk)
+            expected = dense_chunks(spec, tg, 41, P)
+            streamed = list(increment_blocks(spec, tg, 41, P, rows=rows))
+            chunks = list(chunk_streams(spec, tg, 41, P, rows=rows))
+        assert [(lo, hi) for lo, hi, _ in chunks] == [
+            (lo, min(lo + chunk, P)) for lo in range(0, P, chunk)]
+        for lo, hi, inc, jumps in streamed:
+            assert jumps is None and 0 < hi - lo <= rows and lo // chunk == (hi - 1) // chunk
+        assert np.array_equal(np.concatenate([inc for _, _, inc, _ in streamed]), expected)
+        # chunks drawn last to first, each into one buffer reused by its blocks
+        buf = np.full((rows, N, d), np.nan)
+        for lo, hi, blocks in reversed(chunks):
+            for b_lo, b_hi, inc, _ in blocks(buf):
+                assert np.shares_memory(inc, buf) and lo <= b_lo < b_hi <= hi
+                assert np.array_equal(inc, expected[b_lo:b_hi])
 
 
 def counted(n_blocks, pulled):
@@ -509,16 +556,6 @@ class TestPredictablePath:
         assert sc.probs.sum() == pytest.approx(1.0)
         assert len(sc.atoms(1)) == 3
         assert len(sc.atoms(2)) == 9
-
-
-class TestDriverCsv:
-    def test_export(self, tmp_path):
-        path = brownian_path(P=2, N=3)
-        out = tmp_path / "paths.csv"
-        path.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "scenario,step,s_0"
-        assert len(lines) == 1 + 2 * 4
 
 
 class TestWeightIdentity:

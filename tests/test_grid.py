@@ -218,18 +218,6 @@ class TestCellMasses:
         assert np.array_equal(f, [0.0, 1.0, 1.0, 0.0, 0.0])
 
 
-class TestSerialization:
-    def test_csv_and_descriptor(self, tmp_path):
-        grid = CompactGrid(1.0, 2)
-        m = SignedMeasureVec(grid, np.array([[1.0, -0.5, 0.25]]))
-        out = tmp_path / "m.csv"
-        m.to_csv(out)
-        body = out.read_text().strip().splitlines()
-        assert body[0] == "atom,weight_0"
-        assert len(body) == 4
-        assert m.descriptor() == {"T_K": 1.0, "J": 2, "d": 1}
-
-
 class TestDeltaSeparation:
     def test_spanning_family_separates_measures(self):
         grid = CompactGrid(1.0, 3)

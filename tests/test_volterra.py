@@ -28,6 +28,7 @@ from mvstoch.volterra import (
     density_construction,
     diagonal_jump_check,
     induced_phi,
+    left_limit_remainder,
     level_variations,
     load_tabulated_csv,
     make_kernel,
@@ -110,6 +111,19 @@ def serial_paths(alphas, tg, P, seed, n_levels):
         for a, paths in enumerate(vol._fft_paths(dW[:, :, 0], spectra)):
             diffs = [np.diff(paths[:, :: 2**k], axis=1) for k in range(n_levels)]
             out[a, lo:hi] = np.stack([np.sum(np.abs(d), axis=1) for d in diffs], axis=1)
+    return out
+
+
+def serial_terminals(alphas, u_indices, tg, P, seed):
+    """power_volterra_terminals as one thread's loop over DRAW_ROWS-row blocks,
+    one gemv per exponent and index."""
+    N, t = tg.n_steps, tg.times
+    out = np.empty((P, len(alphas), len(u_indices)))
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=vol.DRAW_ROWS):
+        for a, alpha in enumerate(alphas):
+            for c, u in enumerate(u_indices):
+                w = np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u])
+                out[lo:hi, a, c] = dW[:, :, 0] @ w
     return out
 
 
@@ -200,6 +214,38 @@ class TestSharedBrownianSource:
             mp.setattr(drivers, "WORKERS", workers)
             tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels, block=block)
         assert np.array_equal(tv, serial_paths(alphas, tg, P, 29, n_levels))
+
+    @given(chunk=st.integers(1, 48), n_chunks=st.integers(1, 4), short=st.integers(0, 47),
+           rows=st.integers(1, 20), workers=st.sampled_from([1, 2]))
+    @settings(max_examples=30, deadline=None)
+    def test_terminals_equal_the_serial_block_loop(self, chunk, n_chunks, short, rows, workers):
+        # P spans n_chunks chunks, the last one short by up to a chunk less one row
+        P = max(1, n_chunks * chunk - short % chunk)
+        tg, alphas, u_indices = TimeGrid(1.0, 24), (0.4, 1.5), [7, 24]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "SCENARIO_CHUNK", chunk)
+            mp.setattr(drivers, "WORKERS", workers)
+            mp.setattr(vol, "DRAW_ROWS", rows)
+            terms = power_volterra_terminals(alphas, u_indices, tg, P, seed=31)
+            assert np.array_equal(terms, serial_terminals(alphas, u_indices, tg, P, 31))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_terminal_workers_hold_one_buffer_each(self, monkeypatch, workers):
+        # eight chunks: each worker draws all of its chunks' blocks into one
+        # DRAW_ROWS-row buffer; a fresh array per block beside it doubles that
+        monkeypatch.setattr(drivers, "SCENARIO_CHUNK", 4 * vol.DRAW_ROWS)
+        monkeypatch.setattr(drivers, "WORKERS", workers)
+        tg = TimeGrid(1.0, 4096)
+        buffer_bytes = vol.DRAW_ROWS * tg.n_steps * 8
+        run = lambda: power_volterra_terminals([0.75], [tg.n_steps], tg, 32 * vol.DRAW_ROWS, seed=3)
+        run()  # one-time set-up untraced
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (workers + 0.5) * buffer_bytes, (peak, buffer_bytes)
 
     def test_batched_exponents_equal_single_calls(self):
         tg, alphas, u_indices = TimeGrid(1.0, self.N), [0.25, 0.75, 1.5], [7, self.N]
@@ -319,9 +365,10 @@ class TestDecompose:
             cum = np.cumsum(charge, axis=2)
             idx = np.arange(1, N + 1)
             out = decompose(kernel, S)
+            y_leftlim = left_limit_remainder(kernel, S)
             assert np.array_equal(out["y"], cum[:, N, :]), kernel.name
-            assert np.array_equal(out["y_leftlim"][:, 1:], cum[:, idx - 1, idx]), kernel.name
-            assert np.all(out["y_leftlim"][:, 0] == 0.0)
+            assert np.array_equal(y_leftlim[:, 1:], cum[:, idx - 1, idx]), kernel.name
+            assert np.all(y_leftlim[:, 0] == 0.0)
 
     def test_induced_phi_built_once(self, monkeypatch):
         calls = []
@@ -358,8 +405,9 @@ class TestDecompose:
         S = simulate_driver(DriverSpec("brownian"), tg, sc)
         k = random_fv_kernel(np.random.default_rng(1), tg)
         out = decompose(k, S)
+        y_leftlim = left_limit_remainder(k, S)
         for l in range(1, 4):
-            assert sc.is_measurable(out["y_leftlim"][:, l], l - 1)
+            assert sc.is_measurable(y_leftlim[:, l], l - 1)
         # the identity-exact remainder is adapted but generally not predictable
         for l in range(4):
             assert sc.is_measurable(out["y"][:, l], l)
