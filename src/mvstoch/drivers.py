@@ -395,19 +395,23 @@ def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenario
         yield from blocks()
 
 
-def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple]) -> None:
+def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple],
+                lead: Callable[[], None] | None = None) -> None:
     """Call ``consume(worker, block)`` on every block on WORKERS threads, the
-    caller being worker 0.  Blocks are pulled in order under one lock, so an
-    ``increment_blocks`` generator draws as on one thread, and consumed outside
-    it (numpy releases the GIL); the first error stops the pulls and is raised here."""
+    caller being worker 0, which first runs ``lead()`` while the others pull.
+    Blocks are pulled in order under one lock, so an ``increment_blocks``
+    generator draws as on one thread, and consumed outside it (numpy releases
+    the GIL); the first error, the lead's too, stops the pulls and is raised here."""
     lock, failed = threading.Lock(), []
 
     def pull():
         with lock:
             return None if failed else next(blocks, None)
 
-    def work(worker: int) -> None:
+    def work(worker: int, first: Callable[[], None] | None = None) -> None:
         try:
+            if first is not None:
+                first()
             while (block := pull()) is not None:
                 consume(worker, block)
                 del block  # free it before this worker draws the next one
@@ -417,7 +421,7 @@ def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple]) 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(1, WORKERS)]
     for t in threads:
         t.start()
-    work(0)
+    work(0, lead)
     for t in threads:
         t.join()
     if failed:

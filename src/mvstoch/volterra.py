@@ -16,9 +16,8 @@ indicator I_{[0, t]}.  In discrete time the identity
     X = diagonal integral + Y
 
 is a finite-sum rearrangement and holds pathwise to accumulation error.
-``decompose`` reports the identity-exact Y (which sees the driver up to the
-evaluation index), ``left_limit_remainder`` the form that drops the last
-increment: measurable at the previous grid time, as tree checks assert.
+``decompose`` reads the identity-exact Y (which sees the driver up to the
+evaluation index) from ``mvintegral.horizon_charge``, not the running charge.
 
 For kernels carrying a time-derivative density the classical
 absolutely-continuous route is also provided: X = diagonal integral plus
@@ -37,6 +36,7 @@ spectra transformed once per call, and only per-path total variations (or
 terminal values) are kept, never the ensemble.  Both run on up to two
 threads that write their own rows, drawing in order (paths) or a chunk each
 into their own buffer (terminals): results do not depend on the worker count.
+The paths' calling thread may first run other work (the CLI's decompositions).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .drivers import (
 )
 from .grid import CompactGrid
 from .integrands import MeasureProcess, integrability_check
-from .mvintegral import charge_blocks
+from .mvintegral import horizon_charge
 
 __all__ = [
     "VolterraKernel",
@@ -70,7 +70,6 @@ __all__ = [
     "volterra_direct",
     "induced_phi",
     "decompose",
-    "left_limit_remainder",
     "variation_condition_check",
     "density_construction",
     "level_variations",
@@ -290,10 +289,7 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
     if not check["integrable"]:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    # Y_l pairs the horizon charge with I_{[0, t_l]}: a cumsum over atoms
-    for _, block in charge_blocks(phi, S):
-        pass
-    y = np.cumsum(block[:, -1], axis=1)
+    y = np.cumsum(horizon_charge(phi, S), axis=1)  # Y_l pairs it with I_{[0, t_l]}
     x_direct = volterra_direct(kernel, S, method="direct")
     x_reconstructed = diag + y
     gap = float(np.max(np.abs(x_direct - x_reconstructed)))
@@ -305,16 +301,6 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
         "x_direct": x_direct,
         "max_identity_gap": gap,
     }
-
-
-def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
-    """The remainder's left limit at every grid time, (P, N + 1), zero at 0: the
-    charge at l - 1 paired with I_{[0, t_l]}, measurable at t_{l-1}."""
-    y_leftlim = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1))
-    for lo, block in charge_blocks(induced_phi(kernel, S.timegrid), S):
-        l = np.arange(lo + 1, lo + block.shape[1])
-        y_leftlim[:, l] = np.cumsum(block[:, :-1, : l[-1] + 1], axis=2)[:, l - 1 - lo, l]
-    return y_leftlim
 
 
 def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
@@ -333,16 +319,17 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
     N, dt = tg.n_steps, tg.dt
     t = tg.times
     psi = kernel.density_fn(t[:, None], t[None, :N])  # [k, j] = psi(t_k, t_j)
-    psi = np.where(t[:, None] > t[None, :N], psi, 0.0)
+    np.copyto(psi, 0.0, where=t[:, None] <= t[None, :N])
     dS = S.increments[:, :, 0]
     inner = np.einsum("kj,pj->pk", psi, dS)  # driver integral of psi(t_k, .) up to k
     time_part = running_sum(inner[:, 1:] * dt)
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
     x = diag + time_part
-    rebuilt = np.cumsum(psi[1:, :] * dt, axis=0)
-    target = kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
-    keep = t[1:, None] > t[None, :N]
-    residual = float(np.max(np.abs(np.where(keep, rebuilt - target, 0.0))))
+    # the kernel rebuilt from psi's time sums, in psi's rows 1.., minus the target
+    rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), axis=0, out=psi[1:])
+    rebuilt -= kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
+    residual = float(np.max(np.abs(rebuilt, out=rebuilt), where=t[1:, None] > t[None, :N],
+                            initial=0.0))
     return {"x": x, "diag": diag, "kernel_rebuild_residual": residual}
 
 
@@ -423,11 +410,13 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
 
 
 def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
-                         seed: int, n_levels: int = 6, block: int = DRAW_ROWS) -> np.ndarray:
+                         seed: int, n_levels: int = 6, block: int = DRAW_ROWS,
+                         lead: Callable[[], None] | None = None) -> np.ndarray:
     """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
     paths on the shared Brownian blocks, (n_alpha, P, n_levels).  Each block is drawn
     and transformed once for all exponents, by one of ``drivers.WORKERS`` threads
-    (``drivers.pull_blocks``) in ``block // WORKERS`` rows, into its own buffers."""
+    (``drivers.pull_blocks``) in ``block // WORKERS`` rows, into its own buffers;
+    the calling thread runs ``lead()`` first, as the pool's lead."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
@@ -440,5 +429,5 @@ def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenario
             level_variations(paths, n_levels, out[a, lo:hi], works[worker][3])
 
     drivers.pull_blocks(consume, increment_blocks(DriverSpec("brownian"), timegrid, seed,
-                                                  n_scenarios, rows=rows))
+                                                  n_scenarios, rows=rows), lead)
     return out

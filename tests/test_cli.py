@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -170,9 +171,13 @@ class TestVolterraCommand:
         assert rows[1]["kernel"] == "affine[1.0,2.0]"
         assert float(rows[1]["identity_gap"]) <= 1e-10
 
-    def test_unknown_kernel_exits_two(self, tmp_path):
-        cfg = self.volterra_config(tmp_path, kernels=[{"name": "nope"}])
+    def test_unknown_kernel_exits_two(self, tmp_path, monkeypatch):
+        # the kernels are the lead of the diagnostic's pool: its worker must be joined
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        cfg = self.volterra_config(tmp_path, kernels=[{"name": "affine"}, {"name": "nope"}])
+        threads = threading.active_count()
         assert main(["volterra", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert threading.active_count() == threads
 
     def test_kernel_failing_the_variation_condition_is_reported(self, tmp_path):
         # the exploding kernel of test_exploding_kernel_flagged, as a tabulated CSV

@@ -242,6 +242,72 @@ class TestPullBlocks:
         assert isinstance(err, RuntimeError)
         assert len(pulled) < 100, len(pulled)  # 1000 if the other worker drew on
 
+    def test_lead_runs_on_the_caller_while_worker_1_consumes(self, monkeypatch):
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        consumed, pulled, seen, threads = threading.Event(), [], [], {}
+
+        def consume(worker, block):
+            seen.append((worker, block))
+            if worker == 1:
+                consumed.set()
+
+        def lead():
+            threads["lead"] = threading.get_ident()
+            assert consumed.wait(10), "worker 1 consumed nothing while the lead ran"
+
+        def call():
+            threads["caller"] = threading.get_ident()
+            pull_blocks(consume, counted(50, pulled), lead)
+
+        assert run_bounded(call) is None
+        assert threads["lead"] == threads["caller"]
+        assert sorted(b for _, b in seen) == pulled == list(range(50))
+
+    def test_every_block_consumed_once_beside_a_lead(self, monkeypatch):
+        monkeypatch.setattr(drivers, "WORKERS", 4)
+        pulled, seen, leads = [], [], []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            err = run_bounded(lambda: pull_blocks(lambda w, b: seen.append(b),
+                                                  counted(2000, pulled),
+                                                  lambda: leads.append(time.sleep(0.01))))
+        finally:
+            sys.setswitchinterval(interval)
+        assert err is None
+        assert len(leads) == 1
+        assert pulled == sorted(seen) == list(range(2000))
+
+    def test_lead_error_reaches_the_caller_and_stops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        pulled, consuming = [], threading.Event()
+
+        def consume(worker, block):
+            consuming.set()
+            time.sleep(0.01)  # worker 1 keeps pulling until it sees the error
+
+        def lead():
+            consuming.wait(10)
+            raise RuntimeError("lead")
+
+        err = run_bounded(lambda: pull_blocks(consume, counted(1000, pulled), lead))
+        assert isinstance(err, RuntimeError) and str(err) == "lead"
+        assert len(pulled) < 100, len(pulled)
+
+    def test_one_worker_runs_the_lead_before_the_first_pull(self, monkeypatch):
+        monkeypatch.setattr(drivers, "WORKERS", 1)
+        events = []
+
+        def blocks():
+            for b in range(3):
+                events.append(("pull", b))
+                yield b
+
+        err = run_bounded(lambda: pull_blocks(lambda w, b: events.append(("consume", w, b)),
+                                              blocks(), lambda: events.append("lead")))
+        assert err is None
+        assert events == ["lead"] + [e for b in range(3) for e in (("pull", b), ("consume", 0, b))]
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_jump_driver_error_surfaces(self, monkeypatch, workers):
         monkeypatch.setattr(drivers, "WORKERS", workers)

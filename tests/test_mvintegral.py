@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvstoch import mvintegral
 from mvstoch.dominated import power_law_integrand
@@ -33,6 +35,7 @@ from mvstoch.mvintegral import (
     charge_blocks,
     convergence_transfer_check,
     fubini_check,
+    horizon_charge,
     maximal_seminorm,
     mv_integral,
     paired_charge,
@@ -238,6 +241,46 @@ class TestChargeBlocks:
             blocks = charge_blocks(MeasureProcess("kernel", grid, w) * 1e8, S)
             with pytest.raises(OverflowError):
                 next(blocks)
+
+
+def last_charge_row(phi, S):
+    """The horizon row of the ``charge_blocks`` stream, copied out of its buffer."""
+    for _, block in charge_blocks(phi, S):
+        pass
+    return block[:, -1].copy()
+
+
+class TestHorizonCharge:
+    """``horizon_charge`` against the last row of the block stream: each slot
+    charges atoms from a random first one on, with zeros scattered after it."""
+
+    @given(P=st.integers(1, 40), N=st.integers(1, 30), d=st.integers(1, 3), J=st.integers(1, 30),
+           one_row=st.booleans(), block_entries=st.integers(1, 64), seed=st.integers(0, 2**16),
+           data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_last_row_of_the_block_stream(self, P, N, d, J, one_row, block_entries,
+                                                     seed, data):
+        # a first atom of J + 1 leaves the slot without mass
+        first = data.draw(st.lists(st.integers(0, J + 1), min_size=N, max_size=N))
+        rng = np.random.default_rng(seed)
+        w = rng.normal(size=(1 if one_row else P, N, d, J + 1))
+        w[rng.random(w.shape) < 0.2] = 0.0
+        for n, f in enumerate(first):
+            w[:, n, :, :f] = 0.0
+        phi, S = MeasureProcess("kernel", CompactGrid(1.0, J), w), brownian(P, N, seed=seed, d=d)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(horizon_charge(phi, S), last_charge_row(phi, S))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_scenario_charged_on_the_last_atom_only(self, monkeypatch, seed):
+        # 41 rows of one column: a reduce over them alone would sum pairwise
+        S = brownian(1, 40, seed=seed)
+        w = np.zeros((1, 40, 1, 4))
+        w[..., 3] = np.random.default_rng(seed).normal(size=(1, 40, 1))
+        phi = MeasureProcess("kernel", CompactGrid(1.0, 3), w)
+        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 256)  # one block of all 40 times
+        assert np.array_equal(horizon_charge(phi, S), last_charge_row(phi, S))
 
 
 class TestEvaluateCharge:

@@ -28,7 +28,6 @@ from mvstoch.volterra import (
     density_construction,
     diagonal_jump_check,
     induced_phi,
-    left_limit_remainder,
     level_variations,
     load_tabulated_csv,
     make_kernel,
@@ -40,6 +39,8 @@ from mvstoch.volterra import (
     variation_condition_check,
     volterra_direct,
 )
+
+from helpers import left_limit_remainder
 
 
 def brownian(P, N, T=1.0, seed=3):
@@ -383,6 +384,31 @@ class TestDecompose:
         decompose(power_kernel(0.75, S.timegrid), S)
         assert calls == ["power_alpha[0.75]"]
 
+    def test_draws_no_charge_stream(self, monkeypatch):
+        calls = []
+        original = mvintegral.charge_blocks
+
+        def counting(phi, S, upto=None):
+            calls.append(phi.kind)
+            return original(phi, S, upto)
+
+        # also where volterra would hold the name itself
+        monkeypatch.setattr(mvintegral, "charge_blocks", counting)
+        monkeypatch.setattr(vol, "charge_blocks", counting, raising=False)
+        S = brownian(6, 16)
+        assert decompose(power_kernel(0.75, S.timegrid), S)["max_identity_gap"] <= 1e-12
+        assert calls == []
+
+    def test_overflow_raises(self, monkeypatch):
+        # t-increments of 1e306 against increments of about 1e3: the variation check
+        # would already refuse the kernel, so it is passed here to reach the charge
+        S = brownian(3, 4, T=4e6)
+        t = S.timegrid.times
+        kernel = tabulated_kernel(np.maximum(t[:, None] - t[None, :], 0.0) * 1e300, S.timegrid)
+        monkeypatch.setattr(vol, "_variation_check", lambda *args: {"integrable": True})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(OverflowError):
+            decompose(kernel, S)
+
     def test_peak_memory_flat_in_scenarios(self):
         # the charge is held one block of grid times at a time, never (P, N + 1, N + 1);
         # at N = 512 one block of either run holds about BLOCK_ENTRIES values
@@ -442,7 +468,47 @@ class TestVariationCondition:
         assert "location" in out
 
 
+def density_construction_oracle(kernel, S):
+    """``density_construction`` as first written, with a fresh table per step."""
+    t, N, dt = S.timegrid.times, S.timegrid.n_steps, S.timegrid.dt
+    psi = np.where(t[:, None] > t[None, :N], kernel.density_fn(t[:, None], t[None, :N]), 0.0)
+    inner = np.einsum("kj,pj->pk", psi, S.increments[:, :, 0])
+    x = ito_integral(PredictablePath(kernel.diagonal()), S) + drivers.running_sum(inner[:, 1:] * dt)
+    rebuilt = np.cumsum(psi[1:, :] * dt, axis=0)
+    target = kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
+    keep = t[1:, None] > t[None, :N]
+    return x, float(np.max(np.abs(np.where(keep, rebuilt - target, 0.0))))
+
+
+def quadratic_kernel(tg):
+    t = tg.times
+    return VolterraKernel("quad", np.maximum(t[:, None] - t[None, :], 0.0) ** 2, tg,
+                          density_fn=lambda r, s: 2.0 * np.maximum(r - s, 0.0))
+
+
 class TestDensityConstruction:
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    def test_equals_the_where_formula(self, N):
+        S = brownian(5, N, T=2.0, seed=N)
+        for kernel in (power_kernel(0.25, S.timegrid), power_kernel(1.5, S.timegrid),
+                       affine_kernel(0.5, -3.0, S.timegrid), quadratic_kernel(S.timegrid)):
+            x, residual = density_construction_oracle(kernel, S)
+            out = density_construction(kernel, S)
+            assert np.array_equal(out["x"], x), kernel.name
+            assert out["kernel_rebuild_residual"] == residual, kernel.name
+
+    def test_peak_under_three_tables(self):
+        # psi is zeroed, summed and compared in place: the where formula peaked near 6 tables
+        S = brownian(4, 512)
+        kernel = power_kernel(0.75, S.timegrid)
+        tracemalloc.start()
+        try:
+            density_construction(kernel, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * 513 * 512, peak
+
     def test_zero_density_reduces_to_diagonal(self):
         S = brownian(8, 16)
         out = density_construction(affine_kernel(1.5, 0.0, S.timegrid), S)
@@ -462,9 +528,7 @@ class TestDensityConstruction:
         gaps = {}
         for N, S in ((128, fine), (64, _subsample(fine, 2))):
             tg = S.timegrid
-            t = tg.times
-            k = VolterraKernel("quad", np.maximum(t[:, None] - t[None, :], 0.0) ** 2, tg,
-                               density_fn=lambda r, s: 2.0 * np.maximum(r - s, 0.0))
+            k = quadratic_kernel(tg)
             gaps[N] = float(np.max(np.abs(density_construction(k, S)["x"] - volterra_direct(k, S))))
         ratio = gaps[64] / gaps[128]
         assert 1.5 < ratio < 2.7
