@@ -40,7 +40,6 @@ from .grid import CompactGrid, SignedMeasureVec, build_test_family
 from .integrands import (
     ElementaryTerm,
     approximate_elementary,
-    continuity_constant,
     elementary_process,
     integrability_check,
     random_elementary_process,
@@ -85,6 +84,23 @@ def build_timegrid(cfg: dict) -> TimeGrid:
         return TimeGrid(float(time["T"]), int(time["N"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad time grid: {exc}") from exc
+
+
+def build_diagnostic(cfg: dict, horizon: float) -> tuple[dict, TimeGrid, int]:
+    """The roughness diagnostic's section, time grid and level count, checked before any work
+    starts: at least three levels, and a finest grid that the coarsest stride divides."""
+    diag = _get(cfg, "diagnostic", {})
+    try:
+        levels = int(diag.get("levels", 6))
+        timegrid = TimeGrid(horizon, int(diag.get("n_steps", 2**12)))
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad diagnostic block: {exc}") from exc
+    if levels < 3:
+        raise ConfigError(f"diagnostic.levels is {levels}; the slope needs at least 3")
+    if timegrid.n_steps % 2 ** (levels - 1):
+        raise ConfigError(f"diagnostic.n_steps {timegrid.n_steps} is not divisible by "
+                          f"2**(levels - 1) = {2 ** (levels - 1)}")
+    return diag, timegrid, levels
 
 
 def build_scenarios(cfg: dict, seed_override: int | None) -> ScenarioSet:
@@ -242,8 +258,7 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
         r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
         v_pre = tau.left_limit(S.control)
         v_norm = float(np.sqrt(scenarios.probs @ (v_pre**2)))
-        c_phi = continuity_constant(phi, fam, tau, S.control, scenarios)["lower"]
-        bound = 2 * result.truncation_level * v_norm + 2 * c_phi
+        bound = 2 * result.truncation_level * v_norm + 2 * result.constant
         for rep, r_gap in zip(result.reports, r_gaps):
             rows.append([label, rep.index, rep.net_size, rep.q_error, r_gap,
                          rep.uniform_constant, bound, rep.rectangle_count])
@@ -260,6 +275,7 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
 
 def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
     timegrid = build_timegrid(cfg)
+    diag_cfg, tg, levels = build_diagnostic(cfg, timegrid.horizon)
     scenarios = build_scenarios(cfg, seed_override)
     S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
     tol = float(_get(cfg, "tolerances", {}).get("decomposition", 1e-10))
@@ -283,12 +299,10 @@ def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
             rows.append([kernel.name, gap, density_gap])
 
     # the kernels are decomposed on this thread while the diagnostic's other worker draws
-    diag_cfg = _get(cfg, "diagnostic", {})
     alphas = [float(a) for a in _get(cfg, "alphas", [0.25, 0.75])]
-    tg = TimeGrid(timegrid.horizon, int(diag_cfg.get("n_steps", 2**12)))
     tv = vol.power_volterra_paths(alphas, tg, int(diag_cfg.get("scenarios", 500)),
                                   seed=int(diag_cfg.get("seed", 101)),
-                                  n_levels=int(diag_cfg.get("levels", 6)), lead=decompose_kernels)
+                                  n_levels=levels, lead=decompose_kernels)
     write_csv(out_dir / "volterra_report.csv",
               ["kernel", "identity_gap", "density_route_gap"], rows)
     ok = all(gap <= tol for _, gap, _ in rows)  # a nan gap fails
@@ -305,6 +319,7 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     alphas = [float(a) for a in _get(cfg, "alphas", [0.5, 1.0, 2.0])]
     if any(a <= 0 for a in alphas):
         raise ConfigError("power exponents must be positive")
+    diag_cfg, tg_diag, levels = build_diagnostic(cfg, timegrid.horizon)
     J = int(_get(cfg, "grid", {}).get("J", 2**12))
     tol_var = float(_get(cfg, "tolerances", {}).get("variation", 1e-9))
     tol_d = float(_get(cfg, "tolerances", {}).get("accumulation", 1e-9))
@@ -313,7 +328,6 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     # its quadrature converges at rate mesh^(2 alpha - 1); gate separately
     tol_66_frac = float(_get(cfg, "tolerances", {}).get("square_density_rel_fractional", 1e-2))
     iso_cfg = _get(cfg, "isometry", {})
-    diag_cfg = _get(cfg, "diagnostic", {})
     probe_cfg = _get(cfg, "probe", {})
     scen_cfg = _get(cfg, "scenarios", {"seed": 12345})
     seed = seed_override if seed_override is not None else int(scen_cfg.get("seed", 12345))
@@ -326,9 +340,8 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
     terminals = vol.power_volterra_terminals(alphas, u_indices, tg_iso, iso_P, seed=seed)
     # roughness slopes: every exponent reads the same diagnostic stream
-    tg_diag = TimeGrid(T, int(diag_cfg.get("n_steps", 2**12)))
     tv = vol.power_volterra_paths(alphas, tg_diag, int(diag_cfg.get("scenarios", 500)),
-                                  seed=seed + 1, n_levels=int(diag_cfg.get("levels", 6)))
+                                  seed=seed + 1, n_levels=levels)
     rows = []
     all_ok = True
     for a, alpha in enumerate(alphas):

@@ -202,15 +202,20 @@ class DominatedSpec:
     def n_scenario_rows(self) -> int:
         return self.point_masses.shape[0]
 
-    def density_values(self, rows: slice = slice(None), cols: slice = slice(None)) -> np.ndarray:
+    def density_values(self, rows: slice = slice(None), cols: slice = slice(None),
+                       out: np.ndarray | None = None) -> np.ndarray:
         """Atomized Radon-Nikodym derivative masses / eta (zero off the support).
 
         ``rows`` (grid times) and ``cols`` (atoms) select a block, so callers
-        can walk the density without forming all of it.
+        can walk the density without forming all of it, into ``out`` if given.
         """
         masses = self.point_masses[:, rows, cols]
         eta = self.eta[cols]
-        return np.divide(masses, eta, out=np.zeros_like(masses), where=eta > 0)
+        if out is None:
+            out = np.zeros_like(masses)
+        else:
+            out[...] = 0.0
+        return np.divide(masses, eta, out=out, where=eta > 0)
 
     def reatomize(self, n_cells: int) -> "DominatedSpec":
         if self.profile is not None:
@@ -321,11 +326,23 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
     """
     fv = running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
     dqv = np.diff(qv, axis=1)
-    N = spec.timegrid.n_steps
-    root = np.zeros(np.broadcast_shapes((spec.n_scenario_rows,), dqv.shape[:1]) + (N + 1,))
-    for cols in _blocks(spec.grid.n_atoms, N):  # in place: fewer fresh blocks to page-fault
-        dens = spec.density_values(rows=slice(0, N), cols=cols)
-        path = running_sum(np.square(dens, out=dens) * dqv[:, :, None])
+    N, Pw = spec.timegrid.n_steps, spec.n_scenario_rows
+    root = np.zeros(np.broadcast_shapes((Pw,), dqv.shape[:1]) + (N + 1,))
+    R, blocks = len(root), _blocks(spec.grid.n_atoms, N)
+    # one set of block buffers: fresh blocks are paged in again whenever glibc maps them
+    # afresh or trims the heap under them, which the heap's layout decides (up to 100x faults)
+    width = min(blocks[0].stop, spec.grid.n_atoms)
+    dens_buf, sq_buf, path_buf = (np.empty(Pw * N * width), np.empty(R * N * width),
+                                  np.empty(R * (N + 1) * width))
+    for cols in blocks:
+        w = min(cols.stop, spec.grid.n_atoms) - cols.start
+        dens = spec.density_values(rows=slice(0, N), cols=cols,
+                                   out=dens_buf[: Pw * N * w].reshape(Pw, N, w))
+        sq = np.multiply(np.square(dens, out=dens), dqv[:, :, None],
+                         out=sq_buf[: R * N * w].reshape(R, N, w))
+        path = path_buf[: R * (N + 1) * w].reshape(R, N + 1, w)
+        path[:, 0] = 0.0  # as running_sum
+        np.cumsum(sq, axis=1, out=path[:, 1:])
         root += np.sqrt(path, out=path) @ spec.eta[cols]
     return fv, root
 

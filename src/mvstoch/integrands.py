@@ -21,7 +21,11 @@ scenario.  The aggregate seminorm over a test family,
 
     q(phi)^2 = sum_k gamma_k * ||phi(u_k)||^2_{L2(pre-tau weights)},
 
-is computed from :func:`mvstoch.drivers.stopping_weights`.  Deterministic
+is computed from :func:`mvstoch.drivers.stopping_weights`, in blocks of
+scenarios (``_norm_sums``) that carry each weighted sum from block to
+block in the order of one ``einsum`` over all of them, so that no
+(P, N, K) array of evaluations is held and the sums are bit for bit those
+of the whole array.  Deterministic
 integrands built from closed-form profiles may carry an exact
 time-antiderivative of their squared variation; the membership check uses
 it (when the control path is the identity) so closed-form accumulation
@@ -32,7 +36,12 @@ into a variation ball, project pointwise onto a finite weak* net with a
 first-index tie-break, then split the projection into predictable
 rectangles (tree mode only, where filtration atoms are explicit).  The
 net enumeration is deterministic and documented in
-:func:`weak_star_net`; runs are reproducible.
+:func:`weak_star_net`; runs are reproducible.  It computes each quantity
+once per integrand: the truncated input's distinct evaluation rows
+(``_distinct_rows``; a few dozen on a tree of thousands of scenarios)
+serve every projection of the schedule, and one pass over blocks of
+scenarios yields every approximant's q-error and continuity constant and
+the input's own constant.
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
@@ -42,6 +51,7 @@ deterministic, and each BLAS call in it stays on one thread.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -70,7 +80,6 @@ __all__ = [
     "continuity_constant",
     "truncate",
     "weak_star_net",
-    "net_fineness",
     "project_to_net",
     "rectangle_refine",
     "approximate_elementary",
@@ -81,6 +90,7 @@ __all__ = [
 
 NET_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call; OpenBLAS threads a larger gemm
+EVAL_ENTRIES = PAIR_ENTRIES // 8  # float64 evaluations (256 kB) per block of scenarios, within L2
 
 
 @dataclass(frozen=True)
@@ -216,48 +226,101 @@ def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | No
     return out
 
 
-def _family_evals(phi: MeasureProcess, functions: np.ndarray) -> np.ndarray:
-    """Pairings with every row of ``functions`` (K, J + 1); shape (P, N, K, d)."""
-    return _pair_rows(phi.weights, functions).reshape(phi.weights.shape[:3] + (-1,)).swapaxes(2, 3)
+def _family_evals(phi: MeasureProcess, functions: np.ndarray, lo: int = 0, hi: int | None = None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """Pairings of scenarios lo..hi (all of them for a one-row phi) with every row of
+    ``functions`` (K, J + 1), into ``out`` if given (at least P N d K values); shape (P, N, K, d).
+    One matmul per scenario, the same as when all scenarios are paired at once."""
+    w = phi.weights[lo:hi] if phi.is_random else phi.weights
+    if out is not None:
+        out = out[: w[..., 0].size * len(functions)].reshape(w.shape[0], -1, len(functions))
+    return _pair_rows(w, functions, out).reshape(w.shape[:3] + (-1,)).swapaxes(2, 3)
+
+
+def _block_scenarios(P: int, N: int, K: int, d: int) -> int:
+    """Scenarios per block of (N, K, d) evaluations: EVAL_ENTRIES values, at least one.  One
+    family member takes all P at once: np.einsum does not sum a single column in the order of a
+    reduce over rows, and such evaluations are no larger than the weights."""
+    return P if K == 1 else max(1, EVAL_ENTRIES // (N * K * d))
+
+
+def _sq_sum(evals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """|e|^2 summed over the components of (P, N, K, d) evaluations in component order, without
+    a second evaluation-sized temporary: (P, N, K)."""
+    out = np.multiply(evals[..., 0], evals[..., 0], out=out)
+    for i in range(1, evals.shape[3]):
+        out += evals[..., i] * evals[..., i]
+    return out
 
 
 def _weighted_sq_norms(evals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared weighted L2 norms of the (P, N, K, d) evaluations against the
-    (P, N) stopping weights, one per family member: (K,)."""
-    sq = evals[..., 0] * evals[..., 0]  # (P, N, K), summed over components in np.sum's order
-    for i in range(1, evals.shape[3]):  # without a second evaluation-sized temporary
-        sq += evals[..., i] * evals[..., i]
+    """Squared weighted L2 norms of the (P or 1, N, K, d) evaluations against the (P, N)
+    stopping weights, one per family member: (K,)."""
+    sq = _sq_sum(evals)
     return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
 
 
-def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
-                       V: np.ndarray, scenarios: ScenarioSet, minus: MeasureProcess | None = None,
-                       evals: np.ndarray | None = None, w: np.ndarray | None = None) -> float:
-    """Aggregate L2 seminorm of the integrand over the test family.
+def _add_sq_norms(total: np.ndarray, evals: np.ndarray, w: np.ndarray, buf: np.ndarray) -> None:
+    """Add a block of scenarios to the carried (K,) ``_weighted_sq_norms``, bit for bit: the
+    block's rows w[p, n] |e[p, n]|^2 follow the total in one reduce over rows, which adds them in
+    (p, n) order, as the einsum does.  ``buf`` holds at least 1 + b N K values."""
+    b, N, K = evals.shape[:3]
+    rows = buf[: (1 + b * N) * K].reshape(1 + b * N, K)
+    rows[0] = total
+    sq = _sq_sum(evals, out=rows[1:].reshape(b, N, K))
+    sq *= w[:, :, None]
+    np.add.reduce(rows, axis=0, out=total)
 
-    With ``minus`` the seminorm of the difference (evaluations subtract;
-    no measure-level arithmetic is needed).  A caller that already holds
-    phi's ``_family_evals`` and the ``stopping_weights`` passes them.
+
+def _norm_sums(terms: Sequence[tuple[MeasureProcess, MeasureProcess | None]], fam: TestFamily,
+               w: np.ndarray, rows: tuple | None = None) -> list[np.ndarray]:
+    """``_weighted_sq_norms`` (K,) of each term's evaluations, in blocks of scenarios: a term
+    (a, b) stands for a's evaluations minus b's, (a, None) for a's alone.
+
+    Each P-row process is evaluated once per block into a buffer of its own, and a one-row
+    process once in all; a term of one-row processes only is summed whole.  ``rows`` =
+    (process, distinct rows, index) from ``_distinct_rows`` gathers that process's evaluations,
+    byte copies of its pairings, instead of pairing it again.
     """
-    evals = _family_evals(phi, fam.functions) if evals is None else evals
-    if minus is not None:
-        evals = evals - _family_evals(minus, fam.functions)
-    w = stopping_weights(tau, V, scenarios) if w is None else w
-    return float(np.sqrt(fam.gammas @ _weighted_sq_norms(evals, w)))
+    functions = fam.functions
+    (P, N), K, d = w.shape, len(functions), terms[0][0].d
+    step = _block_scenarios(P, N, K, d)
+    block = min(step, P) * N * K * d
+    procs = {id(q): q for term in terms for q in term if q is not None}
+    whole = {i: _family_evals(q, functions) for i, q in procs.items() if not q.is_random}
+    # a term summed whole, by the einsum itself: all of them in a single block, else one-row ones
+    whole_term = [step >= P or not (a.is_random or (b is not None and b.is_random)) for a, b in terms]
+    # reused by every block: fresh block-sized arrays would be paged in again each time
+    bufs = {i: np.empty(block) for i, q in procs.items() if q.is_random}
+    diff = np.empty(block)
+    sq_rows = None if all(whole_term) else np.empty((1 + step * N) * K)
+    totals = [np.zeros(K) for _ in terms]
+    for lo in range(0, P, step):
+        hi = min(lo + step, P)
+        evals = dict(whole)
+        for i, buf in bufs.items():
+            if rows is not None and procs[i] is rows[0]:
+                out = buf[: (hi - lo) * N * K * d].reshape(hi - lo, N, K, d)
+                evals[i] = np.take(rows[1], rows[2][lo:hi], axis=0, out=out)
+            else:
+                evals[i] = _family_evals(procs[i], functions, lo, hi, out=buf)
+        for total, (a, b), once in zip(totals, terms, whole_term):
+            if once and lo > 0:
+                continue
+            e = evals[id(a)]
+            if b is not None:
+                shape = np.broadcast_shapes(e.shape, evals[id(b)].shape)
+                e = np.subtract(e, evals[id(b)], out=diff[: math.prod(shape)].reshape(shape))
+            if once:
+                total[:] = _weighted_sq_norms(e, w)
+            else:
+                _add_sq_norms(total, e, w[lo:hi], sq_rows)
+    return totals
 
 
-def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
-                        scenarios: ScenarioSet, evals: np.ndarray | None = None,
-                        w: np.ndarray | None = None) -> dict:
-    """Bracket the norm of f -> phi(f) as a map into the weighted L2 space.
-
-    lower: best ratio over the family members; upper: weighted L2 norm of
-    the variation path, which dominates every ratio.  ``evals`` and ``w``
-    as for ``integrand_seminorm``.
-    """
-    evals = _family_evals(phi, fam.functions) if evals is None else evals
-    w = stopping_weights(tau, V, scenarios) if w is None else w
-    norms = np.sqrt(_weighted_sq_norms(evals, w))
+def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray) -> dict:
+    """``continuity_constant`` from phi's ``_weighted_sq_norms``; checks lower <= upper."""
+    norms = np.sqrt(sq_norms)
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
     lower = float(np.max(ratios))
@@ -267,6 +330,31 @@ def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
     if lower > upper + 1e-12:
         raise AssertionError("family ratio exceeded the variation bound")
     return {"lower": lower, "upper": upper}
+
+
+def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
+                       V: np.ndarray, scenarios: ScenarioSet, minus: MeasureProcess | None = None,
+                       w: np.ndarray | None = None) -> float:
+    """Aggregate L2 seminorm of the integrand over the test family.
+
+    With ``minus`` the seminorm of the difference (evaluations subtract;
+    no measure-level arithmetic is needed).  A caller that already holds
+    the ``stopping_weights`` passes them.
+    """
+    w = stopping_weights(tau, V, scenarios) if w is None else w
+    return float(np.sqrt(fam.gammas @ _norm_sums([(phi, minus)], fam, w)[0]))
+
+
+def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
+                        scenarios: ScenarioSet, w: np.ndarray | None = None) -> dict:
+    """Bracket the norm of f -> phi(f) as a map into the weighted L2 space.
+
+    lower: best ratio over the family members; upper: weighted L2 norm of
+    the variation path, which dominates every ratio.  ``w`` as for
+    ``integrand_seminorm``.
+    """
+    w = stopping_weights(tau, V, scenarios) if w is None else w
+    return _continuity(phi, fam, w, _norm_sums([(phi, None)], fam, w)[0])
 
 
 def truncate(phi: MeasureProcess, c: float) -> MeasureProcess:
@@ -326,16 +414,34 @@ def weak_star_net(c: float, n: int, grid: CompactGrid, d: int = 1) -> list[Signe
     return out
 
 
-def net_fineness(net: Sequence[SignedMeasureVec], probes: Sequence[SignedMeasureVec],
-                 fam: TestFamily) -> float:
-    """Max over probes of the weak* distance to the nearest net element."""
-    from .grid import weak_star_delta
+def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """phi's family evaluations as distinct rows (D, K, d), and the (P, N) index of each
+    (scenario, slot) pair's row; phi is paired in blocks of scenarios.
 
-    return max(min(weak_star_delta(p, m, fam) for m in net) for p in probes)
+    Within a block and a slot, runs of equal rows over consecutive scenarios are split with
+    ``!=`` (on a tree, one run per atom), and their heads are then deduplicated by their bytes.
+    A NaN row starts a run of its own; rows that differ only in the sign of a zero stay apart.
+    """
+    P, N, d = phi.weights.shape[:3]
+    step = _block_scenarios(P, N, len(functions), d)
+    run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
+    heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
+    for lo in range(0, P, step):
+        evals = _family_evals(phi, functions, lo, lo + step, out=buf)  # (b, N, K, d)
+        fresh = np.ones((N, len(evals)), dtype=bool)
+        fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
+        run[:, lo : lo + len(evals)] = (np.cumsum(fresh) - 1).reshape(fresh.shape) + count
+        heads.append(evals.transpose(1, 0, 2, 3)[fresh])
+        count += len(heads[-1])
+    heads = np.concatenate(heads)  # (U, K, d), contiguous rows
+    keys = heads.reshape(len(heads), -1).view(np.dtype((np.void, heads[0].nbytes)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return heads[first], inverse[run.T]
 
 
-def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
-                   fam: TestFamily) -> tuple[MeasureProcess, np.ndarray, np.ndarray]:
+def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec], fam: TestFamily,
+                   distinct: tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> tuple[MeasureProcess, np.ndarray, np.ndarray]:
     """Pointwise nearest-net projection under the weak* metric.
 
     Returns the projected process, the assignment array (P, N) of net
@@ -343,27 +449,22 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec],
     distances attained.
 
     The distances depend on a (scenario, slot) pair only through its row
-    of family evaluations, so they are computed once per run of equal rows
-    over consecutive scenarios at a slot (on a tree, one run per atom) and
-    gathered back.  Rows are compared with ``!=``, so the split is exact
-    and assumes no adaptedness; a NaN row starts a run of its own.
+    of family evaluations, so they are computed once per distinct row
+    (``_distinct_rows``, exact and assuming no adaptedness; on a tree a
+    few dozen rows stand for thousands of pairs) and gathered back.  A
+    caller projecting the same phi on several nets passes ``distinct``.
     """
     if len(net) == 0:
         raise ValueError("empty net")
-    evals = _family_evals(phi, fam.functions)  # (P, N, K, d)
-    P, N = evals.shape[:2]
-    fresh = np.ones((N, P), dtype=bool)  # slot-major: each run is contiguous
-    fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
-    run = np.cumsum(fresh).reshape(N, P).T - 1  # (P, N) run index of every pair
-    heads = evals.transpose(1, 0, 2, 3)[fresh]  # (U, K, d), one row per run
-    dists, gap = np.empty((len(heads), len(net))), np.empty_like(heads)  # gap: one for all j
+    rows, index = _distinct_rows(phi, fam.functions) if distinct is None else distinct
+    dists, gap = np.empty((len(rows), len(net))), np.empty_like(rows)  # gap: one for all j
     net_w = np.stack([m.weights for m in net])
     for j, b in enumerate(_pair_rows(net_w, fam.functions)):  # (d, K)
-        np.square(np.subtract(heads, b.T[None], out=gap), out=gap)
+        np.square(np.subtract(rows, b.T[None], out=gap), out=gap)
         dists[:, j] = np.einsum("k,uk->u", fam.delta_weights, np.sqrt(np.sum(gap, axis=2)))
     best = np.argmin(dists, axis=1)
-    assignment = best[run]
-    attained = dists[np.arange(len(dists)), best][run]
+    assignment = best[index]
+    attained = dists[np.arange(len(dists)), best][index]
     projected = MeasureProcess("kernel", phi.grid, net_w[assignment])
     return projected, assignment, attained
 
@@ -410,6 +511,7 @@ class ApproxResult:
     reports: list[ApproxReport]
     converged: bool
     truncation_level: float
+    constant: float  # continuity_constant(phi, ...)["lower"] of the input itself
 
     @property
     def monotone(self) -> bool:
@@ -429,32 +531,41 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     truncation does not bite), projected on growing nets and refined into
     rectangles.  If the final q-error stays above ``tol`` the best
     sequence so far is returned with ``converged = False``.
+
+    Every quantity is computed once per call: the truncated input's
+    distinct evaluation rows serve every projection, and one pass over
+    blocks of scenarios (``_norm_sums``) yields each approximant's q-error
+    and continuity constant and the input's own constant, reading the
+    input's evaluations from those rows when truncation left it unchanged.
     """
     member = integrability_check(phi, V)
     if not member["member"]:
         raise ValueError("integrand fails the finiteness check")
+    w = stopping_weights(tau, V, scenarios)
     if phi.kind == "elementary":
-        report = ApproxReport(1, 0, 0.0, continuity_constant(phi, fam, tau, V, scenarios)["lower"],
-                              len(phi.terms or []))
-        return ApproxResult([phi], [report], True, c or 0.0)
+        constant = continuity_constant(phi, fam, tau, V, scenarios, w=w)["lower"]
+        report = ApproxReport(1, 0, 0.0, constant, len(phi.terms or []))
+        return ApproxResult([phi], [report], True, c or 0.0, constant)
     if c is None:
         c = float(np.max(variation_path(phi)))
         c = max(c, 1e-12)
     phi_c = truncate(phi, c)
-    processes, reports = [], []
-    for i, n in enumerate(schedule, start=1):
+    distinct = _distinct_rows(phi_c, fam.functions)
+    processes, net_sizes = [], []
+    for n in schedule:
         net = weak_star_net(c, n, phi.grid, d=phi.d)
-        projected, assignment, _ = project_to_net(phi_c, net, fam)
-        elem = rectangle_refine(projected, assignment, net, scenarios)
-        # once per step for both reports; phi's own stay per step (kept, they raise the peak RSS)
-        evals, w = _family_evals(elem, fam.functions), stopping_weights(tau, V, scenarios)
-        q_err = integrand_seminorm(elem, fam, tau, V, scenarios, minus=phi, evals=evals, w=w)
-        processes.append(elem)
-        reports.append(ApproxReport(i, len(net), q_err,
-                                    continuity_constant(elem, fam, tau, V, scenarios,
-                                                        evals=evals, w=w)["lower"],
-                                    len(elem.terms or [])))
-    return ApproxResult(processes, reports, reports[-1].q_error <= tol, c)
+        projected, assignment, _ = project_to_net(phi_c, net, fam, distinct=distinct)
+        processes.append(rectangle_refine(projected, assignment, net, scenarios))
+        net_sizes.append(len(net))
+    # per approximant its own norms, then those of its difference from phi
+    terms = [(phi, None)] + [(elem, minus) for elem in processes for minus in (None, phi)]
+    sums = _norm_sums(terms, fam, w, rows=(phi, *distinct) if phi_c is phi else None)
+    constant = _continuity(phi, fam, w, sums[0])["lower"]
+    reports = [ApproxReport(i, size, float(np.sqrt(fam.gammas @ diff)),
+                            _continuity(elem, fam, w, own)["lower"], len(elem.terms or []))
+               for i, (elem, size, own, diff)
+               in enumerate(zip(processes, net_sizes, sums[1::2], sums[2::2]), start=1)]
+    return ApproxResult(processes, reports, reports[-1].q_error <= tol, c, constant)
 
 
 def integrability_check(phi: MeasureProcess, V: np.ndarray,

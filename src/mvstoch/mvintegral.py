@@ -31,8 +31,9 @@ and keeps the (P, K, N + 1) paths, which is all the interchange checks
 and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
 matmuls, which round by the rows one call holds, so by block partition but
 not by thread count).  The convergence transfer reads only the paired
-charge gap: it draws the approximant's and the target's block streams in
-step and pairs their difference.  The Volterra decomposition reads only
+charge gap: it draws the target's block stream once, in step with every
+approximant's, pairs each difference in blocks of scenarios and keeps
+only each approximant's (P, K) running sup.  The Volterra decomposition reads only
 ``horizon_charge``.  No consumer holds the dense (P, N + 1, J + 1) ensemble;
 ``mv_integral`` fills it from the same blocks as a small-size reference.
 """
@@ -141,17 +142,6 @@ def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
     return out
 
 
-def _paired_gap(phi: MeasureProcess, minus: MeasureProcess, S: DriverPath,
-                functions: np.ndarray, upto: StoppingRule | None) -> np.ndarray:
-    """The pairing of phi's charge minus that of ``minus``, (P, K, N + 1): the
-    two block streams are drawn in step and the difference of each pair of
-    blocks is paired, as the dense difference would be."""
-    gap = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
-    for (lo, block), (_, other) in zip(charge_blocks(phi, S, upto), charge_blocks(minus, S, upto)):
-        _pair(gap, lo, block - other, functions)
-    return gap
-
-
 def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:
     """The dense (P, N + 1, J + 1) charge; a reference for small sizes."""
     out = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1, phi.grid.n_atoms))
@@ -166,6 +156,11 @@ def maximal_seminorm(paired: np.ndarray, fam: TestFamily, probs: np.ndarray) -> 
     M = np.abs(paired[:, :, 0])  # (P, K): the running sup, slice by slice, with no |paired| copy
     for t in range(1, paired.shape[2]):
         np.maximum(M, np.abs(paired[:, :, t]), out=M)
+    return _sup_seminorm(M, fam, probs)
+
+
+def _sup_seminorm(M: np.ndarray, fam: TestFamily, probs: np.ndarray) -> float:
+    """``maximal_seminorm`` from the (P, K) running sups of the pairings."""
     return float(np.sqrt(fam.gammas @ (probs @ (M * M))))
 
 
@@ -268,7 +263,30 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     approximant, the maximal-seminorm gap between its stopped integral and
     phi's.  The integrand-seminorm gap that dominates it is the q-error of
     the approximation report (``integrand_seminorm(phi_n, ..., minus=phi)``).
+
+    phi's charge stream is drawn once, in step with every approximant's.
+    Each difference of blocks is paired in blocks of scenarios, as the
+    dense difference would be (one matmul per scenario over the block's
+    times), and folded into that approximant's running sup, so no
+    (P, K, N + 1) gap is held.
     """
-    probs = S.scenarios.probs
-    return [maximal_seminorm(_paired_gap(phi_n, phi, S, fam.functions, tau), fam, probs)
-            for phi_n in processes]
+    functions = fam.functions
+    P, K = S.scenarios.n_scenarios, len(functions)
+    sups = np.zeros((len(processes), P, K))  # the gap is zero at time 0
+    streams = [charge_blocks(q, S, tau) for q in (phi, *processes)]
+    step = None
+    for (_, target), *blocks in zip(*streams):
+        n, n_atoms = target.shape[1] - 1, target.shape[2]  # the first block has the most times
+        if step is None:  # buffers reused by every block: fresh ones would be paged in each time
+            step = min(P, max(1, BLOCK_ENTRIES // (n * K)))  # scenarios per paired block
+            diff, paired = np.empty(step * n * n_atoms), np.empty(step * n * K)
+        for M, (_, block) in zip(sups, blocks):
+            for lo in range(0, P, step):
+                hi = min(lo + step, P)
+                gap = np.subtract(block[lo:hi, 1:], target[lo:hi, 1:],
+                                  out=diff[: (hi - lo) * n * n_atoms].reshape(hi - lo, n, n_atoms))
+                out = _pair_rows(gap, functions, out=paired[: (hi - lo) * n * K].reshape(hi - lo, n, K))
+                np.abs(out, out=out)
+                for t in range(n):  # the running sup, row by row
+                    np.maximum(M[lo:hi], out[:, t], out=M[lo:hi])
+    return [_sup_seminorm(M, fam, S.scenarios.probs) for M in sups]

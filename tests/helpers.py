@@ -3,7 +3,9 @@
 import numpy as np
 
 from mvstoch.drivers import DriverPath
-from mvstoch.mvintegral import charge_blocks
+from mvstoch.grid import weak_star_delta
+from mvstoch.integrands import _pair_rows
+from mvstoch.mvintegral import _pair, charge_blocks
 from mvstoch.volterra import VolterraKernel, induced_phi
 
 
@@ -15,3 +17,51 @@ def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
         l = np.arange(lo + 1, lo + block.shape[1])
         y_leftlim[:, l] = np.cumsum(block[:, :-1, : l[-1] + 1], axis=2)[:, l - 1 - lo, l]
     return y_leftlim
+
+
+def net_fineness(net, probes, fam) -> float:
+    """Max over probes of the weak* distance to the nearest net element."""
+    return max(min(weak_star_delta(p, m, fam) for m in net) for p in probes)
+
+
+def dense_evals(phi, functions) -> np.ndarray:
+    """phi's pairings with every row of ``functions``, all scenarios at once: (P, N, K, d)."""
+    P, N, d, _ = phi.weights.shape
+    return _pair_rows(phi.weights, functions).reshape(P, N, d, -1).swapaxes(2, 3)
+
+
+def dense_sq_norms(phi, w, functions, minus=None) -> np.ndarray:
+    """The former weighted squared norms (K,): the whole (P, N, K) array of squares, summed by
+    one ``np.einsum("pn,pnk->k")``; with ``minus`` those of the difference of evaluations."""
+    evals = dense_evals(phi, functions)
+    if minus is not None:
+        evals = evals - dense_evals(minus, functions)
+    sq = evals[..., 0] * evals[..., 0]
+    for i in range(1, evals.shape[3]):
+        sq += evals[..., i] * evals[..., i]
+    return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
+
+
+def project_loop(phi, net, fam):
+    """The weak* distance for every (scenario, slot) pair, (P, N, len(net)), then the nearest
+    net element: projected weights, assignment and attained distances.  Pairs through the
+    package's helper, as ``project_to_net`` does, so that its distances compare bit for bit."""
+    evals = dense_evals(phi, fam.functions)
+    dists = np.empty(evals.shape[:2] + (len(net),))
+    for j, m in enumerate(net):
+        b = _pair_rows(m.weights[None], fam.functions)[0].T  # (K, d)
+        gap = evals - b[None, None]
+        dists[:, :, j] = np.einsum("k,pnk->pn", fam.delta_weights,
+                                   np.sqrt(np.sum(gap * gap, axis=3)))
+    assignment = np.argmin(dists, axis=2)
+    attained = np.take_along_axis(dists, assignment[:, :, None], axis=2)[:, :, 0]
+    return np.stack([m.weights for m in net])[assignment], assignment, attained
+
+
+def paired_gap(phi, minus, S, functions, upto) -> np.ndarray:
+    """The pairing of phi's charge minus that of ``minus``, (P, K, N + 1): the two block
+    streams drawn in step and the difference of each pair of blocks paired whole."""
+    gap = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
+    for (lo, block), (_, other) in zip(charge_blocks(phi, S, upto), charge_blocks(minus, S, upto)):
+        _pair(gap, lo, block - other, functions)
+    return gap

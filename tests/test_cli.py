@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import mvstoch
-from mvstoch import drivers, integrands
+from mvstoch import drivers, integrands, mvintegral
 from mvstoch.cli import main
 from mvstoch.dominated import DominatedSpec
+from mvstoch.drivers import DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
+from mvstoch.grid import CompactGrid, build_test_family
 
 
 def write_config(tmp_path, name, payload):
@@ -117,21 +119,44 @@ class TestApproxCommand:
         assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
     def test_each_seminorm_computed_once(self, tmp_path, monkeypatch):
-        calls = []
-        original = integrands.integrand_seminorm
+        calls = {"_distinct_rows": 0, "_norm_sums": 0, "integrand_seminorm": 0,
+                 "continuity_constant": 0, "charge_blocks": 0}
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        # rebind it in every module that imported it, so that any caller counts
-        for name, module in list(sys.modules.items()):
-            if name.startswith("mvstoch") and getattr(module, "integrand_seminorm", None) is original:
-                monkeypatch.setattr(module, "integrand_seminorm", counting)
+        # rebind each in every module that imported it, so that any caller counts
+        for fname in calls:
+            original = getattr(integrands, fname, None) or getattr(mvintegral, fname)
+            wrapped = counting(fname, original)
+            for name, module in list(sys.modules.items()):
+                if name.startswith("mvstoch") and getattr(module, fname, None) is original:
+                    monkeypatch.setattr(module, fname, wrapped)
         cfg = self.approx_config(tmp_path, integrand={"kind": "random_lattice", "count": 2,
                                                       "seed": 2024, "ball": 1.0})
         assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        assert len(calls) == 2 * 3  # one per schedule step of each lattice integrand
+        # per lattice integrand: its distinct rows and one pass over its scenarios for every
+        # seminorm and continuity constant, and its charge drawn once beside each of the three
+        # approximants' charges
+        assert calls == {"_distinct_rows": 2, "_norm_sums": 2, "integrand_seminorm": 0,
+                         "continuity_constant": 0, "charge_blocks": 2 * (1 + 3)}
+        monkeypatch.undo()
+        # the reports equal the public seminorms of the approximants
+        sc = ScenarioSet.tree(2, 3)
+        tg, grid = TimeGrid(4.0, 3), CompactGrid(1.0, 8)
+        fam = build_test_family(grid, grid.n_atoms + 2**grid.n_atoms)
+        tau = StoppingRule.never(sc, 3)
+        V = simulate_driver(DriverSpec("brownian"), tg, sc).control
+        phi = integrands.random_lattice_process(grid, tg, sc, np.random.default_rng(2024))
+        result = integrands.approximate_elementary(phi, tau, V, fam, sc, c=1.0)
+        with open(tmp_path / "o" / "approx_report.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["integrand"] == "lattice_0"]
+        for row, elem in zip(rows, result.processes, strict=True):
+            assert float(row["q_error"]) == integrands.integrand_seminorm(elem, fam, tau, V, sc,
+                                                                          minus=phi)
 
 
 class TestVolterraCommand:
@@ -200,6 +225,26 @@ class TestVolterraCommand:
         assert rows[1][0].startswith("tabulated")
         assert np.isnan(float(rows[1][1])) and np.isnan(float(rows[1][2]))
         assert json.loads((out / "summary.json").read_text())["pass"] is False
+
+
+class TestDiagnosticSection:
+    """A bad roughness-diagnostic section is a configuration error (exit 2), found before the
+    volterra kernels are decomposed or any thread starts, so no report is written."""
+
+    @pytest.mark.parametrize("command", ["volterra", "example7"])
+    @pytest.mark.parametrize("diagnostic", [{"levels": 2}, {"levels": 6, "n_steps": 48}],
+                             ids=["two_levels", "indivisible_steps"])
+    def test_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys, command, diagnostic):
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / f"{command}.json").read_text())
+        shipped["diagnostic"] = {**shipped.get("diagnostic", {}), **diagnostic}
+        cfg, out = write_config(tmp_path, f"{command}.json", shipped), tmp_path / "o"
+        threads = threading.active_count()
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert threading.active_count() == threads
+        err = capsys.readouterr().err
+        assert err.startswith("config error: diagnostic.") and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestExample7Command:

@@ -263,6 +263,45 @@ class TestVeraarAgainstBroadcastOracle:
         sup = condition_evaluator(spec, S, S.control)["c_veraar"]["sup"]
         assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
 
+    @pytest.mark.parametrize("case", ["power_law", "adapted", "scenario_bracket"])
+    @pytest.mark.parametrize("block_entries", [16 * 7, 16 * 64, dom.BLOCK_ENTRIES])
+    def test_reused_buffers_equal_fresh_blocks(self, monkeypatch, case, block_entries):
+        # the square-root path walks the atoms in blocks through one set of buffers (the last
+        # block narrower); it must equal the former loop over fresh block arrays bit for bit
+        S = brownian(6, 16)
+        qv, var_a = S.decomposition_paths()
+        if case == "power_law":
+            spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 200)
+        elif case == "adapted":
+            spec = DominatedSpec.from_adapted_density(lambda t, z, s: np.cos(3 * z + t + s), S,
+                                                      CompactGrid(1.0, 150))
+        else:
+            spec = DominatedSpec.from_density_callable(lambda t, z: np.sin(z + t) + 0.5,
+                                                       S.timegrid, CompactGrid(1.0, 150))
+            qv = qv + np.linspace(0.0, 0.1, 6)[:, None] * S.timegrid.times
+        monkeypatch.setattr(dom, "BLOCK_ENTRIES", block_entries)
+        fv, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
+        dqv = np.diff(qv, axis=1)
+        fresh = np.zeros_like(root)
+        for cols in dom._blocks(spec.grid.n_atoms, 16):
+            dens = spec.density_values(rows=slice(0, 16), cols=cols)
+            path = running_sum(np.square(dens, out=dens) * dqv[:, :, None])
+            fresh += np.sqrt(path, out=path) @ spec.eta[cols]
+        assert np.array_equal(root, fresh)
+        assert np.array_equal(fv, running_sum(dom._eta_mix(spec, np.abs)[:, :-1] * np.diff(var_a, axis=1)))
+
+    def test_density_block_into_a_used_buffer(self):
+        # atoms without eta mass read zero, whatever the buffer held before
+        S = brownian(3, 8)
+        base = DominatedSpec.from_adapted_density(lambda t, z, s: np.cos(3 * z + t + s), S,
+                                                  CompactGrid(1.0, 20))
+        spec = DominatedSpec(base.grid, base.timegrid, base.point_masses,
+                             base.eta * (np.arange(21) % 3 != 1))
+        out = np.full((3, 8, 7), np.nan)
+        got = spec.density_values(rows=slice(0, 8), cols=slice(5, 12), out=out)
+        assert got is out
+        assert np.array_equal(got, spec.density_values(rows=slice(0, 8), cols=slice(5, 12)))
+
     def test_deterministic_density_root_is_one_row(self):
         S = brownian(5, 16)
         spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 64)

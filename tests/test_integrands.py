@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import dense_sq_norms, net_fineness, project_loop
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mvstoch import integrands
 from mvstoch.dominated import power_law_integrand
@@ -18,7 +21,6 @@ from mvstoch.integrands import (
     integrability_check,
     integrand_seminorm,
     kernel_process,
-    net_fineness,
     project_to_net,
     random_lattice_process,
     rectangle_refine,
@@ -131,9 +133,9 @@ class TestIntegrandSeminorm:
         assert q == pytest.approx(math.sqrt(0.5 * 1 * 1 * 4 + 0.5 * 2 * 2 * 4))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_shared_evaluations_hold_two_more_arrays(self, d):
-        # the caller keeps its evaluations; the difference seminorm then holds
-        # minus's evaluations and the difference, and squares without a third
+    def test_difference_holds_blocks_not_evaluations(self, d):
+        # the difference seminorm keeps one block of each operand's evaluations, their
+        # difference and its weighted squares, never a whole (P, N, K, d) evaluation array
         import tracemalloc
 
         rng = np.random.default_rng(9)
@@ -142,15 +144,56 @@ class TestIntegrandSeminorm:
         b = random_kernel(self.grid, 16, rng, P=512, d=d)
         fam = build_test_family(self.grid, 40)
         V, tau = identity_control(tg, 512), StoppingRule.never(sc, 16)
-        evals, w = integrands._family_evals(a, fam.functions), stopping_weights(tau, V, sc)
+        w = stopping_weights(tau, V, sc)
+        evals_nbytes = 512 * 16 * 40 * d * 8
         tracemalloc.start()
         try:
-            q = integrand_seminorm(a, fam, tau, V, sc, minus=b, evals=evals, w=w)
+            q = integrand_seminorm(a, fam, tau, V, sc, minus=b, w=w)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert q == integrand_seminorm(a, fam, tau, V, sc, minus=b)
-        assert peak <= 2.25 * evals.nbytes  # 2.99 with np.sum(evals * evals, axis=3)
+        assert q == float(np.sqrt(fam.gammas @ dense_sq_norms(a, w, fam.functions, minus=b)))
+        block_nbytes = 8 * integrands.EVAL_ENTRIES
+        assert 5 * block_nbytes < evals_nbytes
+        assert peak <= 5 * block_nbytes, peak / block_nbytes  # measured 4.25 (d = 1), 3.94 (d = 2)
+
+
+class TestNormSums:
+    """The seminorms' weighted sums in blocks of scenarios, against the whole (P, N, K) array
+    of squares summed by one einsum (``helpers.dense_sq_norms``), bit for bit."""
+
+    @given(P=st.integers(1, 40), N=st.integers(1, 8), d=st.integers(1, 2), J=st.integers(1, 6),
+           K=st.integers(1, 12), rows_of=st.lists(st.booleans(), min_size=3, max_size=3),
+           gather=st.booleans(), eval_entries=st.integers(1, 500), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_equal_one_einsum(self, P, N, d, J, K, rows_of, gather, eval_entries, seed):
+        # rows_of: whether phi and each of two approximants has P rows or one
+        rng = np.random.default_rng(seed)
+        grid = CompactGrid(1.0, J)
+        fam = build_test_family(grid, K)
+        phi, *elems = [MeasureProcess("kernel", grid, rng.normal(size=(P if many else 1, N, d, J + 1)))
+                       for many in rows_of]
+        w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
+        terms = [(phi, None)] + [(e, m) for e in elems for m in (None, phi)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
+            rows = (phi, *integrands._distinct_rows(phi, fam.functions)) if gather else None
+            sums = integrands._norm_sums(terms, fam, w, rows=rows)
+        for total, (a, b) in zip(sums, terms):
+            assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
+
+    def test_several_blocks_at_the_bench_shape(self):
+        # P = 4096, N = 12, K = 37: 57 blocks of 73 scenarios against one einsum
+        sc, tg = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12)
+        grid = CompactGrid(1.0, 4)
+        fam = build_test_family(grid, 37)
+        phi = random_lattice_process(grid, tg, sc, np.random.default_rng(0))
+        elem = random_lattice_process(grid, tg, sc, np.random.default_rng(1))
+        w = stopping_weights(StoppingRule.never(sc, 12), identity_control(tg, sc.n_scenarios), sc)
+        terms = [(phi, None), (elem, None), (elem, phi)]
+        sums = integrands._norm_sums(terms, fam, w, rows=(phi, *integrands._distinct_rows(phi, fam.functions)))
+        for total, (a, b) in zip(sums, terms):
+            assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
 
 
 class TestContinuityConstant:
@@ -359,25 +402,6 @@ class TestPairRows:
         assert peak < dense / 100
 
 
-def _project_loop(phi, net, fam):
-    """Reference: the weak* distance for every (scenario, slot) pair, (P, N, len(net)).
-
-    Pairs through the package's helper, as ``project_to_net`` does, so that
-    the run-split distances compare bit for bit.
-    """
-    P, N, d, _ = phi.weights.shape
-    evals = _pair_rows(phi.weights, fam.functions).reshape(P, N, d, -1).swapaxes(2, 3)
-    dists = np.empty((P, N, len(net)))
-    for j, m in enumerate(net):
-        b = _pair_rows(m.weights[None], fam.functions)[0].T  # (K, d)
-        gap = evals - b[None, None]
-        dists[:, :, j] = np.einsum("k,pnk->pn", fam.delta_weights,
-                                   np.sqrt(np.sum(gap * gap, axis=3)))
-    assignment = np.argmin(dists, axis=2)
-    attained = np.take_along_axis(dists, assignment[:, :, None], axis=2)[:, :, 0]
-    return np.stack([m.weights for m in net])[assignment], assignment, attained
-
-
 def _tree_values(sc, n_steps, rng, d, n_atoms):
     """Continuous per-atom values at every slot, shape (P, N, d, n_atoms)."""
     w = np.empty((sc.n_scenarios, n_steps, d, n_atoms))
@@ -388,7 +412,7 @@ def _tree_values(sc, n_steps, rng, d, n_atoms):
 
 
 class TestProjectToNetAgainstLoop:
-    """Distances computed once per run of equal rows match the per-pair loop bit for bit."""
+    """Distances computed once per distinct row match the per-pair loop bit for bit."""
 
     def setup_method(self):
         self.grid = CompactGrid(1.0, 4)
@@ -396,7 +420,7 @@ class TestProjectToNetAgainstLoop:
 
     def check(self, phi, net):
         projected, assignment, attained = project_to_net(phi, net, self.fam)
-        w_ref, a_ref, d_ref = _project_loop(phi, net, self.fam)
+        w_ref, a_ref, d_ref = project_loop(phi, net, self.fam)
         assert assignment.shape == attained.shape == phi.weights.shape[:2]
         assert np.array_equal(assignment, a_ref)
         assert np.array_equal(attained, d_ref, equal_nan=True)
@@ -445,6 +469,29 @@ class TestProjectToNetAgainstLoop:
         _, attained = self.check(MeasureProcess("kernel", self.grid, w),
                                  weak_star_net(1.0, 16, self.grid))
         assert np.isnan(attained[1, 1]) and np.isnan(attained[4]).all()
+
+    @given(P=st.integers(1, 30), N=st.integers(1, 6), d=st.integers(1, 2), J=st.integers(1, 5),
+           K=st.integers(1, 12), one_row=st.booleans(), eval_entries=st.integers(1, 400),
+           n_net=st.integers(1, 40), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_rows_in_blocks_equal_the_pair_loop(self, P, N, d, J, K, one_row,
+                                                         eval_entries, n_net, seed):
+        # few levels, so rows repeat within and across blocks; then signed zeros and NaNs
+        rng = np.random.default_rng(seed)
+        grid = CompactGrid(1.0, J)
+        fam = build_test_family(grid, K)
+        w = rng.choice([-0.5, 0.0, 0.25, 0.5], size=(1 if one_row else P, N, d, J + 1))
+        w[rng.random(w.shape) < 0.1] *= -1.0
+        w[rng.random(w.shape) < 0.02] = np.nan
+        phi = MeasureProcess("kernel", grid, w)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
+            projected, assignment, attained = project_to_net(
+                phi, weak_star_net(1.0, n_net, grid, d=d), fam)
+        w_ref, a_ref, d_ref = project_loop(phi, weak_star_net(1.0, n_net, grid, d=d), fam)
+        assert np.array_equal(assignment, a_ref)
+        assert np.array_equal(attained, d_ref, equal_nan=True)
+        assert np.array_equal(projected.weights, w_ref)
 
     def test_duplicated_net_elements_take_lowest_index(self):
         base = weak_star_net(1.0, 12, self.grid)
@@ -538,29 +585,32 @@ class TestApproximateElementary:
 
     def test_each_approximant_evaluated_once_per_step(self, monkeypatch):
         phi = random_lattice_process(self.grid, self.tg, self.sc, np.random.default_rng(2024), c=1.0)
-        calls = {"evals": 0, "weights": 0}
-        evals, weights = integrands._family_evals, integrands.stopping_weights
+        calls = {"evals": 0, "weights": 0, "rows": 0, "sums": 0}
+        counted = {"evals": "_family_evals", "weights": "stopping_weights",
+                   "rows": "_distinct_rows", "sums": "_norm_sums"}
 
-        def counting_evals(*args):
-            calls["evals"] += 1
-            return evals(*args)
+        def counting(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def counting_weights(*args):
-            calls["weights"] += 1
-            return weights(*args)
-
-        monkeypatch.setattr(integrands, "_family_evals", counting_evals)
-        monkeypatch.setattr(integrands, "stopping_weights", counting_weights)
+        for key, name in counted.items():
+            monkeypatch.setattr(integrands, name, counting(key, getattr(integrands, name)))
         result = approximate_elementary(phi, self.tau, self.V, self.fam, self.sc,
                                         schedule=(4, 16, 64), c=1.0)
-        # per step: the truncated input in project_to_net, the approximant, and phi
-        assert calls == {"evals": 3 * 3, "weights": 3}
+        # once per call: the input's distinct rows (one block of its evaluations) serve every
+        # projection and, as truncation does not bite, its norms; one pass over the scenarios
+        # then evaluates each of the three approximants once
+        assert calls == {"evals": 1 + 3, "weights": 1, "rows": 1, "sums": 1}
         monkeypatch.undo()
         for elem, rep in zip(result.processes, result.reports):
             assert rep.q_error == integrand_seminorm(elem, self.fam, self.tau, self.V, self.sc,
                                                      minus=phi)
             assert rep.uniform_constant == continuity_constant(elem, self.fam, self.tau, self.V,
                                                                self.sc)["lower"]
+        assert result.constant == continuity_constant(phi, self.fam, self.tau, self.V,
+                                                      self.sc)["lower"]
 
     def test_unconverged_flag(self):
         rng = np.random.default_rng(3)

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import paired_gap
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,7 +217,7 @@ class TestChargeBlocks:
         step = next(charge_blocks(phi, S, tau))[1].shape[1] - 1  # times per block
         assert np.array_equal(paired_charge(phi, S, functions, upto=tau), pair(dense, functions, step))
         # the in-step difference pairs as the difference of the dense charges
-        gap = mvintegral._paired_gap(phi, psi, S, functions, tau)
+        gap = paired_gap(phi, psi, S, functions, tau)
         assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions, step))
 
     def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):
@@ -575,6 +576,53 @@ class TestConvergenceTransfer:
         assert r_gaps[-1] <= 1e-6
         for rep, r_gap in zip(result.reports, r_gaps):
             assert r_gap <= rep.q_error + 1e-12
+
+
+class TestStreamedTransfer:
+    """``convergence_transfer_check`` draws phi's charge once beside every approximant's and
+    pairs the differences in blocks of scenarios; against the dense gap per approximant."""
+
+    @given(P=st.integers(1, 30), N=st.integers(1, 10), d=st.integers(1, 2), J=st.integers(1, 6),
+           K=st.integers(1, 10), rows_of=st.lists(st.booleans(), min_size=1, max_size=4),
+           stopped=st.booleans(), block_entries=st.integers(1, 300), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_dense_gap_per_approximant(self, P, N, d, J, K, rows_of, stopped,
+                                                  block_entries, seed):
+        # rows_of: whether phi and each approximant has P rows or one
+        rng = np.random.default_rng(seed)
+        S, grid = brownian(P, N, seed=seed, d=d), CompactGrid(1.0, J)
+        fam = build_test_family(grid, K)
+        phi, *processes = [MeasureProcess("kernel", grid, rng.normal(size=(P if many else 1, N, d, J + 1)))
+                           for many in rows_of]
+        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            got = convergence_transfer_check(phi, processes, S, tau, fam)
+            want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions, tau), fam, S.scenarios.probs)
+                    for q in processes]
+        assert got == want
+
+    def test_peak_of_the_approx_pipeline(self):
+        # approximate_elementary and the transfer check at the approx-tree bench size: a depth-12
+        # binary tree (P = 4096), N = 12, J = 4 and the default 37-member family.  One (P, N, K)
+        # evaluation array is 14.5 MB.  Measured: 1.70 of them, most of it the transfer check's
+        # four charge streams and three running sups (3.75 when each step held whole arrays)
+        sc, tg = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12)
+        S = simulate_driver(DriverSpec("brownian"), tg, sc)
+        grid = CompactGrid(1.0, 4)
+        fam = build_test_family(grid, grid.n_atoms + 2**grid.n_atoms)
+        tau = StoppingRule.never(sc, 12)
+        phi = random_lattice_process(grid, tg, sc, np.random.default_rng(2035))
+        evals_nbytes = sc.n_scenarios * 12 * fam.size * 8
+        tracemalloc.start()
+        try:
+            result = approximate_elementary(phi, tau, S.control, fam, sc, schedule=(4, 16, 64), c=1.0)
+            gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged and gaps[-1] <= 1e-6
+        assert peak <= 2 * evals_nbytes, peak / evals_nbytes  # 18 % above the measured peak
 
 
 class TestFamilyInvariance:
