@@ -51,7 +51,6 @@ converse.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -242,13 +241,11 @@ def make_dominated(spec: DominatedSpec) -> MeasureProcess:
 
 
 def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int],
-                       upto: StoppingRule | None = None, exact_sum: bool = False) -> np.ndarray:
+                       upto: StoppingRule | None = None) -> np.ndarray:
     """eta-mixture of the per-atom integral paths over an atom-index range.
 
     Computes, for each atom z_j in the set, the driver integral of the
-    atom's density path, then mixes with the eta weights.  ``exact_sum``
-    uses correctly rounded accumulation over atoms so the result is
-    independent of atom order bit-for-bit.
+    atom's density path, then mixes with the eta weights.
     """
     if S.spec.d != 1:
         raise ValueError("the classic route is stated for scalar drivers")
@@ -260,13 +257,6 @@ def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, 
         dS = dS * upto.increment_mask()
     slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
     per_atom = running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
-    if exact_sum:
-        P, n1, _ = per_atom.shape
-        out = np.empty((P, n1))
-        for p in range(P):
-            for l in range(n1):
-                out[p, l] = math.fsum(per_atom[p, l])
-        return out
     return per_atom.sum(axis=2)
 
 

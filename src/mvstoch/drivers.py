@@ -176,10 +176,6 @@ class ScenarioSet:
         """Id of the filtration atom containing each scenario at time t_level."""
         return np.arange(self.n_scenarios) // self.atom_size(level)
 
-    def atoms(self, level: int) -> list[np.ndarray]:
-        ids = self.atom_ids(level)
-        return [np.flatnonzero(ids == a) for a in range(ids[-1] + 1)]
-
     def is_measurable(self, values: np.ndarray, level: int, tol: float = 0.0) -> bool:
         """True if per-scenario values are constant on every level atom.
 

@@ -8,22 +8,15 @@ Everything downstream of this module identifies, at finite resolution,
     for members of a :class:`TestFamily`),
   * a closed set with the indicator of its atoms.
 
-Pairings, variation norms and Jordan decompositions are then finite sums
-and exact.  The weak* topology is probed through a fixed countable family
-of test functions via the metric
+Pairings and variation norms are then finite sums and exact; a scalar
+measure is a :class:`SignedMeasureVec` with d = 1.  The weak* topology is
+probed through a fixed countable family of test functions via the metric
 
     delta(m, m') = sum_k 2**-k * |m(u_k) - m'(u_k)|,
 
 which separates measures as soon as the family spans the grid-function
 space (the default family starts with the atom indicator "hats", so it
 does for ``k_max >= J + 1``).
-
-Kernel-defined measures (a density against dz) assign atom ``j`` the mass
-of the cell ``(z_{j-1}, z_j]`` (atom 0 owns the degenerate cell ``{0}`` and
-carries no mass for absolutely continuous densities).  When an
-antiderivative of the density is available the cell masses are exact, so
-closed-form variation norms hold to machine precision; otherwise midpoint
-quadrature is used.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -32,18 +25,13 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "CompactGrid",
-    "SignedMeasure",
     "SignedMeasureVec",
     "TestFamily",
-    "total_variation",
-    "pair",
-    "jordan",
     "weak_star_delta",
     "build_test_family",
 ]
@@ -89,51 +77,6 @@ class CompactGrid:
             raise ValueError(f"{point} is not an atom of the grid")
         return idx
 
-    def cell_masses(
-        self,
-        density: Callable[[np.ndarray], np.ndarray] | None = None,
-        antiderivative: Callable[[np.ndarray], np.ndarray] | None = None,
-    ) -> np.ndarray:
-        """Per-atom masses of a density dz; exact when an antiderivative is given.
-
-        Atom j owns the cell (z_{j-1}, z_j]; atom 0 carries no mass.
-        """
-        z = self.atoms
-        w = np.zeros(self.n_atoms)
-        if antiderivative is not None:
-            prim = antiderivative(z)
-            w[1:] = np.diff(prim)
-        elif density is not None:
-            mid = 0.5 * (z[:-1] + z[1:])
-            w[1:] = density(mid) * self.cell_width
-        else:
-            raise ValueError("need a density or an antiderivative")
-        return w
-
-
-def _check_weights(grid: CompactGrid, weights: np.ndarray) -> np.ndarray:
-    w = np.asarray(weights, dtype=float)
-    if w.shape[-1] != grid.n_atoms:
-        raise ValueError(f"expected {grid.n_atoms} weights, got {w.shape[-1]}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("measure weights must be finite")
-    return w
-
-
-@dataclass(frozen=True)
-class SignedMeasure:
-    """Signed finite measure: one weight per atom."""
-
-    grid: CompactGrid
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _check_weights(self.grid, self.weights)
-        if w.ndim != 1:
-            raise ValueError("SignedMeasure weights must be one-dimensional")
-        object.__setattr__(self, "weights", w)
-        self.weights.setflags(write=False)
-
 
 @dataclass(frozen=True)
 class SignedMeasureVec:
@@ -143,7 +86,11 @@ class SignedMeasureVec:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _check_weights(self.grid, self.weights)
+        w = np.asarray(self.weights, dtype=float)
+        if w.shape[-1] != self.grid.n_atoms:
+            raise ValueError(f"expected {self.grid.n_atoms} weights, got {w.shape[-1]}")
+        if not np.all(np.isfinite(w)):
+            raise ValueError("measure weights must be finite")
         if w.ndim == 1:
             w = w[None, :]
         if w.ndim != 2:
@@ -155,9 +102,6 @@ class SignedMeasureVec:
     def d(self) -> int:
         return self.weights.shape[0]
 
-    def component(self, i: int) -> SignedMeasure:
-        return SignedMeasure(self.grid, self.weights[i].copy())
-
     def variation(self) -> np.ndarray:
         """Componentwise variation norms, a length-d vector."""
         return np.sum(np.abs(self.weights), axis=1)
@@ -167,26 +111,6 @@ class SignedMeasureVec:
         if f.shape != (self.grid.n_atoms,):
             raise ValueError("test function does not match the grid")
         return self.weights @ f
-
-
-def total_variation(m: SignedMeasure) -> float:
-    """Variation norm: the total mass of |m|, i.e. sum_j |w_j|."""
-    return float(np.sum(np.abs(m.weights)))
-
-
-def pair(m: SignedMeasure, f: np.ndarray) -> float:
-    """Integral of the grid function f against m: sum_j f(z_j) * w_j."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (m.grid.n_atoms,):
-        raise ValueError("test function does not match the grid")
-    return float(m.weights @ f)
-
-
-def jordan(m: SignedMeasure) -> tuple[SignedMeasure, SignedMeasure]:
-    """Split m = m_plus - m_minus into nonnegative parts with disjoint support."""
-    plus = np.maximum(m.weights, 0.0)
-    minus = np.maximum(-m.weights, 0.0)
-    return SignedMeasure(m.grid, plus), SignedMeasure(m.grid, minus)
 
 
 @dataclass(frozen=True)
@@ -230,31 +154,16 @@ class TestFamily:
     def size(self) -> int:
         return self.functions.shape[0]
 
-    def evaluate_measure(self, m: SignedMeasureVec | SignedMeasure) -> np.ndarray:
-        """Pairings with every family member; shape (k_max,) or (k_max, d)."""
-        if isinstance(m, SignedMeasure):
-            return self.functions @ m.weights
+    def evaluate_measure(self, m: SignedMeasureVec) -> np.ndarray:
+        """Pairings with every family member, (k_max, d)."""
         return self.functions @ m.weights.T
 
 
-def weak_star_delta(
-    m: SignedMeasure | SignedMeasureVec,
-    m2: SignedMeasure | SignedMeasureVec,
-    fam: TestFamily,
-) -> float:
-    """Truncated weak* metric sum_k 2**-k |m(u_k) - m'(u_k)|.
-
-    For vector measures the componentwise pairing gap is aggregated with
-    the Euclidean norm.
-    """
-    a = fam.evaluate_measure(m)
-    b = fam.evaluate_measure(m2)
-    diff = a - b
-    if diff.ndim == 1:
-        gaps = np.abs(diff)
-    else:
-        gaps = np.sqrt(np.sum(diff * diff, axis=1))
-    return float(fam.delta_weights @ gaps)
+def weak_star_delta(m: SignedMeasureVec, m2: SignedMeasureVec, fam: TestFamily) -> float:
+    """Truncated weak* metric sum_k 2**-k |m(u_k) - m'(u_k)|, the componentwise
+    pairing gap aggregated with the Euclidean norm."""
+    diff = fam.evaluate_measure(m) - fam.evaluate_measure(m2)
+    return float(fam.delta_weights @ np.sqrt(np.sum(diff * diff, axis=1)))
 
 
 def sign_pattern(grid: CompactGrid, code: int) -> np.ndarray:

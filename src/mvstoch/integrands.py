@@ -513,11 +513,6 @@ class ApproxResult:
     truncation_level: float
     constant: float  # continuity_constant(phi, ...)["lower"] of the input itself
 
-    @property
-    def monotone(self) -> bool:
-        errs = [r.q_error for r in self.reports]
-        return all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
-
 
 def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray,
                            fam: TestFamily, scenarios: ScenarioSet,

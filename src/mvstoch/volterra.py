@@ -27,7 +27,7 @@ in t) of inner driver integrals of the density.
 The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
-Stationary kernels get an FFT convolution path (``numpy.fft``).  The
+Its power-kernel paths are FFT convolutions (``numpy.fft``).  The
 power-kernel samplers draw the Brownian increments DRAW_ROWS scenarios at a
 time, the rows they transform or sum next, so their memory does not grow
 with the number of scenarios; every block is transformed in the same work
@@ -91,7 +91,6 @@ class VolterraKernel:
     matrix: np.ndarray  # (N+1, N+1, d) or (P, N+1, N+1, d); [.., l, j, i] = K(t_l, t_j)
     timegrid: TimeGrid
     density_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    stationary_profile: Callable[[np.ndarray], np.ndarray] | None = None
     var_sq_integral: Callable[[float], float] | None = None
 
     def __post_init__(self):
@@ -142,7 +141,6 @@ def power_kernel(alpha: float, timegrid: TimeGrid) -> VolterraKernel:
         gap**alpha,
         timegrid,
         density_fn=lambda r, s: alpha * np.maximum(r - s, 1e-300) ** (alpha - 1) * (r > s),
-        stationary_profile=lambda lag: lag**alpha,
         var_sq_integral=lambda u: (T ** (2 * alpha + 1) - (T - min(u, T)) ** (2 * alpha + 1))
         / (2 * alpha + 1),
     )
@@ -157,7 +155,6 @@ def affine_kernel(level: float, slope: float, timegrid: TimeGrid) -> VolterraKer
         level + slope * gap,
         timegrid,
         density_fn=lambda r, s: slope * np.ones_like(r - s),
-        stationary_profile=lambda lag: level + slope * lag,
     )
 
 
@@ -218,24 +215,12 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
         yield x[:, : N + 1]
 
 
-def volterra_direct(kernel: VolterraKernel, S: DriverPath, method: str = "auto") -> np.ndarray:
-    """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct.
-
-    ``method='fft'`` exploits a stationary profile via batched
-    convolution (same values up to FFT roundoff).
-    """
+def volterra_direct(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
+    """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct."""
     N = S.timegrid.n_steps
     if kernel.timegrid.n_steps != N:
         raise ValueError("kernel and driver grids differ")
     dS = S.increments
-    if method == "auto":
-        method = "fft" if (kernel.stationary_profile is not None and N >= 2048
-                           and not kernel.is_random and kernel.d == 1) else "direct"
-    if method == "fft":
-        if kernel.stationary_profile is None:
-            raise ValueError("no stationary profile for the fft path")
-        w = kernel.stationary_profile(np.arange(N + 1) * S.timegrid.dt)
-        return next(_fft_paths(dS[:, :, 0], _profile_spectra([w], N)))
     K = kernel.per_scenario(dS.shape[0])
     l = np.arange(N + 1)
     masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
@@ -290,7 +275,7 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
     y = np.cumsum(horizon_charge(phi, S), axis=1)  # Y_l pairs it with I_{[0, t_l]}
-    x_direct = volterra_direct(kernel, S, method="direct")
+    x_direct = volterra_direct(kernel, S)
     x_reconstructed = diag + y
     gap = float(np.max(np.abs(x_direct - x_reconstructed)))
     return {
@@ -410,17 +395,18 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
 
 
 def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenarios: int,
-                         seed: int, n_levels: int = 6, block: int = DRAW_ROWS,
+                         seed: int, n_levels: int = 6,
                          lead: Callable[[], None] | None = None) -> np.ndarray:
-    """``level_variations`` of the ``volterra_direct(method="fft")`` power-kernel
-    paths on the shared Brownian blocks, (n_alpha, P, n_levels).  Each block is drawn
-    and transformed once for all exponents, by one of ``drivers.WORKERS`` threads
-    (``drivers.pull_blocks``) in ``block // WORKERS`` rows, into its own buffers;
-    the calling thread runs ``lead()`` first, as the pool's lead."""
+    """``level_variations`` of the power-kernel paths ``volterra_direct`` sums, here by
+    FFT convolution (``_fft_paths``) on the shared Brownian blocks, (n_alpha, P, n_levels).
+    Each block is drawn and transformed once for all exponents, by one of
+    ``drivers.WORKERS`` threads (``drivers.pull_blocks``) in ``DRAW_ROWS // WORKERS``
+    rows, into its own buffers; the calling thread runs ``lead()`` first, as the pool's
+    lead."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
-    rows = max(1, block // drivers.WORKERS)
+    rows = max(1, DRAW_ROWS // drivers.WORKERS)
     works = [_fft_work(rows, N) for _ in range(drivers.WORKERS)]
 
     def consume(worker: int, item: tuple) -> None:

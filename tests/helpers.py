@@ -6,7 +6,7 @@ from mvstoch.drivers import DriverPath
 from mvstoch.grid import weak_star_delta
 from mvstoch.integrands import _pair_rows
 from mvstoch.mvintegral import _pair, charge_blocks
-from mvstoch.volterra import VolterraKernel, induced_phi
+from mvstoch.volterra import VolterraKernel, _fft_paths, _profile_spectra, induced_phi
 
 
 def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
@@ -17,6 +17,13 @@ def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
         l = np.arange(lo + 1, lo + block.shape[1])
         y_leftlim[:, l] = np.cumsum(block[:, :-1, : l[-1] + 1], axis=2)[:, l - 1 - lo, l]
     return y_leftlim
+
+
+def fft_volterra(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
+    """The Volterra path of a stationary deterministic scalar kernel, (P, N + 1), by the
+    roughness diagnostic's FFT convolution of its lag profile K(t_l, 0) with the increments."""
+    N = S.timegrid.n_steps
+    return next(_fft_paths(S.increments[:, :, 0], _profile_spectra([kernel.matrix[:, 0, 0]], N)))
 
 
 def net_fineness(net, probes, fam) -> float:

@@ -247,6 +247,24 @@ class TestDiagnosticSection:
         assert list(out.iterdir()) == []
 
 
+class TestMalformedSection:
+    @pytest.mark.parametrize("section", [
+        {"driver": {"vol": None}},
+        {"scenarios": 5},
+        {"driver": ["brownian"]},
+        {"tolerances": [1e-10]},
+        {"test_family": {"k_max": "x"}},
+    ], ids=["driver_vol_null", "scenarios_number", "driver_list", "tolerances_list",
+            "k_max_text"])
+    def test_exits_two_without_traceback(self, tmp_path, capsys, section):
+        out = tmp_path / "o"
+        assert main(["fubini", "--config", fubini_config(tmp_path, **section),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+
 class TestExample7Command:
     def test_single_alpha_report(self, tmp_path):
         cfg = write_config(tmp_path, "ex7.json", {
@@ -264,6 +282,29 @@ class TestExample7Command:
         row = body[1].split(",")
         assert row[0] == "1"
         assert row[4] == "True"  # certificate for alpha > 1/2
+
+    def test_isometry_gate_reads_the_sum_variance(self, tmp_path):
+        # at 64 steps the left-endpoint sum's variance sits 4.7 % above the continuous
+        # u^3 / 3, which the 8209 scenarios resolve (z = 3.48 against it); the gate
+        # reads the sum's own variance, and the bias goes to its own column
+        cfg = write_config(tmp_path, "ex7_iso.json", {
+            "time": {"T": 1.0, "N": 64},
+            "grid": {"J": 64},
+            "scenarios": {"seed": 11},
+            "alphas": [1.0],
+            "isometry": {"scenarios": 2 * drivers.SCENARIO_CHUNK + 17, "n_steps": 64},
+            "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3},
+        })
+        out = tmp_path / "out"
+        assert main(["example7", "--config", cfg, "--out", str(out)]) == 0
+        with open(out / "example7_report.csv") as fh:
+            row, = csv.DictReader(fh)
+        assert float(row["isometry_max_z"]) <= 3.0 and row["pass"] == "True"
+        # the sum's exact relative excess over u^3 / 3 at u = T/2 and T: dt (3 / (2u) + ...)
+        dt = 1.0 / 64
+        excess = max((sum((u - k * dt) ** 2 for k in range(round(u / dt))) * dt) / (u**3 / 3) - 1
+                     for u in (0.5, 1.0))
+        assert float(row["isometry_bias_rel"]) == pytest.approx(excess, rel=1e-12)
 
     def test_nonpositive_alpha_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "ex7bad.json", {
@@ -462,8 +503,7 @@ class TestDeterminismAcrossSubcommands:
                 "grid": {"J": 64},
                 "scenarios": {"seed": 11},
                 "alphas": [0.25, 1.0],
-                # three chunks, two drawn at once at two workers; at 64 steps the
-                # sum's discretization bias alone fails the isometry z-test here
+                # three chunks, two drawn at once at two workers
                 "isometry": {"scenarios": 2 * drivers.SCENARIO_CHUNK + 17, "n_steps": 1024},
                 "diagnostic": diagnostic,
             })

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mvstoch import dominated as dom
@@ -116,18 +118,6 @@ class TestClassicFubiniRhs:
         h = np.maximum(u - t, 0.0) * (t < u)
         direct = ito_integral(PredictablePath(h[None, :, None]), S)
         np.testing.assert_allclose(rhs, direct, atol=1e-10)
-
-    def test_exact_sum_is_order_independent(self):
-        S = brownian(3, 6)
-        grid = CompactGrid(1.0, 5)
-        rng = np.random.default_rng(23)
-        masses = rng.normal(size=(1, 7, 6))
-        spec = DominatedSpec(grid, S.timegrid, masses, np.full(6, 0.1))
-        a = classic_fubini_rhs(spec, S, (0, 5), exact_sum=True)
-        flipped = DominatedSpec(grid, S.timegrid, masses[:, :, ::-1].copy(),
-                                np.full(6, 0.1))
-        b = classic_fubini_rhs(flipped, S, (0, 5), exact_sum=True)
-        assert np.array_equal(a, b)
 
     def test_unresolvable_set(self):
         S = brownian(2, 4)
@@ -583,6 +573,16 @@ class TestGeneralKernelConditions:
         assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
         assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
 
+    @staticmethod
+    def whole_weights_paths(phi, V):
+        """The c63 and c64 paths from sums over the whole weights array at once."""
+        w, r = phi.weights, phi.rho[:, :, None, :]
+        sq = w * w
+        np.divide(sq, r, out=sq, where=r > 0)
+        dV = np.diff(V, axis=1)
+        return (running_sum(np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2) * dV),
+                running_sum(phi.rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV))
+
     def test_slot_blocks_equal_whole_weights_sums(self):
         # 300 slots of 2 x 200 atoms span four slot blocks; the sums of the
         # whole weights array are the reference, bit for bit
@@ -592,13 +592,33 @@ class TestGeneralKernelConditions:
         rho[:, :, ::5] = 0.0
         V = np.linspace(0.0, 2.0, 301)[None]
         phi = kernel_process(CompactGrid(1.0, 199), psi, rho)
-        w, r = phi.weights, rho[:, :, None, :]
-        sq = w * w
-        np.divide(sq, r, out=sq, where=r > 0)
-        dV = np.diff(V, axis=1)
-        c63 = running_sum(np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2) * dV)
-        c64 = running_sum(rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV)
+        c63, c64 = self.whole_weights_paths(phi, V)
         out = general_kernel_conditions(phi, V)
+        assert out["c63"]["sup"] == float(np.max(c63))
+        assert out["c64"]["sup"] == float(np.max(c64))
+
+    @given(P=st.integers(1, 12), N=st.integers(1, 20), d=st.integers(1, 2), J=st.integers(1, 8),
+           rows=st.sampled_from([1, "P"]), entries=st.integers(1, 200), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_slot_blocks_equal_the_whole_array_formula(self, P, N, d, J, rows, entries, seed):
+        # every path, not only its sup: from one slot per block to all of them in one
+        rng = np.random.default_rng(seed)
+        n = P if rows == "P" else 1
+        rho = rng.uniform(0.0, 0.5, size=(n, N, J + 1)) * (rng.random((n, N, J + 1)) < 0.7)
+        phi = kernel_process(CompactGrid(1.0, J), rng.normal(size=(n, N, d, J + 1)), rho)
+        V = np.cumsum(rng.uniform(0.0, 1.0, size=(P, N + 1)), axis=1)
+        paths = []
+
+        def recording(x):
+            paths.append(running_sum(x))
+            return paths[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            mp.setattr(dom, "running_sum", recording)
+            out = general_kernel_conditions(phi, V)
+        c63, c64 = self.whole_weights_paths(phi, V)
+        assert np.array_equal(paths[0], c63) and np.array_equal(paths[1], c64)
         assert out["c63"]["sup"] == float(np.max(c63))
         assert out["c64"]["sup"] == float(np.max(c64))
 

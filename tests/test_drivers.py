@@ -620,8 +620,8 @@ class TestPredictablePath:
         sc = ScenarioSet.tree(3, 2)
         assert sc.n_scenarios == 9
         assert sc.probs.sum() == pytest.approx(1.0)
-        assert len(sc.atoms(1)) == 3
-        assert len(sc.atoms(2)) == 9
+        assert sc.atom_ids(1)[-1] + 1 == 3
+        assert sc.atom_ids(2)[-1] + 1 == 9
 
 
 class TestWeightIdentity:

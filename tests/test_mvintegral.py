@@ -197,27 +197,33 @@ class TestChargeBlocks:
     """The time-blocked accumulator, and the pairings drawn from it, against
     the former dense fill."""
 
+    # BLOCK_ENTRIES 1 and 97 against P (J + 1) from 2 to 270 give from one time per block to
+    # all of them; the shipped 2**18 holds every time in one block and pairs all scenarios at once
     @pytest.mark.parametrize("block_entries", [1, 97, mvintegral.BLOCK_ENTRIES])
     @pytest.mark.parametrize("rows", [1, "P"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("stopped", [False, True])
-    def test_equals_dense_fill(self, monkeypatch, block_entries, rows, d, stopped):
-        P, N = 7, 23
-        S = brownian(P, N, d=d)
-        grid = CompactGrid(1.0, 5)
-        rng = np.random.default_rng(11)
+    @given(P=st.integers(1, 30), N=st.integers(1, 30), J=st.integers(1, 8), K=st.integers(1, 10),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=8, deadline=None)
+    def test_equals_dense_fill(self, block_entries, rows, d, stopped, P, N, J, K, seed):
+        S = brownian(P, N, d=d, seed=seed)
+        grid = CompactGrid(1.0, J)
+        rng = np.random.default_rng(seed)
         n_rows = P if rows == "P" else 1
-        phi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, 6)))
-        psi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, 6)))
+        phi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
+        psi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
         tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
-        functions = build_test_family(grid, 8).functions
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+        functions = build_test_family(grid, K).functions
         dense = dense_charge_oracle(phi, S, tau)
-        assert np.array_equal(mv_integral(phi, S, upto=tau), dense)
-        step = next(charge_blocks(phi, S, tau))[1].shape[1] - 1  # times per block
-        assert np.array_equal(paired_charge(phi, S, functions, upto=tau), pair(dense, functions, step))
-        # the in-step difference pairs as the difference of the dense charges
-        gap = paired_gap(phi, psi, S, functions, tau)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(mv_integral(phi, S, upto=tau), dense)
+            step = next(charge_blocks(phi, S, tau))[1].shape[1] - 1  # times per block
+            assert np.array_equal(paired_charge(phi, S, functions, upto=tau),
+                                  pair(dense, functions, step))
+            # the in-step difference pairs as the difference of the dense charges
+            gap = paired_gap(phi, psi, S, functions, tau)
         assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions, step))
 
     def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):

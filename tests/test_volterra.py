@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import fft_volterra, left_limit_remainder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,8 +40,6 @@ from mvstoch.volterra import (
     variation_condition_check,
     volterra_direct,
 )
-
-from helpers import left_limit_remainder
 
 
 def brownian(P, N, T=1.0, seed=3):
@@ -87,8 +86,8 @@ class TestVolterraDirect:
         S = brownian(8, 64)
         # the affine profile is nonzero at lag 0, which the sum over j < l excludes
         for k in (power_kernel(0.75, S.timegrid), affine_kernel(1.0, 2.0, S.timegrid)):
-            direct = volterra_direct(k, S, method="direct")
-            fft = volterra_direct(k, S, method="fft")
+            direct = volterra_direct(k, S)
+            fft = fft_volterra(k, S)
             np.testing.assert_allclose(fft, direct, atol=1e-10)
 
     def test_terminal_sampler_matches_driver_route(self):
@@ -143,7 +142,7 @@ class TestSharedBrownianSource:
         terms = power_volterra_terminals(alphas, u_indices, tg, self.P, seed=19)
         assert terms.shape == (self.P, len(alphas), len(u_indices))
         for a, alpha in enumerate(alphas):
-            direct = volterra_direct(power_kernel(alpha, tg), driver, method="direct")
+            direct = volterra_direct(power_kernel(alpha, tg), driver)
             for c, u in enumerate(u_indices):
                 scale = np.max(np.abs(direct[:, u]))
                 np.testing.assert_allclose(terms[:, a, c], direct[:, u], rtol=1e-12,
@@ -154,7 +153,7 @@ class TestSharedBrownianSource:
         tv = power_volterra_paths(alphas, tg, self.P, seed=19, n_levels=4)
         assert tv.shape == (len(alphas), self.P, 4)
         for a, alpha in enumerate(alphas):
-            fft = volterra_direct(power_kernel(alpha, tg), driver, method="fft")
+            fft = fft_volterra(power_kernel(alpha, tg), driver)
             np.testing.assert_allclose(tv[a], level_variations(fft, 4), rtol=1e-12)
 
     def test_terminals_hold_one_chunk_of_normals(self):
@@ -206,14 +205,15 @@ class TestSharedBrownianSource:
                 tracemalloc.stop()
         assert peaks[2] <= 1.3 * peaks[1], peaks
 
-    @given(P=st.integers(1, SCENARIO_CHUNK + 3), block=st.integers(1, 40),
+    @given(P=st.integers(1, SCENARIO_CHUNK + 3), rows=st.integers(1, 40),
            n_levels=st.integers(3, 5), workers=st.sampled_from([1, 2]))
     @settings(max_examples=20, deadline=None)
-    def test_paths_equal_the_serial_block_loop(self, P, block, n_levels, workers):
+    def test_paths_equal_the_serial_block_loop(self, P, rows, n_levels, workers):
         tg, alphas = TimeGrid(1.0, 2 ** (n_levels - 1) * 3), (0.25, 0.75)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(drivers, "WORKERS", workers)
-            tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels, block=block)
+            mp.setattr(vol, "DRAW_ROWS", rows)
+            tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels)
         assert np.array_equal(tv, serial_paths(alphas, tg, P, 29, n_levels))
 
     @given(chunk=st.integers(1, 48), n_chunks=st.integers(1, 4), short=st.integers(0, 47),
