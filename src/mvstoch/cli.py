@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -81,6 +82,21 @@ def _get(cfg: dict, key: str, default=None, required: bool = False):
         kind = "an object" if isinstance(default, dict) else "a list"
         raise ConfigError(f"config section {key!r} must be {kind}, not {cfg[key]!r}")
     return cfg[key]
+
+
+def _positive(cfg: dict, key: str, default, cast=float, zero_ok: bool = False):
+    """``cfg[section][name]`` for ``key`` = "section.name", else ``default``: a finite
+    number of type ``cast``, positive (or zero if ``zero_ok``)."""
+    section, name = key.split(".")
+    raw = _get(cfg, section, {}).get(name, default)
+    try:
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{key} must be a number, not {raw!r}") from None
+    if not (0 < value < math.inf or zero_ok and value == 0):
+        raise ConfigError(f"{key} is {raw!r}; it must be finite and "
+                          f"{'nonnegative' if zero_ok else 'positive'}")
+    return value
 
 
 def build_timegrid(cfg: dict) -> TimeGrid:
@@ -331,7 +347,9 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     if any(a <= 0 for a in alphas):
         raise ConfigError("power exponents must be positive")
     diag_cfg, tg_diag, levels = build_diagnostic(cfg, timegrid.horizon)
-    J = int(_get(cfg, "grid", {}).get("J", 2**12))
+    J = _positive(cfg, "grid.J", 2**12, int)
+    growth_factor = _positive(cfg, "probe.growth_factor", 1.5)
+    doublings = _positive(cfg, "probe.doublings", 3, int, zero_ok=True)
     tol_var = float(_get(cfg, "tolerances", {}).get("variation", 1e-9))
     tol_d = float(_get(cfg, "tolerances", {}).get("accumulation", 1e-9))
     tol_66 = float(_get(cfg, "tolerances", {}).get("square_density_rel", 1e-6))
@@ -339,7 +357,6 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     # its quadrature converges at rate mesh^(2 alpha - 1); gate separately
     tol_66_frac = float(_get(cfg, "tolerances", {}).get("square_density_rel_fractional", 1e-2))
     iso_cfg = _get(cfg, "isometry", {})
-    probe_cfg = _get(cfg, "probe", {})
     scen_cfg = _get(cfg, "scenarios", {"seed": 12345})
     seed = seed_override if seed_override is not None else int(scen_cfg.get("seed", 12345))
     T = timegrid.horizon
@@ -367,10 +384,8 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
         d_err = abs(member["d_path"][0, -1] - T ** (2 * alpha + 1) / (2 * alpha + 1))
         # square-density condition: closed value or divergence probe
         conds = dom.condition_evaluator(spec, S, S.control)
-        cert = dom.measure_valuedness_certificate(
-            spec, S, S.control,
-            growth_factor=float(probe_cfg.get("growth_factor", 1.5)),
-            doublings=int(probe_cfg.get("doublings", 3)))
+        cert = dom.measure_valuedness_certificate(spec, S, S.control, growth_factor=growth_factor,
+                                                  doublings=doublings)
         if alpha > 0.5:
             closed = spec.profile.square_density_integral(T)
             c66_rel = abs(conds["c66_value_at_horizon"] - closed) / closed
@@ -407,21 +422,20 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
 def run_conditions(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
     timegrid = build_timegrid(cfg)
     scenarios = build_scenarios(cfg, seed_override)
-    S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
-    grid_cfg = _get(cfg, "grid", {})
-    J = int(grid_cfg.get("J", timegrid.n_steps))
-    spec_cfg = _get(cfg, "integrand", {"kind": "power_law", "alpha": 1.0})
-    if spec_cfg.get("kind") != "power_law":
+    J = _positive(cfg, "grid.J", timegrid.n_steps, int)
+    if _get(cfg, "integrand", {"kind": "power_law"}).get("kind") != "power_law":
         raise ConfigError("the conditions experiment is defined for the power_law integrand")
-    spec = dom.DominatedSpec.from_power_profile(float(spec_cfg.get("alpha", 1.0)), timegrid, J)
+    alpha = _positive(cfg, "integrand.alpha", 1.0)
+    doublings = _positive(cfg, "probe.doublings", 3, int, zero_ok=True)
+    growth_factor = _positive(cfg, "probe.growth_factor", 1.5)
+    S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
+    spec = dom.DominatedSpec.from_power_profile(alpha, timegrid, J)
     report = dom.condition_evaluator(spec, S, S.control)
-    probe_cfg = _get(cfg, "probe", {})
-    doublings = int(probe_cfg.get("doublings", 3))
     # spatial-refinement growth ratio per condition (sup at 2^k J over sup at J);
     # the refined grid is also the certificate's last probe, so it is built once
     refined = dom.condition_evaluator(spec.reatomize(J * 2**doublings), S, S.control)
     cert = dom.measure_valuedness_certificate(
-        spec, S, S.control, growth_factor=float(probe_cfg.get("growth_factor", 1.5)),
+        spec, S, S.control, growth_factor=growth_factor,
         doublings=doublings, finest_sup=refined["c66"]["sup"])
     for key in ("c63", "c64", "c66", "c67", "c_veraar"):
         base = report[key]["sup"]

@@ -33,13 +33,17 @@ mix-first sum
     int_0^t int |psi_r| deta d|A|_r
 
 taken left-endpoint, time-first, against the mixed path int |psi| deta.
-The square-root variant is accumulated per atom in column blocks.  The
-driver's bracket is one deterministic row, so for a deterministic density
-the square-root path is one row too; its rows are the density's rows
-broadcast against the bracket's.  The eta-mixes themselves are formed a
-block of grid times at a time, so no array of shape (P, N + 1, J + 1) is
-built and, for a deterministic density, the condition layer's memory does
-not grow with P.
+The square-root variant int sqrt(int_0^t psi_r^2 d<M>_r) deta is
+nondecreasing in t when the bracket is (a decreasing one is rejected), so
+only its horizon value is formed: each atom's time sum, in column blocks,
+mixed by eta.  The driver's bracket is one deterministic row, so for a
+deterministic density that value is one number; its rows are the
+density's rows broadcast against the bracket's.  A stationary spec forms
+no density block: grid time r adds the one vector (m0 / h)^2 d<M>_r to the
+atoms from m r + 1 on, O(N J) adds in O(J) memory.  The eta-mixes are
+formed a block of grid times at a time, so no array of shape
+(P, N + 1, J + 1) is built and, for a deterministic density, the
+condition layer's memory does not grow with P.
 
 The measure-valuedness certificate re-atomizes the spec across dyadic
 spatial refinements and flags the square-density condition as divergent
@@ -304,36 +308,53 @@ def _eta_mix(spec: DominatedSpec, fn: Callable[[np.ndarray], np.ndarray]) -> np.
 
 def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
                   var_a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The mixture-last condition paths: FV variant and square-root variant.
+    """The mixture-last conditions: FV variant path and square-root variant at the horizon.
 
     FV: int int_0^t |psi_r(z)| d|A|_r deta(z), linear in |psi|, so it is the
     left-endpoint time sum of ``abs_mix`` against d|A|, (P, N + 1).
-    Square root: int sqrt(int_0^t psi_r(z)^2 d<M>_r) deta(z), accumulated
-    per atom over column blocks of about BLOCK_ENTRIES / N atoms (set by the
-    grid, never by P).  Its rows are the spec's rows broadcast against the
-    bracket's: one row for a deterministic density against the driver's
-    one-row bracket.
+    Square root: int sqrt(int_0^T psi_r(z)^2 d<M>_r) deta(z), one value per
+    row, (R,): the spec's rows broadcast against the bracket's, so one value
+    for a deterministic density against the driver's one-row bracket.  Each
+    atom's time sum only grows when the bracket does, so its sup over t is
+    this horizon value and a path finite at T is finite throughout; a
+    decreasing bracket raises ``ValueError``.  The atoms' sums are formed in
+    column blocks of about BLOCK_ENTRIES / N atoms (set by the grid, never by
+    P), each added in time order and mixed by the block's eta.  A stationary
+    spec against a one-row bracket forms no density block: grid time r adds
+    (m0[k] / h)^2 d<M>_r to atom m r + k, k >= 1, the same products in the
+    same order.
     """
     fv = running_sum(abs_mix[:, :-1] * np.diff(var_a, axis=1))
     dqv = np.diff(qv, axis=1)
-    N, Pw = spec.timegrid.n_steps, spec.n_scenario_rows
-    root = np.zeros(np.broadcast_shapes((Pw,), dqv.shape[:1]) + (N + 1,))
-    R, blocks = len(root), _blocks(spec.grid.n_atoms, N)
+    if np.any(dqv < 0):
+        raise ValueError("the bracket must be nondecreasing in time")
+    N, Pw, n_atoms = spec.timegrid.n_steps, spec.n_scenario_rows, spec.grid.n_atoms
+    R = max(Pw, len(dqv))
+    root, blocks = np.zeros(R), _blocks(n_atoms, N)
+    if spec.stationary is not None and len(dqv) == 1:
+        m = spec.grid.n_cells // N
+        dsq = np.square(spec.stationary / spec.grid.cell_width)
+        total, buf = np.zeros((1, n_atoms)), np.empty(n_atoms)
+        for r in range(N):  # atoms up to m r only ever receive +0.0 from time r
+            n = n_atoms - 1 - m * r
+            total[0, m * r + 1 :] += np.multiply(dsq[1 : n + 1], dqv[0, r], out=buf[:n])
+        np.sqrt(total, out=total)
+        for cols in blocks:
+            root += total[:, cols] @ spec.eta[cols]
+        return fv, root
     # one set of block buffers: fresh blocks are paged in again whenever glibc maps them
     # afresh or trims the heap under them, which the heap's layout decides (up to 100x faults)
-    width = min(blocks[0].stop, spec.grid.n_atoms)
-    dens_buf, sq_buf, path_buf = (np.empty(Pw * N * width), np.empty(R * N * width),
-                                  np.empty(R * (N + 1) * width))
+    width = min(blocks[0].stop, n_atoms)
+    dens_buf, sq_buf = np.empty(Pw * N * width), np.empty(R * N * width)
     for cols in blocks:
-        w = min(cols.stop, spec.grid.n_atoms) - cols.start
+        w = min(cols.stop, n_atoms) - cols.start
         dens = spec.density_values(rows=slice(0, N), cols=cols,
                                    out=dens_buf[: Pw * N * w].reshape(Pw, N, w))
         sq = np.multiply(np.square(dens, out=dens), dqv[:, :, None],
                          out=sq_buf[: R * N * w].reshape(R, N, w))
-        path = path_buf[: R * (N + 1) * w].reshape(R, N + 1, w)
-        path[:, 0] = 0.0  # as running_sum
-        np.cumsum(sq, axis=1, out=path[:, 1:])
-        root += np.sqrt(path, out=path) @ spec.eta[cols]
+        # the last partial sum, added in time order: numpy sums a lone column pairwise
+        total = np.add.reduce(sq, axis=1) if w > 1 else np.cumsum(sq, axis=1)[:, -1]
+        root += np.sqrt(total, out=total) @ spec.eta[cols]
     return fv, root
 
 
@@ -358,8 +379,11 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     The FV Veraar variant uses the mix-first identity: with eta >= 0 and
     |psi| >= 0, mixing the per-atom time sums equals the left-endpoint time
     sum of the mixed path int |psi| deta against d|A|.  The square-root
-    variant has one row per density row, as the driver's bracket is one
-    row.  No array of shape (P, N + 1, J + 1) is formed.
+    variant is nondecreasing in t (its terms psi^2 d<M> and eta are >= 0),
+    so its sup and finiteness are read from its value at the horizon, one
+    per density row, as the driver's bracket is one row.  No array of shape
+    (P, N + 1, J + 1) is formed, and none of shape (N + 1, J + 1) for a
+    stationary spec.
     """
     abs_mix = _eta_mix(spec, np.abs)  # int |psi| deta at grid points, (Pw, N + 1)
     sq_mix = _eta_mix(spec, np.square)  # int |psi|^2 deta
@@ -375,7 +399,7 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     c67_a = _trapezoid_against(abs_mix, var_a)
     c67_b = _trapezoid_against(abs_mix**2, qv)
 
-    veraar_a, veraar_b = _veraar_paths(spec, abs_mix, qv, var_a)
+    veraar_a, root_at_T = _veraar_paths(spec, abs_mix, qv, var_a)  # the root grows in t
 
     out = {
         "c63": _finiteness(c63_path),
@@ -385,8 +409,8 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
                 "sup": max(_finiteness(c67_a)["sup"], _finiteness(c67_b)["sup"]),
                 "fv_part_sup": _finiteness(c67_a)["sup"],
                 "bracket_part_sup": _finiteness(c67_b)["sup"]},
-        "c_veraar": {"finite": bool(np.all(np.isfinite(veraar_a)) and np.all(np.isfinite(veraar_b))),
-                     "sup": float(max(np.max(veraar_a), np.max(veraar_b)))},
+        "c_veraar": {"finite": bool(np.all(np.isfinite(veraar_a)) and np.all(np.isfinite(root_at_T))),
+                     "sup": float(max(np.max(veraar_a), np.max(root_at_T)))},
         "c66_value_at_horizon": float(np.max(c66_path[:, -1])),
     }
     if spec.profile is not None:

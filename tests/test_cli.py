@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import mvstoch
-from mvstoch import drivers, integrands, mvintegral
+from mvstoch import cli, drivers, integrands, mvintegral
 from mvstoch.cli import main
 from mvstoch.dominated import DominatedSpec
 from mvstoch.drivers import DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
@@ -328,6 +328,47 @@ class TestConditionsCommand:
         payload = json.loads((out / "conditions.json").read_text())
         assert {"c63", "c64", "c66", "c67", "c_veraar"} <= payload["conditions"].keys()
         assert payload["certificate"]["hypotheses_met"] is True
+
+
+class TestNumericKeys:
+    """A non-numeric or out-of-range grid, integrand or probe value is a configuration error
+    (exit 2) naming its key, found before the driver is simulated, so no report is written."""
+
+    CASES = {
+        "J_text": ("grid", {"J": "x"}), "J_zero": ("grid", {"J": 0}),
+        "alpha_text": ("integrand", {"alpha": "x"}), "alpha_zero": ("integrand", {"alpha": 0}),
+        "doublings_text": ("probe", {"doublings": "x"}),
+        "doublings_negative": ("probe", {"doublings": -1}),
+        "growth_factor_text": ("probe", {"growth_factor": "x"}),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_conditions_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys, case):
+        section, values = self.CASES[case]
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "conditions.json").read_text())
+        shipped[section] = {**shipped[section], **values}
+        self.check(tmp_path, monkeypatch, capsys, "conditions", shipped, f"{section}.{next(iter(values))}")
+
+    @pytest.mark.parametrize("case", ["J_zero", "doublings_negative", "growth_factor_text"])
+    def test_example7_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, case):
+        section, values = self.CASES[case]
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "example7.json").read_text())
+        shipped[section] = {**shipped[section], **values}
+        monkeypatch.setattr(cli.vol, "power_volterra_terminals", self.no_work)
+        self.check(tmp_path, monkeypatch, capsys, "example7", shipped, f"{section}.{next(iter(values))}")
+
+    @staticmethod
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the config was checked")
+
+    def check(self, tmp_path, monkeypatch, capsys, command, payload, key):
+        monkeypatch.setattr(cli, "simulate_driver", self.no_work)
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, "cfg.json", payload),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
 
 class TestElementaryFromConfig:

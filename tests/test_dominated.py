@@ -224,7 +224,9 @@ class TestVeraarAgainstBroadcastOracle:
         oracle_fv, oracle_root = broadcast_veraar_paths(spec, qv, var_a)
         assert fv.shape == oracle_fv.shape
         assert rel_gap(fv, oracle_fv) <= 1e-12
-        assert rel_gap(root, oracle_root) <= 1e-12
+        # the square-root variant is read at the horizon only: one value per density or bracket row
+        assert root.shape == (max(spec.n_scenario_rows, len(qv)),)
+        assert rel_gap(root, oracle_root[:, -1]) <= 1e-12
         return oracle_fv, oracle_root
 
     @pytest.mark.parametrize("driver", [DriverSpec("brownian"),
@@ -254,10 +256,11 @@ class TestVeraarAgainstBroadcastOracle:
         assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
 
     @pytest.mark.parametrize("case", ["power_law", "adapted", "scenario_bracket"])
-    @pytest.mark.parametrize("block_entries", [16 * 7, 16 * 64, dom.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("block_entries", [16 * 7, 16 * 50, 16 * 64, dom.BLOCK_ENTRIES])
     def test_reused_buffers_equal_fresh_blocks(self, monkeypatch, case, block_entries):
-        # the square-root path walks the atoms in blocks through one set of buffers (the last
-        # block narrower); it must equal the former loop over fresh block arrays bit for bit
+        # the square root walks the atoms in blocks through one set of buffers (the last block
+        # narrower, one atom wide at 16 * 50); its horizon values must equal the last row of the
+        # former loop over fresh block arrays, mixed by eta one row at a time, bit for bit
         S = brownian(6, 16)
         qv, var_a = S.decomposition_paths()
         if case == "power_law":
@@ -275,8 +278,8 @@ class TestVeraarAgainstBroadcastOracle:
         fresh = np.zeros_like(root)
         for cols in dom._blocks(spec.grid.n_atoms, 16):
             dens = spec.density_values(rows=slice(0, 16), cols=cols)
-            path = running_sum(np.square(dens, out=dens) * dqv[:, :, None])
-            fresh += np.sqrt(path, out=path) @ spec.eta[cols]
+            last = running_sum(np.square(dens, out=dens) * dqv[:, :, None])[:, -1]
+            fresh += np.sqrt(last) @ spec.eta[cols]
         assert np.array_equal(root, fresh)
         assert np.array_equal(fv, running_sum(dom._eta_mix(spec, np.abs)[:, :-1] * np.diff(var_a, axis=1)))
 
@@ -297,7 +300,17 @@ class TestVeraarAgainstBroadcastOracle:
         spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 64)
         qv, var_a = S.decomposition_paths()
         _, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
-        assert root.shape == (1, 17)
+        assert root.shape == (1,)
+
+    def test_decreasing_bracket_rejected(self):
+        # the horizon read relies on a nondecreasing bracket
+        S = brownian(2, 8)
+        spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 16)
+        qv, var_a = S.decomposition_paths()
+        qv = qv.copy()
+        qv[0, 5] = qv[0, 6] + 1e-9
+        with pytest.raises(ValueError, match="nondecreasing"):
+            dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
 
     def test_deterministic_density_scenario_dependent_bracket(self):
         # a bracket with unequal rows gives one square-root row per scenario
@@ -379,6 +392,56 @@ class TestStationarySpec:
         np.testing.assert_allclose(cert["c66_probe"]["values"], values, rtol=self.RTOL, atol=0)
         assert cert["c66_probe"]["divergent"] is (values[-1] / values[0] > 1.5)
         assert cert["hypotheses_met"] is not cert["c66_probe"]["divergent"]
+
+    @given(n_exp=st.integers(0, 6), m_exp=st.integers(0, 3),
+           alpha=st.one_of(st.sampled_from([1.0, 2.0]), st.floats(0.1, 3.0)),
+           entries=st.integers(1, 2000))
+    @settings(max_examples=100, deadline=None)
+    def test_eta_mix_equals_row_loop_in_row_blocks(self, n_exp, m_exp, alpha, entries):
+        # dyadic grids, where the row loop's masses are the stationary ones bit for bit;
+        # the row loop walks row blocks of every height from one grid time up
+        tg, m = TimeGrid(1.0, 2**n_exp), 2**m_exp
+        spec, oracle = (DominatedSpec.from_power_profile(alpha, tg, m * tg.n_steps),
+                        row_loop_spec(alpha, tg, m * tg.n_steps))
+        assert np.array_equal(spec.point_masses, oracle.point_masses)
+        exact = alpha in (1.0, 2.0)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            for fn in (np.abs, np.square):
+                got, want = dom._eta_mix(spec, fn), dom._eta_mix(oracle, fn)
+                assert got.shape == want.shape == (1, tg.n_steps + 1)
+                assert np.array_equal(got, want) if exact else np.allclose(got, want, rtol=self.RTOL, atol=0)
+
+    @given(N=st.integers(1, 48), m=st.integers(1, 8),
+           alpha=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0]), st.floats(0.1, 3.0)),
+           entries=st.integers(1, 2000), ramp=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_square_root_equals_the_general_route(self, N, m, alpha, entries, ramp, seed):
+        # the shifted-vector route adds each atom's products in the general route's order and
+        # mixes the same column blocks (one atom wide at small ``entries``): bit for bit against
+        # the same masses held dense, and against the row loop's on dyadic grids, where the
+        # masses are the same
+        tg = TimeGrid(1.0, N)
+        spec = DominatedSpec.from_power_profile(alpha, tg, m * N)
+        oracles = [DominatedSpec(spec.grid, tg, np.array(spec.point_masses), spec.eta)]
+        if N & (N - 1) == 0 and m & (m - 1) == 0:
+            oracles.append(row_loop_spec(alpha, tg, m * N))
+            assert np.array_equal(oracles[1].point_masses, spec.point_masses)
+        rng = np.random.default_rng(seed)
+        qv = np.zeros((1, N + 1))
+        if ramp:  # a continuous driver's bracket
+            qv[0] = rng.uniform(0.1, 2.0) * tg.times
+        else:  # steps, some of them flat
+            qv[0, 1:] = np.cumsum(rng.uniform(0.0, 0.1, N) * (rng.random(N) < 0.7))
+        var_a = np.zeros((1, N + 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            _, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
+            assert root.shape == (1,)
+            for oracle in oracles:
+                assert oracle.stationary is None
+                _, want = dom._veraar_paths(oracle, dom._eta_mix(oracle, np.abs), qv, var_a)
+                assert np.array_equal(root, want)
 
     def test_masses_are_read_only(self):
         spec = DominatedSpec.from_power_profile(0.75, TimeGrid(1.0, 8), 32)
@@ -462,6 +525,26 @@ class TestConditionEvaluatorMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[64] <= 1.5 * peaks[1], peaks
+
+    def test_stationary_spec_at_quarter_million_atoms(self):
+        # N = 2048 grid times against J = 2^18 atoms: N J = 5.4e8, minutes of work if the square
+        # root went through blocks of the density; the shifted vector makes it three of J + 1
+        tg = TimeGrid(1.0, 2048)
+        S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(2, 3))
+        spec = DominatedSpec.from_power_profile(0.75, tg, 2**18)
+        assert spec.stationary is not None
+        condition_evaluator(spec, S, S.control)  # warm-up: imports and caches
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            out = condition_evaluator(spec, S, S.control)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 5.0, elapsed
+        assert peak < 16 * 2**20, peak
+        assert out["c_veraar"]["finite"]
 
 
 class TestCertificate:
