@@ -2,7 +2,7 @@
 
 Modules
 -------
-grid        atomic signed measures, test families, the weak* metric
+grid        atomic signed measures, test families and the weak* metric's weights
 drivers     scenario models, driver path simulation, control processes,
             the scalar stochastic integral and its L2 weighting machinery
 integrands  measure-valued predictable processes and the elementary

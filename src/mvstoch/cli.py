@@ -88,14 +88,21 @@ def _positive(cfg: dict, key: str, default, cast=float, zero_ok: bool = False):
     """``cfg[section][name]`` for ``key`` = "section.name", else ``default``: a finite
     number of type ``cast``, positive (or zero if ``zero_ok``)."""
     section, name = key.split(".")
-    raw = _get(cfg, section, {}).get(name, default)
+    return _number(_get(cfg, section, {}).get(name, default), key, cast,
+                   "nonnegative" if zero_ok else "positive")
+
+
+def _number(raw, key: str, cast=float, bound: str = "positive"):
+    """``raw`` as a finite number of type ``cast`` that is ``bound`` ("positive",
+    "nonnegative" or "any"); else a ``ConfigError`` naming ``key``."""
     try:
         value = cast(raw)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key} must be a number, not {raw!r}") from None
-    if not (0 < value < math.inf or zero_ok and value == 0):
-        raise ConfigError(f"{key} is {raw!r}; it must be finite and "
-                          f"{'nonnegative' if zero_ok else 'positive'}")
+    if not (math.isfinite(value) and
+            {"positive": value > 0, "nonnegative": value >= 0, "any": True}[bound]):
+        raise ConfigError(f"{key} is {raw!r}; it must be finite"
+                          + ("" if bound == "any" else f" and {bound}"))
     return value
 
 
@@ -107,9 +114,10 @@ def build_timegrid(cfg: dict) -> TimeGrid:
         raise ConfigError(f"bad time grid: {exc}") from exc
 
 
-def build_diagnostic(cfg: dict, horizon: float) -> tuple[dict, TimeGrid, int]:
-    """The roughness diagnostic's section, time grid and level count, checked before any work
-    starts: at least three levels, and a finest grid that the coarsest stride divides."""
+def build_diagnostic(cfg: dict, horizon: float) -> tuple[TimeGrid, int, int]:
+    """The roughness diagnostic's time grid, level count and scenario count, checked before
+    any work starts: at least three levels, a finest grid that the coarsest stride divides,
+    and a positive number of scenarios."""
     diag = _get(cfg, "diagnostic", {})
     try:
         levels = int(diag.get("levels", 6))
@@ -121,7 +129,35 @@ def build_diagnostic(cfg: dict, horizon: float) -> tuple[dict, TimeGrid, int]:
     if timegrid.n_steps % 2 ** (levels - 1):
         raise ConfigError(f"diagnostic.n_steps {timegrid.n_steps} is not divisible by "
                           f"2**(levels - 1) = {2 ** (levels - 1)}")
-    return diag, timegrid, levels
+    return timegrid, levels, _positive(cfg, "diagnostic.scenarios", 500, int)
+
+
+def build_kernels(cfg: dict) -> list[tuple[str, dict]]:
+    """The volterra kernels' registry names and parameters, checked before any work starts:
+    power_alpha a positive alpha, affine a finite level and slope (1 by default), tabulated
+    the path of a file."""
+    kernels = []
+    for i, entry in enumerate(_get(cfg, "kernels", [{"name": "power_alpha", "alpha": 0.75},
+                                                    {"name": "affine"}])):
+        key = f"kernels[{i}]"
+        if not isinstance(entry, dict):
+            raise ConfigError(f"{key} must be an object, not {entry!r}")
+        name = entry.get("name")
+        if name == "power_alpha":
+            if "alpha" not in entry:
+                raise ConfigError(f"{key}.alpha is required")
+            params = {"alpha": _number(entry["alpha"], f"{key}.alpha")}
+        elif name == "affine":
+            params = {p: _number(entry.get(p, 1.0), f"{key}.{p}", bound="any")
+                      for p in ("level", "slope")}
+        elif name == "tabulated":
+            if not isinstance(entry.get("path"), str) or not Path(entry["path"]).is_file():
+                raise ConfigError(f"{key}.path is {entry.get('path')!r}; it must name a file")
+            params = {"path": entry["path"]}
+        else:
+            raise ConfigError(f"{key}.name: unknown kernel {name!r}")
+        kernels.append((name, params))
+    return kernels
 
 
 def build_scenarios(cfg: dict, seed_override: int | None) -> ScenarioSet:
@@ -230,10 +266,10 @@ def run_fubini(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
     grid_cfg = _get(cfg, "grid", {})
     grid = CompactGrid(float(grid_cfg.get("T_K", timegrid.horizon)),
                        int(grid_cfg.get("J", timegrid.n_steps)))
+    tol = _positive(cfg, "tolerances.fubini", 1e-10, zero_ok=True)
     spec = build_driver_spec(cfg)
     S = simulate_driver(spec, timegrid, scenarios)
     fam = build_family(cfg, grid, 16)
-    tol = float(_get(cfg, "tolerances", {}).get("fubini", 1e-10))
     corrupt = bool(_get(cfg, "corrupt_comparison", False))
 
     rows, worst = [], 0.0
@@ -271,10 +307,10 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
     grid_cfg = _get(cfg, "grid", {})
     grid = CompactGrid(float(grid_cfg.get("T_K", 1.0)), int(grid_cfg.get("J", 8)))
     fam = build_family(cfg, grid, grid.n_atoms + 2**grid.n_atoms)
+    tol = _positive(cfg, "tolerances.approx_q", 1e-6, zero_ok=True)
     S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
     tau = StoppingRule.never(scenarios, timegrid.n_steps)
     schedule = tuple(int(n) for n in _get(cfg, "schedule", [4, 16, 64]))
-    tol = float(_get(cfg, "tolerances", {}).get("approx_q", 1e-6))
     ball = float(_get(cfg, "integrand", {}).get("ball", 1.0))
 
     rows = []
@@ -302,19 +338,19 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
 
 def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
     timegrid = build_timegrid(cfg)
-    diag_cfg, tg, levels = build_diagnostic(cfg, timegrid.horizon)
+    tg, levels, diag_scenarios = build_diagnostic(cfg, timegrid.horizon)
+    diag_seed = _positive(cfg, "diagnostic.seed", 101, int, zero_ok=True)
+    alphas = [_number(a, f"alphas[{i}]", bound="any")
+              for i, a in enumerate(_get(cfg, "alphas", [0.25, 0.75]))]
+    kernels = build_kernels(cfg)
+    tol = _positive(cfg, "tolerances.decomposition", 1e-10, zero_ok=True)
     scenarios = build_scenarios(cfg, seed_override)
     S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
-    tol = float(_get(cfg, "tolerances", {}).get("decomposition", 1e-10))
-    kernels = _get(cfg, "kernels", [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}])
     rows = []
 
     def decompose_kernels() -> None:
-        for entry in kernels:
-            try:
-                kernel = vol.make_kernel(entry["name"], entry, timegrid)
-            except KeyError as exc:
-                raise ConfigError(f"unknown kernel: {exc}") from exc
+        for name, params in kernels:
+            kernel = vol.make_kernel(name, params, timegrid)
             out = vol.decompose(kernel, S)
             # a kernel failing the variation condition has no decomposition: its row reads nan
             gap = density_gap = float("nan")
@@ -326,9 +362,7 @@ def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
             rows.append([kernel.name, gap, density_gap])
 
     # the kernels are decomposed on this thread while the diagnostic's other worker draws
-    alphas = [float(a) for a in _get(cfg, "alphas", [0.25, 0.75])]
-    tv = vol.power_volterra_paths(alphas, tg, int(diag_cfg.get("scenarios", 500)),
-                                  seed=int(diag_cfg.get("seed", 101)),
+    tv = vol.power_volterra_paths(alphas, tg, diag_scenarios, seed=diag_seed,
                                   n_levels=levels, lead=decompose_kernels)
     write_csv(out_dir / "volterra_report.csv",
               ["kernel", "identity_gap", "density_route_gap"], rows)
@@ -343,33 +377,34 @@ def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
 
 def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
     timegrid = build_timegrid(cfg)
-    alphas = [float(a) for a in _get(cfg, "alphas", [0.5, 1.0, 2.0])]
-    if any(a <= 0 for a in alphas):
-        raise ConfigError("power exponents must be positive")
-    diag_cfg, tg_diag, levels = build_diagnostic(cfg, timegrid.horizon)
+    alphas = [_number(a, f"alphas[{i}]")
+              for i, a in enumerate(_get(cfg, "alphas", [0.5, 1.0, 2.0]))]
+    tg_diag, levels, diag_scenarios = build_diagnostic(cfg, timegrid.horizon)
     J = _positive(cfg, "grid.J", 2**12, int)
     growth_factor = _positive(cfg, "probe.growth_factor", 1.5)
     doublings = _positive(cfg, "probe.doublings", 3, int, zero_ok=True)
-    tol_var = float(_get(cfg, "tolerances", {}).get("variation", 1e-9))
-    tol_d = float(_get(cfg, "tolerances", {}).get("accumulation", 1e-9))
-    tol_66 = float(_get(cfg, "tolerances", {}).get("square_density_rel", 1e-6))
+    tol_var = _positive(cfg, "tolerances.variation", 1e-9, zero_ok=True)
+    tol_d = _positive(cfg, "tolerances.accumulation", 1e-9, zero_ok=True)
+    tol_66 = _positive(cfg, "tolerances.square_density_rel", 1e-6, zero_ok=True)
     # the squared density is singular for fractional exponents below 1 and
     # its quadrature converges at rate mesh^(2 alpha - 1); gate separately
-    tol_66_frac = float(_get(cfg, "tolerances", {}).get("square_density_rel_fractional", 1e-2))
-    iso_cfg = _get(cfg, "isometry", {})
+    tol_66_frac = _positive(cfg, "tolerances.square_density_rel_fractional", 1e-2, zero_ok=True)
+    # the variance gate needs two scenarios, and a midpoint u = T/2 after t = 0
+    iso_P = _positive(cfg, "isometry.scenarios", 20000, int)
+    tg_iso = TimeGrid(timegrid.horizon, _positive(cfg, "isometry.n_steps", 1024, int))
+    for key, value in (("scenarios", iso_P), ("n_steps", tg_iso.n_steps)):
+        if value < 2:
+            raise ConfigError(f"isometry.{key} is {value}; the variance gate needs at least 2")
     scen_cfg = _get(cfg, "scenarios", {"seed": 12345})
     seed = seed_override if seed_override is not None else int(scen_cfg.get("seed", 12345))
     T = timegrid.horizon
 
     S = simulate_driver(DriverSpec("brownian"), timegrid, ScenarioSet.monte_carlo(2, seed))
     # terminal-variance check: one draw of the isometry stream serves every exponent
-    iso_P = int(iso_cfg.get("scenarios", 20000))
-    tg_iso = TimeGrid(T, int(iso_cfg.get("n_steps", 1024)))
     u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
     terminals = vol.power_volterra_terminals(alphas, u_indices, tg_iso, iso_P, seed=seed)
     # roughness slopes: every exponent reads the same diagnostic stream
-    tv = vol.power_volterra_paths(alphas, tg_diag, int(diag_cfg.get("scenarios", 500)),
-                                  seed=seed + 1, n_levels=levels)
+    tv = vol.power_volterra_paths(alphas, tg_diag, diag_scenarios, seed=seed + 1, n_levels=levels)
     rows = []
     all_ok = True
     for a, alpha in enumerate(alphas):

@@ -16,7 +16,8 @@ probed through a fixed countable family of test functions via the metric
 
 which separates measures as soon as the family spans the grid-function
 space (the default family starts with the atom indicator "hats", so it
-does for ``k_max >= J + 1``).
+does for ``k_max >= J + 1``).  ``integrands.project_to_net`` measures it
+from a family's ``delta_weights``.
 
 All values are immutable after construction and safe to share across
 threads.
@@ -32,7 +33,6 @@ __all__ = [
     "CompactGrid",
     "SignedMeasureVec",
     "TestFamily",
-    "weak_star_delta",
     "build_test_family",
 ]
 
@@ -70,13 +70,6 @@ class CompactGrid:
         f[lo_atom : hi_atom + 1] = 1.0
         return f
 
-    def resolve(self, point: float, tol: float = 1e-12) -> int:
-        """Atom index of a coordinate; error if not on the grid."""
-        idx = int(round(point / self.cell_width))
-        if idx < 0 or idx > self.n_cells or abs(self.atoms[idx] - point) > tol:
-            raise ValueError(f"{point} is not an atom of the grid")
-        return idx
-
 
 @dataclass(frozen=True)
 class SignedMeasureVec:
@@ -105,12 +98,6 @@ class SignedMeasureVec:
     def variation(self) -> np.ndarray:
         """Componentwise variation norms, a length-d vector."""
         return np.sum(np.abs(self.weights), axis=1)
-
-    def pair(self, f: np.ndarray) -> np.ndarray:
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.grid.n_atoms,):
-            raise ValueError("test function does not match the grid")
-        return self.weights @ f
 
 
 @dataclass(frozen=True)
@@ -153,17 +140,6 @@ class TestFamily:
     @property
     def size(self) -> int:
         return self.functions.shape[0]
-
-    def evaluate_measure(self, m: SignedMeasureVec) -> np.ndarray:
-        """Pairings with every family member, (k_max, d)."""
-        return self.functions @ m.weights.T
-
-
-def weak_star_delta(m: SignedMeasureVec, m2: SignedMeasureVec, fam: TestFamily) -> float:
-    """Truncated weak* metric sum_k 2**-k |m(u_k) - m'(u_k)|, the componentwise
-    pairing gap aggregated with the Euclidean norm."""
-    diff = fam.evaluate_measure(m) - fam.evaluate_measure(m2)
-    return float(fam.delta_weights @ np.sqrt(np.sum(diff * diff, axis=1)))
 
 
 def sign_pattern(grid: CompactGrid, code: int) -> np.ndarray:

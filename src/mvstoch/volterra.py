@@ -4,7 +4,11 @@ A Volterra path is X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1}: the kernel is
 read at the slot's left endpoint in its second argument (the predictable
 convention) and vanishes for s > t.  Kernels are tabulated on the grid as
 a matrix K[l, j] = K(t_l, t_j), deterministic (shape (N+1, N+1, d)) or
-per-scenario (leading scenario axis).
+per-scenario (leading scenario axis).  A stationary kernel K(t, s) = f(t - s)
+(power, affine) holds only its lag profile f(t_k), k = 0..N: its matrix, its
+induced integrand's weights and the tables its direct and density sums read
+are read-only views of vectors of at most 2N + 1 values, so no route builds
+an (N + 1)^2 table for it.  Only tabulated and random kernels are dense.
 
 Splitting K(t, s) = K(s, s) + (K(t, s) - K(s, s)) decomposes X into a
 driver integral of the diagonal slice plus the remainder Y.  The
@@ -22,7 +26,8 @@ evaluation index) from ``mvintegral.horizon_charge``, not the running charge.
 For kernels carrying a time-derivative density the classical
 absolutely-continuous route is also provided: X = diagonal integral plus
 the time integral (right-endpoint rule, which is exact for kernels affine
-in t) of inner driver integrals of the density.
+in t) of inner driver integrals of the density.  A stationary kernel's
+density is read at the lags, psi(t_k, t_j) = f'(t_{k - j}).
 
 The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
@@ -45,6 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import drivers
 from .drivers import (
@@ -85,21 +91,34 @@ DRAW_ROWS = 16
 
 @dataclass
 class VolterraKernel:
-    """Grid tabulation of a two-parameter kernel, zero above the diagonal."""
+    """Grid tabulation of a two-parameter kernel, zero above the diagonal.
+
+    A stationary kernel K(t, s) = f(t - s) is given by its lag profile ``lag[k] = f(t_k)``,
+    k = 0..N, and builds no (N + 1)^2 table: ``matrix`` is then a read-only view of the
+    zero-padded profile, M[l, j] = lag[l - j].  A tabulated or random kernel keeps its dense
+    table.  The methods below hide which of the two a kernel holds.
+    """
 
     name: str
-    matrix: np.ndarray  # (N+1, N+1, d) or (P, N+1, N+1, d); [.., l, j, i] = K(t_l, t_j)
+    matrix: np.ndarray | None  # (N+1, N+1, d) or (P, N+1, N+1, d); [.., l, j, i] = K(t_l, t_j)
     timegrid: TimeGrid
     density_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     var_sq_integral: Callable[[float], float] | None = None
+    lag: np.ndarray | None = None  # (N+1,) f(t_k) of a stationary kernel, in place of a matrix
 
     def __post_init__(self):
+        n1 = self.timegrid.n_steps + 1
+        if self.lag is not None:
+            self.lag = np.asarray(self.lag, dtype=float)
+            if self.lag.shape != (n1,):
+                raise ValueError("lag profile does not match the time grid")
+            self.matrix = _lag_windows(self.lag, n1, 0)[:, ::-1, None]
+            return
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim == 2:
             m = m[:, :, None]
         if m.ndim not in (3, 4):
             raise ValueError("kernel matrix must be (N+1, N+1, d) or (P, N+1, N+1, d)")
-        n1 = self.timegrid.n_steps + 1
         if m.shape[-3] != n1 or m.shape[-2] != n1:
             raise ValueError("kernel matrix does not match the time grid")
         l = np.arange(n1)
@@ -114,13 +133,6 @@ class VolterraKernel:
     def is_random(self) -> bool:
         return self.matrix.ndim == 4
 
-    def per_scenario(self, P: int) -> np.ndarray:
-        if self.is_random:
-            if self.matrix.shape[0] != P:
-                raise ValueError("kernel scenario dimension mismatch")
-            return self.matrix
-        return self.matrix[None]
-
     def diagonal(self) -> np.ndarray:
         """Diagonal slice as predictable slot values, (P or 1, N, d)."""
         m = self.matrix if self.is_random else self.matrix[None]
@@ -128,33 +140,102 @@ class VolterraKernel:
         idx = np.arange(N)
         return m[:, idx, idx, :]
 
+    def t_increments(self) -> np.ndarray:
+        """K(t_l, t_j) - K(t_{l-1}, t_j) for l > j, zero elsewhere, as (P or 1, N, d, N + 1):
+        slot j, atom l.  A stationary kernel's is a read-only view of diff(lag)."""
+        N = self.timegrid.n_steps
+        if self.lag is not None:  # slot j is window N - j
+            return _lag_windows(np.diff(self.lag, prepend=0.0), N + 1, 1)[N:0:-1][None, :, None, :]
+        K = self.matrix if self.is_random else self.matrix[None]
+        diffs = np.diff(K, axis=1)  # [p, l-1->l, j, i]
+        l = np.arange(1, N + 1)
+        keep = (l[:, None] > np.arange(N)[None, :])[None, :, :, None]
+        diffs = np.where(keep, diffs[:, :, :N, :], 0.0)
+        weights = np.zeros((K.shape[0], N, K.shape[-1], N + 1))
+        weights[:, :, :, 1:] = np.transpose(diffs, (0, 2, 3, 1))
+        return weights
+
+    def causal_sums(self, dS: np.ndarray) -> np.ndarray:
+        """sum_{j < l} K(t_l, t_j) . dS[:, j] for l = 0..N, from (P, N, d) increments: (P, N + 1)."""
+        if self.lag is not None:  # a scalar kernel weighs every driver component alike
+            return _lag_sums(self.lag, np.sum(dS, axis=2))
+        P, N = dS.shape[:2]
+        K = self.matrix if self.is_random else self.matrix[None]
+        if K.shape[0] not in (1, P):
+            raise ValueError("kernel scenario dimension mismatch")
+        l = np.arange(N + 1)
+        masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
+        if masked.shape[0] == 1:
+            return np.einsum("lji,pji->pl", masked[0], dS)
+        return np.einsum("plji,pji->pl", masked, dS)
+
+    def density_sums(self, dS: np.ndarray) -> tuple[np.ndarray, float]:
+        """sum_{j < k} psi(t_k, t_j) dS[:, j] for k = 0..N, from (P, N) increments of a
+        deterministic scalar kernel with a density: (P, N + 1); and the largest gap, over
+        j < l, between K(t_l, t_j) - K(t_j, t_j) and its rebuild sum_{j < k <= l} psi(t_k, t_j) dt.
+
+        A stationary kernel's density is psi(t_k, t_j) = f'(t_{k - j}): its sums read a view of
+        one (N + 1) profile, and the rebuild gap depends on l - j only, so it is taken from the
+        profile.  A dense kernel's density table is summed, then rebuilt in its own place."""
+        N, dt = self.timegrid.n_steps, self.timegrid.dt
+        t = self.timegrid.times
+        if self.lag is not None:
+            psi = self.density_fn(t, t[0])  # f'(t_k); k = 0 is never read
+            inner = _lag_sums(psi, dS)
+            rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), out=psi[1:])
+            rebuilt -= self.lag[1:] - self.lag[0]
+            return inner, float(np.max(np.abs(rebuilt)))
+        psi = self.density_fn(t[:, None], t[None, :N])  # [k, j] = psi(t_k, t_j)
+        np.copyto(psi, 0.0, where=t[:, None] <= t[None, :N])
+        inner = np.einsum("kj,pj->pk", psi, dS)
+        rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), axis=0, out=psi[1:])
+        rebuilt -= self.matrix[1:, :N, 0] - self.matrix[np.arange(N), np.arange(N), 0][None, :]
+        residual = float(np.max(np.abs(rebuilt, out=rebuilt), where=t[1:, None] > t[None, :N],
+                                initial=0.0))
+        return inner, residual
+
+
+def _lag_windows(profile: np.ndarray, width: int, first: int) -> np.ndarray:
+    """Read-only windows W[l, c] = profile[l + c - (width - 1)] of ``profile[first:]`` zero-padded
+    in front (zero where l + c - (width - 1) < first), l = 0..len(profile) - 1: column c = width - 1 - j
+    holds lag l - j, with positive strides on both axes."""
+    padded = np.zeros(width - 1 + len(profile))
+    padded[width - 1 + first :] = profile[first:]
+    return sliding_window_view(padded, width)
+
+
+def _lag_sums(profile: np.ndarray, dS: np.ndarray) -> np.ndarray:
+    """sum_{j < l} profile[l - j] dS[:, j] for l = 0..N, from (P, N) increments: (P, N + 1).
+    The slots are read in reverse, so that the einsum reads both operands with positive strides
+    (over a negative stride it took twice as long)."""
+    N = dS.shape[1]
+    return np.einsum("lc,pc->pl", _lag_windows(profile, N, 1), np.ascontiguousarray(dS[:, ::-1]))
+
 
 def power_kernel(alpha: float, timegrid: TimeGrid) -> VolterraKernel:
     """K(t, s) = (t - s)^alpha for s <= t; zero diagonal, stationary."""
     if alpha <= 0:
         raise ValueError("need alpha > 0")
-    t = timegrid.times
-    gap = np.maximum(t[:, None] - t[None, :], 0.0)
     T = timegrid.horizon
     return VolterraKernel(
         f"power_alpha[{alpha}]",
-        gap**alpha,
+        None,
         timegrid,
         density_fn=lambda r, s: alpha * np.maximum(r - s, 1e-300) ** (alpha - 1) * (r > s),
         var_sq_integral=lambda u: (T ** (2 * alpha + 1) - (T - min(u, T)) ** (2 * alpha + 1))
         / (2 * alpha + 1),
+        lag=timegrid.times**alpha,
     )
 
 
 def affine_kernel(level: float, slope: float, timegrid: TimeGrid) -> VolterraKernel:
-    """K(t, s) = level + slope * (t - s) for s <= t."""
-    t = timegrid.times
-    gap = t[:, None] - t[None, :]
+    """K(t, s) = level + slope * (t - s) for s <= t; stationary."""
     return VolterraKernel(
         f"affine[{level},{slope}]",
-        level + slope * gap,
+        None,
         timegrid,
         density_fn=lambda r, s: slope * np.ones_like(r - s),
+        lag=level + slope * timegrid.times,
     )
 
 
@@ -216,17 +297,11 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
 
 
 def volterra_direct(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
-    """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct."""
-    N = S.timegrid.n_steps
-    if kernel.timegrid.n_steps != N:
+    """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct, from the
+    kernel's strictly-lower rows (``VolterraKernel.causal_sums``)."""
+    if kernel.timegrid.n_steps != S.timegrid.n_steps:
         raise ValueError("kernel and driver grids differ")
-    dS = S.increments
-    K = kernel.per_scenario(dS.shape[0])
-    l = np.arange(N + 1)
-    masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
-    if masked.shape[0] == 1:
-        return np.einsum("lji,pji->pl", masked[0], dS)
-    return np.einsum("plji,pji->pl", masked, dS)
+    return kernel.causal_sums(S.increments)
 
 
 def induced_phi(kernel: VolterraKernel, timegrid: TimeGrid) -> MeasureProcess:
@@ -236,18 +311,12 @@ def induced_phi(kernel: VolterraKernel, timegrid: TimeGrid) -> MeasureProcess:
     K(t, t_j) - K(t_j, t_j) for t >= t_j: atom l gets the t-increment
     K(t_l, t_j) - K(t_{l-1}, t_j) for l > j, atom 0 carries no mass, and
     the componentwise variation is the grid total variation of the
-    kernel's t-slice.
+    kernel's t-slice.  The weights are ``VolterraKernel.t_increments``: for a
+    stationary kernel a read-only (1, N, 1, N + 1) view of diff(lag).
     """
-    N = timegrid.n_steps
-    grid = CompactGrid(timegrid.horizon, N)
-    K = kernel.matrix if kernel.is_random else kernel.matrix[None]
-    diffs = np.diff(K, axis=1)  # [p, l-1->l, j, i]
-    l = np.arange(1, N + 1)
-    keep = (l[:, None] > np.arange(N)[None, :])[None, :, :, None]
-    diffs = np.where(keep, diffs[:, :, :N, :], 0.0)
-    weights = np.zeros((K.shape[0], N, K.shape[-1], N + 1))
-    weights[:, :, :, 1:] = np.transpose(diffs, (0, 2, 3, 1))
-    return MeasureProcess("volterra", grid, weights, var_sq_integral=kernel.var_sq_integral)
+    grid = CompactGrid(timegrid.horizon, timegrid.n_steps)
+    return MeasureProcess("volterra", grid, kernel.t_increments(),
+                          var_sq_integral=kernel.var_sq_integral)
 
 
 def variation_condition_check(kernel: VolterraKernel, S: DriverPath,
@@ -294,28 +363,20 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
 
     The outer time integral uses the right-endpoint rule, which reproduces
     kernels affine in t exactly and is first-order otherwise.  Also
-    reports how well the density's time sums rebuild the kernel.
+    reports how well the density's time sums rebuild the kernel.  Both read
+    the density's strictly-lower rows through ``VolterraKernel.density_sums``:
+    for a stationary kernel a view of one profile, with the rebuild gap taken
+    per lag.
     """
     if kernel.density_fn is None:
         raise ValueError("kernel carries no time-derivative density")
     if kernel.is_random or kernel.d != 1:
         raise ValueError("density route implemented for deterministic scalar kernels")
-    tg = S.timegrid
-    N, dt = tg.n_steps, tg.dt
-    t = tg.times
-    psi = kernel.density_fn(t[:, None], t[None, :N])  # [k, j] = psi(t_k, t_j)
-    np.copyto(psi, 0.0, where=t[:, None] <= t[None, :N])
-    dS = S.increments[:, :, 0]
-    inner = np.einsum("kj,pj->pk", psi, dS)  # driver integral of psi(t_k, .) up to k
-    time_part = running_sum(inner[:, 1:] * dt)
+    # inner[:, k]: the driver integral of psi(t_k, .) up to k
+    inner, residual = kernel.density_sums(S.increments[:, :, 0])
+    time_part = running_sum(inner[:, 1:] * S.timegrid.dt)
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    x = diag + time_part
-    # the kernel rebuilt from psi's time sums, in psi's rows 1.., minus the target
-    rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), axis=0, out=psi[1:])
-    rebuilt -= kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
-    residual = float(np.max(np.abs(rebuilt, out=rebuilt), where=t[1:, None] > t[None, :N],
-                            initial=0.0))
-    return {"x": x, "diag": diag, "kernel_rebuild_residual": residual}
+    return {"x": diag + time_part, "diag": diag, "kernel_rebuild_residual": residual}
 
 
 def level_variations(Y: np.ndarray, n_levels: int = 6, out: np.ndarray | None = None,

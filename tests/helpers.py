@@ -3,10 +3,38 @@
 import numpy as np
 
 from mvstoch.drivers import DriverPath
-from mvstoch.grid import weak_star_delta
+from mvstoch.grid import CompactGrid, SignedMeasureVec, TestFamily
 from mvstoch.integrands import _pair_rows
 from mvstoch.mvintegral import _pair, charge_blocks
 from mvstoch.volterra import VolterraKernel, _fft_paths, _profile_spectra, induced_phi
+
+
+def resolve(grid: CompactGrid, point: float, tol: float = 1e-12) -> int:
+    """Atom index of a coordinate; error if not on the grid."""
+    idx = int(round(point / grid.cell_width))
+    if idx < 0 or idx > grid.n_cells or abs(grid.atoms[idx] - point) > tol:
+        raise ValueError(f"{point} is not an atom of the grid")
+    return idx
+
+
+def pair(m: SignedMeasureVec, f: np.ndarray) -> np.ndarray:
+    """The d pairings of ``m`` with the grid function ``f``."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (m.grid.n_atoms,):
+        raise ValueError("test function does not match the grid")
+    return m.weights @ f
+
+
+def evaluate_measure(fam: TestFamily, m: SignedMeasureVec) -> np.ndarray:
+    """Pairings with every family member, (k_max, d)."""
+    return fam.functions @ m.weights.T
+
+
+def weak_star_delta(m: SignedMeasureVec, m2: SignedMeasureVec, fam: TestFamily) -> float:
+    """Truncated weak* metric sum_k 2**-k |m(u_k) - m'(u_k)|, the componentwise
+    pairing gap aggregated with the Euclidean norm."""
+    diff = evaluate_measure(fam, m) - evaluate_measure(fam, m2)
+    return float(fam.delta_weights @ np.sqrt(np.sum(diff * diff, axis=1)))
 
 
 def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:

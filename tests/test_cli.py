@@ -331,8 +331,9 @@ class TestConditionsCommand:
 
 
 class TestNumericKeys:
-    """A non-numeric or out-of-range grid, integrand or probe value is a configuration error
-    (exit 2) naming its key, found before the driver is simulated, so no report is written."""
+    """A non-numeric or out-of-range grid, integrand, probe, kernel, isometry or tolerance
+    value is a configuration error (exit 2) naming its key, found before the driver is
+    simulated, so no report is written."""
 
     CASES = {
         "J_text": ("grid", {"J": "x"}), "J_zero": ("grid", {"J": 0}),
@@ -356,6 +357,34 @@ class TestNumericKeys:
         shipped[section] = {**shipped[section], **values}
         monkeypatch.setattr(cli.vol, "power_volterra_terminals", self.no_work)
         self.check(tmp_path, monkeypatch, capsys, "example7", shipped, f"{section}.{next(iter(values))}")
+
+    VOLTERRA_CASES = {
+        "alpha_text": ([{"name": "power_alpha", "alpha": "x"}], "kernels[0].alpha"),
+        "alpha_negative": ([{"name": "affine"}, {"name": "power_alpha", "alpha": -1}],
+                           "kernels[1].alpha"),
+        "alpha_missing": ([{"name": "power_alpha"}], "kernels[0].alpha"),
+        "slope_text": ([{"name": "affine", "level": 1.0, "slope": "x"}], "kernels[0].slope"),
+    }
+
+    @pytest.mark.parametrize("case", list(VOLTERRA_CASES))
+    def test_volterra_kernel_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys, case):
+        # the kernels were read in the decomposition lead, after the diagnostic's threads started
+        kernels, key = self.VOLTERRA_CASES[case]
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "volterra.json").read_text())
+        shipped["kernels"] = kernels
+        monkeypatch.setattr(cli.vol, "power_volterra_paths", self.no_work)
+        self.check(tmp_path, monkeypatch, capsys, "volterra", shipped, key)
+
+    def test_volterra_tolerance_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys):
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "volterra.json").read_text())
+        shipped["tolerances"] = {"decomposition": "x"}
+        self.check(tmp_path, monkeypatch, capsys, "volterra", shipped, "tolerances.decomposition")
+
+    def test_example7_isometry_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "example7.json").read_text())
+        shipped["isometry"] = {**shipped.get("isometry", {}), "scenarios": "x"}
+        monkeypatch.setattr(cli.vol, "power_volterra_terminals", self.no_work)
+        self.check(tmp_path, monkeypatch, capsys, "example7", shipped, "isometry.scenarios")
 
     @staticmethod
     def no_work(*args, **kwargs):

@@ -27,3 +27,13 @@ def test_star_import(name):
     namespace = {}
     exec(f"from mvstoch.{name} import *", namespace)  # a stale __all__ entry raises here
     assert set(getattr(importlib.import_module(f"mvstoch.{name}"), "__all__", ())) <= set(namespace)
+
+
+def test_test_only_grid_names_live_in_the_tests():
+    # the tests read them from tests/helpers.py; src/ calls none of them
+    from mvstoch import grid
+
+    assert "weak_star_delta" not in grid.__all__ and not hasattr(grid, "weak_star_delta")
+    for cls, name in ((grid.CompactGrid, "resolve"), (grid.SignedMeasureVec, "pair"),
+                      (grid.TestFamily, "evaluate_measure")):
+        assert not hasattr(cls, name), name

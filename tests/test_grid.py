@@ -2,12 +2,13 @@ import itertools
 
 import numpy as np
 import pytest
+from helpers import pair, resolve, weak_star_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mvstoch.dominated import DominatedSpec
 from mvstoch.drivers import TimeGrid
-from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family, weak_star_delta
+from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
 
 
 def power_law_measure(alpha, T, t, J):
@@ -23,7 +24,7 @@ def variation_norm(m):
 
 
 def integral(m, f):
-    return float(m.pair(f)[0])
+    return float(pair(m, f)[0])
 
 
 def sign_parts(m):
@@ -220,9 +221,9 @@ class TestCellMasses:
 
     def test_resolve(self):
         grid = CompactGrid(2.0, 8)
-        assert grid.resolve(0.5) == 2
+        assert resolve(grid, 0.5) == 2
         with pytest.raises(ValueError):
-            grid.resolve(0.3)
+            resolve(grid, 0.3)
 
     def test_indicator(self):
         grid = CompactGrid(1.0, 4)

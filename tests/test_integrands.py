@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mvstoch import integrands
 from mvstoch.dominated import DominatedSpec, power_law_integrand
 from mvstoch.drivers import ScenarioSet, StoppingRule, TimeGrid, stopping_weights
-from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family, weak_star_delta
+from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
 from mvstoch.integrands import (
     ElementaryTerm,
     MeasureProcess,

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import paired_gap
+from helpers import paired_gap, resolve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -431,7 +431,7 @@ class TestFubiniGeneral:
         tg = TimeGrid(1.0, N)
         S = brownian(50, N)
         phi, _ = power_law_integrand(alpha=0.75, timegrid=tg, n_cells=N)
-        sets = [(f"[0,{u}]", 0, phi.grid.resolve(u)) for u in (0.25, 0.5, 1.0)]
+        sets = [(f"[0,{u}]", 0, resolve(phi.grid, u)) for u in (0.25, 0.5, 1.0)]
         report = fubini_check(phi, S, build_test_family(phi.grid, 4), sets=sets)["general"]
         assert report["max_abs_discrepancy"] <= 1e-10
 

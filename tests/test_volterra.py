@@ -439,6 +439,81 @@ class TestDecompose:
             assert sc.is_measurable(out["y"][:, l], l)
 
 
+STATIONARY = [lambda tg: power_kernel(0.25, tg), lambda tg: power_kernel(0.75, tg),
+              lambda tg: power_kernel(1.5, tg), lambda tg: affine_kernel(1.0, 2.0, tg),
+              lambda tg: affine_kernel(0.5, -3.0, tg)]
+
+
+class TestStationaryKernel:
+    """Power and affine kernels are held as lag profiles: every route reads views of them and
+    agrees with the dense table of the same values."""
+
+    @pytest.mark.parametrize("N", [1, 7, 64])
+    @pytest.mark.parametrize("make", STATIONARY, ids=["power_0.25", "power_0.75", "power_1.5",
+                                                      "affine_1_2", "affine_0.5_-3"])
+    def test_lag_route_equals_the_dense_table(self, make, N):
+        S = brownian(6, N, seed=N + 2)
+        tg = S.timegrid
+        kernel = make(tg)
+        dense = tabulated_kernel(np.array(kernel.matrix), tg, name="dense")
+        assert kernel.lag is not None and dense.lag is None
+        # diff of the lag equals diff of the table, value for value
+        phi, phi_dense = induced_phi(kernel, tg), induced_phi(dense, tg)
+        assert np.array_equal(phi.weights, phi_dense.weights)
+        assert np.array_equal(mvintegral.horizon_charge(phi, S), mvintegral.horizon_charge(phi_dense, S))
+        # the direct sum runs over the slots in reverse, the dense one forward
+        out, out_dense = decompose(kernel, S), decompose(dense, S)
+        assert np.array_equal(out["y"], out_dense["y"])
+        assert np.max(np.abs(out["x_direct"] - out_dense["x_direct"])) <= 1e-12
+        assert abs(out["max_identity_gap"] - out_dense["max_identity_gap"]) <= 1e-12
+        # a scalar kernel weighs every component of a vector driver alike
+        S2 = simulate_driver(DriverSpec("brownian", d=2), tg, ScenarioSet.monte_carlo(6, N))
+        assert np.max(np.abs(volterra_direct(kernel, S2) - volterra_direct(dense, S2))) <= 1e-12
+        # the density as a table of psi(t_k, t_j), not of f'(t_{k - j})
+        with_density = VolterraKernel("dense", np.array(kernel.matrix), tg,
+                                      density_fn=kernel.density_fn)
+        dc, dc_dense = density_construction(kernel, S), density_construction(with_density, S)
+        assert np.max(np.abs(dc["x"] - dc_dense["x"])) <= 1e-12
+        assert abs(dc["kernel_rebuild_residual"] - dc_dense["kernel_rebuild_residual"]) <= 1e-12
+
+    @pytest.mark.parametrize("make", STATIONARY[::3], ids=["power", "affine"])
+    def test_matrix_is_a_read_only_view(self, make):
+        tg = TimeGrid(1.0, 16)
+        kernel = make(tg)
+        gap = np.arange(17)[:, None] - np.arange(17)[None, :]
+        table = np.where(gap >= 0, kernel.lag[np.maximum(gap, 0)], 0.0)
+        assert np.array_equal(kernel.matrix[:, :, 0], table)
+        for view in (kernel.matrix, induced_phi(kernel, tg).weights):  # spans 2 N + 1 values
+            span = sum(abs(step) * (n - 1) for step, n in zip(view.strides, view.shape))
+            assert span + view.itemsize <= 8 * (2 * 16 + 1)
+        with pytest.raises(ValueError):
+            kernel.matrix[3, 1, 0] = 0.0
+        with pytest.raises(ValueError):
+            induced_phi(kernel, tg).weights[0, 1, 0, 3] = 0.0
+
+    @pytest.mark.parametrize("entry", [{"alpha": 0.75}, {"level": 1.0, "slope": 2.0}],
+                             ids=["power", "affine"])
+    def test_peak_of_the_decompositions(self, entry):
+        # dense kernel tables read 28.6 MB here; the lag route holds O(N) vectors and the charge block
+        tg = TimeGrid(1.0, 1024)
+        S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
+        name = "power_alpha" if "alpha" in entry else "affine"
+
+        def run():
+            kernel = make_kernel(name, entry, tg)
+            decompose(kernel, S)
+            density_construction(kernel, S)
+
+        run()  # untraced warm-up
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6, peak
+
+
 class TestVariationCondition:
     def test_bounded_smooth_kernel(self):
         S = brownian(5, 16)
@@ -469,10 +544,19 @@ class TestVariationCondition:
 
 
 def density_construction_oracle(kernel, S):
-    """``density_construction`` as first written, with a fresh table per step."""
+    """``density_construction`` as first written, with a fresh table per step.  A stationary
+    kernel's density table is read from its profile, psi(t_k, t_j) = f'(t_{k - j}), and summed
+    over the slots from last to first, as the package sums its windows."""
     t, N, dt = S.timegrid.times, S.timegrid.n_steps, S.timegrid.dt
-    psi = np.where(t[:, None] > t[None, :N], kernel.density_fn(t[:, None], t[None, :N]), 0.0)
-    inner = np.einsum("kj,pj->pk", psi, S.increments[:, :, 0])
+    dS = S.increments[:, :, 0]
+    if kernel.lag is None:
+        psi = np.where(t[:, None] > t[None, :N], kernel.density_fn(t[:, None], t[None, :N]), 0.0)
+        inner = np.einsum("kj,pj->pk", psi, dS)
+    else:
+        gap = np.arange(N + 1)[:, None] - np.arange(N)[None, :]
+        psi = np.where(gap > 0, kernel.density_fn(t, t[0])[np.maximum(gap, 0)], 0.0)
+        inner = np.einsum("kc,pc->pk", np.ascontiguousarray(psi[:, ::-1]),
+                          np.ascontiguousarray(dS[:, ::-1]))
     x = ito_integral(PredictablePath(kernel.diagonal()), S) + drivers.running_sum(inner[:, 1:] * dt)
     rebuilt = np.cumsum(psi[1:, :] * dt, axis=0)
     target = kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
