@@ -9,13 +9,13 @@ example7    consolidated power-law study across a list of exponents
 conditions  dominated-case integrability condition report
 
 Usage: ``mvstoch <subcommand> --config cfg.json [--out DIR] [--seed N]``.
-The config is a JSON object; every tolerance and probe parameter is read
-from it (see the README for the schema and defaults).  ``--seed`` overrides
-the scenario seed, ``--out`` the output directory.  Computations are
-deterministic; pairings of measures with test functions are BLAS matmuls
-kept on one thread, and the Monte Carlo samplers run on up to two threads
-(``drivers.pull_blocks``), of which the calling one first decomposes the
-volterra kernels: results depend on neither thread count.
+The config is a JSON object, checked against the subcommand's key table
+(``RUNNER_KEYS``; the README gives the schema and defaults) before any work
+starts.  ``--seed`` overrides the scenario seed, ``--out`` the output
+directory.  Computations are deterministic; pairings of measures with test
+functions are BLAS matmuls kept on one thread, and the Monte Carlo samplers
+run on up to two threads (``drivers.pull_blocks``), of which the calling one
+first decomposes the volterra kernels: results depend on neither thread count.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical
@@ -30,14 +30,15 @@ import csv
 import json
 import math
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
 
 from . import dominated as dom
 from . import volterra as vol
-from .drivers import DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
-from .grid import CompactGrid, SignedMeasureVec, TestFamily, build_test_family
+from .drivers import DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
+from .grid import CompactGrid, SignedMeasureVec, build_test_family
 from .integrands import (
     ElementaryTerm,
     approximate_elementary,
@@ -60,6 +61,101 @@ class ConfigError(Exception):
     pass
 
 
+# The config schema.  A Key is a JSON number cast to float or int (an integral one), a
+# boolean (bool) or a string (str); a number must be finite and within its bound: POSITIVE,
+# NONNEGATIVE, ANY or a least integer.  A ListOf is a list of ``item``s, and Modes an object
+# whose other keys are those of ``tables[mode]``, mode being the value of its ``key``.  A
+# callable default is read from the config checked so far; REQUIRED marks a key without one.
+POSITIVE, NONNEGATIVE, ANY = "positive", "nonnegative", "any"
+REQUIRED = MISSING = object()  # also what an absent key reads as
+Key = namedtuple("Key", "cast bound default", defaults=(ANY, REQUIRED))
+ListOf = namedtuple("ListOf", "item default", defaults=(REQUIRED,))
+Modes = namedtuple("Modes", "key default tables")
+
+TIME = {"T": Key(float, POSITIVE), "N": Key(int, POSITIVE)}
+MONTE_CARLO = {"count": Key(int, POSITIVE), "seed": Key(int, NONNEGATIVE)}
+TREE = {"branching": Key(int, 2, 2), "depth": Key(int, POSITIVE)}
+SCENARIOS = Modes("mode", "monte_carlo", {"monte_carlo": MONTE_CARLO, "tree": TREE})
+DRIVER = Modes("kind", "brownian", dict.fromkeys(
+    ("brownian", "fv_drift", "compound_poisson", "mixture"),
+    {"d": Key(int, POSITIVE, 1), "vol": Key(float, NONNEGATIVE, 1.0),
+     "drift": Key(float, ANY, 0.0), "jump_rate": Key(float, NONNEGATIVE, 0.0),
+     "jump_mean": Key(float, ANY, 0.0), "jump_std": Key(float, NONNEGATIVE, 0.0)}))
+INTEGRANDS = {
+    "power_law": {"alpha": Key(float, POSITIVE, 1.0)},
+    "elementary": {"terms": ListOf({"weights": ListOf(ListOf(Key(float))),
+                                    "start": Key(int, NONNEGATIVE), "stop": Key(int, POSITIVE)})},
+    "random_elementary": {"count": Key(int, POSITIVE, 10), "terms": Key(int, POSITIVE, 4),
+                          "seed": Key(int, NONNEGATIVE, 7)},
+    "random_dominated": {"wave": Key(float, ANY, 3.0), "drift_wave": Key(float, ANY, 2.0)},
+    "random_lattice": {"count": Key(int, POSITIVE, 3), "seed": Key(int, NONNEGATIVE, 7),
+                       "ball": Key(float, POSITIVE, 1.0), "pool_size": Key(int, POSITIVE, 21)},
+}
+KERNELS = ListOf(Modes("name", None, {
+    "power_alpha": {"alpha": Key(float, POSITIVE)},
+    "affine": {"level": Key(float, ANY, 1.0), "slope": Key(float, ANY, 1.0)},
+    "tabulated": {"path": Key(str)},  # its CSV is loaded by check_config
+}), [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}])
+# the roughness slope needs at least 3 levels; example7 seeds the diagnostic from the scenarios
+DIAGNOSTIC = {"levels": Key(int, 3, 6), "n_steps": Key(int, POSITIVE, 2**12),
+              "scenarios": Key(int, POSITIVE, 500)}
+PROBE = {"growth_factor": Key(float, POSITIVE, 1.5), "doublings": Key(int, NONNEGATIVE, 3)}
+OUTPUT = Key(str, ANY, "out")
+
+#: Every key each runner reads, with its cast, bound and default.
+RUNNER_KEYS = {
+    "fubini": {
+        "time": TIME, "scenarios": SCENARIOS, "driver": DRIVER,
+        "grid": {"J": Key(int, POSITIVE, lambda cfg: cfg["time"]["N"]),
+                 "T_K": Key(float, POSITIVE, lambda cfg: cfg["time"]["T"])},
+        "integrand": Modes("kind", "power_law", INTEGRANDS),
+        "test_family": {"k_max": Key(int, POSITIVE, 16)},
+        "tolerances": {"fubini": Key(float, NONNEGATIVE, 1e-10)},
+        "corrupt_comparison": Key(bool, ANY, False), "output": OUTPUT,
+    },
+    "approx": {
+        "time": TIME, "scenarios": Modes("mode", "monte_carlo", {"tree": TREE}),  # trees only
+        "driver": DRIVER,
+        "grid": {"J": Key(int, POSITIVE, 8), "T_K": Key(float, POSITIVE, 1.0)},
+        # the approximants' constant c is the integrand's ball, whatever its kind
+        "integrand": Modes("kind", "power_law", {kind: {**keys, "ball": Key(float, POSITIVE, 1.0)}
+                                                 for kind, keys in INTEGRANDS.items()}),
+        # every atom hat and every sign vector: the family attains the variation norm
+        "test_family": {"k_max": Key(
+            int, POSITIVE, lambda cfg: cfg["grid"]["J"] + 1 + 2 ** (cfg["grid"]["J"] + 1))},
+        "schedule": ListOf(Key(int, POSITIVE), [4, 16, 64]),
+        "tolerances": {"approx_q": Key(float, NONNEGATIVE, 1e-6)}, "output": OUTPUT,
+    },
+    "volterra": {
+        "time": TIME, "scenarios": SCENARIOS, "driver": DRIVER, "kernels": KERNELS,
+        "alphas": ListOf(Key(float), [0.25, 0.75]),
+        "diagnostic": {**DIAGNOSTIC, "seed": Key(int, NONNEGATIVE, 101)},
+        "tolerances": {"decomposition": Key(float, NONNEGATIVE, 1e-10)}, "output": OUTPUT,
+    },
+    "example7": {
+        "time": TIME, "scenarios": {"seed": Key(int, NONNEGATIVE, 12345)},
+        "grid": {"J": Key(int, POSITIVE, 2**12)},
+        "alphas": ListOf(Key(float, POSITIVE), [0.5, 1.0, 2.0]),
+        # the variance gate needs two scenarios, and a midpoint u = T/2 after t = 0
+        "isometry": {"scenarios": Key(int, 2, 20000), "n_steps": Key(int, 2, 1024)},
+        "diagnostic": DIAGNOSTIC, "probe": PROBE,
+        # the squared density is singular for fractional exponents below 1 and its
+        # quadrature converges at rate mesh^(2 alpha - 1); gate separately
+        "tolerances": {"variation": Key(float, NONNEGATIVE, 1e-9),
+                       "accumulation": Key(float, NONNEGATIVE, 1e-9),
+                       "square_density_rel": Key(float, NONNEGATIVE, 1e-6),
+                       "square_density_rel_fractional": Key(float, NONNEGATIVE, 1e-2)},
+        "output": OUTPUT,
+    },
+    "conditions": {
+        "time": TIME, "scenarios": SCENARIOS, "driver": DRIVER,
+        "grid": {"J": Key(int, POSITIVE, lambda cfg: cfg["time"]["N"])},
+        "integrand": Modes("kind", "power_law", {"power_law": INTEGRANDS["power_law"]}),
+        "probe": PROBE, "output": OUTPUT,
+    },
+}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -71,131 +167,73 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _get(cfg: dict, key: str, default=None, required: bool = False):
-    """cfg[key], or ``default`` if absent; a section whose default is an object (a list)
-    must be one too."""
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"config key {key!r} is required")
-        return default
-    if isinstance(default, (dict, list)) and not isinstance(cfg[key], type(default)):
-        kind = "an object" if isinstance(default, dict) else "a list"
-        raise ConfigError(f"config section {key!r} must be {kind}, not {cfg[key]!r}")
-    return cfg[key]
+def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
+    """``raw`` walked through ``RUNNER_KEYS[command]`` into a checked config with every
+    default filled in, and ``seed`` (if given) as the scenario seed.  A tabulated kernel's
+    CSV is loaded here, into its entry's ``matrix``.  Raises a ConfigError naming the key."""
+    if seed is not None and isinstance(raw.get("scenarios", {}), dict):
+        raw = {**raw, "scenarios": {**raw.get("scenarios", {}), "seed": seed}}
+    cfg = {}
+    for name, spec in RUNNER_KEYS[command].items():
+        cfg[name] = _walk(spec, raw.get(name, MISSING), name, cfg)
+    diag = cfg.get("diagnostic")
+    if diag and diag["n_steps"] % 2 ** (diag["levels"] - 1):
+        raise ConfigError(f"diagnostic.n_steps {diag['n_steps']} is not divisible by "
+                          f"2**(levels - 1) = {2 ** (diag['levels'] - 1)}")
+    n1 = cfg["time"]["N"] + 1
+    for i, kernel in enumerate(cfg.get("kernels", [])):
+        try:
+            if kernel["name"] == "tabulated":
+                kernel["matrix"] = np.loadtxt(kernel["path"], delimiter=",", ndmin=2)
+                if kernel["matrix"].shape != (n1, n1):
+                    raise ValueError(f"a {kernel['matrix'].shape} table; the time grid needs "
+                                     f"{(n1, n1)}")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"kernels[{i}].path {kernel['path']!r}: {exc}") from None
+    return cfg
 
 
-def _positive(cfg: dict, key: str, default, cast=float, zero_ok: bool = False):
-    """``cfg[section][name]`` for ``key`` = "section.name", else ``default``: a finite
-    number of type ``cast``, positive (or zero if ``zero_ok``)."""
-    section, name = key.split(".")
-    return _number(_get(cfg, section, {}).get(name, default), key, cast,
-                   "nonnegative" if zero_ok else "positive")
-
-
-def _number(raw, key: str, cast=float, bound: str = "positive"):
-    """``raw`` as a finite number of type ``cast`` that is ``bound`` ("positive",
-    "nonnegative" or "any"); else a ``ConfigError`` naming ``key``."""
+def _walk(spec, raw, key: str, cfg: dict):
+    """``raw`` (MISSING if absent) checked against ``spec`` and filled in from its defaults."""
+    if isinstance(spec, (dict, Modes)):
+        raw = {} if raw is MISSING else raw
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{key} must be an object, not {raw!r}")
+        if isinstance(spec, Modes):
+            mode = raw.get(spec.key, spec.default)
+            if not isinstance(mode, str) or mode not in spec.tables:
+                raise ConfigError(f"{key}.{spec.key} is {mode!r}; it must be one of "
+                                  + ", ".join(spec.tables))
+            return {spec.key: mode, **_walk(spec.tables[mode], raw, key, cfg)}
+        return {k: _walk(s, raw.get(k, MISSING), f"{key}.{k}", cfg) for k, s in spec.items()}
+    if raw is MISSING:
+        if spec.default is REQUIRED:
+            raise ConfigError(f"{key} is required")
+        raw = spec.default(cfg) if callable(spec.default) else spec.default
+    if isinstance(spec, ListOf):
+        if not isinstance(raw, list):
+            raise ConfigError(f"{key} must be a list, not {raw!r}")
+        return [_walk(spec.item, item, f"{key}[{i}]", cfg) for i, item in enumerate(raw)]
+    if spec.cast in (bool, str):
+        if not isinstance(raw, spec.cast):
+            raise ConfigError(f"{key} must be {'a boolean' if spec.cast is bool else 'a string'}, "
+                              f"not {raw!r}")
+        return raw
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)) or (
+            spec.cast is int and isinstance(raw, float) and not raw.is_integer()):
+        raise ConfigError(f"{key} must be {'an integer' if spec.cast is int else 'a number'}, "
+                          f"not {raw!r}")
     try:
-        value = cast(raw)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{key} must be a number, not {raw!r}") from None
-    if not (math.isfinite(value) and
-            {"positive": value > 0, "nonnegative": value >= 0, "any": True}[bound]):
+        value = spec.cast(raw)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    least = {POSITIVE: 0, NONNEGATIVE: 0, ANY: -math.inf}.get(spec.bound, spec.bound)
+    if not ((isinstance(value, int) or math.isfinite(value))
+            and (value > least if spec.bound == POSITIVE else value >= least)):
+        bound = spec.bound if isinstance(spec.bound, str) else f"at least {spec.bound}"
         raise ConfigError(f"{key} is {raw!r}; it must be finite"
-                          + ("" if bound == "any" else f" and {bound}"))
+                          + ("" if spec.bound == ANY else f" and {bound}"))
     return value
-
-
-def build_timegrid(cfg: dict) -> TimeGrid:
-    time = _get(cfg, "time", {}, required=True)
-    try:
-        return TimeGrid(float(time["T"]), int(time["N"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad time grid: {exc}") from exc
-
-
-def build_diagnostic(cfg: dict, horizon: float) -> tuple[TimeGrid, int, int]:
-    """The roughness diagnostic's time grid, level count and scenario count, checked before
-    any work starts: at least three levels, a finest grid that the coarsest stride divides,
-    and a positive number of scenarios."""
-    diag = _get(cfg, "diagnostic", {})
-    try:
-        levels = int(diag.get("levels", 6))
-        timegrid = TimeGrid(horizon, int(diag.get("n_steps", 2**12)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad diagnostic block: {exc}") from exc
-    if levels < 3:
-        raise ConfigError(f"diagnostic.levels is {levels}; the slope needs at least 3")
-    if timegrid.n_steps % 2 ** (levels - 1):
-        raise ConfigError(f"diagnostic.n_steps {timegrid.n_steps} is not divisible by "
-                          f"2**(levels - 1) = {2 ** (levels - 1)}")
-    return timegrid, levels, _positive(cfg, "diagnostic.scenarios", 500, int)
-
-
-def build_kernels(cfg: dict) -> list[tuple[str, dict]]:
-    """The volterra kernels' registry names and parameters, checked before any work starts:
-    power_alpha a positive alpha, affine a finite level and slope (1 by default), tabulated
-    the path of a file."""
-    kernels = []
-    for i, entry in enumerate(_get(cfg, "kernels", [{"name": "power_alpha", "alpha": 0.75},
-                                                    {"name": "affine"}])):
-        key = f"kernels[{i}]"
-        if not isinstance(entry, dict):
-            raise ConfigError(f"{key} must be an object, not {entry!r}")
-        name = entry.get("name")
-        if name == "power_alpha":
-            if "alpha" not in entry:
-                raise ConfigError(f"{key}.alpha is required")
-            params = {"alpha": _number(entry["alpha"], f"{key}.alpha")}
-        elif name == "affine":
-            params = {p: _number(entry.get(p, 1.0), f"{key}.{p}", bound="any")
-                      for p in ("level", "slope")}
-        elif name == "tabulated":
-            if not isinstance(entry.get("path"), str) or not Path(entry["path"]).is_file():
-                raise ConfigError(f"{key}.path is {entry.get('path')!r}; it must name a file")
-            params = {"path": entry["path"]}
-        else:
-            raise ConfigError(f"{key}.name: unknown kernel {name!r}")
-        kernels.append((name, params))
-    return kernels
-
-
-def build_scenarios(cfg: dict, seed_override: int | None) -> ScenarioSet:
-    sc = _get(cfg, "scenarios", {}, required=True)
-    mode = sc.get("mode", "monte_carlo")
-    try:
-        if mode == "monte_carlo":
-            seed = seed_override if seed_override is not None else int(sc["seed"])
-            return ScenarioSet.monte_carlo(int(sc["count"]), seed)
-        if mode == "tree":
-            return ScenarioSet.tree(int(sc.get("branching", 2)), int(sc["depth"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad scenarios block: {exc}") from exc
-    raise ConfigError(f"unknown scenario mode {mode!r}")
-
-
-def build_driver_spec(cfg: dict) -> DriverSpec:
-    drv = _get(cfg, "driver", {"kind": "brownian"})
-    try:
-        return DriverSpec(
-            kind=drv.get("kind", "brownian"),
-            d=int(drv.get("d", 1)),
-            vol=float(drv.get("vol", 1.0)),
-            drift=float(drv.get("drift", 0.0)),
-            jump_rate=float(drv.get("jump_rate", 0.0)),
-            jump_mean=float(drv.get("jump_mean", 0.0)),
-            jump_std=float(drv.get("jump_std", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad driver spec: {exc}") from exc
-
-
-def build_family(cfg: dict, grid: CompactGrid, k_max: int) -> TestFamily:
-    """The default test family on ``grid``, of ``test_family.k_max`` members (else ``k_max``)."""
-    try:
-        return build_test_family(grid, int(_get(cfg, "test_family", {}).get("k_max", k_max)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad test_family block: {exc}") from exc
 
 
 def write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -216,67 +254,56 @@ def write_summary(out_dir: Path, payload: dict) -> None:
     (out_dir / "summary.json").write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _integrand_list(cfg: dict, grid: CompactGrid, timegrid: TimeGrid, scenarios, driver_path):
-    """Integrands named in the config; returns (label, MeasureProcess) pairs."""
-    spec = _get(cfg, "integrand", {"kind": "power_law", "alpha": 1.0})
-    kind = spec.get("kind")
-    rng = np.random.default_rng(int(spec.get("seed", 7)))
+def _integrand_list(spec: dict, grid: CompactGrid, timegrid: TimeGrid, scenarios, driver_path):
+    """The checked ``integrand`` section's integrands, as (label, MeasureProcess) pairs."""
+    kind = spec["kind"]
     if kind == "power_law":
-        phi, _ = dom.power_law_integrand(float(spec.get("alpha", 1.0)), timegrid, grid.n_cells)
+        phi, _ = dom.power_law_integrand(spec["alpha"], timegrid, grid.n_cells)
         return [("power_law", phi)]
     if kind == "elementary":
         try:
             terms = [ElementaryTerm(SignedMeasureVec(grid, np.asarray(t["weights"], float)),
-                                    int(t["start"]), int(t["stop"]))
-                     for t in spec["terms"]]
+                                    t["start"], t["stop"]) for t in spec["terms"]]
             phi = elementary_process(grid, timegrid.n_steps, terms,
                                      n_scenarios=scenarios.n_scenarios)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"bad elementary term list: {exc}") from exc
+        except ValueError as exc:
+            raise ConfigError(f"integrand.terms do not fit the grids: {exc}") from exc
         return [("elementary", phi)]
-    if kind == "random_elementary":
-        out = []
-        for i in range(int(spec.get("count", 10))):
-            phi = random_elementary_process(
-                grid, timegrid, scenarios, rng,
-                n_terms=int(spec.get("terms", 4)),
-                driver_values=None if driver_path is None else driver_path.values)
-            out.append((f"elementary_{i}", phi))
-        return out
     if kind == "random_dominated":
-        a = float(spec.get("wave", 3.0))
-        b = float(spec.get("drift_wave", 2.0))
+        a, b = spec["wave"], spec["drift_wave"]
         dspec = dom.DominatedSpec.from_adapted_density(
             lambda t, z, s: np.cos(a * z + b * t + s), driver_path, grid)
         return [("random_dominated", dom.make_dominated(dspec))]
-    if kind == "random_lattice":
-        out = []
-        for i in range(int(spec.get("count", 3))):
-            out.append((f"lattice_{i}",
-                        random_lattice_process(grid, timegrid, scenarios, rng,
-                                               c=float(spec.get("ball", 1.0)),
-                                               pool_size=int(spec.get("pool_size", 21)))))
-        return out
-    raise ConfigError(f"unknown integrand kind {kind!r}")
+    rng = np.random.default_rng(spec["seed"])
+    if kind == "random_elementary":
+        values = None if driver_path is None else driver_path.values
+        return [(f"elementary_{i}", random_elementary_process(
+                    grid, timegrid, scenarios, rng, n_terms=spec["terms"], driver_values=values))
+                for i in range(spec["count"])]
+    return [(f"lattice_{i}", random_lattice_process(
+                grid, timegrid, scenarios, rng, c=spec["ball"], pool_size=spec["pool_size"]))
+            for i in range(spec["count"])]
 
 
-def run_fubini(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    timegrid = build_timegrid(cfg)
-    scenarios = build_scenarios(cfg, seed_override)
-    grid_cfg = _get(cfg, "grid", {})
-    grid = CompactGrid(float(grid_cfg.get("T_K", timegrid.horizon)),
-                       int(grid_cfg.get("J", timegrid.n_steps)))
-    tol = _positive(cfg, "tolerances.fubini", 1e-10, zero_ok=True)
-    spec = build_driver_spec(cfg)
-    S = simulate_driver(spec, timegrid, scenarios)
-    fam = build_family(cfg, grid, 16)
-    corrupt = bool(_get(cfg, "corrupt_comparison", False))
+def _driver_path(cfg: dict) -> tuple[TimeGrid, ScenarioSet, DriverPath]:
+    """The checked config's time grid, scenario set and driver path on them."""
+    timegrid, sc = TimeGrid(cfg["time"]["T"], cfg["time"]["N"]), cfg["scenarios"]
+    scenarios = (ScenarioSet.tree(sc["branching"], sc["depth"]) if sc["mode"] == "tree"
+                 else ScenarioSet.monte_carlo(sc["count"], sc["seed"]))
+    return timegrid, scenarios, simulate_driver(DriverSpec(**cfg["driver"]), timegrid, scenarios)
+
+
+def run_fubini(cfg: dict, out_dir: Path) -> int:
+    timegrid, scenarios, S = _driver_path(cfg)
+    grid = CompactGrid(cfg["grid"]["T_K"], cfg["grid"]["J"])
+    fam = build_test_family(grid, cfg["test_family"]["k_max"])
+    tol = cfg["tolerances"]["fubini"]
 
     rows, worst = [], 0.0
-    for label, phi in _integrand_list(cfg, grid, timegrid, scenarios, S):
+    for label, phi in _integrand_list(cfg["integrand"], grid, timegrid, scenarios, S):
         checks = fubini_check(phi, S, fam, sets=standard_cell_sets(grid))
         regular, general = checks["regular"], checks["general"]
-        if corrupt:
+        if cfg["corrupt_comparison"]:
             # negative control: compare the charge against the paths of a
             # scaled integrand so the identity genuinely breaks
             rhs = _paired_ito_paths(phi * (1.0 + 1e-3), S, fam.functions, None)
@@ -299,25 +326,19 @@ def run_fubini(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
     return 0 if passed else 1
 
 
-def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    scenarios = build_scenarios(cfg, seed_override)
-    if not scenarios.is_tree:
-        raise ConfigError("the approximation experiment needs tree-mode scenarios")
-    timegrid = build_timegrid(cfg)
-    grid_cfg = _get(cfg, "grid", {})
-    grid = CompactGrid(float(grid_cfg.get("T_K", 1.0)), int(grid_cfg.get("J", 8)))
-    fam = build_family(cfg, grid, grid.n_atoms + 2**grid.n_atoms)
-    tol = _positive(cfg, "tolerances.approx_q", 1e-6, zero_ok=True)
-    S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
+def run_approx(cfg: dict, out_dir: Path) -> int:
+    timegrid, scenarios, S = _driver_path(cfg)
+    grid = CompactGrid(cfg["grid"]["T_K"], cfg["grid"]["J"])
+    fam = build_test_family(grid, cfg["test_family"]["k_max"])
+    tol = cfg["tolerances"]["approx_q"]
     tau = StoppingRule.never(scenarios, timegrid.n_steps)
-    schedule = tuple(int(n) for n in _get(cfg, "schedule", [4, 16, 64]))
-    ball = float(_get(cfg, "integrand", {}).get("ball", 1.0))
 
     rows = []
     all_ok = True
-    for label, phi in _integrand_list(cfg, grid, timegrid, scenarios, S):
+    for label, phi in _integrand_list(cfg["integrand"], grid, timegrid, scenarios, S):
         result = approximate_elementary(phi, tau, S.control, fam, scenarios,
-                                        schedule=schedule, c=ball, tol=tol)
+                                        schedule=tuple(cfg["schedule"]),
+                                        c=cfg["integrand"]["ball"], tol=tol)
         r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
         v_pre = tau.left_limit(S.control)
         v_norm = float(np.sqrt(scenarios.probs @ (v_pre**2)))
@@ -336,21 +357,15 @@ def run_approx(cfg: dict, out_dir: Path, seed_override: int | None = None) -> in
     return 0 if all_ok else 1
 
 
-def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    timegrid = build_timegrid(cfg)
-    tg, levels, diag_scenarios = build_diagnostic(cfg, timegrid.horizon)
-    diag_seed = _positive(cfg, "diagnostic.seed", 101, int, zero_ok=True)
-    alphas = [_number(a, f"alphas[{i}]", bound="any")
-              for i, a in enumerate(_get(cfg, "alphas", [0.25, 0.75]))]
-    kernels = build_kernels(cfg)
-    tol = _positive(cfg, "tolerances.decomposition", 1e-10, zero_ok=True)
-    scenarios = build_scenarios(cfg, seed_override)
-    S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
+def run_volterra(cfg: dict, out_dir: Path) -> int:
+    timegrid, _, S = _driver_path(cfg)
+    diag, tol = cfg["diagnostic"], cfg["tolerances"]["decomposition"]
+    tg = TimeGrid(timegrid.horizon, diag["n_steps"])
     rows = []
 
     def decompose_kernels() -> None:
-        for name, params in kernels:
-            kernel = vol.make_kernel(name, params, timegrid)
+        for params in cfg["kernels"]:
+            kernel = vol.make_kernel(params["name"], params, timegrid)
             out = vol.decompose(kernel, S)
             # a kernel failing the variation condition has no decomposition: its row reads nan
             gap = density_gap = float("nan")
@@ -362,53 +377,38 @@ def run_volterra(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
             rows.append([kernel.name, gap, density_gap])
 
     # the kernels are decomposed on this thread while the diagnostic's other worker draws
-    tv = vol.power_volterra_paths(alphas, tg, diag_scenarios, seed=diag_seed,
-                                  n_levels=levels, lead=decompose_kernels)
+    tv = vol.power_volterra_paths(cfg["alphas"], tg, diag["scenarios"], seed=diag["seed"],
+                                  n_levels=diag["levels"], lead=decompose_kernels)
     write_csv(out_dir / "volterra_report.csv",
               ["kernel", "identity_gap", "density_route_gap"], rows)
     ok = all(gap <= tol for _, gap, _ in rows)  # a nan gap fails
     slope_rows = [[alpha, vol.semimartingale_diagnostic(t, tg)["slope"]]
-                  for alpha, t in zip(alphas, tv)]
+                  for alpha, t in zip(cfg["alphas"], tv)]
     write_csv(out_dir / "volterra_slopes.csv", ["alpha", "slope"], slope_rows)
     write_summary(out_dir, {"experiment": "volterra", "tolerance": tol, "pass": bool(ok),
                             "slopes": {f"{a}": s for a, s in slope_rows}})
     return 0 if ok else 1
 
 
-def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    timegrid = build_timegrid(cfg)
-    alphas = [_number(a, f"alphas[{i}]")
-              for i, a in enumerate(_get(cfg, "alphas", [0.5, 1.0, 2.0]))]
-    tg_diag, levels, diag_scenarios = build_diagnostic(cfg, timegrid.horizon)
-    J = _positive(cfg, "grid.J", 2**12, int)
-    growth_factor = _positive(cfg, "probe.growth_factor", 1.5)
-    doublings = _positive(cfg, "probe.doublings", 3, int, zero_ok=True)
-    tol_var = _positive(cfg, "tolerances.variation", 1e-9, zero_ok=True)
-    tol_d = _positive(cfg, "tolerances.accumulation", 1e-9, zero_ok=True)
-    tol_66 = _positive(cfg, "tolerances.square_density_rel", 1e-6, zero_ok=True)
-    # the squared density is singular for fractional exponents below 1 and
-    # its quadrature converges at rate mesh^(2 alpha - 1); gate separately
-    tol_66_frac = _positive(cfg, "tolerances.square_density_rel_fractional", 1e-2, zero_ok=True)
-    # the variance gate needs two scenarios, and a midpoint u = T/2 after t = 0
-    iso_P = _positive(cfg, "isometry.scenarios", 20000, int)
-    tg_iso = TimeGrid(timegrid.horizon, _positive(cfg, "isometry.n_steps", 1024, int))
-    for key, value in (("scenarios", iso_P), ("n_steps", tg_iso.n_steps)):
-        if value < 2:
-            raise ConfigError(f"isometry.{key} is {value}; the variance gate needs at least 2")
-    scen_cfg = _get(cfg, "scenarios", {"seed": 12345})
-    seed = seed_override if seed_override is not None else int(scen_cfg.get("seed", 12345))
-    T = timegrid.horizon
+def run_example7(cfg: dict, out_dir: Path) -> int:
+    timegrid = TimeGrid(cfg["time"]["T"], cfg["time"]["N"])
+    alphas, tols, diag, probe = cfg["alphas"], cfg["tolerances"], cfg["diagnostic"], cfg["probe"]
+    iso_P = cfg["isometry"]["scenarios"]
+    tg_diag = TimeGrid(timegrid.horizon, diag["n_steps"])
+    tg_iso = TimeGrid(timegrid.horizon, cfg["isometry"]["n_steps"])
+    seed, T = cfg["scenarios"]["seed"], timegrid.horizon
 
     S = simulate_driver(DriverSpec("brownian"), timegrid, ScenarioSet.monte_carlo(2, seed))
     # terminal-variance check: one draw of the isometry stream serves every exponent
     u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
     terminals = vol.power_volterra_terminals(alphas, u_indices, tg_iso, iso_P, seed=seed)
     # roughness slopes: every exponent reads the same diagnostic stream
-    tv = vol.power_volterra_paths(alphas, tg_diag, diag_scenarios, seed=seed + 1, n_levels=levels)
+    tv = vol.power_volterra_paths(alphas, tg_diag, diag["scenarios"], seed=seed + 1,
+                                  n_levels=diag["levels"])
     rows = []
     all_ok = True
     for a, alpha in enumerate(alphas):
-        phi, spec = dom.power_law_integrand(alpha, timegrid, J)
+        phi, spec = dom.power_law_integrand(alpha, timegrid, cfg["grid"]["J"])
         # variation closed form at t = 0 and t = T/2, read from those two slots only
         idx_half = timegrid.n_steps // 2
         var = np.sum(np.abs(phi.weights[0, [0, idx_half], 0, :]), axis=1)
@@ -419,12 +419,12 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
         d_err = abs(member["d_path"][0, -1] - T ** (2 * alpha + 1) / (2 * alpha + 1))
         # square-density condition: closed value or divergence probe
         conds = dom.condition_evaluator(spec, S, S.control)
-        cert = dom.measure_valuedness_certificate(spec, S, S.control, growth_factor=growth_factor,
-                                                  doublings=doublings)
+        cert = dom.measure_valuedness_certificate(spec, S, S.control, **probe)
         if alpha > 0.5:
             closed = spec.profile.square_density_integral(T)
             c66_rel = abs(conds["c66_value_at_horizon"] - closed) / closed
-            c66_ok = c66_rel <= (tol_66 if alpha >= 1.0 else tol_66_frac)
+            c66_ok = c66_rel <= tols["square_density_rel" if alpha >= 1.0
+                                     else "square_density_rel_fractional"]
         else:
             c66_rel = float("nan")
             c66_ok = cert["c66_probe"]["divergent"]
@@ -442,7 +442,8 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
             se = sample * np.sqrt(2.0 / (iso_P - 1))
             iso_z = max(iso_z, abs(sample - target) / se)
         slope = vol.semimartingale_diagnostic(tv[a], tg_diag)["slope"]
-        row_ok = (var_err <= tol_var and d_err <= tol_d and c66_ok and cert_ok and iso_z <= 3.0)
+        row_ok = (var_err <= tols["variation"] and d_err <= tols["accumulation"] and c66_ok
+                  and cert_ok and iso_z <= 3.0)
         all_ok &= row_ok
         rows.append([alpha, var_err, d_err, c66_rel, cert["hypotheses_met"],
                      iso_z, iso_bias, slope, row_ok])
@@ -454,24 +455,16 @@ def run_example7(cfg: dict, out_dir: Path, seed_override: int | None = None) -> 
     return 0 if all_ok else 1
 
 
-def run_conditions(cfg: dict, out_dir: Path, seed_override: int | None = None) -> int:
-    timegrid = build_timegrid(cfg)
-    scenarios = build_scenarios(cfg, seed_override)
-    J = _positive(cfg, "grid.J", timegrid.n_steps, int)
-    if _get(cfg, "integrand", {"kind": "power_law"}).get("kind") != "power_law":
-        raise ConfigError("the conditions experiment is defined for the power_law integrand")
-    alpha = _positive(cfg, "integrand.alpha", 1.0)
-    doublings = _positive(cfg, "probe.doublings", 3, int, zero_ok=True)
-    growth_factor = _positive(cfg, "probe.growth_factor", 1.5)
-    S = simulate_driver(build_driver_spec(cfg), timegrid, scenarios)
-    spec = dom.DominatedSpec.from_power_profile(alpha, timegrid, J)
+def run_conditions(cfg: dict, out_dir: Path) -> int:
+    timegrid, _, S = _driver_path(cfg)
+    J, probe = cfg["grid"]["J"], cfg["probe"]
+    spec = dom.DominatedSpec.from_power_profile(cfg["integrand"]["alpha"], timegrid, J)
     report = dom.condition_evaluator(spec, S, S.control)
     # spatial-refinement growth ratio per condition (sup at 2^k J over sup at J);
     # the refined grid is also the certificate's last probe, so it is built once
-    refined = dom.condition_evaluator(spec.reatomize(J * 2**doublings), S, S.control)
-    cert = dom.measure_valuedness_certificate(
-        spec, S, S.control, growth_factor=growth_factor,
-        doublings=doublings, finest_sup=refined["c66"]["sup"])
+    refined = dom.condition_evaluator(spec.reatomize(J * 2 ** probe["doublings"]), S, S.control)
+    cert = dom.measure_valuedness_certificate(spec, S, S.control, **probe,
+                                              finest_sup=refined["c66"]["sup"])
     for key in ("c63", "c64", "c66", "c67", "c_veraar"):
         base = report[key]["sup"]
         report[key]["growth_ratio"] = refined[key]["sup"] / base if base > 0 else 1.0
@@ -501,10 +494,13 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        out_dir = Path(args.out if args.out is not None else cfg.get("output", "out"))
+        raw = load_config(args.config)
+        out_dir = Path(args.out if args.out is not None
+                       else _walk(OUTPUT, raw.get("output", MISSING), "output", {}))
         out_dir.mkdir(parents=True, exist_ok=True)
-        return RUNNERS[args.command](cfg, out_dir, seed_override=args.seed)
+        # every key is checked, and a tabulated kernel's CSV read, before any work starts
+        cfg = check_config(args.command, raw, args.seed)
+        return RUNNERS[args.command](cfg, out_dir)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -250,14 +250,14 @@ def load_tabulated_csv(path, timegrid: TimeGrid) -> VolterraKernel:
 
 
 def make_kernel(name: str, params: dict, timegrid: TimeGrid) -> VolterraKernel:
-    """Registry lookup: power_alpha {alpha}, affine {level, slope}, tabulated {path}."""
+    """Registry lookup over checked parameters: power_alpha {alpha}, affine {level, slope},
+    tabulated {path, matrix}, the matrix being the table read from the CSV at path."""
     if name == "power_alpha":
-        return power_kernel(float(params["alpha"]), timegrid)
+        return power_kernel(params["alpha"], timegrid)
     if name == "affine":
-        return affine_kernel(float(params.get("level", 1.0)), float(params.get("slope", 1.0)),
-                             timegrid)
+        return affine_kernel(params["level"], params["slope"], timegrid)
     if name == "tabulated":
-        return load_tabulated_csv(params["path"], timegrid)
+        return tabulated_kernel(params["matrix"], timegrid, name=f"tabulated[{params['path']}]")
     raise KeyError(f"unknown kernel {name!r}")
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -23,6 +24,10 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def shipped(command):
+    return json.loads((Path(mvstoch.__file__).parents[2] / "configs" / f"{command}.json").read_text())
+
+
 def fubini_config(tmp_path, **overrides):
     cfg = {
         "time": {"T": 1.0, "N": 32},
@@ -35,6 +40,25 @@ def fubini_config(tmp_path, **overrides):
     }
     cfg.update(overrides)
     return write_config(tmp_path, "fubini.json", cfg)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work started before the config was checked")
+
+
+def assert_config_error(tmp_path, monkeypatch, capsys, command, payload, key):
+    """``command`` on ``payload`` exits 2 with a config error naming ``key`` and no traceback,
+    before its runner is entered: no driver simulated, no thread started, no report."""
+    monkeypatch.setattr(cli, "simulate_driver", no_work)
+    monkeypatch.setitem(cli.RUNNERS, command, no_work)
+    out = tmp_path / "o"
+    threads = threading.active_count()
+    assert main([command, "--config", write_config(tmp_path, "cfg.json", payload),
+                 "--out", str(out)]) == 2
+    assert threading.active_count() == threads
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key} ") and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 class TestFubiniCommand:
@@ -59,6 +83,11 @@ class TestFubiniCommand:
         assert main(["fubini", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
         summary = json.loads((tmp_path / "bad" / "summary.json").read_text())
         assert not summary["pass"]
+
+    def test_corrupt_comparison_must_be_a_boolean(self, tmp_path, monkeypatch, capsys):
+        # bool("false") is true: read that way, the negative control would run and exit 1
+        payload = json.loads(Path(fubini_config(tmp_path, corrupt_comparison="false")).read_text())
+        assert_config_error(tmp_path, monkeypatch, capsys, "fubini", payload, "corrupt_comparison")
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = fubini_config(tmp_path)
@@ -204,6 +233,17 @@ class TestVolterraCommand:
         assert main(["volterra", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
         assert threading.active_count() == threads
 
+    def test_tabulated_csv_of_the_wrong_shape_exits_two(self, tmp_path, monkeypatch, capsys):
+        # the CSV is read with the config: before the driver and the diagnostic's worker
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        kernel_csv = tmp_path / "small.csv"
+        np.savetxt(kernel_csv, np.eye(2), delimiter=",")
+        cfg = self.volterra_config(
+            tmp_path, time={"T": 1.0, "N": 16},
+            kernels=[{"name": "affine"}, {"name": "tabulated", "path": str(kernel_csv)}])
+        payload = json.loads(Path(cfg).read_text())
+        assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload, "kernels[1].path")
+
     def test_kernel_failing_the_variation_condition_is_reported(self, tmp_path):
         # the exploding kernel of test_exploding_kernel_flagged, as a tabulated CSV
         matrix = np.zeros((9, 9))
@@ -232,37 +272,30 @@ class TestDiagnosticSection:
     volterra kernels are decomposed or any thread starts, so no report is written."""
 
     @pytest.mark.parametrize("command", ["volterra", "example7"])
-    @pytest.mark.parametrize("diagnostic", [{"levels": 2}, {"levels": 6, "n_steps": 48}],
-                             ids=["two_levels", "indivisible_steps"])
-    def test_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys, command, diagnostic):
+    @pytest.mark.parametrize("diagnostic, key", [
+        ({"levels": 2}, "diagnostic.levels"),
+        ({"levels": 6, "n_steps": 48}, "diagnostic.n_steps"),
+    ], ids=["two_levels", "indivisible_steps"])
+    def test_exits_two_before_any_work(self, tmp_path, monkeypatch, capsys, command, diagnostic,
+                                       key):
         monkeypatch.setattr(drivers, "WORKERS", 2)
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / f"{command}.json").read_text())
-        shipped["diagnostic"] = {**shipped.get("diagnostic", {}), **diagnostic}
-        cfg, out = write_config(tmp_path, f"{command}.json", shipped), tmp_path / "o"
-        threads = threading.active_count()
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
-        assert threading.active_count() == threads
-        err = capsys.readouterr().err
-        assert err.startswith("config error: diagnostic.") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        payload = shipped(command)
+        payload["diagnostic"] = {**payload.get("diagnostic", {}), **diagnostic}
+        assert_config_error(tmp_path, monkeypatch, capsys, command, payload, key)
 
 
 class TestMalformedSection:
-    @pytest.mark.parametrize("section", [
-        {"driver": {"vol": None}},
-        {"scenarios": 5},
-        {"driver": ["brownian"]},
-        {"tolerances": [1e-10]},
-        {"test_family": {"k_max": "x"}},
+    @pytest.mark.parametrize("section, key", [
+        ({"driver": {"vol": None}}, "driver.vol"),
+        ({"scenarios": 5}, "scenarios"),
+        ({"driver": ["brownian"]}, "driver"),
+        ({"tolerances": [1e-10]}, "tolerances"),
+        ({"test_family": {"k_max": "x"}}, "test_family.k_max"),
     ], ids=["driver_vol_null", "scenarios_number", "driver_list", "tolerances_list",
             "k_max_text"])
-    def test_exits_two_without_traceback(self, tmp_path, capsys, section):
-        out = tmp_path / "o"
-        assert main(["fubini", "--config", fubini_config(tmp_path, **section),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+    def test_exits_two_without_traceback(self, tmp_path, monkeypatch, capsys, section, key):
+        payload = json.loads(Path(fubini_config(tmp_path, **section)).read_text())
+        assert_config_error(tmp_path, monkeypatch, capsys, "fubini", payload, key)
 
 
 class TestExample7Command:
@@ -331,9 +364,9 @@ class TestConditionsCommand:
 
 
 class TestNumericKeys:
-    """A non-numeric or out-of-range grid, integrand, probe, kernel, isometry or tolerance
-    value is a configuration error (exit 2) naming its key, found before the driver is
-    simulated, so no report is written."""
+    """An out-of-range or non-numeric grid, integrand, probe, kernel, isometry or tolerance
+    value is a configuration error (exit 2) naming its key, found before the runner starts.
+    TestKeyTable sets every key to a value of the wrong type; these cases add the bounds."""
 
     CASES = {
         "J_text": ("grid", {"J": "x"}), "J_zero": ("grid", {"J": 0}),
@@ -345,18 +378,11 @@ class TestNumericKeys:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_conditions_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys, case):
-        section, values = self.CASES[case]
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "conditions.json").read_text())
-        shipped[section] = {**shipped[section], **values}
-        self.check(tmp_path, monkeypatch, capsys, "conditions", shipped, f"{section}.{next(iter(values))}")
+        self.check_section(tmp_path, monkeypatch, capsys, "conditions", case)
 
     @pytest.mark.parametrize("case", ["J_zero", "doublings_negative", "growth_factor_text"])
     def test_example7_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys, case):
-        section, values = self.CASES[case]
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "example7.json").read_text())
-        shipped[section] = {**shipped[section], **values}
-        monkeypatch.setattr(cli.vol, "power_volterra_terminals", self.no_work)
-        self.check(tmp_path, monkeypatch, capsys, "example7", shipped, f"{section}.{next(iter(values))}")
+        self.check_section(tmp_path, monkeypatch, capsys, "example7", case)
 
     VOLTERRA_CASES = {
         "alpha_text": ([{"name": "power_alpha", "alpha": "x"}], "kernels[0].alpha"),
@@ -368,36 +394,148 @@ class TestNumericKeys:
 
     @pytest.mark.parametrize("case", list(VOLTERRA_CASES))
     def test_volterra_kernel_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys, case):
-        # the kernels were read in the decomposition lead, after the diagnostic's threads started
         kernels, key = self.VOLTERRA_CASES[case]
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "volterra.json").read_text())
-        shipped["kernels"] = kernels
-        monkeypatch.setattr(cli.vol, "power_volterra_paths", self.no_work)
-        self.check(tmp_path, monkeypatch, capsys, "volterra", shipped, key)
+        payload = {**shipped("volterra"), "kernels": kernels}
+        assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload, key)
 
     def test_volterra_tolerance_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys):
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "volterra.json").read_text())
-        shipped["tolerances"] = {"decomposition": "x"}
-        self.check(tmp_path, monkeypatch, capsys, "volterra", shipped, "tolerances.decomposition")
+        payload = {**shipped("volterra"), "tolerances": {"decomposition": "x"}}
+        assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload,
+                            "tolerances.decomposition")
 
     def test_example7_isometry_exits_two_before_any_draw(self, tmp_path, monkeypatch, capsys):
-        shipped = json.loads((Path(mvstoch.__file__).parents[2] / "configs" / "example7.json").read_text())
-        shipped["isometry"] = {**shipped.get("isometry", {}), "scenarios": "x"}
-        monkeypatch.setattr(cli.vol, "power_volterra_terminals", self.no_work)
-        self.check(tmp_path, monkeypatch, capsys, "example7", shipped, "isometry.scenarios")
+        payload = shipped("example7")
+        payload["isometry"] = {**payload["isometry"], "scenarios": 1}
+        assert_config_error(tmp_path, monkeypatch, capsys, "example7", payload,
+                            "isometry.scenarios")
 
-    @staticmethod
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the config was checked")
+    def check_section(self, tmp_path, monkeypatch, capsys, command, case):
+        section, values = self.CASES[case]
+        payload = shipped(command)
+        payload[section] = {**payload[section], **values}
+        assert_config_error(tmp_path, monkeypatch, capsys, command, payload,
+                            f"{section}.{next(iter(values))}")
 
-    def check(self, tmp_path, monkeypatch, capsys, command, payload, key):
-        monkeypatch.setattr(cli, "simulate_driver", self.no_work)
-        out = tmp_path / "o"
-        assert main([command, "--config", write_config(tmp_path, "cfg.json", payload),
-                     "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {key} ") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+
+def witness(spec):
+    """A value that ``spec`` passes: its fixed default if it has one, else the first mode,
+    a one-item list, false, "out" or the least number the bound allows."""
+    if isinstance(spec, cli.Modes):
+        mode = next(iter(spec.tables))
+        return {spec.key: mode, **witness(spec.tables[mode])}
+    if isinstance(spec, dict):
+        return {k: witness(s) for k, s in spec.items()}
+    if spec.default is not cli.REQUIRED and not callable(spec.default):
+        return spec.default
+    if isinstance(spec, cli.ListOf):
+        return [witness(spec.item)]
+    return {bool: False, str: "out"}.get(spec.cast, spec.bound if isinstance(spec.bound, int) else 1)
+
+
+def placements(spec):
+    """(key, modes, key_spec, place) for every key below ``spec``.  ``place(v)`` is a witness
+    of spec holding v at that key; ``key`` is relative (".name" or "[0]"), ``modes`` lists
+    the modes taken on the way, and a mode key's ``key_spec`` is None."""
+    if isinstance(spec, cli.Modes):
+        yield f".{spec.key}", (), None, lambda v: {spec.key: v}
+        for mode, table in spec.tables.items():
+            for key, modes, sub, place in placements(table):
+                yield key, (mode, *modes), sub, lambda v, m=mode, p=place: {spec.key: m, **p(v)}
+    elif isinstance(spec, dict):
+        for k, s in spec.items():
+            yield f".{k}", (), s, lambda v, k=k: {**witness(spec), k: v}
+            for key, modes, sub, place in placements(s):
+                yield f".{k}{key}", modes, sub, lambda v, k=k, p=place: {**witness(spec), k: p(v)}
+    elif isinstance(spec, cli.ListOf):
+        yield "[0]", (), spec.item, lambda v: [v]
+        for key, modes, sub, place in placements(spec.item):
+            yield f"[0]{key}", modes, sub, lambda v, p=place: [p(v)]
+
+
+def table_cases():
+    """Every key of every runner's table set to "x"; every numeric key to true, and every
+    integer key to 2.5.  Any string is an output directory, so output is set to true."""
+    cases, seen = [], set()
+    for command, table in cli.RUNNER_KEYS.items():
+        for key, modes, sub, place in placements(table):
+            key = key[1:]
+            if (command, key, id(sub)) in seen:  # the driver kinds share one table
+                continue
+            seen.add((command, key, id(sub)))
+            cast = getattr(sub, "cast", None) if isinstance(sub, cli.Key) else None
+            values = ["x" if key != "output" else True]
+            values += [True] * (cast in (int, float)) + [2.5] * (cast is int)
+            label = f"{command}:{key}" + "".join(f"@{m}" for m in modes)
+            cases += [pytest.param(command, key, place(v), id=f"{label}={v!r}") for v in values]
+    return cases
+
+
+def key_names(spec) -> set:
+    if isinstance(spec, cli.Modes):
+        return {spec.key}.union(*map(key_names, spec.tables.values()))
+    if isinstance(spec, dict):
+        return set(spec).union(*map(key_names, spec.values()))
+    return key_names(spec.item) if isinstance(spec, cli.ListOf) else set()
+
+
+class TestKeyTable:
+    """Every key each runner reads is in ``cli.RUNNER_KEYS``, and a value of the wrong type
+    in any of them exits 2 naming the key, before the runner starts."""
+
+    @pytest.mark.parametrize("command, key, payload", table_cases())
+    def test_bad_value_exits_two_before_the_runner(self, tmp_path, monkeypatch, capsys,
+                                                   command, key, payload):
+        assert_config_error(tmp_path, monkeypatch, capsys, command, payload, key)
+
+    def test_walk_reaches_the_grid_integrand_and_schedule_keys(self):
+        keys = {(case.values[0], case.values[1]) for case in table_cases()}
+        for command in ("fubini", "approx"):
+            assert {(command, k) for k in ("grid.T_K", "grid.J", "integrand.ball",
+                                           "integrand.count", "integrand.terms",
+                                           "integrand.seed", "integrand.wave",
+                                           "integrand.drift_wave", "integrand.pool_size",
+                                           "integrand.terms[0].start",
+                                           "integrand.terms[0].stop")} <= keys
+        assert ("approx", "schedule") in keys and ("approx", "schedule[0]") in keys
+
+    def test_integer_beyond_the_float_range_exits_two(self, tmp_path, monkeypatch, capsys):
+        payload = {**shipped("conditions"), "time": {"T": 10**400, "N": 16}}
+        assert_config_error(tmp_path, monkeypatch, capsys, "conditions", payload, "time.T")
+
+    def test_per_runner_defaults(self):
+        time = {"time": {"T": 2.0, "N": 16}}
+        mc = {**time, "scenarios": {"count": 2, "seed": 1}}
+        fubini = cli.check_config("fubini", mc)
+        assert fubini["grid"] == {"J": 16, "T_K": 2.0} and fubini["test_family"]["k_max"] == 16
+        approx = cli.check_config("approx", {**time, "scenarios": {"mode": "tree", "depth": 2}})
+        assert approx["grid"] == {"J": 8, "T_K": 1.0}
+        assert approx["test_family"]["k_max"] == 9 + 2**9
+        assert cli.check_config("conditions", mc)["grid"] == {"J": 16}
+        example7 = cli.check_config("example7", time, seed=5)
+        assert example7["grid"] == {"J": 4096} and example7["scenarios"] == {"seed": 5}
+        lattice = {**mc, "integrand": {"kind": "random_lattice"}}
+        assert cli.check_config("fubini", lattice)["integrand"]["count"] == 3
+        lattice["integrand"]["kind"] = "random_elementary"
+        assert cli.check_config("fubini", lattice)["integrand"]["count"] == 10
+        volterra = cli.check_config("volterra", mc)
+        assert volterra["kernels"][1] == {"name": "affine", "level": 1.0, "slope": 1.0}
+
+    def test_readme_schema_names_the_table(self):
+        readme = (Path(mvstoch.__file__).parents[2] / "README.md").read_text()
+        block = readme.split("### Config schema (JSON)")[1].split("```jsonc\n")[1].split("```")[0]
+        named, section = {}, None
+        for line in block.splitlines():
+            top = re.match(r'  "(\w+)":', line)
+            if top:
+                section = top.group(1)
+                named[section] = set()
+            if section is not None:
+                named[section].update(re.findall(r'"(\w+)"\s*:', line)[1 if top else 0:])
+        table = {}
+        for keys in cli.RUNNER_KEYS.values():
+            for name, spec in keys.items():
+                table.setdefault(name, set()).update(key_names(spec))
+        assert named == table
 
 
 class TestElementaryFromConfig:
