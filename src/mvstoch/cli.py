@@ -170,7 +170,8 @@ def load_config(path: str) -> dict:
 def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     """``raw`` walked through ``RUNNER_KEYS[command]`` into a checked config with every
     default filled in, and ``seed`` (if given) as the scenario seed.  A tabulated kernel's
-    CSV is loaded here, into its entry's ``matrix``.  Raises a ConfigError naming the key."""
+    CSV is loaded here, into its entry's ``matrix``, and an ``elementary`` integrand is built
+    on the grids, into ``process``.  Raises a ConfigError naming the key."""
     if seed is not None and isinstance(raw.get("scenarios", {}), dict):
         raw = {**raw, "scenarios": {**raw.get("scenarios", {}), "seed": seed}}
     cfg = {}
@@ -190,6 +191,18 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
                                      f"{(n1, n1)}")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"kernels[{i}].path {kernel['path']!r}: {exc}") from None
+    integrand = cfg.get("integrand", {})
+    if integrand.get("kind") == "elementary":
+        grid = CompactGrid(cfg["grid"]["T_K"], cfg["grid"]["J"])
+        try:
+            terms = [ElementaryTerm(SignedMeasureVec(grid, np.asarray(t["weights"], float)),
+                                    t["start"], t["stop"]) for t in integrand["terms"]]
+            integrand["process"] = elementary_process(grid, cfg["time"]["N"], terms)
+            if integrand["process"].d != cfg["driver"]["d"]:
+                raise ValueError(f"{integrand['process'].d} components; driver.d is "
+                                 f"{cfg['driver']['d']}")
+        except ValueError as exc:
+            raise ConfigError(f"integrand.terms do not fit the grids: {exc}") from None
     return cfg
 
 
@@ -260,15 +273,8 @@ def _integrand_list(spec: dict, grid: CompactGrid, timegrid: TimeGrid, scenarios
     if kind == "power_law":
         phi, _ = dom.power_law_integrand(spec["alpha"], timegrid, grid.n_cells)
         return [("power_law", phi)]
-    if kind == "elementary":
-        try:
-            terms = [ElementaryTerm(SignedMeasureVec(grid, np.asarray(t["weights"], float)),
-                                    t["start"], t["stop"]) for t in spec["terms"]]
-            phi = elementary_process(grid, timegrid.n_steps, terms,
-                                     n_scenarios=scenarios.n_scenarios)
-        except ValueError as exc:
-            raise ConfigError(f"integrand.terms do not fit the grids: {exc}") from exc
-        return [("elementary", phi)]
+    if kind == "elementary":  # built by check_config
+        return [("elementary", spec["process"])]
     if kind == "random_dominated":
         a, b = spec["wave"], spec["drift_wave"]
         dspec = dom.DominatedSpec.from_adapted_density(

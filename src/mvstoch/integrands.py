@@ -17,7 +17,8 @@ share one dense payload ``weights`` of shape (P or 1, N, d, J + 1):
 Evaluating against a test function yields a predictable interval path, so
 all seminorm machinery reduces to weighted finite sums.  Evaluations and
 the weak* distances pair through ``_pair_rows``, one BLAS matmul per
-scenario.  The aggregate seminorm over a test family,
+scenario, as do the Volterra slot sums, by L2-sized tiles (``_slot_sums``).
+The aggregate seminorm over a test family,
 
     q(phi)^2 = sum_k gamma_k * ||phi(u_k)||^2_{L2(pre-tau weights)},
 
@@ -209,8 +210,16 @@ def evaluate(phi: MeasureProcess, f: np.ndarray,
 
 
 def variation_path(phi: MeasureProcess) -> np.ndarray:
-    """Componentwise variation per (scenario, slot); shape (P, N, d)."""
-    return np.sum(np.abs(phi.weights), axis=3)
+    """Componentwise variation per (scenario, slot); shape (P, N, d).  |weights| is formed in
+    blocks of slots of ``EVAL_ENTRIES`` values in one reused buffer, never whole (an affine
+    Volterra kernel's would be an (N, N + 1) table); each row is summed whole."""
+    Q, N, d, n_atoms = phi.weights.shape
+    step = max(1, EVAL_ENTRIES // (Q * d * n_atoms))
+    out, buf = np.empty((Q, N, d)), np.empty(min(step, N) * Q * d * n_atoms)
+    for lo in range(0, N, step):
+        w = phi.weights[:, lo : lo + step]
+        np.sum(np.abs(w, out=buf[: w.size].reshape(w.shape)), axis=3, out=out[:, lo : lo + step])
+    return out
 
 
 def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -223,6 +232,26 @@ def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | No
     step = max(1, PAIR_ENTRIES // max(1, functions.size))
     for lo in range(0, rows.shape[1], step):
         np.matmul(rows[:, lo : lo + step], functions.T, out=out[:, lo : lo + step])
+    return out
+
+
+def _slot_sums(table: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """sum_r increments[p, r] table[p or 0, r, m], (P, M), from (P, R) increments and a table
+    (1 or P, R, M) of any strides.  The table is copied a tile of atoms at a time, as rows of R
+    values, into one reused buffer of ``EVAL_ENTRIES`` values, which stays in L2 and is
+    BLAS-ready (a lag view is not).  Each scenario's increments take one product with the tile
+    (``_pair_rows``, one thread): the rounding depends on R and M, never on P."""
+    increments = np.ascontiguousarray(increments)
+    (P, R), M = increments.shape, table.shape[2]
+    width = min(M, max(1, EVAL_ENTRIES // R))
+    buf, out = np.empty(width * R), np.empty((P, M))
+    for lo in range(0, M, width):
+        hi = min(lo + width, M)
+        tile = buf[: R * (hi - lo)].reshape(hi - lo, R)
+        for q, part in enumerate(table[:, :, lo:hi]):  # one P-row table row per scenario
+            rows = slice(None) if len(table) == 1 else slice(q, q + 1)
+            np.copyto(tile, part.T)
+            _pair_rows(increments[rows, None], tile, out=out[rows, None, lo:hi])
     return out
 
 

@@ -34,7 +34,8 @@ not by thread count).  The convergence transfer reads only the paired
 charge gap: it draws the target's block stream once, in step with every
 approximant's, pairs each difference in blocks of scenarios and keeps
 only each approximant's (P, K) running sup.  The Volterra decomposition reads only
-``horizon_charge``.  No consumer holds the dense (P, N + 1, J + 1) ensemble;
+``horizon_charge``, one tiled product per scenario of the increments and the slot table
+(``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1) ensemble;
 ``mv_integral`` fills it from the same blocks as a small-size reference.
 """
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
-from .integrands import MeasureProcess, integrability_check, _family_evals, _pair_rows
+from .integrands import MeasureProcess, integrability_check, _family_evals, _pair_rows, _slot_sums
 
 __all__ = [
     "charge_blocks",
@@ -65,12 +66,14 @@ __all__ = [
 BLOCK_ENTRIES = 2**18
 
 
+def _check_grids(phi: MeasureProcess, S: DriverPath) -> None:
+    if (phi.n_steps, phi.d) != (S.timegrid.n_steps, S.spec.d):
+        raise ValueError("time grid or component count mismatch")
+
+
 def _block_step(phi: MeasureProcess, S: DriverPath) -> int:
     """Grid times per charge block: BLOCK_ENTRIES values over all scenarios and atoms."""
-    if phi.n_steps != S.timegrid.n_steps:
-        raise ValueError("time grid mismatch")
-    if phi.d != S.spec.d:
-        raise ValueError("component count mismatch")
+    _check_grids(phi, S)
     return min(phi.n_steps, max(1, BLOCK_ENTRIES // (S.scenarios.n_scenarios * phi.grid.n_atoms)))
 
 
@@ -100,24 +103,12 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None 
 
 
 def horizon_charge(phi: MeasureProcess, S: DriverPath) -> np.ndarray:
-    """The last row of ``charge_blocks``, bit for bit: one reduce per block adds its slot products
-    to the carried measure in time order, from the first atom a slot charges (zeros before it)."""
-    step = _block_step(phi, S)
-    P, N, n_atoms = S.scenarios.n_scenarios, S.timegrid.n_steps, phi.grid.n_atoms
-    # the first atom each slot charges (0 if none), at most J - 1: a reduce over one
-    # column of one scenario would sum pairwise
-    first = np.minimum((phi.weights != 0).argmax(axis=3).min(axis=(0, 2)), n_atoms - 2)
-    # one buffer, as in charge_blocks (a second one raised volterra's peak RSS by 2.5 %): the
-    # carried measure, then each block's rows, contiguous so that the reduce reads whole rows
-    buf = np.zeros((step + 2) * P * n_atoms)
-    total, buf = buf[: P * n_atoms].reshape(P, n_atoms), buf[P * n_atoms :]
-    for lo in range(0, N, step):
-        hi = min(lo + step, N)
-        a = first[lo:hi].min()
-        rows = buf[: (hi - lo + 1) * P * (n_atoms - a)].reshape(hi - lo + 1, P, n_atoms - a)
-        rows[0] = total[:, a:]
-        np.einsum("pnij,pni->npj", phi.weights[:, lo:hi, :, a:], S.increments[:, lo:hi], out=rows[1:])
-        np.add.reduce(rows, axis=0, out=total[:, a:])
+    """The charge at the horizon, (P, J + 1): the (P, N d) increments times phi's (N d, J + 1)
+    slot table, one tiled product per scenario (``integrands._slot_sums``); the last row of
+    ``charge_blocks`` up to the rounding of a sum of N d products."""
+    _check_grids(phi, S)
+    w, dS = phi.weights, S.increments
+    total = _slot_sums(w.reshape(len(w), -1, w.shape[3]), dS.reshape(len(dS), -1))
     if not np.all(np.isfinite(total)):
         raise OverflowError("measure-valued integral overflowed")
     return total

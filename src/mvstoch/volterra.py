@@ -23,6 +23,10 @@ is a finite-sum rearrangement and holds pathwise to accumulation error.
 ``decompose`` reads the identity-exact Y (which sees the driver up to the
 evaluation index) from ``mvintegral.horizon_charge``, not the running charge.
 
+Every slot sum -- the horizon charge, the direct and the density sums -- is
+the increments times a slot table, one tiled product per scenario
+(``integrands._slot_sums``), so its rounding does not depend on P.
+
 For kernels carrying a time-derivative density the classical
 absolutely-continuous route is also provided: X = diagonal integral plus
 the time integral (right-endpoint rule, which is exact for kernels affine
@@ -64,7 +68,7 @@ from .drivers import (
     running_sum,
 )
 from .grid import CompactGrid
-from .integrands import MeasureProcess, integrability_check
+from .integrands import MeasureProcess, _slot_sums, integrability_check
 from .mvintegral import horizon_charge
 
 __all__ = [
@@ -76,11 +80,9 @@ __all__ = [
     "volterra_direct",
     "induced_phi",
     "decompose",
-    "variation_condition_check",
     "density_construction",
     "level_variations",
     "semimartingale_diagnostic",
-    "diagonal_jump_check",
     "power_volterra_terminals",
     "power_volterra_paths",
 ]
@@ -112,7 +114,7 @@ class VolterraKernel:
             self.lag = np.asarray(self.lag, dtype=float)
             if self.lag.shape != (n1,):
                 raise ValueError("lag profile does not match the time grid")
-            self.matrix = _lag_windows(self.lag, n1, 0)[:, ::-1, None]
+            self.matrix = _lag_windows(self.lag, 0)[:, ::-1, None]
             return
         m = np.asarray(self.matrix, dtype=float)
         if m.ndim == 2:
@@ -145,7 +147,7 @@ class VolterraKernel:
         slot j, atom l.  A stationary kernel's is a read-only view of diff(lag)."""
         N = self.timegrid.n_steps
         if self.lag is not None:  # slot j is window N - j
-            return _lag_windows(np.diff(self.lag, prepend=0.0), N + 1, 1)[N:0:-1][None, :, None, :]
+            return _lag_windows(np.diff(self.lag, prepend=0.0))[N:0:-1][None, :, None, :]
         K = self.matrix if self.is_random else self.matrix[None]
         diffs = np.diff(K, axis=1)  # [p, l-1->l, j, i]
         l = np.arange(1, N + 1)
@@ -156,18 +158,19 @@ class VolterraKernel:
         return weights
 
     def causal_sums(self, dS: np.ndarray) -> np.ndarray:
-        """sum_{j < l} K(t_l, t_j) . dS[:, j] for l = 0..N, from (P, N, d) increments: (P, N + 1)."""
-        if self.lag is not None:  # a scalar kernel weighs every driver component alike
-            return _lag_sums(self.lag, np.sum(dS, axis=2))
+        """sum_{j < l} K(t_l, t_j) . dS[:, j] for l = 0..N, from (P, N, d) increments: (P, N + 1),
+        the kernel's strictly-lower rows as a slot table [(j, i), l] (``_slot_sums``)."""
         P, N = dS.shape[:2]
+        if self.d == 1:  # a scalar kernel weighs every driver component alike
+            dS = np.sum(dS, axis=2, keepdims=True)
+        if self.lag is not None:
+            return _slot_sums(_lag_windows(self.lag)[N:0:-1][None], dS[:, :, 0])
         K = self.matrix if self.is_random else self.matrix[None]
         if K.shape[0] not in (1, P):
             raise ValueError("kernel scenario dimension mismatch")
         l = np.arange(N + 1)
         masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
-        if masked.shape[0] == 1:
-            return np.einsum("lji,pji->pl", masked[0], dS)
-        return np.einsum("plji,pji->pl", masked, dS)
+        return _slot_sums(masked.transpose(0, 2, 3, 1).reshape(len(K), -1, N + 1), dS.reshape(P, -1))
 
     def density_sums(self, dS: np.ndarray) -> tuple[np.ndarray, float]:
         """sum_{j < k} psi(t_k, t_j) dS[:, j] for k = 0..N, from (P, N) increments of a
@@ -181,13 +184,13 @@ class VolterraKernel:
         t = self.timegrid.times
         if self.lag is not None:
             psi = self.density_fn(t, t[0])  # f'(t_k); k = 0 is never read
-            inner = _lag_sums(psi, dS)
+            inner = _slot_sums(_lag_windows(psi)[N:0:-1][None], dS)
             rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), out=psi[1:])
             rebuilt -= self.lag[1:] - self.lag[0]
             return inner, float(np.max(np.abs(rebuilt)))
         psi = self.density_fn(t[:, None], t[None, :N])  # [k, j] = psi(t_k, t_j)
         np.copyto(psi, 0.0, where=t[:, None] <= t[None, :N])
-        inner = np.einsum("kj,pj->pk", psi, dS)
+        inner = _slot_sums(psi.T[None], dS)
         rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), axis=0, out=psi[1:])
         rebuilt -= self.matrix[1:, :N, 0] - self.matrix[np.arange(N), np.arange(N), 0][None, :]
         residual = float(np.max(np.abs(rebuilt, out=rebuilt), where=t[1:, None] > t[None, :N],
@@ -195,21 +198,14 @@ class VolterraKernel:
         return inner, residual
 
 
-def _lag_windows(profile: np.ndarray, width: int, first: int) -> np.ndarray:
-    """Read-only windows W[l, c] = profile[l + c - (width - 1)] of ``profile[first:]`` zero-padded
-    in front (zero where l + c - (width - 1) < first), l = 0..len(profile) - 1: column c = width - 1 - j
-    holds lag l - j, with positive strides on both axes."""
-    padded = np.zeros(width - 1 + len(profile))
-    padded[width - 1 + first :] = profile[first:]
-    return sliding_window_view(padded, width)
-
-
-def _lag_sums(profile: np.ndarray, dS: np.ndarray) -> np.ndarray:
-    """sum_{j < l} profile[l - j] dS[:, j] for l = 0..N, from (P, N) increments: (P, N + 1).
-    The slots are read in reverse, so that the einsum reads both operands with positive strides
-    (over a negative stride it took twice as long)."""
-    N = dS.shape[1]
-    return np.einsum("lc,pc->pl", _lag_windows(profile, N, 1), np.ascontiguousarray(dS[:, ::-1]))
+def _lag_windows(profile: np.ndarray, first: int = 1) -> np.ndarray:
+    """Read-only windows W[a, c] = profile[a + c - N] of an (N + 1) profile, zero where
+    a + c - N < first, with positive strides on both axes: W[N - j, l] = profile[l - j].  Rows
+    N..1 (``[N:0:-1]``) are the slot table [j, l] that ``_slot_sums`` reads."""
+    n1 = len(profile)
+    padded = np.zeros(2 * n1 - 1)
+    padded[n1 - 1 + first :] = profile[first:]
+    return sliding_window_view(padded, n1)
 
 
 def power_kernel(alpha: float, timegrid: TimeGrid) -> VolterraKernel:
@@ -319,12 +315,6 @@ def induced_phi(kernel: VolterraKernel, timegrid: TimeGrid) -> MeasureProcess:
                           var_sq_integral=kernel.var_sq_integral)
 
 
-def variation_condition_check(kernel: VolterraKernel, S: DriverPath,
-                              V: np.ndarray) -> dict:
-    """Finiteness of the accumulated squared t-variation of the kernel."""
-    return _variation_check(induced_phi(kernel, S.timegrid), V, S.timegrid)
-
-
 def _variation_check(phi: MeasureProcess, V: np.ndarray, timegrid: TimeGrid) -> dict:
     out = integrability_check(phi, V, timegrid)
     return {"integrable": out["member"], "d_path": out["d_path"], "sup": out["sup"],
@@ -409,24 +399,6 @@ def semimartingale_diagnostic(tv: np.ndarray, timegrid: TimeGrid) -> dict:
     y = np.log([r["mean_tv"] for r in rows])
     slope = float(np.polyfit(x, y, 1)[0])
     return {"slope": slope, "levels": rows}
-
-
-def diagonal_jump_check(kernel: VolterraKernel, M: DriverPath) -> dict:
-    """Running root of summed squared diagonal-weighted jumps.
-
-    Zero for continuous drivers; the ensemble mean at the horizon serves
-    as the local-integrability proxy.
-    """
-    P = M.scenarios.n_scenarios
-    N = M.timegrid.n_steps
-    if M.jump_increments is None:
-        stat = np.zeros((P, N + 1))
-    else:
-        diag = np.broadcast_to(kernel.diagonal(), (P, N, kernel.d))
-        weighted = np.sum(diag * M.jump_increments, axis=2)
-        stat = np.sqrt(running_sum(weighted**2))
-    mean_horizon = float(M.scenarios.probs @ stat[:, -1])
-    return {"stat": stat, "mean_at_horizon": mean_horizon}
 
 
 def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],

@@ -2,11 +2,17 @@
 
 import numpy as np
 
-from mvstoch.drivers import DriverPath
+from mvstoch.drivers import DriverPath, running_sum
 from mvstoch.grid import CompactGrid, SignedMeasureVec, TestFamily
 from mvstoch.integrands import _pair_rows
 from mvstoch.mvintegral import _pair, charge_blocks
-from mvstoch.volterra import VolterraKernel, _fft_paths, _profile_spectra, induced_phi
+from mvstoch.volterra import (
+    VolterraKernel,
+    _fft_paths,
+    _profile_spectra,
+    _variation_check,
+    induced_phi,
+)
 
 
 def resolve(grid: CompactGrid, point: float, tol: float = 1e-12) -> int:
@@ -45,6 +51,38 @@ def left_limit_remainder(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
         l = np.arange(lo + 1, lo + block.shape[1])
         y_leftlim[:, l] = np.cumsum(block[:, :-1, : l[-1] + 1], axis=2)[:, l - 1 - lo, l]
     return y_leftlim
+
+
+def order_bound(m: int, abs_sum) -> np.ndarray:
+    """2 gamma_m times ``abs_sum``, gamma_m = m u / (1 - m u): how far apart two computed values
+    of one sum can be, whatever their summation orders, when each term passes through at most
+    m roundings and ``abs_sum`` is the sum of the terms' absolute values (Higham, sec. 3.1).
+    A sum of n rounded products takes m = n."""
+    mu = m * np.finfo(float).eps / 2
+    return 2 * mu / (1 - mu) * np.asarray(abs_sum)
+
+
+def variation_condition_check(kernel: VolterraKernel, S: DriverPath, V: np.ndarray) -> dict:
+    """Finiteness of the accumulated squared t-variation of the kernel."""
+    return _variation_check(induced_phi(kernel, S.timegrid), V, S.timegrid)
+
+
+def diagonal_jump_check(kernel: VolterraKernel, M: DriverPath) -> dict:
+    """Running root of summed squared diagonal-weighted jumps.
+
+    Zero for continuous drivers; the ensemble mean at the horizon serves
+    as the local-integrability proxy.
+    """
+    P = M.scenarios.n_scenarios
+    N = M.timegrid.n_steps
+    if M.jump_increments is None:
+        stat = np.zeros((P, N + 1))
+    else:
+        diag = np.broadcast_to(kernel.diagonal(), (P, N, kernel.d))
+        weighted = np.sum(diag * M.jump_increments, axis=2)
+        stat = np.sqrt(running_sum(weighted**2))
+    mean_horizon = float(M.scenarios.probs @ stat[:, -1])
+    return {"stat": stat, "mean_at_horizon": mean_horizon}
 
 
 def fft_volterra(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:

@@ -562,6 +562,21 @@ class TestElementaryFromConfig:
         })
         assert main(["fubini", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("command", ["fubini", "approx"])
+    @pytest.mark.parametrize("term, driver", [
+        ({"weights": [[1.0, 2.0]], "start": 0, "stop": 4}, {}),  # J + 1 = 5 atoms
+        ({"weights": [[1.0, 0.0, 0.0, 0.0, 2.0]], "start": 0, "stop": 9}, {}),  # N = 8
+        ({"weights": [[1.0, 0.0, 0.0, 0.0, 2.0]], "start": 0, "stop": 4}, {"d": 2}),
+    ], ids=["weights", "stop", "components"])
+    def test_terms_not_fitting_the_grids_exit_two_before_the_driver(
+            self, tmp_path, monkeypatch, capsys, command, term, driver):
+        scenarios = ({"count": 4, "seed": 3} if command == "fubini"
+                     else {"mode": "tree", "depth": 3})
+        payload = {"time": {"T": 1.0, "N": 8}, "grid": {"J": 4}, "scenarios": scenarios,
+                   "driver": {"kind": "brownian", **driver},
+                   "integrand": {"kind": "elementary", "terms": [term]}}
+        assert_config_error(tmp_path, monkeypatch, capsys, command, payload, "integrand.terms")
+
 
 class TestConditionGrowth:
     def test_conditions_report_carries_growth_ratios(self, tmp_path):

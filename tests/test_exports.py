@@ -29,11 +29,13 @@ def test_star_import(name):
     assert set(getattr(importlib.import_module(f"mvstoch.{name}"), "__all__", ())) <= set(namespace)
 
 
-def test_test_only_grid_names_live_in_the_tests():
+def test_test_only_names_live_in_the_tests():
     # the tests read them from tests/helpers.py; src/ calls none of them
-    from mvstoch import grid
+    from mvstoch import grid, volterra
 
-    assert "weak_star_delta" not in grid.__all__ and not hasattr(grid, "weak_star_delta")
+    for module, name in ((grid, "weak_star_delta"), (volterra, "variation_condition_check"),
+                         (volterra, "diagonal_jump_check")):
+        assert name not in module.__all__ and not hasattr(module, name), name
     for cls, name in ((grid.CompactGrid, "resolve"), (grid.SignedMeasureVec, "pair"),
                       (grid.TestFamily, "evaluate_measure")):
         assert not hasattr(cls, name), name

@@ -2,7 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import fft_volterra, left_limit_remainder
+from helpers import (
+    diagonal_jump_check,
+    fft_volterra,
+    left_limit_remainder,
+    order_bound,
+    variation_condition_check,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +33,6 @@ from mvstoch.volterra import (
     affine_kernel,
     decompose,
     density_construction,
-    diagonal_jump_check,
     induced_phi,
     level_variations,
     load_tabulated_csv,
@@ -37,7 +42,6 @@ from mvstoch.volterra import (
     power_volterra_terminals,
     semimartingale_diagnostic,
     tabulated_kernel,
-    variation_condition_check,
     volterra_direct,
 )
 
@@ -367,7 +371,14 @@ class TestDecompose:
             idx = np.arange(1, N + 1)
             out = decompose(kernel, S)
             y_leftlim = left_limit_remainder(kernel, S)
-            assert np.array_equal(out["y"], cum[:, N, :]), kernel.name
+            # y_l sums the products of atoms 0..l: N d roundings in the slot sum, at most N in
+            # the atom cumsum, in whatever order each side takes
+            abs_inc = np.einsum("pnij,pni->pnj",
+                                np.abs(np.broadcast_to(phi.weights, (P,) + phi.weights.shape[1:])),
+                                np.abs(S.increments))
+            d = S.increments.shape[2]
+            bound = order_bound(N * d + N + 1, np.cumsum(np.sum(abs_inc, axis=1), axis=1))
+            assert np.all(np.abs(out["y"] - cum[:, N, :]) <= bound), kernel.name
             assert np.array_equal(y_leftlim[:, 1:], cum[:, idx - 1, idx]), kernel.name
             assert np.all(y_leftlim[:, 0] == 0.0)
 
@@ -410,8 +421,9 @@ class TestDecompose:
             decompose(kernel, S)
 
     def test_peak_memory_flat_in_scenarios(self):
-        # the charge is held one block of grid times at a time, never (P, N + 1, N + 1);
-        # at N = 512 one block of either run holds about BLOCK_ENTRIES values
+        # no (P, N + 1, N + 1) charge, and no block of it: one tile of the slot table and a
+        # few (P, N + 1) paths, within 1 MB and eight paths (3.10 MB at P = 64, where the
+        # charge blocks of the block reduce peaked at 3.17 MB)
         tg = TimeGrid(1.0, 512)
         kernel = power_kernel(0.75, tg)
         peaks = {}
@@ -423,7 +435,8 @@ class TestDecompose:
                 peaks[P] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        assert peaks[64] <= 1.5 * peaks[1], peaks
+        for P, peak in peaks.items():
+            assert peak <= 1e6 + 8 * P * 8 * 513, (P, peak)
 
     def test_left_limit_remainder_predictable_on_tree(self):
         tg = TimeGrid(4.0, 3)
@@ -461,15 +474,15 @@ class TestStationaryKernel:
         phi, phi_dense = induced_phi(kernel, tg), induced_phi(dense, tg)
         assert np.array_equal(phi.weights, phi_dense.weights)
         assert np.array_equal(mvintegral.horizon_charge(phi, S), mvintegral.horizon_charge(phi_dense, S))
-        # the direct sum runs over the slots in reverse, the dense one forward
+        # both direct sums read the same slot table through the same tiles
         out, out_dense = decompose(kernel, S), decompose(dense, S)
         assert np.array_equal(out["y"], out_dense["y"])
-        assert np.max(np.abs(out["x_direct"] - out_dense["x_direct"])) <= 1e-12
-        assert abs(out["max_identity_gap"] - out_dense["max_identity_gap"]) <= 1e-12
+        assert np.array_equal(out["x_direct"], out_dense["x_direct"])
+        assert out["max_identity_gap"] == out_dense["max_identity_gap"]
         # a scalar kernel weighs every component of a vector driver alike
         S2 = simulate_driver(DriverSpec("brownian", d=2), tg, ScenarioSet.monte_carlo(6, N))
-        assert np.max(np.abs(volterra_direct(kernel, S2) - volterra_direct(dense, S2))) <= 1e-12
-        # the density as a table of psi(t_k, t_j), not of f'(t_{k - j})
+        assert np.array_equal(volterra_direct(kernel, S2), volterra_direct(dense, S2))
+        # the density as a table of psi(t_k, t_j), not of f'(t_{k - j}): other values
         with_density = VolterraKernel("dense", np.array(kernel.matrix), tg,
                                       density_fn=kernel.density_fn)
         dc, dc_dense = density_construction(kernel, S), density_construction(with_density, S)
@@ -514,6 +527,43 @@ class TestStationaryKernel:
         assert peak < 12e6, peak
 
 
+class TestSlotSums:
+    """Every Volterra slot sum is one tiled product per scenario (``integrands._slot_sums``)."""
+
+    @given(P=st.integers(1, 12), N=st.integers(1, 40), d=st.integers(1, 2),
+           kind=st.sampled_from(["power", "dense", "random"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_first_scenarios_equal_at_p_and_2p(self, P, N, d, kind, seed):
+        # the first P of 2P scenarios, and a random kernel's first P rows
+        tg, rng = TimeGrid(1.0, N), np.random.default_rng(seed)
+        d = 1 if kind == "power" else d
+        S2 = simulate_driver(DriverSpec("brownian", d=d), tg, ScenarioSet.monte_carlo(2 * P, seed))
+        S1 = DriverPath(S2.spec, tg, ScenarioSet.monte_carlo(P, seed), S2.values[:P], S2.control)
+        table = rng.normal(size=(2 * P, N + 1, N + 1, d))
+        kernels = {"power": lambda rows: power_kernel(0.75, tg),
+                   "dense": lambda rows: tabulated_kernel(table[0], tg),
+                   "random": lambda rows: tabulated_kernel(table[:rows], tg)}[kind]
+        k1, k2 = kernels(P), kernels(2 * P)
+        for f in (lambda k, S: mvintegral.horizon_charge(induced_phi(k, tg), S), volterra_direct):
+            assert np.array_equal(f(k1, S1), f(k2, S2)[:P])
+
+    @pytest.mark.parametrize("entry", [{"alpha": 0.75}, {"level": 1.0, "slope": 2.0}],
+                             ids=["power", "affine"])
+    def test_decompose_at_n_2048_below_one_dense_table(self, entry):
+        # the affine variation check formed |weights| whole, 33.7 MB here
+        tg = TimeGrid(1.0, 2048)
+        S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
+        kernel = make_kernel("power_alpha" if "alpha" in entry else "affine", entry, tg)
+        tracemalloc.start()
+        try:
+            out = decompose(kernel, S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out["max_identity_gap"] <= 1e-10
+        assert peak < 8 * 2048 * 2049, peak
+
+
 class TestVariationCondition:
     def test_bounded_smooth_kernel(self):
         S = brownian(5, 16)
@@ -544,24 +594,25 @@ class TestVariationCondition:
 
 
 def density_construction_oracle(kernel, S):
-    """``density_construction`` as first written, with a fresh table per step.  A stationary
-    kernel's density table is read from its profile, psi(t_k, t_j) = f'(t_{k - j}), and summed
-    over the slots from last to first, as the package sums its windows."""
+    """``density_construction`` as first written, with a fresh table per step; also the absolute
+    values of the terms each x_l sums.  A stationary kernel's density table is read from its
+    profile, psi(t_k, t_j) = f'(t_{k - j})."""
     t, N, dt = S.timegrid.times, S.timegrid.n_steps, S.timegrid.dt
     dS = S.increments[:, :, 0]
     if kernel.lag is None:
         psi = np.where(t[:, None] > t[None, :N], kernel.density_fn(t[:, None], t[None, :N]), 0.0)
-        inner = np.einsum("kj,pj->pk", psi, dS)
     else:
         gap = np.arange(N + 1)[:, None] - np.arange(N)[None, :]
         psi = np.where(gap > 0, kernel.density_fn(t, t[0])[np.maximum(gap, 0)], 0.0)
-        inner = np.einsum("kc,pc->pk", np.ascontiguousarray(psi[:, ::-1]),
-                          np.ascontiguousarray(dS[:, ::-1]))
-    x = ito_integral(PredictablePath(kernel.diagonal()), S) + drivers.running_sum(inner[:, 1:] * dt)
+    inner = np.einsum("kj,pj->pk", psi, dS)
+    diag = kernel.diagonal()
+    x = ito_integral(PredictablePath(diag), S) + drivers.running_sum(inner[:, 1:] * dt)
+    abs_terms = (drivers.running_sum(np.abs(diag[:, :, 0] * dS))
+                 + drivers.running_sum((np.abs(dS) @ np.abs(psi).T)[:, 1:] * dt))
     rebuilt = np.cumsum(psi[1:, :] * dt, axis=0)
     target = kernel.matrix[1:, :N, 0] - kernel.matrix[np.arange(N), np.arange(N), 0][None, :]
     keep = t[1:, None] > t[None, :N]
-    return x, float(np.max(np.abs(np.where(keep, rebuilt - target, 0.0))))
+    return x, float(np.max(np.abs(np.where(keep, rebuilt - target, 0.0)))), abs_terms
 
 
 def quadratic_kernel(tg):
@@ -576,9 +627,11 @@ class TestDensityConstruction:
         S = brownian(5, N, T=2.0, seed=N)
         for kernel in (power_kernel(0.25, S.timegrid), power_kernel(1.5, S.timegrid),
                        affine_kernel(0.5, -3.0, S.timegrid), quadratic_kernel(S.timegrid)):
-            x, residual = density_construction_oracle(kernel, S)
+            x, residual, abs_terms = density_construction_oracle(kernel, S)
             out = density_construction(kernel, S)
-            assert np.array_equal(out["x"], x), kernel.name
+            # a term of x_l passes through a product, the slot sum (N - 1 adds), dt, the time
+            # sum (N - 1 adds) and the diagonal's add: at most 2 N + 1 roundings
+            assert np.all(np.abs(out["x"] - x) <= order_bound(2 * N + 1, abs_terms)), kernel.name
             assert out["kernel_rebuild_residual"] == residual, kernel.name
 
     def test_peak_under_three_tables(self):
