@@ -181,6 +181,8 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     if diag and diag["n_steps"] % 2 ** (diag["levels"] - 1):
         raise ConfigError(f"diagnostic.n_steps {diag['n_steps']} is not divisible by "
                           f"2**(levels - 1) = {2 ** (diag['levels'] - 1)}")
+    if cfg.get("schedule") == []:
+        raise ConfigError("schedule is empty; it needs at least one net size")
     n1 = cfg["time"]["N"] + 1
     for i, kernel in enumerate(cfg.get("kernels", [])):
         try:

@@ -22,15 +22,13 @@ The aggregate seminorm over a test family,
 
     q(phi)^2 = sum_k gamma_k * ||phi(u_k)||^2_{L2(pre-tau weights)},
 
-is computed from :func:`mvstoch.drivers.stopping_weights`, in blocks of
-scenarios (``_norm_sums``) that carry each weighted sum from block to
-block in the order of one ``einsum`` over all of them, so that no
-(P, N, K) array of evaluations is held and the sums are bit for bit those
-of the whole array.  Deterministic
-integrands built from closed-form profiles may carry an exact
-time-antiderivative of their squared variation; the membership check uses
-it (when the control path is the identity) so closed-form accumulation
-values hold to machine precision instead of first-order quadrature error.
+is summed against :func:`mvstoch.drivers.stopping_weights` in blocks of
+scenarios (``_norm_sums``), bit for bit as over the whole (P, N, K) array
+of evaluations, which is never held.  Deterministic integrands built from
+closed-form profiles may carry an exact time-antiderivative of their
+squared variation; the membership check uses it (when the control path is
+the identity) so closed-form accumulation values hold to machine
+precision instead of first-order quadrature error.
 
 The approximation pipeline mirrors the classical construction: truncate
 into a variation ball, project pointwise onto a finite weak* net with a
@@ -38,11 +36,10 @@ first-index tie-break, then split the projection into predictable
 rectangles (tree mode only, where filtration atoms are explicit).  The
 net enumeration is deterministic and documented in
 :func:`weak_star_net`; runs are reproducible.  It computes each quantity
-once per integrand: the truncated input's distinct evaluation rows
-(``_distinct_rows``; a few dozen on a tree of thousands of scenarios)
-serve every projection of the schedule, and one pass over blocks of
-scenarios yields every approximant's q-error and continuity constant and
-the input's own constant.
+once per integrand: the largest net; the truncated input's distinct
+evaluation rows (``_distinct_rows``; a few dozen on a tree of thousands
+of scenarios); and each approximant's net table (``_net_table``), from
+which its norms and constants are read, never from its P-row weights.
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
@@ -139,13 +136,6 @@ class MeasureProcess:
     @property
     def is_random(self) -> bool:
         return self.weights.shape[0] > 1
-
-    def expanded(self, n_scenarios: int) -> np.ndarray:
-        if self.weights.shape[0] == n_scenarios:
-            return self.weights
-        if self.weights.shape[0] != 1:
-            raise ValueError("scenario dimension mismatch")
-        return np.broadcast_to(self.weights, (n_scenarios,) + self.weights.shape[1:])
 
     def __add__(self, other: "MeasureProcess") -> "MeasureProcess":
         if self.grid is not other.grid and self.grid != other.grid:
@@ -274,88 +264,93 @@ def _block_scenarios(P: int, N: int, K: int, d: int) -> int:
 
 
 def _sq_sum(evals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|e|^2 summed over the components of (P, N, K, d) evaluations in component order, without
-    a second evaluation-sized temporary: (P, N, K)."""
+    """|e|^2 summed over the components (last axis) of (P, N, K, d) evaluations or an (M, K, d)
+    table, in component order, without a second evaluation-sized temporary."""
     out = np.multiply(evals[..., 0], evals[..., 0], out=out)
-    for i in range(1, evals.shape[3]):
+    for i in range(1, evals.shape[-1]):
         out += evals[..., i] * evals[..., i]
     return out
 
 
-def _weighted_sq_norms(evals: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Squared weighted L2 norms of the (P or 1, N, K, d) evaluations against the (P, N)
-    stopping weights, one per family member: (K,)."""
-    sq = _sq_sum(evals)
-    return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
-
-
-def _add_sq_norms(total: np.ndarray, evals: np.ndarray, w: np.ndarray, buf: np.ndarray) -> None:
-    """Add a block of scenarios to the carried (K,) ``_weighted_sq_norms``, bit for bit: the
-    block's rows w[p, n] |e[p, n]|^2 follow the total in one reduce over rows, which adds them in
-    (p, n) order, as the einsum does.  ``buf`` holds at least 1 + b N K values."""
-    b, N, K = evals.shape[:3]
-    rows = buf[: (1 + b * N) * K].reshape(1 + b * N, K)
-    rows[0] = total
-    sq = _sq_sum(evals, out=rows[1:].reshape(b, N, K))
-    sq *= w[:, :, None]
-    np.add.reduce(rows, axis=0, out=total)
-
-
 def _norm_sums(terms: Sequence[tuple[MeasureProcess, MeasureProcess | None]], fam: TestFamily,
-               w: np.ndarray, rows: tuple | None = None) -> list[np.ndarray]:
-    """``_weighted_sq_norms`` (K,) of each term's evaluations, in blocks of scenarios: a term
-    (a, b) stands for a's evaluations minus b's, (a, None) for a's alone.
-
-    Each P-row process is evaluated once per block into a buffer of its own, and a one-row
-    process once in all; a term of one-row processes only is summed whole.  ``rows`` =
-    (process, distinct rows, index) from ``_distinct_rows`` gathers that process's evaluations,
-    byte copies of its pairings, instead of pairing it again.
-    """
-    functions = fam.functions
+               w: np.ndarray, index: np.ndarray | None = None,
+               tables: dict | None = None) -> list[np.ndarray]:
+    """Squared weighted L2 norms (K,) of each term's evaluations in blocks of scenarios, bit for
+    bit ``np.einsum("pn,pnk->k")`` over all of them: a term (a, b) stands for a's evaluations
+    minus b's, (a, None) for a's alone.  ``tables`` maps id(q) to a table (M, K, d) of q's
+    pairings, byte for byte, and a (D, N) array of q's row in it at each of the D distinct rows
+    that ``index`` (P or 1, N) assigns and each slot: such a q is gathered, not paired, and a term
+    of them read from its squares' table when D is at most a block's scenarios."""
+    functions, tables = fam.functions, tables or {}
     (P, N), K, d = w.shape, len(functions), terms[0][0].d
     step = _block_scenarios(P, N, K, d)
-    block = min(step, P) * N * K * d
-    procs = {id(q): q for term in terms for q in term if q is not None}
-    whole = {i: _family_evals(q, functions) for i, q in procs.items() if not q.is_random}
-    # a term summed whole, by the einsum itself: all of them in a single block, else one-row ones
-    whole_term = [step >= P or not (a.is_random or (b is not None and b.is_random)) for a, b in terms]
+    block, slots = min(step, P) * N * K * d, np.arange(N)
+    rows_at = {i: table[at] for i, (table, at) in tables.items() if len(at) <= min(step, P)}
+    squares = [None if id(a) not in rows_at or (b is not None and id(b) not in rows_at)
+               else _sq_sum(rows_at[id(a)] - (0.0 if b is None else rows_at[id(b)])).reshape(-1, K)
+               for a, b in terms]
+    paired = [term for term, sq in zip(terms, squares) if sq is None]  # or gathered per block
+    procs = {id(q): q for term in paired for q in term if q is not None}
+    first = None if index is None else index[:1] * N + slots  # a one-row process's cells
+
+    def gather(table, cells, out):  # the table's rows at cells (distinct row, slot)
+        shape = cells.shape + table.shape[1:]
+        return np.take(table, cells, axis=0, mode="clip",
+                       out=out[: math.prod(shape)].reshape(shape))
+
+    whole = {i: _family_evals(q, functions) if i not in tables
+             else gather(tables[i][0], tables[i][1].ravel()[first], np.empty(N * K * d))
+             for i, q in procs.items() if not q.is_random}
+    # a term is carried from block to block, unless summed whole by the einsum itself: when
+    # all of them are in a single block, and when it has one-row processes only
+    many = [a.is_random or (b is not None and b.is_random) for a, b in terms]
     # reused by every block: fresh block-sized arrays would be paged in again each time
     bufs = {i: np.empty(block) for i, q in procs.items() if q.is_random}
-    diff = np.empty(block)
-    sq_rows = None if all(whole_term) else np.empty((1 + step * N) * K)
+    diff, sq_rows = np.empty(block if paired else 0), np.empty(K + block // d)  # a total, squares
     totals = [np.zeros(K) for _ in terms]
     for lo in range(0, P, step):
-        hi = min(lo + step, P)
+        w_rows = np.concatenate(([1.0], w[lo : lo + step].ravel()))  # the carried total's is 1
+        cells = None if index is None else index[lo : lo + step] * N + slots
         evals = dict(whole)
         for i, buf in bufs.items():
-            if rows is not None and procs[i] is rows[0]:
-                out = buf[: (hi - lo) * N * K * d].reshape(hi - lo, N, K, d)
-                evals[i] = np.take(rows[1], rows[2][lo:hi], axis=0, out=out)
-            else:
-                evals[i] = _family_evals(procs[i], functions, lo, hi, out=buf)
-        for total, (a, b), once in zip(totals, terms, whole_term):
-            if once and lo > 0:
+            evals[i] = (gather(tables[i][0], tables[i][1].ravel()[cells], buf) if i in tables
+                        else _family_evals(procs[i], functions, lo, lo + step, out=buf))
+        for total, (a, b), random, table in zip(totals, terms, many, squares):
+            carry = random and step < P
+            if lo > 0 and not carry:
                 continue
-            e = evals[id(a)]
-            if b is not None:
-                shape = np.broadcast_shapes(e.shape, evals[id(b)].shape)
-                e = np.subtract(e, evals[id(b)], out=diff[: math.prod(shape)].reshape(shape))
-            if once:
-                total[:] = _weighted_sq_norms(e, w)
+            if table is not None:
+                sq = gather(table, cells if random else first, sq_rows[K:])
             else:
-                _add_sq_norms(total, e, w[lo:hi], sq_rows)
+                e = evals[id(a)]
+                if b is not None:
+                    shape = np.broadcast_shapes(e.shape, evals[id(b)].shape)
+                    e = np.subtract(e, evals[id(b)], out=diff[: math.prod(shape)].reshape(shape))
+                sq = _sq_sum(e, out=sq_rows[K : K + e[..., 0].size].reshape(e.shape[:3]))
+            if carry:  # the block's rows w[p, n] sq[p, n] follow the total, in (p, n) order
+                sq_rows[:K] = total
+                np.einsum("r,rk->k", w_rows, sq_rows[: K + sq.size].reshape(-1, K), out=total)
+            else:
+                total[:] = np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + (K,)))
     return totals
 
 
-def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray) -> dict:
-    """``continuity_constant`` from phi's ``_weighted_sq_norms``; checks lower <= upper."""
+def _variation_norm(w: np.ndarray, var_sq: np.ndarray) -> float:
+    """Weighted L2 norm of a (P or 1, N) squared variation: ``continuity_constant``'s upper."""
+    return float(np.sqrt(np.sum(w * np.broadcast_to(var_sq, w.shape))))
+
+
+def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray,
+                upper: float | None = None) -> dict:
+    """``continuity_constant`` from phi's ``_norm_sums`` (and ``_variation_norm``, if known);
+    checks lower <= upper."""
     norms = np.sqrt(sq_norms)
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
     lower = float(np.max(ratios))
-    var = variation_path(phi)
-    var_sq = np.sum(var * var, axis=2)
-    upper = float(np.sqrt(np.sum(w * np.broadcast_to(var_sq, w.shape))))
+    if upper is None:
+        var = variation_path(phi)
+        upper = _variation_norm(w, np.sum(var * var, axis=2))
     if lower > upper + 1e-12:
         raise AssertionError("family ratio exceeded the variation bound")
     return {"lower": lower, "upper": upper}
@@ -398,8 +393,8 @@ def truncate(phi: MeasureProcess, c: float) -> MeasureProcess:
 
 
 def _anchor_indices(grid: CompactGrid, count: int) -> np.ndarray:
-    idx = np.unique(np.round(np.linspace(0, grid.n_cells, count)).astype(int))
-    return idx
+    idx = np.round(np.linspace(0, grid.n_cells, count)).astype(int)  # nondecreasing
+    return idx[np.diff(idx, prepend=-1) != 0]
 
 
 def weak_star_net(c: float, n: int, grid: CompactGrid, d: int = 1) -> list[SignedMeasureVec]:
@@ -504,7 +499,7 @@ def rectangle_refine(projected: MeasureProcess, assignment: np.ndarray,
 
     Tree mode only: the scenario set at each slot taking a given net value
     is a union of filtration atoms of the slot's left endpoint, hence one
-    rectangle per (slot, net index) pair.
+    rectangle per (slot, net index) pair, checked by ``_check_terms``.
     """
     if not scenarios.is_tree:
         raise ValueError("rectangle refinement needs tree mode (explicit filtration atoms)")
@@ -515,14 +510,40 @@ def rectangle_refine(projected: MeasureProcess, assignment: np.ndarray,
         col = assign[:, slot]
         if not scenarios.is_measurable(col, slot):
             raise AssertionError(f"projection at slot {slot} is not predictable")
-        for j in np.unique(col):
+        for j in np.flatnonzero(np.bincount(col, minlength=len(net))):
             mask = col == j
-            term_mask = None if mask.all() else mask
-            terms.append(ElementaryTerm(net[j], slot, slot + 1, scenario_mask=term_mask))
-    out = elementary_process(projected.grid, N, terms, n_scenarios=P, d=projected.d)
-    if not np.array_equal(out.expanded(P), np.broadcast_to(projected.weights, (P, N) + projected.weights.shape[2:])):
+            terms.append(ElementaryTerm(net[j], slot, slot + 1, None if mask.all() else mask))
+    _check_terms(terms, assign, net)
+    masked = any(t.scenario_mask is not None for t in terms)  # else one row, as elementary_process
+    return MeasureProcess("elementary", projected.grid, projected.weights[: None if masked else 1],
+                          terms=terms)
+
+
+def _check_terms(terms: Sequence[ElementaryTerm], assign: np.ndarray, net: Sequence) -> None:
+    """Raise unless the one-slot terms reproduce the (P, N) assignment exactly: per slot their
+    masks, of P scenarios in all, cover every scenario with its assigned net element."""
+    place = {id(m): j for j, m in enumerate(net)}
+    held, sizes = np.full(assign.shape[::-1], -1), np.zeros(assign.shape[1], dtype=int)
+    for t in terms:
+        on = slice(None) if t.scenario_mask is None else t.scenario_mask
+        held[t.start][on] = place.get(id(t.measure), -1) if t.stop == t.start + 1 else -1
+        sizes[t.start] += len(assign) if t.scenario_mask is None else np.count_nonzero(on)
+    if not (np.array_equal(held, assign.T) and np.all(sizes == len(assign))):
         raise AssertionError("rectangle refinement must reproduce the projection exactly")
-    return out
+
+
+def _net_table(net_w: np.ndarray, assignment: np.ndarray, index: np.ndarray,
+               functions: np.ndarray) -> tuple:
+    """The pairings of net_w[assignment] = net_w[best[index]] as a table (U N, K, d) and its (D, N)
+    row at each slot of each row of ``index``.  A product rounds each row by its place in it, so
+    each of the U net elements taken pairs as a scenario holding it at every slot."""
+    N, K = index.shape[1], len(functions)
+    best = np.zeros(index.max() + 1, dtype=np.intp)
+    best[index] = assignment
+    taken = np.bincount(best, minlength=len(net_w)) > 0
+    tiles = np.repeat(net_w[taken, None], N, axis=1)  # contiguous: a stride-0 view pairs off BLAS
+    table = _pair_rows(tiles, functions).reshape(len(tiles) * N, -1, K).swapaxes(1, 2)
+    return table, (np.cumsum(taken) - 1)[best][:, None] * N + np.arange(N)
 
 
 @dataclass(frozen=True)
@@ -556,12 +577,14 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     rectangles.  If the final q-error stays above ``tol`` the best
     sequence so far is returned with ``converged = False``.
 
-    Every quantity is computed once per call: the truncated input's
-    distinct evaluation rows serve every projection, and one pass over
-    blocks of scenarios (``_norm_sums``) yields each approximant's q-error
-    and continuity constant and the input's own constant, reading the
-    input's evaluations from those rows when truncation left it unchanged.
+    Every quantity is computed once per call: one net enumeration (the
+    schedule's nets are its prefixes); the truncated input's distinct
+    rows; and one pass over blocks of scenarios (``_norm_sums``) for every
+    q-error and continuity constant, reading each approximant from its net
+    table (``_net_table``) and an untruncated input from its distinct rows.
     """
+    if len(schedule) == 0:
+        raise ValueError("schedule needs at least one net size")
     member = integrability_check(phi, V)
     if not member["member"]:
         raise ValueError("integrand fails the finiteness check")
@@ -570,25 +593,30 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         constant = continuity_constant(phi, fam, tau, V, scenarios, w=w)["lower"]
         report = ApproxReport(1, 0, 0.0, constant, len(phi.terms or []))
         return ApproxResult([phi], [report], True, c or 0.0, constant)
+    var = variation_path(phi)  # for the default ball, the truncation test and phi's upper bound
     if c is None:
-        c = float(np.max(variation_path(phi)))
-        c = max(c, 1e-12)
-    phi_c = truncate(phi, c)
-    distinct = _distinct_rows(phi_c, fam.functions)
-    processes, net_sizes = [], []
+        c = max(float(np.max(var)), 1e-12)
+    phi_c = truncate(phi, c) if np.max(var) > c else phi
+    rows, index = distinct = _distinct_rows(phi_c, fam.functions)
+    full = weak_star_net(c, max(schedule), phi.grid, d=phi.d)
+    net_w = np.stack([m.weights for m in full])
+    net_var_sq = np.sum(np.square(np.sum(np.abs(net_w), axis=2)), axis=1)  # as _continuity's
+    ids = np.repeat(np.arange(len(rows))[:, None], index.shape[1], axis=1)  # row u is rows[u]
+    tables = {id(phi): (rows, ids)} if phi_c is phi else {}
+    processes, uppers = [], [_variation_norm(w, np.sum(var * var, axis=2))]
     for n in schedule:
-        net = weak_star_net(c, n, phi.grid, d=phi.d)
-        projected, assignment, _ = project_to_net(phi_c, net, fam, distinct=distinct)
-        processes.append(rectangle_refine(projected, assignment, net, scenarios))
-        net_sizes.append(len(net))
+        projected, assignment, _ = project_to_net(phi_c, full[:n], fam, distinct=distinct)
+        processes.append(elem := rectangle_refine(projected, assignment, full[:n], scenarios))
+        tables[id(elem)] = _net_table(net_w, assignment, index, fam.functions)
+        uppers.append(_variation_norm(w, net_var_sq[assignment]))
     # per approximant its own norms, then those of its difference from phi
     terms = [(phi, None)] + [(elem, minus) for elem in processes for minus in (None, phi)]
-    sums = _norm_sums(terms, fam, w, rows=(phi, *distinct) if phi_c is phi else None)
-    constant = _continuity(phi, fam, w, sums[0])["lower"]
-    reports = [ApproxReport(i, size, float(np.sqrt(fam.gammas @ diff)),
-                            _continuity(elem, fam, w, own)["lower"], len(elem.terms or []))
-               for i, (elem, size, own, diff)
-               in enumerate(zip(processes, net_sizes, sums[1::2], sums[2::2]), start=1)]
+    sums = _norm_sums(terms, fam, w, index, tables)
+    constant = _continuity(phi, fam, w, sums[0], uppers[0])["lower"]
+    reports = [ApproxReport(i, len(full[:n]), float(np.sqrt(fam.gammas @ diff)),
+                            _continuity(elem, fam, w, own, upper)["lower"], len(elem.terms))
+               for i, (elem, n, own, diff, upper)
+               in enumerate(zip(processes, schedule, sums[1::2], sums[2::2], uppers[1:]), start=1)]
     return ApproxResult(processes, reports, reports[-1].q_error <= tol, c, constant)
 
 

@@ -498,6 +498,10 @@ class TestKeyTable:
                                            "integrand.terms[0].stop")} <= keys
         assert ("approx", "schedule") in keys and ("approx", "schedule[0]") in keys
 
+    def test_empty_schedule_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys):
+        payload = {**shipped("approx"), "schedule": []}
+        assert_config_error(tmp_path, monkeypatch, capsys, "approx", payload, "schedule")
+
     def test_integer_beyond_the_float_range_exits_two(self, tmp_path, monkeypatch, capsys):
         payload = {**shipped("conditions"), "time": {"T": 10**400, "N": 16}}
         assert_config_error(tmp_path, monkeypatch, capsys, "conditions", payload, "time.T")
@@ -632,6 +636,14 @@ class TestImportCost:
         # the diagnostic's worker threads are plain threading.Threads
         code = "import sys, mvstoch.cli; print('concurrent.futures' in sys.modules)"
         assert self.run_fresh(code) == "False"
+
+    def test_approx_run_leaves_numpy_ma_unloaded(self, tmp_path):
+        # a bare np.unique imports numpy.ma (about 37 ms); the approx pipeline uses none
+        cfg = write_config(tmp_path, "approx.json", shipped("approx"))
+        code = ("import sys; from mvstoch.cli import main; "
+                f"rc = main(['approx', '--config', {cfg!r}, '--out', {str(tmp_path / 'o')!r}]); "
+                "print(rc, 'numpy.ma' in sys.modules)")
+        assert self.run_fresh(code) == "0 False"
 
     def test_volterra_run_loads_no_scipy(self, tmp_path):
         # scipy is a test dependency only: the FFT paths use numpy.fft

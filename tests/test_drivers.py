@@ -29,12 +29,11 @@ from mvstoch.drivers import (
     simulate_driver,
     stopping_weights,
 )
-from mvstoch.integrands import _weighted_sq_norms
 
 
 def weighted_sq_norm(w, H):
     """Squared L2 norm of the (P, N) interval values H against stopping weights."""
-    return _weighted_sq_norms(H[:, :, None, None], w)[0]
+    return float(np.sum(w * H * H))
 
 
 def brownian_path(P=200, N=64, T=1.0, seed=42, vol=1.0):

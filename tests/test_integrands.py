@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -160,27 +161,60 @@ class TestIntegrandSeminorm:
 
 class TestNormSums:
     """The seminorms' weighted sums in blocks of scenarios, against the whole (P, N, K) array
-    of squares summed by one einsum (``helpers.dense_sq_norms``), bit for bit."""
+    of squares summed by one einsum (``helpers.dense_sq_norms``), bit for bit, whether each
+    process is paired or gathered from a table."""
 
-    @given(P=st.integers(1, 40), N=st.integers(1, 8), d=st.integers(1, 2), J=st.integers(1, 6),
-           K=st.integers(1, 12), rows_of=st.lists(st.booleans(), min_size=3, max_size=3),
-           gather=st.booleans(), eval_entries=st.integers(1, 500), seed=st.integers(0, 2**16))
+    @given(P=st.integers(1, 40), N=st.integers(1, 8), d=st.integers(1, 2), J=st.integers(1, 40),
+           K=st.integers(1, 40), rows_of=st.lists(st.booleans(), min_size=3, max_size=3),
+           gather=st.booleans(), pooled=st.booleans(), on_net=st.booleans(),
+           eval_entries=st.integers(1, 500), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
-    def test_blocks_equal_one_einsum(self, P, N, d, J, K, rows_of, gather, eval_entries, seed):
-        # rows_of: whether phi and each of two approximants has P rows or one
+    def test_blocks_equal_one_einsum(self, P, N, d, J, K, rows_of, gather, pooled, on_net,
+                                     eval_entries, seed):
+        # rows_of: whether phi and each of two approximants has P rows or one; gather: phi is
+        # read from its distinct rows; pooled: phi takes three values, so that its rows repeat;
+        # on_net: the approximants take net values by phi's distinct rows, as projections do,
+        # and are read from their net tables
         rng = np.random.default_rng(seed)
         grid = CompactGrid(1.0, J)
         fam = build_test_family(grid, K)
-        phi, *elems = [MeasureProcess("kernel", grid, rng.normal(size=(P if many else 1, N, d, J + 1)))
-                       for many in rows_of]
-        w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
-        terms = [(phi, None)] + [(e, m) for e in elems for m in (None, phi)]
+        net_w = np.stack([m.weights for m in weak_star_net(1.0, 30, grid, d=d)])
+        pool = rng.integers(0, 3, size=(P if rows_of[0] else 1, N))
+        phi = MeasureProcess("kernel", grid, net_w[pool] if pooled
+                             else rng.normal(size=pool.shape + (d, J + 1)))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
-            rows = (phi, *integrands._distinct_rows(phi, fam.functions)) if gather else None
-            sums = integrands._norm_sums(terms, fam, w, rows=rows)
+            rows, index = integrands._distinct_rows(phi, fam.functions)
+            tables = {id(phi): (rows, np.repeat(np.arange(len(rows))[:, None], N, axis=1))
+                      } if gather else {}
+            elems = []
+            for many in rows_of[1:]:
+                shape = (P if many else 1, N)
+                if on_net and shape == index.shape:
+                    assignment = rng.integers(0, len(net_w), size=len(rows))[index]
+                    elems.append(MeasureProcess("kernel", grid, net_w[assignment]))
+                    tables[id(elems[-1])] = integrands._net_table(net_w, assignment, index,
+                                                                  fam.functions)
+                else:
+                    elems.append(MeasureProcess("kernel", grid, rng.normal(size=shape + (d, J + 1))))
+            w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
+            terms = [(phi, None)] + [(e, m) for e in elems for m in (None, phi)]
+            sums = integrands._norm_sums(terms, fam, w, index, tables)
         for total, (a, b) in zip(sums, terms):
             assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
+
+    def test_net_table_rows_are_each_scenarios_pairing(self):
+        # J + 1 = 34, K = 37: a scenario's product rounds a row by its place in it, so the net's
+        # own pairing (one element per product) differs here in a few rows; the table does not
+        grid = CompactGrid(1.0, 33)
+        fam = build_test_family(grid, 37)
+        net_w = np.stack([m.weights for m in weak_star_net(1.0, 150, grid)])
+        index = np.arange(64).reshape(16, 4)  # every pair a distinct row
+        assignment = np.random.default_rng(0).integers(0, len(net_w), size=64)[index]
+        table, at = integrands._net_table(net_w, assignment, index, fam.functions)
+        paired = integrands._family_evals(MeasureProcess("kernel", grid, net_w[assignment]),
+                                          fam.functions)
+        assert np.array_equal(table[at.ravel()[index * 4 + np.arange(4)]], paired)
 
     def test_several_blocks_at_the_bench_shape(self):
         # P = 4096, N = 12, K = 37: 57 blocks of 73 scenarios against one einsum
@@ -188,10 +222,15 @@ class TestNormSums:
         grid = CompactGrid(1.0, 4)
         fam = build_test_family(grid, 37)
         phi = random_lattice_process(grid, tg, sc, np.random.default_rng(0))
-        elem = random_lattice_process(grid, tg, sc, np.random.default_rng(1))
+        net = weak_star_net(1.0, 16, grid)
+        rows, index = integrands._distinct_rows(phi, fam.functions)
+        elem, assignment, _ = project_to_net(phi, net, fam, distinct=(rows, index))
         w = stopping_weights(StoppingRule.never(sc, 12), identity_control(tg, sc.n_scenarios), sc)
         terms = [(phi, None), (elem, None), (elem, phi)]
-        sums = integrands._norm_sums(terms, fam, w, rows=(phi, *integrands._distinct_rows(phi, fam.functions)))
+        net_w = np.stack([m.weights for m in net])
+        tables = {id(phi): (rows, np.repeat(np.arange(len(rows))[:, None], 12, axis=1)),
+                  id(elem): integrands._net_table(net_w, assignment, index, fam.functions)}
+        sums = integrands._norm_sums(terms, fam, w, index, tables)
         for total, (a, b) in zip(sums, terms):
             assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
 
@@ -296,12 +335,16 @@ class TestWeakStarNet:
         vals = [net_fineness(weak_star_net(1.0, n, grid), probes, fam) for n in (4, 16, 64)]
         assert vals[0] >= vals[1] >= vals[2]
 
-    def test_enumeration_is_prefix_stable(self):
-        grid = CompactGrid(1.0, 6)
-        small = weak_star_net(1.0, 10, grid)
-        big = weak_star_net(1.0, 30, grid)
-        for a, b in zip(small, big):
-            assert np.array_equal(a.weights, b.weights)
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("J", [1, 6])  # J = 1 exhausts its anchors at 25 or 625 elements
+    def test_enumeration_is_prefix_stable(self, J, d):
+        # approximate_elementary enumerates the largest net of its schedule only
+        grid = CompactGrid(1.0, J)
+        big = weak_star_net(0.7, 700, grid, d=d)
+        for n in (1, 10, 30, 200, 699):
+            small = weak_star_net(0.7, n, grid, d=d)
+            assert len(small) == len(big[:n])
+            assert all(np.array_equal(a.weights, b.weights) for a, b in zip(small, big))
 
 
 class TestProjectToNet:
@@ -542,6 +585,33 @@ class TestRectangleRefine:
             b = evaluate(projected, u, None).values
             assert np.array_equal(a, np.broadcast_to(b, a.shape))
 
+    @pytest.mark.parametrize("fault", ["scenario_dropped", "scenario_doubled", "net_index",
+                                       "term_missing"])
+    def test_planted_fault_fails_the_term_check(self, fault):
+        grid = CompactGrid(1.0, 3)
+        sc = ScenarioSet.tree(2, 3)
+        fam = build_test_family(grid, 8)
+        phi = random_lattice_process(grid, TimeGrid(1.0, 3), sc, np.random.default_rng(17))
+        net = weak_star_net(1.0, 25, grid)
+        projected, assignment, _ = project_to_net(phi, net, fam)
+        terms = list(rectangle_refine(projected, assignment, net, sc).terms)
+        integrands._check_terms(terms, assignment, net)  # the true list passes
+        i = next(i for i, t in enumerate(terms) if t.scenario_mask is not None)
+        t, mask = terms[i], terms[i].scenario_mask.copy()
+        if fault == "scenario_dropped":
+            mask[np.argmax(mask)] = False
+        elif fault == "scenario_doubled":  # also held by another term of the slot
+            mask[np.argmin(mask)] = True
+        if fault == "net_index":
+            j = next(j for j, m in enumerate(net) if m is t.measure)
+            terms[i] = ElementaryTerm(net[j + 1], t.start, t.stop, scenario_mask=mask)
+        elif fault == "term_missing":
+            del terms[i]
+        else:
+            terms[i] = ElementaryTerm(t.measure, t.start, t.stop, scenario_mask=mask)
+        with pytest.raises(AssertionError, match="reproduce the projection"):
+            integrands._check_terms(terms, assignment, net)
+
     def test_monte_carlo_unsupported(self):
         grid = CompactGrid(1.0, 2)
         sc = ScenarioSet.monte_carlo(4, 0)
@@ -600,9 +670,9 @@ class TestApproximateElementary:
         result = approximate_elementary(phi, self.tau, self.V, self.fam, self.sc,
                                         schedule=(4, 16, 64), c=1.0)
         # once per call: the input's distinct rows (one block of its evaluations) serve every
-        # projection and, as truncation does not bite, its norms; one pass over the scenarios
-        # then evaluates each of the three approximants once
-        assert calls == {"evals": 1 + 3, "weights": 1, "rows": 1, "sums": 1}
+        # projection and, as truncation does not bite, its norms; the approximants are read
+        # from their net tables, never paired scenario by scenario
+        assert calls == {"evals": 1, "weights": 1, "rows": 1, "sums": 1}
         monkeypatch.undo()
         for elem, rep in zip(result.processes, result.reports):
             assert rep.q_error == integrand_seminorm(elem, self.fam, self.tau, self.V, self.sc,
@@ -611,6 +681,53 @@ class TestApproximateElementary:
                                                                self.sc)["lower"]
         assert result.constant == continuity_constant(phi, self.fam, self.tau, self.V,
                                                       self.sc)["lower"]
+
+    def test_empty_schedule_rejected(self):
+        phi = random_lattice_process(self.grid, self.tg, self.sc, np.random.default_rng(1))
+        with pytest.raises(ValueError, match="schedule"):
+            approximate_elementary(phi, self.tau, self.V, self.fam, self.sc, schedule=())
+
+    @given(branching=st.integers(2, 3), depth=st.integers(1, 5), d=st.integers(1, 2),
+           J=st.integers(1, 39), K=st.integers(1, 40), lattice=st.booleans(),
+           bites=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_reports_equal_the_public_seminorms(self, branching, depth, d, J, K, lattice, bites,
+                                                 seed):
+        # read from net tables and distinct rows, each report is bit for bit what the public
+        # seminorms compute by pairing the approximant scenario by scenario, and the term list
+        # rebuilds the approximant's payload exactly
+        rng = np.random.default_rng(seed)
+        sc, tg, grid = ScenarioSet.tree(branching, depth), TimeGrid(1.0, depth), CompactGrid(1.0, J)
+        fam = build_test_family(grid, K)
+        if lattice:
+            phi = random_lattice_process(grid, tg, sc, rng, c=1.0, d=d)
+        else:
+            phi = MeasureProcess("kernel", grid, _tree_values(sc, depth, rng, d, grid.n_atoms))
+        top = float(np.max(variation_path(phi)))
+        c = 0.5 * top if bites and top > 0 else None
+        V, tau = identity_control(tg, sc.n_scenarios), StoppingRule.never(sc, depth)
+        result = approximate_elementary(phi, tau, V, fam, sc, schedule=(4, 30, 150), c=c)
+        for elem, rep in zip(result.processes, result.reports):
+            assert rep.q_error == integrand_seminorm(elem, fam, tau, V, sc, minus=phi)
+            assert rep.uniform_constant == continuity_constant(elem, fam, tau, V, sc)["lower"]
+            rebuilt = elementary_process(grid, depth, elem.terms, n_scenarios=sc.n_scenarios, d=d)
+            assert np.array_equal(rebuilt.weights, elem.weights)
+        assert result.constant == continuity_constant(phi, fam, tau, V, sc)["lower"]
+
+    def test_one_row_approximant_of_a_p_row_input(self):
+        # an input held as P equal rows projects with no masks, so its approximants are one
+        # row; their terms are then summed whole, as the public seminorms sum them
+        sc, tg, grid = ScenarioSet.tree(3, 1), TimeGrid(1.0, 1), CompactGrid(1.0, 3)
+        V, tau = identity_control(tg, 3), StoppingRule.never(sc, 1)
+        for K, seed in itertools.product((1, 2), range(10)):
+            fam = build_test_family(grid, K)
+            w = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(1, 1, 1, 4)).repeat(3, axis=0)
+            phi = MeasureProcess("kernel", grid, w)
+            result = approximate_elementary(phi, tau, V, fam, sc, schedule=(4, 30))
+            for elem, rep in zip(result.processes, result.reports):
+                assert elem.weights.shape[0] == 1
+                assert rep.q_error == integrand_seminorm(elem, fam, tau, V, sc, minus=phi)
+                assert rep.uniform_constant == continuity_constant(elem, fam, tau, V, sc)["lower"]
 
     def test_unconverged_flag(self):
         rng = np.random.default_rng(3)
