@@ -282,15 +282,15 @@ def _integrand_list(spec: dict, grid: CompactGrid, timegrid: TimeGrid, scenarios
         dspec = dom.DominatedSpec.from_adapted_density(
             lambda t, z, s: np.cos(a * z + b * t + s), driver_path, grid)
         return [("random_dominated", dom.make_dominated(dspec))]
-    rng = np.random.default_rng(spec["seed"])
+    rng = np.random.default_rng(spec["seed"])  # drawn from lazily, one integrand at a time
     if kind == "random_elementary":
         values = None if driver_path is None else driver_path.values
-        return [(f"elementary_{i}", random_elementary_process(
+        return ((f"elementary_{i}", random_elementary_process(
                     grid, timegrid, scenarios, rng, n_terms=spec["terms"], driver_values=values))
-                for i in range(spec["count"])]
-    return [(f"lattice_{i}", random_lattice_process(
+                for i in range(spec["count"]))
+    return ((f"lattice_{i}", random_lattice_process(
                 grid, timegrid, scenarios, rng, c=spec["ball"], pool_size=spec["pool_size"]))
-            for i in range(spec["count"])]
+            for i in range(spec["count"]))
 
 
 def _driver_path(cfg: dict) -> tuple[TimeGrid, ScenarioSet, DriverPath]:
@@ -341,15 +341,13 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
     tol = cfg["tolerances"]["approx_q"]
     tau = StoppingRule.never(scenarios, timegrid.n_steps)
 
-    rows = []
-    all_ok = True
+    v_norm = float(np.sqrt(scenarios.probs @ (tau.left_limit(S.control) ** 2)))
+    rows, all_ok = [], True
     for label, phi in _integrand_list(cfg["integrand"], grid, timegrid, scenarios, S):
         result = approximate_elementary(phi, tau, S.control, fam, scenarios,
                                         schedule=tuple(cfg["schedule"]),
                                         c=cfg["integrand"]["ball"], tol=tol)
         r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
-        v_pre = tau.left_limit(S.control)
-        v_norm = float(np.sqrt(scenarios.probs @ (v_pre**2)))
         bound = 2 * result.truncation_level * v_norm + 2 * result.constant
         for rep, r_gap in zip(result.reports, r_gaps):
             rows.append([label, rep.index, rep.net_size, rep.q_error, r_gap,
@@ -358,6 +356,7 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
             all_ok &= r_gap <= rep.q_error + 1e-12
         errs = [r.q_error for r in result.reports]
         all_ok &= all(b < a for a, b in zip(errs, errs[1:])) and result.converged
+        del phi, result  # one integrand and its approximants alive at a time
     write_csv(out_dir / "approx_report.csv",
               ["integrand", "n", "net_size", "q_error", "r_error",
                "uniform_constant", "uniform_bound", "rectangles"], rows)

@@ -485,13 +485,13 @@ def control_process(spec: DriverSpec, timegrid: TimeGrid) -> np.ndarray:
     return v[None, :]
 
 
-def _masked_increments(S: DriverPath, upto: StoppingRule | None) -> np.ndarray:
-    inc = S.increments
+def _masked_increments(S: DriverPath, upto: StoppingRule | None, rows=slice(None)) -> np.ndarray:
+    inc = S.increments[rows]
     if upto is None:
         return inc
     if upto.n_steps != S.timegrid.n_steps:
         raise ValueError("stopping rule grid mismatch")
-    return inc * upto.increment_mask()[:, :, None]
+    return inc * StoppingRule(upto.indices[rows], upto.n_steps).increment_mask()[:, :, None]
 
 
 def ito_integral(H: PredictablePath, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:

@@ -31,12 +31,12 @@ and keeps the (P, K, N + 1) paths, which is all the interchange checks
 and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
 matmuls, which round by the rows one call holds, so by block partition but
 not by thread count).  The convergence transfer reads only the paired
-charge gap: it draws the target's block stream once, in step with every
-approximant's, pairs each difference in blocks of scenarios and keeps
-only each approximant's (P, K) running sup.  The Volterra decomposition reads only
-``horizon_charge``, one tiled product per scenario of the increments and the slot table
-(``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1) ensemble;
-``mv_integral`` fills it from the same blocks as a small-size reference.
+charge gap: per block of scenarios it draws the target's stream and every
+approximant's for those rows alone (``charge_blocks(..., lo, hi)``), pairs
+the L differences in one call and keeps only the (L, P, K) running sups.  The Volterra
+decomposition reads only ``horizon_charge``, one tiled product per scenario of the increments
+and the slot table (``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1)
+ensemble; ``mv_integral`` fills it from the same blocks as a small-size reference.
 """
 
 from __future__ import annotations
@@ -77,29 +77,29 @@ def _block_step(phi: MeasureProcess, S: DriverPath) -> int:
     return min(phi.n_steps, max(1, BLOCK_ENTRIES // (S.scenarios.n_scenarios * phi.grid.n_atoms)))
 
 
-def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None
-                  ) -> Iterator[tuple[int, np.ndarray]]:
-    """The running charge in blocks of grid times: (lo, block) pairs, where
-    ``block[:, k]`` is the measure at time lo + k and row 0 repeats the last
-    row of the previous block (zeros first).  One buffer is reused, so a
-    block is valid until the next one is drawn.
+def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None,
+                  lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+    """The running charge of scenarios lo..hi (all by default) in the time blocks of all P
+    scenarios, so bit for bit the whole stream's rows: (t, block) pairs, where ``block[:, k]``
+    is the measure at time t + k and row 0 repeats the last row of the previous block (zeros
+    first).  A block is a view of one reused time-major buffer, valid until the next is drawn.
     """
     step = _block_step(phi, S)
-    P, N, n_atoms = S.scenarios.n_scenarios, S.timegrid.n_steps, phi.grid.n_atoms
-    dS = _masked_increments(S, upto)
-    buf = np.zeros((P, step + 1, n_atoms))
-    for lo in range(0, N, step):
-        hi = min(lo + step, N)
-        block = buf[:, : hi - lo + 1]
-        # a one-row integrand broadcasts over scenarios
-        np.einsum("pnij,pni->pnj", phi.weights[:, lo:hi], dS[:, lo:hi], out=block[:, 1:])
-        for k in range(1, hi - lo + 1):  # cumsum order; np.cumsum along this axis is 3x slower
-            np.add(block[:, k - 1], block[:, k], out=block[:, k])
+    N, rows = S.timegrid.n_steps, slice(lo, hi)
+    dS = _masked_increments(S, upto, rows)
+    w = phi.weights if len(phi.weights) == 1 else phi.weights[rows]  # one row broadcasts
+    buf = np.zeros((step + 1, len(dS), phi.grid.n_atoms))  # each time's add runs contiguously
+    for t in range(0, N, step):
+        end = min(t + step, N)
+        block = buf[: end - t + 1].transpose(1, 0, 2)
+        np.einsum("pnij,pni->pnj", w[:, t:end], dS[:, t:end], out=block[:, 1:])
+        for k in range(1, end - t + 1):  # cumsum order
+            np.add(buf[k - 1], buf[k], out=buf[k])
         # a running sum never returns to finite values, so the last row tells
-        if not np.all(np.isfinite(block[:, -1])):
+        if not np.all(np.isfinite(buf[end - t])):
             raise OverflowError("measure-valued integral overflowed")
-        yield lo, block
-        buf[:, 0] = block[:, -1]
+        yield t, block
+        buf[0] = buf[end - t]
 
 
 def horizon_charge(phi: MeasureProcess, S: DriverPath) -> np.ndarray:
@@ -255,29 +255,30 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     phi's.  The integrand-seminorm gap that dominates it is the q-error of
     the approximation report (``integrand_seminorm(phi_n, ..., minus=phi)``).
 
-    phi's charge stream is drawn once, in step with every approximant's.
-    Each difference of blocks is paired in blocks of scenarios, as the
-    dense difference would be (one matmul per scenario over the block's
-    times), and folded into that approximant's running sup, so no
-    (P, K, N + 1) gap is held.
+    The scenarios are walked in blocks, with reused buffers.  In each, phi's charge stream and
+    every approximant's are drawn for those rows only, the L differences of each time block are
+    paired in one call (one matmul per scenario over the block's times, as the dense difference
+    would be, into a time-major buffer) and one max over the times folds them into the (L, P, K)
+    running sups: no (P, K, N + 1) gap and no whole stream is held.
     """
-    functions = fam.functions
-    P, K = S.scenarios.n_scenarios, len(functions)
-    sups = np.zeros((len(processes), P, K))  # the gap is zero at time 0
-    streams = [charge_blocks(q, S, tau) for q in (phi, *processes)]
-    step = None
-    for (_, target), *blocks in zip(*streams):
-        n, n_atoms = target.shape[1] - 1, target.shape[2]  # the first block has the most times
-        if step is None:  # buffers reused by every block: fresh ones would be paged in each time
-            step = min(P, max(1, BLOCK_ENTRIES // (n * K)))  # scenarios per paired block
-            diff, paired = np.empty(step * n * n_atoms), np.empty(step * n * K)
-        for M, (_, block) in zip(sups, blocks):
-            for lo in range(0, P, step):
-                hi = min(lo + step, P)
-                gap = np.subtract(block[lo:hi, 1:], target[lo:hi, 1:],
-                                  out=diff[: (hi - lo) * n * n_atoms].reshape(hi - lo, n, n_atoms))
-                out = _pair_rows(gap, functions, out=paired[: (hi - lo) * n * K].reshape(hi - lo, n, K))
-                np.abs(out, out=out)
-                for t in range(n):  # the running sup, row by row
-                    np.maximum(M[lo:hi], out[:, t], out=M[lo:hi])
+    if not processes:
+        return []
+    P, K, L, n_atoms = S.scenarios.n_scenarios, fam.size, len(processes), phi.grid.n_atoms
+    step = _block_step(phi, S)  # times per charge block
+    rows = min(P, max(1, BLOCK_ENTRIES // (L * step * K)))  # scenarios per block
+    diff, paired = np.empty(L * rows * step * n_atoms), np.empty(L * rows * step * K)
+    sups = np.zeros((L, P, K))  # the gap is zero at time 0
+    for lo in range(0, P, rows):
+        hi = min(lo + rows, P)
+        streams = [charge_blocks(q, S, tau, lo, hi) for q in (phi, *processes)]
+        for (_, target), *blocks in zip(*streams):
+            n = target.shape[1] - 1
+            gap = diff[: L * (hi - lo) * n * n_atoms].reshape(L, hi - lo, n, n_atoms)
+            for g, (_, block) in zip(gap, blocks):
+                np.subtract(block[:, 1:], target[:, 1:], out=g)
+            out = paired[: n * L * (hi - lo) * K].reshape(n, L, hi - lo, K)  # time-major
+            _pair_rows(gap.reshape(-1, n, n_atoms), fam.functions,
+                       out=out.reshape(n, -1, K).transpose(1, 0, 2))
+            np.abs(out, out=out)
+            np.maximum(sups[:, lo:hi], out.max(axis=0), out=sups[:, lo:hi])
     return [_sup_seminorm(M, fam, S.scenarios.probs) for M in sups]

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -168,8 +169,8 @@ class TestApproxCommand:
                                                       "seed": 2024, "ball": 1.0})
         assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         # per lattice integrand: its distinct rows and one pass over its scenarios for every
-        # seminorm and continuity constant, and its charge drawn once beside each of the three
-        # approximants' charges
+        # seminorm and continuity constant, and its charge drawn beside each of the three
+        # approximants' charges once per block of scenarios (one block at P = 8)
         assert calls == {"_distinct_rows": 2, "_norm_sums": 2, "integrand_seminorm": 0,
                          "continuity_constant": 0, "charge_blocks": 2 * (1 + 3)}
         monkeypatch.undo()
@@ -186,6 +187,29 @@ class TestApproxCommand:
         for row, elem in zip(rows, result.processes, strict=True):
             assert float(row["q_error"]) == integrands.integrand_seminorm(elem, fam, tau, V, sc,
                                                                           minus=phi)
+
+    def test_peak_does_not_grow_with_the_integrand_count(self, tmp_path):
+        # a depth-11 binary tree (P = 2048), N = 11, J = 4: one integrand's weights are 0.9 MB.
+        # Integrands are drawn one at a time and each one's approximants are freed before the
+        # next is drawn, so three peak as high as one (measured: 10.0 MB for both).  Drawing
+        # them all up front adds 1.8 MB, keeping the last result while the next is
+        # approximated 0.56 MB.  An untraced run first, so that neither traced run counts the
+        # modules it imports
+        warm = self.approx_config(tmp_path)
+        assert main(["approx", "--config", warm, "--out", str(tmp_path / "o")]) == 0
+        peaks = {}
+        for count in (1, 3):
+            cfg = self.approx_config(tmp_path, time={"T": 4.0, "N": 11}, grid={"J": 4, "T_K": 1.0},
+                                     scenarios={"mode": "tree", "branching": 2, "depth": 11},
+                                     integrand={"kind": "random_lattice", "count": count,
+                                                "seed": 2024, "ball": 1.0})
+            tracemalloc.start()
+            try:
+                assert main(["approx", "--config", cfg, "--out", str(tmp_path / f"o{count}")]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= peaks[1] + 2048 * 11 * 5 * 8 // 4, peaks  # a quarter of one's weights
 
 
 class TestVolterraCommand:

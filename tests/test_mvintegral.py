@@ -226,6 +226,26 @@ class TestChargeBlocks:
             gap = paired_gap(phi, psi, S, functions, tau)
         assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions, step))
 
+    @given(P=st.integers(1, 30), N=st.integers(1, 12), d=st.integers(1, 3), J=st.integers(1, 8),
+           one_row=st.booleans(), stopped=st.booleans(), block_entries=st.integers(1, 400),
+           seed=st.integers(0, 2**16), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_scenario_range_yields_those_rows_of_the_whole_stream(
+            self, P, N, d, J, one_row, stopped, block_entries, seed, data):
+        lo = data.draw(st.integers(0, P - 1), label="lo")
+        hi = data.draw(st.integers(lo + 1, P), label="hi")
+        rng = np.random.default_rng(seed)
+        S, grid = brownian(P, N, seed=seed, d=d), CompactGrid(1.0, J)
+        phi = MeasureProcess("kernel", grid, rng.normal(size=(1 if one_row else P, N, d, J + 1)))
+        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            whole = [(t, block[lo:hi].copy()) for t, block in charge_blocks(phi, S, tau)]
+            ranged = [(t, block.copy()) for t, block in charge_blocks(phi, S, tau, lo, hi)]
+        assert [t for t, _ in ranged] == [t for t, _ in whole]
+        for (_, got), (_, want) in zip(ranged, whole):
+            assert np.array_equal(got, want)
+
     def test_blocks_cover_every_time_with_carry_row(self, monkeypatch):
         S = brownian(3, 10)
         grid = CompactGrid(1.0, 4)
@@ -594,8 +614,8 @@ class TestConvergenceTransfer:
 
 
 class TestStreamedTransfer:
-    """``convergence_transfer_check`` draws phi's charge once beside every approximant's and
-    pairs the differences in blocks of scenarios; against the dense gap per approximant."""
+    """``convergence_transfer_check`` draws phi's charge beside every approximant's one block of
+    scenarios at a time and pairs the differences; against the dense gap per approximant."""
 
     @given(P=st.integers(1, 30), N=st.integers(1, 10), d=st.integers(1, 2), J=st.integers(1, 6),
            K=st.integers(1, 10), rows_of=st.lists(st.booleans(), min_size=1, max_size=4),
@@ -620,8 +640,9 @@ class TestStreamedTransfer:
     def test_peak_of_the_approx_pipeline(self):
         # approximate_elementary and the transfer check at the approx-tree bench size: a depth-12
         # binary tree (P = 4096), N = 12, J = 4 and the default 37-member family.  One (P, N, K)
-        # evaluation array is 14.5 MB.  Measured: 1.70 of them, most of it the transfer check's
-        # four charge streams and three running sups (3.75 when each step held whole arrays)
+        # evaluation array is 14.5 MB.  Measured: 1.06 of them, in the transfer check: the three
+        # approximants' payloads, its three running sups and its 2 MB pairing buffer (1.70 when
+        # it drew four whole charge streams, 3.75 when each step held whole arrays)
         sc, tg = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12)
         S = simulate_driver(DriverSpec("brownian"), tg, sc)
         grid = CompactGrid(1.0, 4)
@@ -637,7 +658,7 @@ class TestStreamedTransfer:
         finally:
             tracemalloc.stop()
         assert result.converged and gaps[-1] <= 1e-6
-        assert peak <= 2 * evals_nbytes, peak / evals_nbytes  # 18 % above the measured peak
+        assert peak <= 1.25 * evals_nbytes, peak / evals_nbytes  # 18 % above the measured peak
 
 
 class TestFamilyInvariance:
