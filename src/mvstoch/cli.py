@@ -314,7 +314,7 @@ def run_fubini(cfg: dict, out_dir: Path) -> int:
         if cfg["corrupt_comparison"]:
             # negative control: compare the charge against the paths of a
             # scaled integrand so the identity genuinely breaks
-            rhs = _paired_ito_paths(phi * (1.0 + 1e-3), S, fam.functions, None)
+            rhs = _paired_ito_paths(phi * (1.0 + 1e-3), S, fam.functions)
             gap = float(np.max(np.abs(checks["paired"] - rhs)))
             regular = dict(regular)
             regular["max_abs_discrepancy"] = max(regular["max_abs_discrepancy"], gap)
@@ -347,7 +347,7 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
         result = approximate_elementary(phi, tau, S.control, fam, scenarios,
                                         schedule=tuple(cfg["schedule"]),
                                         c=cfg["integrand"]["ball"], tol=tol)
-        r_gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
+        r_gaps = convergence_transfer_check(phi, result.processes, S, fam)  # tau never stops
         bound = 2 * result.truncation_level * v_norm + 2 * result.constant
         for rep, r_gap in zip(result.reports, r_gaps):
             rows.append([label, rep.index, rep.net_size, rep.q_error, r_gap,

@@ -60,7 +60,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import DriverPath, StoppingRule, TimeGrid, running_sum
+from .drivers import DriverPath, TimeGrid, running_sum
 from .grid import CompactGrid
 from .integrands import MeasureProcess
 from .mvintegral import paired_charge
@@ -244,8 +244,7 @@ def make_dominated(spec: DominatedSpec) -> MeasureProcess:
                           rho=rho, var_sq_integral=var_sq)
 
 
-def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int],
-                       upto: StoppingRule | None = None) -> np.ndarray:
+def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int]) -> np.ndarray:
     """eta-mixture of the per-atom integral paths over an atom-index range.
 
     Computes, for each atom z_j in the set, the driver integral of the
@@ -257,22 +256,19 @@ def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, 
     if not (0 <= lo <= hi <= spec.grid.n_cells):
         raise ValueError("set is not resolvable on the grid")
     dS = S.increments[:, :, 0]
-    if upto is not None:
-        dS = dS * upto.increment_mask()
     slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
     per_atom = running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
     return per_atom.sum(axis=2)
 
 
 def compare_classic_vs_mv(spec: DominatedSpec, S: DriverPath,
-                          sets: Sequence[tuple[str, int, int]],
-                          upto: StoppingRule | None = None) -> dict:
+                          sets: Sequence[tuple[str, int, int]]) -> dict:
     """Max gap between the classic mixture route and the measure-valued route."""
     indicators = np.stack([spec.grid.indicator(lo, hi) for _, lo, hi in sets])
-    paired = paired_charge(make_dominated(spec), S, indicators, upto=upto)
+    paired = paired_charge(make_dominated(spec), S, indicators)
     rows = []
     for k, (name, lo, hi) in enumerate(sets):
-        classic = classic_fubini_rhs(spec, S, (lo, hi), upto=upto)
+        classic = classic_fubini_rhs(spec, S, (lo, hi))
         mv = paired[:, k]
         gap = float(np.max(np.abs(classic - mv)))
         rows.append({"set": name, "max_discrepancy": gap})

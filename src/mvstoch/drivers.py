@@ -12,7 +12,9 @@ Discrete-time conventions used throughout the package:
     increments whose right endpoint index is <= tau - 1, and the left
     limit of a path at tau is its value at index tau - 1 (index N for the
     never marker), read by ``StoppingRule.left_limit``.  No interpolation
-    anywhere.
+    anywhere.  An integral stopped before tau is the integral against the
+    stopped driver, (H . S)^{tau-} = H . S^{tau-}: ``DriverPath.stopped``
+    masks the increments once, and no integral takes a stopping rule.
   * A deterministic path (the control, the bracket, the drift variation)
     is stored as one row (1, N + 1) and broadcasts over the scenarios.
 
@@ -320,6 +322,26 @@ class DriverPath:
         inc.setflags(write=False)
         return inc
 
+    def stopped(self, tau: StoppingRule) -> "DriverPath":
+        """The driver frozen strictly before tau, S^{tau-}: the path held at ``tau.pre_index()``
+        from there on, and increments exactly ``increments * tau.increment_mask()`` (a dropped
+        slot keeps the sign of its zero); the driver itself if tau never stops.  The control
+        still bounds it.  The integral against it is the integral stopped before tau."""
+        P, N = self.scenarios.n_scenarios, self.timegrid.n_steps
+        if tau.n_steps != N or tau.indices.shape != (P,):
+            raise ValueError("stopping rule grid mismatch")
+        if np.all(tau.indices > N):  # the never marker everywhere: no copy of what it keeps
+            return self
+        mask = tau.increment_mask()[:, :, None]
+        held = np.minimum(np.arange(N + 1), tau.pre_index()[:, None])[:, :, None]
+        jumps = None if self.jump_increments is None else self.jump_increments * mask
+        out = DriverPath(self.spec, self.timegrid, self.scenarios,
+                         np.take_along_axis(self.values, held, axis=1), self.control, jumps)
+        inc = self.increments * mask
+        inc.setflags(write=False)
+        out.__dict__["increments"] = inc  # fills the cached property
+        return out
+
     def decomposition_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """Bracket path of the martingale part and variation of the FV part.
 
@@ -485,29 +507,14 @@ def control_process(spec: DriverSpec, timegrid: TimeGrid) -> np.ndarray:
     return v[None, :]
 
 
-def _masked_increments(S: DriverPath, upto: StoppingRule | None, rows=slice(None)) -> np.ndarray:
-    inc = S.increments[rows]
-    if upto is None:
-        return inc
-    if upto.n_steps != S.timegrid.n_steps:
-        raise ValueError("stopping rule grid mismatch")
-    return inc * StoppingRule(upto.indices[rows], upto.n_steps).increment_mask()[:, :, None]
-
-
-def ito_integral(H: PredictablePath, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:
+def ito_integral(H: PredictablePath, S: DriverPath) -> np.ndarray:
     """Pathwise integral sum_j H_j . (S_{j+1} - S_j), null at 0; shape (P, N + 1).
 
-    With ``upto`` the integral of H against the driver frozen strictly
-    before tau: only increments with right endpoint <= tau - 1 contribute.
+    The integral stopped strictly before tau is the integral against ``S.stopped(tau)``.
     """
-    return _ito_sum(H, _masked_increments(S, upto))
-
-
-def _ito_sum(H: PredictablePath, inc: np.ndarray) -> np.ndarray:
-    """``ito_integral`` against the (P, N, d) increments ``_masked_increments`` returned."""
-    if H.values.shape[1:] != inc.shape[1:]:
+    if H.values.shape[1:] != S.increments.shape[1:]:
         raise ValueError("integrand and driver differ in time grid or component count")
-    return running_sum(np.sum(H.values * inc, axis=2))
+    return running_sum(np.sum(H.values * S.increments, axis=2))
 
 
 def energy_integral(H: PredictablePath | np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -557,10 +564,10 @@ def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[
     """
     probs = S.scenarios.probs
     v_pre = tau.left_limit(V)
-    inc = _masked_increments(S, tau)  # one mask for all integrands
+    S_pre = S.stopped(tau)  # one mask for all integrands
     rows = []
     for H in integrands:
-        stopped = _ito_sum(H, inc)
+        stopped = ito_integral(H, S_pre)
         lhs_p = np.max(stopped**2, axis=1)
         rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
         lhs = float(probs @ lhs_p)

@@ -356,28 +356,25 @@ def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: n
     return {"lower": lower, "upper": upper}
 
 
-def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
-                       V: np.ndarray, scenarios: ScenarioSet, minus: MeasureProcess | None = None,
-                       w: np.ndarray | None = None) -> float:
+def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
+                       scenarios: ScenarioSet, minus: MeasureProcess | None = None) -> float:
     """Aggregate L2 seminorm of the integrand over the test family.
 
     With ``minus`` the seminorm of the difference (evaluations subtract;
-    no measure-level arithmetic is needed).  A caller that already holds
-    the ``stopping_weights`` passes them.
+    no measure-level arithmetic is needed).
     """
-    w = stopping_weights(tau, V, scenarios) if w is None else w
+    w = stopping_weights(tau, V, scenarios)
     return float(np.sqrt(fam.gammas @ _norm_sums([(phi, minus)], fam, w)[0]))
 
 
 def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
-                        scenarios: ScenarioSet, w: np.ndarray | None = None) -> dict:
+                        scenarios: ScenarioSet) -> dict:
     """Bracket the norm of f -> phi(f) as a map into the weighted L2 space.
 
     lower: best ratio over the family members; upper: weighted L2 norm of
-    the variation path, which dominates every ratio.  ``w`` as for
-    ``integrand_seminorm``.
+    the variation path, which dominates every ratio.
     """
-    w = stopping_weights(tau, V, scenarios) if w is None else w
+    w = stopping_weights(tau, V, scenarios)
     return _continuity(phi, fam, w, _norm_sums([(phi, None)], fam, w)[0])
 
 
@@ -590,7 +587,7 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         raise ValueError("integrand fails the finiteness check")
     w = stopping_weights(tau, V, scenarios)
     if phi.kind == "elementary":
-        constant = continuity_constant(phi, fam, tau, V, scenarios, w=w)["lower"]
+        constant = _continuity(phi, fam, w, _norm_sums([(phi, None)], fam, w)[0])["lower"]
         report = ApproxReport(1, 0, 0.0, constant, len(phi.terms or []))
         return ApproxResult([phi], [report], True, c or 0.0, constant)
     var = variation_path(phi)  # for the default ball, the truncation test and phi's upper bound

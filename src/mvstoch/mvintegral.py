@@ -8,7 +8,9 @@ accumulates, per scenario, one signed measure per time index:
 which for elementary integrands coincides with the rectangle-sum formula
 exactly.  The result is one-dimensional in the measure slot (components of
 the integrand pair off against driver components), null at time zero and
-adapted.
+adapted.  The integral stopped before tau is the integral against the
+stopped driver ``S.stopped(tau)``, so only the domination check, which
+also reads the control at tau-, takes a stopping rule.
 
 In discrete time both sides of the stochastic Fubini identity -- pairing
 the integral measure with a test function versus integrating the paired
@@ -46,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .drivers import DriverPath, StoppingRule, _masked_increments, running_sum, stopping_weights
+from .drivers import DriverPath, StoppingRule, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
 from .integrands import MeasureProcess, integrability_check, _family_evals, _pair_rows, _slot_sums
 
@@ -77,8 +79,8 @@ def _block_step(phi: MeasureProcess, S: DriverPath) -> int:
     return min(phi.n_steps, max(1, BLOCK_ENTRIES // (S.scenarios.n_scenarios * phi.grid.n_atoms)))
 
 
-def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None,
-                  lo: int = 0, hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
+def charge_blocks(phi: MeasureProcess, S: DriverPath, lo: int = 0,
+                  hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
     """The running charge of scenarios lo..hi (all by default) in the time blocks of all P
     scenarios, so bit for bit the whole stream's rows: (t, block) pairs, where ``block[:, k]``
     is the measure at time t + k and row 0 repeats the last row of the previous block (zeros
@@ -86,7 +88,7 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None 
     """
     step = _block_step(phi, S)
     N, rows = S.timegrid.n_steps, slice(lo, hi)
-    dS = _masked_increments(S, upto, rows)
+    dS = S.increments[rows]
     w = phi.weights if len(phi.weights) == 1 else phi.weights[rows]  # one row broadcasts
     buf = np.zeros((step + 1, len(dS), phi.grid.n_atoms))  # each time's add runs contiguously
     for t in range(0, N, step):
@@ -120,23 +122,22 @@ def _pair(out: np.ndarray, lo: int, block: np.ndarray, functions: np.ndarray) ->
     _pair_rows(block[:, 1:], functions, out=out[:, :, lo + 1 : lo + block.shape[1]].swapaxes(1, 2))
 
 
-def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
-                  upto: StoppingRule | None = None) -> np.ndarray:
+def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray) -> np.ndarray:
     """The integral paired with each row of ``functions`` at every time,
     (P, K, N + 1); each block of the charge is paired as it is drawn."""
     functions = np.asarray(functions, dtype=float)
     if functions.ndim != 2 or functions.shape[1] != phi.grid.n_atoms:
         raise ValueError("test functions do not match the grid")
     out = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
-    for lo, block in charge_blocks(phi, S, upto):
+    for lo, block in charge_blocks(phi, S):
         _pair(out, lo, block, functions)
     return out
 
 
-def mv_integral(phi: MeasureProcess, S: DriverPath, upto: StoppingRule | None = None) -> np.ndarray:
+def mv_integral(phi: MeasureProcess, S: DriverPath) -> np.ndarray:
     """The dense (P, N + 1, J + 1) charge; a reference for small sizes."""
     out = np.zeros((S.scenarios.n_scenarios, S.timegrid.n_steps + 1, phi.grid.n_atoms))
-    for lo, block in charge_blocks(phi, S, upto):
+    for lo, block in charge_blocks(phi, S):
         out[:, lo + 1 : lo + block.shape[1]] = block[:, 1:]
     return out
 
@@ -171,11 +172,10 @@ def _discrepancy_rows(lhs_stack: np.ndarray, rhs_stack: np.ndarray, labels: Sequ
     }
 
 
-def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray,
-                      upto: StoppingRule | None) -> np.ndarray:
+def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray) -> np.ndarray:
     """ito integrals of phi(f) for each row f of ``functions``; (n_f, P, N + 1)."""
     evals = _family_evals(phi, functions)
-    dS = _masked_increments(S, upto)
+    dS = S.increments
     contrib = np.einsum("pnki,pni->pnk", np.broadcast_to(evals, dS.shape[:2] + evals.shape[2:]), dS)
     return np.moveaxis(running_sum(contrib), 2, 0)
 
@@ -194,8 +194,7 @@ def standard_cell_sets(grid: CompactGrid) -> list[tuple[str, int, int]]:
 
 
 def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
-                 sets: Sequence[tuple[str, int, int]] | None = None,
-                 upto: StoppingRule | None = None) -> dict:
+                 sets: Sequence[tuple[str, int, int]] | None = None) -> dict:
     """Compare pairing-the-integral with integrating-the-pairing, for every
     family member ("regular") and for indicators of atom-index ranges
     ("general", ``standard_cell_sets`` by default).  The charge is paired
@@ -207,8 +206,8 @@ def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
         sets = standard_cell_sets(phi.grid)
     K = fam.size
     functions = np.vstack([fam.functions] + [phi.grid.indicator(lo, hi) for _, lo, hi in sets])
-    lhs = np.moveaxis(paired_charge(phi, S, functions, upto), 1, 0)
-    rhs = _paired_ito_paths(phi, S, functions, upto)
+    lhs = np.moveaxis(paired_charge(phi, S, functions), 1, 0)
+    rhs = _paired_ito_paths(phi, S, functions)
     return {"regular": _discrepancy_rows(lhs[:K], rhs[:K], [f"u_{k+1}" for k in range(K)]),
             "general": _discrepancy_rows(lhs[K:], rhs[K:], [name for name, _, _ in sets]),
             "paired": lhs[:K]}
@@ -216,13 +215,13 @@ def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
 
 def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
                               tau: StoppingRule, fam: TestFamily) -> dict:
-    """Check that the maximal seminorm of the stopped integral is dominated
-    by the integrand seminorm (exact on trees, 3 standard errors otherwise)."""
+    """Check that the maximal seminorm of the integral against ``S.stopped(tau)`` is
+    dominated by the integrand seminorm (exact on trees, 3 standard errors otherwise)."""
     if phi.kind != "elementary":
         raise ValueError("domination check is stated for elementary integrands")
     scenarios = S.scenarios
     probs = scenarios.probs
-    Z = paired_charge(phi, S, fam.functions, upto=tau)
+    Z = paired_charge(phi, S.stopped(tau), fam.functions)
     M2 = np.max(np.abs(Z), axis=2) ** 2  # (P, K)
     r_sq_p = M2 @ fam.gammas
     r_value = float(np.sqrt(probs @ r_sq_p))
@@ -249,11 +248,12 @@ def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
 
 
 def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureProcess],
-                               S: DriverPath, tau: StoppingRule, fam: TestFamily) -> list[float]:
+                               S: DriverPath, fam: TestFamily) -> list[float]:
     """Transfer of integrand convergence to the integral processes: for each
-    approximant, the maximal-seminorm gap between its stopped integral and
-    phi's.  The integrand-seminorm gap that dominates it is the q-error of
-    the approximation report (``integrand_seminorm(phi_n, ..., minus=phi)``).
+    approximant, the maximal-seminorm gap between its integral against S and
+    phi's.  Against ``S.stopped(tau)`` the gap is the stopped one, which the
+    q-error of the approximation report at that tau dominates
+    (``integrand_seminorm(phi_n, ..., minus=phi)``).
 
     The scenarios are walked in blocks, with reused buffers.  In each, phi's charge stream and
     every approximant's are drawn for those rows only, the L differences of each time block are
@@ -270,7 +270,7 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     sups = np.zeros((L, P, K))  # the gap is zero at time 0
     for lo in range(0, P, rows):
         hi = min(lo + rows, P)
-        streams = [charge_blocks(q, S, tau, lo, hi) for q in (phi, *processes)]
+        streams = [charge_blocks(q, S, lo, hi) for q in (phi, *processes)]
         for (_, target), *blocks in zip(*streams):
             n = target.shape[1] - 1
             gap = diff[: L * (hi - lo) * n * n_atoms].reshape(L, hi - lo, n, n_atoms)

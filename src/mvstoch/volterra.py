@@ -239,12 +239,6 @@ def tabulated_kernel(matrix: np.ndarray, timegrid: TimeGrid, name: str = "tabula
     return VolterraKernel(name, np.asarray(matrix, dtype=float), timegrid)
 
 
-def load_tabulated_csv(path, timegrid: TimeGrid) -> VolterraKernel:
-    """Kernel values as a headerless (N+1) x (N+1) CSV matrix, rows = t index."""
-    m = np.loadtxt(path, delimiter=",")
-    return tabulated_kernel(m, timegrid, name=f"tabulated[{path}]")
-
-
 def make_kernel(name: str, params: dict, timegrid: TimeGrid) -> VolterraKernel:
     """Registry lookup over checked parameters: power_alpha {alpha}, affine {level, slope},
     tabulated {path, matrix}, the matrix being the table read from the CSV at path."""

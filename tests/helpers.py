@@ -131,10 +131,10 @@ def project_loop(phi, net, fam):
     return np.stack([m.weights for m in net])[assignment], assignment, attained
 
 
-def paired_gap(phi, minus, S, functions, upto) -> np.ndarray:
+def paired_gap(phi, minus, S, functions) -> np.ndarray:
     """The pairing of phi's charge minus that of ``minus``, (P, K, N + 1): the two block
     streams drawn in step and the difference of each pair of blocks paired whole."""
     gap = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
-    for (lo, block), (_, other) in zip(charge_blocks(phi, S, upto), charge_blocks(minus, S, upto)):
+    for (lo, block), (_, other) in zip(charge_blocks(phi, S), charge_blocks(minus, S)):
         _pair(gap, lo, block - other, functions)
     return gap

@@ -48,7 +48,6 @@ from mvstoch.mvintegral import (
 from mvstoch.volterra import (
     decompose,
     affine_kernel,
-    load_tabulated_csv,
     power_kernel,
     power_volterra_paths,
     power_volterra_terminals,
@@ -143,7 +142,7 @@ class TestCriterion3VolterraDecomposition:
             power_kernel(0.75, tg),
             power_kernel(1.5, tg),
             affine_kernel(1.0, 2.0, tg),
-            load_tabulated_csv(csv_path, tg),
+            tabulated_kernel(np.loadtxt(csv_path, delimiter=","), tg),
         ]
         worst = 0.0
         for kernel in kernels:

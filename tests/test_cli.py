@@ -188,6 +188,22 @@ class TestApproxCommand:
             assert float(row["q_error"]) == integrands.integrand_seminorm(elem, fam, tau, V, sc,
                                                                           minus=phi)
 
+    def test_a_never_rule_masks_no_charge_stream(self, tmp_path, monkeypatch):
+        # approx runs stop nothing, so the transfer check integrates against the driver itself:
+        # the only masks are the stopping weights', one per integrand, and none per charge stream
+        masks = []
+        original = StoppingRule.increment_mask
+
+        def counting(self):
+            masks.append(1)
+            return original(self)
+
+        monkeypatch.setattr(StoppingRule, "increment_mask", counting)
+        cfg = self.approx_config(tmp_path, integrand={"kind": "random_lattice", "count": 2,
+                                                      "seed": 2024, "ball": 1.0})
+        assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        assert len(masks) == 2
+
     def test_peak_does_not_grow_with_the_integrand_count(self, tmp_path):
         # a depth-11 binary tree (P = 2048), N = 11, J = 4: one integrand's weights are 0.9 MB.
         # Integrands are drawn one at a time and each one's approximants are freed before the

@@ -429,7 +429,7 @@ class TestItoIntegral:
         rng = np.random.default_rng(2)
         H = PredictablePath(rng.normal(size=(30, 16, 1)))
         tau = StoppingRule(rng.integers(0, 18, size=30), 16)
-        stopped = ito_integral(H, path, upto=tau)
+        stopped = ito_integral(H, path.stopped(tau))
         masked = PredictablePath(H.values * tau.increment_mask()[:, :, None])
         assert np.array_equal(stopped[:, -1], ito_integral(masked, path)[:, -1])
         assert np.array_equal(stopped[:, -1], stopped[:, -1])
@@ -438,6 +438,57 @@ class TestItoIntegral:
         path = brownian_path(N=8)
         with pytest.raises(ValueError):
             ito_integral(PredictablePath(np.ones((1, 9, 1))), path)
+
+
+class TestStoppedDriver:
+    """``DriverPath.stopped``: the driver frozen strictly before tau, whose increments are the
+    driver's times the rule's mask, bit for bit."""
+
+    @given(kind=st.sampled_from(["monte_carlo", "jumps", "tree"]), d=st.integers(1, 2),
+           N=st.integers(1, 6), never=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_masked_increments_and_values_held_at_the_pre_index(self, kind, d, N, never, seed):
+        rng = np.random.default_rng(seed)
+        tg = TimeGrid(1.0, N)
+        if kind == "tree":
+            sc, spec = ScenarioSet.tree(2, N), DriverSpec("mixture", d=d, drift=0.3)
+        else:
+            sc = ScenarioSet.monte_carlo(int(rng.integers(1, 40)), seed)
+            spec = (DriverSpec("mixture", d=d, drift=0.3, jump_rate=4.0, jump_mean=0.5,
+                               jump_std=1.0) if kind == "jumps" else DriverSpec("brownian", d=d))
+        S = simulate_driver(spec, tg, sc)
+        P = sc.n_scenarios
+        if never:
+            tau = StoppingRule.never(sc, N)
+        elif sc.is_tree:  # a first passage of |S|, so a stopping time
+            hit = np.abs(S.values[:, :, 0]) >= rng.uniform(0.0, 1.5)
+            tau = StoppingRule(np.where(hit.any(axis=1), hit.argmax(axis=1), N + 1), N)
+            tau.validate(sc)
+        else:
+            tau = StoppingRule(rng.integers(0, N + 2, size=P), N)
+        stopped = S.stopped(tau)
+        mask = tau.increment_mask()[:, :, None]
+        assert stopped.increments.tobytes() == (S.increments * mask).tobytes()
+        assert not stopped.increments.flags.writeable
+        for ell in range(N + 1):
+            held = np.minimum(ell, tau.pre_index())
+            assert np.array_equal(stopped.values[:, ell], S.values[np.arange(P), held])
+        if never:
+            assert stopped.increments.tobytes() == S.increments.tobytes()
+        if S.jump_increments is not None:
+            assert stopped.jump_increments.tobytes() == (S.jump_increments * mask).tobytes()
+        with pytest.raises(ValueError, match="grid mismatch"):
+            S.stopped(StoppingRule.never(sc, N + 1))
+        with pytest.raises(ValueError, match="grid mismatch"):  # one rule row too many
+            S.stopped(StoppingRule(np.full(P + 1, N), N))
+
+    def test_a_rule_that_peeks_ahead_is_not_adapted(self):
+        # on a binary tree, stopping at time 1 (so freezing at 0) where the second step goes up
+        tg, sc = TimeGrid(1.0, 2), ScenarioSet.tree(2, 2)
+        S = simulate_driver(DriverSpec("brownian"), tg, sc)
+        tau = StoppingRule(np.where(sc.digits()[:, 1] == 1, 1, 3), 2)
+        with pytest.raises(AssertionError, match="not adapted"):
+            S.stopped(tau)
 
 
 class TestEnergyIntegral:
@@ -577,7 +628,7 @@ class TestControlInequality:
         probs, v_pre = path.scenarios.probs, tau.left_limit(path.control)
         expected = []
         for H in hs:
-            lhs_p = np.max(ito_integral(H, path, upto=tau) ** 2, axis=1)
+            lhs_p = np.max(ito_integral(H, path.stopped(tau)) ** 2, axis=1)
             rhs_p = v_pre * tau.left_limit(energy_integral(H, path.control))
             diff = rhs_p - lhs_p
             mean_diff = float(probs @ diff)

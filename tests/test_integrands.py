@@ -149,14 +149,15 @@ class TestIntegrandSeminorm:
         evals_nbytes = 512 * 16 * 40 * d * 8
         tracemalloc.start()
         try:
-            q = integrand_seminorm(a, fam, tau, V, sc, minus=b, w=w)
+            q = integrand_seminorm(a, fam, tau, V, sc, minus=b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert q == float(np.sqrt(fam.gammas @ dense_sq_norms(a, w, fam.functions, minus=b)))
         block_nbytes = 8 * integrands.EVAL_ENTRIES
         assert 5 * block_nbytes < evals_nbytes
-        assert peak <= 5 * block_nbytes, peak / block_nbytes  # measured 4.25 (d = 1), 3.94 (d = 2)
+        # measured 4.31 (d = 1), 4.21 (d = 2), a quarter block of it the stopping weights
+        assert peak <= 5 * block_nbytes, peak / block_nbytes
 
 
 class TestNormSums:

@@ -15,7 +15,6 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     TimeGrid,
-    _masked_increments,
     ito_integral,
     simulate_driver,
 )
@@ -129,7 +128,7 @@ class TestMvIntegral:
         rng = np.random.default_rng(2)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(12, 8, 1, 4)))
         tau = StoppingRule(rng.integers(0, 10, size=12), 8)
-        stopped = mv_integral(phi, S, upto=tau)
+        stopped = mv_integral(phi, S.stopped(tau))
         masked = MeasureProcess("kernel", grid,
                                 phi.weights * tau.increment_mask()[:, :, None, None])
         unstopped = mv_integral(masked, S)
@@ -178,10 +177,10 @@ class TestMvIntegral:
                 charge = mv_integral(phi * 1e8, S)
 
 
-def dense_charge_oracle(phi, S, upto=None):
+def dense_charge_oracle(phi, S):
     """The former dense fill: one time cumsum per scenario block into zeros."""
     P, N = S.scenarios.n_scenarios, S.timegrid.n_steps
-    dS = _masked_increments(S, upto)
+    dS = S.increments
     out = np.zeros((P, N + 1, phi.grid.n_atoms))
     for lo in range(0, P, 3):
         hi = min(lo + 3, P)
@@ -213,18 +212,18 @@ class TestChargeBlocks:
         n_rows = P if rows == "P" else 1
         phi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
         psi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
-        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        if stopped:
+            S = S.stopped(StoppingRule(rng.integers(0, N + 2, size=P), N))
         functions = build_test_family(grid, K).functions
-        dense = dense_charge_oracle(phi, S, tau)
+        dense = dense_charge_oracle(phi, S)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
-            assert np.array_equal(mv_integral(phi, S, upto=tau), dense)
-            step = next(charge_blocks(phi, S, tau))[1].shape[1] - 1  # times per block
-            assert np.array_equal(paired_charge(phi, S, functions, upto=tau),
-                                  pair(dense, functions, step))
+            assert np.array_equal(mv_integral(phi, S), dense)
+            step = next(charge_blocks(phi, S))[1].shape[1] - 1  # times per block
+            assert np.array_equal(paired_charge(phi, S, functions), pair(dense, functions, step))
             # the in-step difference pairs as the difference of the dense charges
-            gap = paired_gap(phi, psi, S, functions, tau)
-        assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S, tau), functions, step))
+            gap = paired_gap(phi, psi, S, functions)
+        assert np.array_equal(gap, pair(dense - dense_charge_oracle(psi, S), functions, step))
 
     @given(P=st.integers(1, 30), N=st.integers(1, 12), d=st.integers(1, 3), J=st.integers(1, 8),
            one_row=st.booleans(), stopped=st.booleans(), block_entries=st.integers(1, 400),
@@ -237,11 +236,12 @@ class TestChargeBlocks:
         rng = np.random.default_rng(seed)
         S, grid = brownian(P, N, seed=seed, d=d), CompactGrid(1.0, J)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(1 if one_row else P, N, d, J + 1)))
-        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        if stopped:
+            S = S.stopped(StoppingRule(rng.integers(0, N + 2, size=P), N))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
-            whole = [(t, block[lo:hi].copy()) for t, block in charge_blocks(phi, S, tau)]
-            ranged = [(t, block.copy()) for t, block in charge_blocks(phi, S, tau, lo, hi)]
+            whole = [(t, block[lo:hi].copy()) for t, block in charge_blocks(phi, S)]
+            ranged = [(t, block.copy()) for t, block in charge_blocks(phi, S, lo, hi)]
         assert [t for t, _ in ranged] == [t for t, _ in whole]
         for (_, got), (_, want) in zip(ranged, whole):
             assert np.array_equal(got, want)
@@ -581,7 +581,7 @@ class TestConvergenceTransfer:
     def test_constant_sequence_all_zero(self):
         rng = np.random.default_rng(29)
         phi = random_lattice_process(self.grid, self.tg, self.sc, rng)
-        r_gaps = convergence_transfer_check(phi, [phi, phi], self.S, self.tau, self.fam)
+        r_gaps = convergence_transfer_check(phi, [phi, phi], self.S, self.fam)
         assert r_gaps == [0.0, 0.0]
         assert self.q_gap(phi, phi) == 0.0
 
@@ -596,7 +596,7 @@ class TestConvergenceTransfer:
                 w[rows_in[1:], j] = w[rows_in[0], j]
         phi = MeasureProcess("kernel", self.grid, w)
         seq = [truncate(phi, c) for c in (1.0, 2.0, 4.0)]
-        r_gaps = convergence_transfer_check(phi, seq, self.S, self.tau, self.fam)
+        r_gaps = convergence_transfer_check(phi, seq, self.S, self.fam)
         assert len(r_gaps) == len(seq)
         for phi_n, r_gap in zip(seq, r_gaps):
             assert r_gap <= self.q_gap(phi_n, phi) + 1e-12
@@ -606,7 +606,7 @@ class TestConvergenceTransfer:
         phi = random_lattice_process(self.grid, self.tg, self.sc, rng, c=1.0)
         result = approximate_elementary(phi, self.tau, self.S.control, self.fam, self.sc,
                                         schedule=(4, 16, 64), c=1.0)
-        r_gaps = convergence_transfer_check(phi, result.processes, self.S, self.tau, self.fam)
+        r_gaps = convergence_transfer_check(phi, result.processes, self.S, self.fam)
         assert len(r_gaps) == len(result.reports)
         assert r_gaps[-1] <= 1e-6
         for rep, r_gap in zip(result.reports, r_gaps):
@@ -629,11 +629,12 @@ class TestStreamedTransfer:
         fam = build_test_family(grid, K)
         phi, *processes = [MeasureProcess("kernel", grid, rng.normal(size=(P if many else 1, N, d, J + 1)))
                            for many in rows_of]
-        tau = StoppingRule(rng.integers(0, N + 2, size=P), N) if stopped else None
+        if stopped:
+            S = S.stopped(StoppingRule(rng.integers(0, N + 2, size=P), N))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
-            got = convergence_transfer_check(phi, processes, S, tau, fam)
-            want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions, tau), fam, S.scenarios.probs)
+            got = convergence_transfer_check(phi, processes, S, fam)
+            want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions), fam, S.scenarios.probs)
                     for q in processes]
         assert got == want
 
@@ -653,7 +654,7 @@ class TestStreamedTransfer:
         tracemalloc.start()
         try:
             result = approximate_elementary(phi, tau, S.control, fam, sc, schedule=(4, 16, 64), c=1.0)
-            gaps = convergence_transfer_check(phi, result.processes, S, tau, fam)
+            gaps = convergence_transfer_check(phi, result.processes, S, fam)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

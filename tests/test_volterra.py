@@ -35,7 +35,6 @@ from mvstoch.volterra import (
     density_construction,
     induced_phi,
     level_variations,
-    load_tabulated_csv,
     make_kernel,
     power_kernel,
     power_volterra_paths,
@@ -399,9 +398,9 @@ class TestDecompose:
         calls = []
         original = mvintegral.charge_blocks
 
-        def counting(phi, S, upto=None):
+        def counting(phi, S, *rows):
             calls.append(phi.kind)
-            return original(phi, S, upto)
+            return original(phi, S, *rows)
 
         # also where volterra would hold the name itself
         monkeypatch.setattr(mvintegral, "charge_blocks", counting)
@@ -737,7 +736,7 @@ class TestRegistry:
         k = random_fv_kernel(rng, tg)
         path = tmp_path / "kernel.csv"
         np.savetxt(path, k.matrix[:, :, 0], delimiter=",")
-        loaded = load_tabulated_csv(path, tg)
+        loaded = tabulated_kernel(np.loadtxt(path, delimiter=","), tg)
         np.testing.assert_allclose(loaded.matrix, k.matrix, atol=1e-12)
 
     def test_unknown_kernel(self):
