@@ -2,12 +2,16 @@
 elementary processes.
 
 A :class:`MeasureProcess` assigns to every (scenario, interval slot) a
-vector of signed measures on the spatial grid.  Three representations
-share one dense payload ``weights`` of shape (P or 1, N, d, J + 1):
+vector of signed measures on the spatial grid: a payload of shape
+(P or 1, N, d, J + 1), held dense or, for a net-valued process (a lattice
+input, a projection, an approximant), as a table of measure vectors and a
+(P or 1, N) index into it.  Readers draw it a block of scenarios at a time
+(``MeasureProcess.rows``: a view, or rows gathered from the table), so an
+indexed payload is never formed whole.  Three kinds share it:
 
   * ``elementary``: a finite sum of scenario-independent measures on
     predictable rectangles ``A x (t_a, t_b]`` with ``A`` known at ``t_a``
-    (the term list is kept alongside the dense payload);
+    (the term list is kept alongside the payload);
   * ``kernel``: a density table against a nonnegative kernel, stored as
     the resulting atom weights (the kernel ``rho`` is kept when the
     process was built from one);
@@ -39,7 +43,8 @@ net enumeration is deterministic and documented in
 once per integrand: the largest net; the truncated input's distinct
 evaluation rows (``_distinct_rows``; a few dozen on a tree of thousands
 of scenarios); and each approximant's net table (``_net_table``), from
-which its norms and constants are read, never from its P-row weights.
+which its norms and constants are read.  An approximant is held as the
+net's table and its assignment, never as P-row weights.
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
@@ -110,32 +115,58 @@ class ElementaryTerm:
 
 @dataclass
 class MeasureProcess:
-    """Weak* predictable measure-valued process on the shared grids."""
+    """Weak* predictable measure-valued process on the shared grids.
+
+    Dense, ``table`` is the payload (P or 1, N, d, J + 1).  Indexed, it is a table (U, d, J + 1)
+    of measure vectors and ``index`` (P or 1, N) names the row each (scenario, slot) pair takes,
+    as for a net-valued process.  Readers draw blocks of scenarios with ``rows``; ``weights``
+    materializes the whole payload.
+    """
 
     kind: str
     grid: CompactGrid
-    weights: np.ndarray  # (P or 1, N, d, J + 1)
+    table: np.ndarray
     terms: list[ElementaryTerm] | None = None
     rho: np.ndarray | None = None
     var_sq_integral: Callable[[float], float] | None = None
+    index: np.ndarray | None = None
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 4 or w.shape[3] != self.grid.n_atoms:
-            raise ValueError("weights must be (P, N, d, J + 1) on the grid")
-        self.weights = w
+        self.table = np.asarray(self.table, dtype=float)
+        if self.index is not None:
+            self.index = np.asarray(self.index, dtype=np.intp)
+        dims = (self.table.ndim, None if self.index is None else self.index.ndim)
+        if dims not in ((4, None), (3, 2)) or self.table.shape[-1] != self.grid.n_atoms:
+            raise ValueError("weights must be (P, N, d, J + 1) on the grid, or a table "
+                             "(U, d, J + 1) on it with a (P, N) index")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(P or 1, N, d, J + 1), the payload's shape."""
+        return self.table.shape if self.index is None else self.index.shape + self.table.shape[1:]
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The dense payload; an indexed process gathers all of it from its table."""
+        return self.table if self.index is None else self.table[self.index]
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Scenarios lo..hi as a dense (b, N, d, J + 1) block, a one-row process's row whatever
+        the range: a view of a dense payload, gathered from an indexed process's table."""
+        rows = slice(lo, hi) if self.is_random else slice(None)
+        return self.table[rows] if self.index is None else self.table[self.index[rows]]
 
     @property
     def n_steps(self) -> int:
-        return self.weights.shape[1]
+        return self.shape[1]
 
     @property
     def d(self) -> int:
-        return self.weights.shape[2]
+        return self.shape[2]
 
     @property
     def is_random(self) -> bool:
-        return self.weights.shape[0] > 1
+        return self.shape[0] > 1
 
     def __add__(self, other: "MeasureProcess") -> "MeasureProcess":
         if self.grid is not other.grid and self.grid != other.grid:
@@ -192,7 +223,7 @@ def evaluate(phi: MeasureProcess, f: np.ndarray,
     f = np.asarray(f, dtype=float)
     if f.shape != (phi.grid.n_atoms,):
         raise ValueError("test function does not match the grid")
-    vals = _pair_rows(phi.weights, f[None]).reshape(phi.weights.shape[:3])
+    vals = _pair_rows(phi.rows(), f[None]).reshape(phi.shape[:3])
     path = PredictablePath(vals)
     if scenarios is not None and scenarios.is_tree and phi.is_random:
         path.check_adapted(scenarios)
@@ -201,14 +232,19 @@ def evaluate(phi: MeasureProcess, f: np.ndarray,
 
 def variation_path(phi: MeasureProcess) -> np.ndarray:
     """Componentwise variation per (scenario, slot); shape (P, N, d).  |weights| is formed in
-    blocks of slots of ``EVAL_ENTRIES`` values in one reused buffer, never whole (an affine
-    Volterra kernel's would be an (N, N + 1) table); each row is summed whole."""
-    Q, N, d, n_atoms = phi.weights.shape
-    step = max(1, EVAL_ENTRIES // (Q * d * n_atoms))
-    out, buf = np.empty((Q, N, d)), np.empty(min(step, N) * Q * d * n_atoms)
-    for lo in range(0, N, step):
-        w = phi.weights[:, lo : lo + step]
-        np.sum(np.abs(w, out=buf[: w.size].reshape(w.shape)), axis=3, out=out[:, lo : lo + step])
+    blocks of scenarios (``phi.rows``) and, within them, of slots, of ``EVAL_ENTRIES`` values in
+    one reused buffer, never whole (an affine Volterra kernel's would be an (N, N + 1) table);
+    each row is summed whole."""
+    Q, N, d, n_atoms = phi.shape
+    b = min(Q, max(1, EVAL_ENTRIES // (N * d * n_atoms)))  # scenarios per block
+    step = max(1, EVAL_ENTRIES // (b * d * n_atoms))
+    out, buf = np.empty((Q, N, d)), np.empty(b * min(step, N) * d * n_atoms)
+    for p in range(0, Q, b):
+        block = phi.rows(p, p + b)
+        for lo in range(0, N, step):
+            w = block[:, lo : lo + step]
+            np.sum(np.abs(w, out=buf[: w.size].reshape(w.shape)), axis=3,
+                   out=out[p : p + b, lo : lo + step])
     return out
 
 
@@ -250,7 +286,7 @@ def _family_evals(phi: MeasureProcess, functions: np.ndarray, lo: int = 0, hi: i
     """Pairings of scenarios lo..hi (all of them for a one-row phi) with every row of
     ``functions`` (K, J + 1), into ``out`` if given (at least P N d K values); shape (P, N, K, d).
     One matmul per scenario, the same as when all scenarios are paired at once."""
-    w = phi.weights[lo:hi] if phi.is_random else phi.weights
+    w = phi.rows(lo, hi)
     if out is not None:
         out = out[: w[..., 0].size * len(functions)].reshape(w.shape[0], -1, len(functions))
     return _pair_rows(w, functions, out).reshape(w.shape[:3] + (-1,)).swapaxes(2, 3)
@@ -443,7 +479,7 @@ def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarr
     ``!=`` (on a tree, one run per atom), and their heads are then deduplicated by their bytes.
     A NaN row starts a run of its own; rows that differ only in the sign of a zero stay apart.
     """
-    P, N, d = phi.weights.shape[:3]
+    P, N, d = phi.shape[:3]
     step = _block_scenarios(P, N, len(functions), d)
     run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
     heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
@@ -465,9 +501,9 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec], fam: Te
                    ) -> tuple[MeasureProcess, np.ndarray, np.ndarray]:
     """Pointwise nearest-net projection under the weak* metric.
 
-    Returns the projected process, the assignment array (P, N) of net
-    indices (ties resolved to the lowest index) and the pointwise
-    distances attained.
+    Returns the projected process (the net's table, indexed by the
+    assignment), the assignment array (P, N) of net indices (ties resolved
+    to the lowest index) and the pointwise distances attained.
 
     The distances depend on a (scenario, slot) pair only through its row
     of family evaluations, so they are computed once per distinct row
@@ -486,7 +522,7 @@ def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec], fam: Te
     best = np.argmin(dists, axis=1)
     assignment = best[index]
     attained = dists[np.arange(len(dists)), best][index]
-    projected = MeasureProcess("kernel", phi.grid, net_w[assignment])
+    projected = MeasureProcess("kernel", phi.grid, net_w, index=assignment)
     return projected, assignment, attained
 
 
@@ -496,7 +532,9 @@ def rectangle_refine(projected: MeasureProcess, assignment: np.ndarray,
 
     Tree mode only: the scenario set at each slot taking a given net value
     is a union of filtration atoms of the slot's left endpoint, hence one
-    rectangle per (slot, net index) pair, checked by ``_check_terms``.
+    rectangle per (slot, net index) pair, checked by ``_check_terms``.  The
+    result holds the net's table, indexed by the assignment (its first row
+    alone when no term is masked).
     """
     if not scenarios.is_tree:
         raise ValueError("rectangle refinement needs tree mode (explicit filtration atoms)")
@@ -512,8 +550,8 @@ def rectangle_refine(projected: MeasureProcess, assignment: np.ndarray,
             terms.append(ElementaryTerm(net[j], slot, slot + 1, None if mask.all() else mask))
     _check_terms(terms, assign, net)
     masked = any(t.scenario_mask is not None for t in terms)  # else one row, as elementary_process
-    return MeasureProcess("elementary", projected.grid, projected.weights[: None if masked else 1],
-                          terms=terms)
+    return MeasureProcess("elementary", projected.grid, np.stack([m.weights for m in net]),
+                          terms=terms, index=assign[: None if masked else 1])
 
 
 def _check_terms(terms: Sequence[ElementaryTerm], assign: np.ndarray, net: Sequence) -> None:
@@ -577,8 +615,9 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     Every quantity is computed once per call: one net enumeration (the
     schedule's nets are its prefixes); the truncated input's distinct
     rows; and one pass over blocks of scenarios (``_norm_sums``) for every
-    q-error and continuity constant, reading each approximant from its net
-    table (``_net_table``) and an untruncated input from its distinct rows.
+    q-error and continuity constant, reading each approximant from the
+    pairings of its own table and index (``_net_table``) and an untruncated
+    input from its distinct rows.
     """
     if len(schedule) == 0:
         raise ValueError("schedule needs at least one net size")
@@ -596,16 +635,15 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     phi_c = truncate(phi, c) if np.max(var) > c else phi
     rows, index = distinct = _distinct_rows(phi_c, fam.functions)
     full = weak_star_net(c, max(schedule), phi.grid, d=phi.d)
-    net_w = np.stack([m.weights for m in full])
-    net_var_sq = np.sum(np.square(np.sum(np.abs(net_w), axis=2)), axis=1)  # as _continuity's
     ids = np.repeat(np.arange(len(rows))[:, None], index.shape[1], axis=1)  # row u is rows[u]
     tables = {id(phi): (rows, ids)} if phi_c is phi else {}
     processes, uppers = [], [_variation_norm(w, np.sum(var * var, axis=2))]
     for n in schedule:
         projected, assignment, _ = project_to_net(phi_c, full[:n], fam, distinct=distinct)
         processes.append(elem := rectangle_refine(projected, assignment, full[:n], scenarios))
-        tables[id(elem)] = _net_table(net_w, assignment, index, fam.functions)
-        uppers.append(_variation_norm(w, net_var_sq[assignment]))
+        tables[id(elem)] = _net_table(elem.table, elem.index, index, fam.functions)
+        var_sq = np.sum(np.square(np.sum(np.abs(elem.table), axis=2)), axis=1)  # as _continuity's
+        uppers.append(_variation_norm(w, var_sq[elem.index]))
     # per approximant its own norms, then those of its difference from phi
     terms = [(phi, None)] + [(elem, minus) for elem in processes for minus in (None, phi)]
     sums = _norm_sums(terms, fam, w, index, tables)
@@ -678,7 +716,8 @@ def random_elementary_process(grid: CompactGrid, timegrid: TimeGrid, scenarios: 
 def random_lattice_process(grid: CompactGrid, timegrid: TimeGrid, scenarios: ScenarioSet,
                            rng: np.random.Generator, c: float = 1.0, d: int = 1,
                            pool_size: int = 21) -> MeasureProcess:
-    """Adapted random process whose values live on the first net elements.
+    """Adapted random process whose values live on the first net elements: the
+    pool's table and a (P, N) index into it.
 
     Used by the approximation experiment: once the net schedule reaches
     ``pool_size`` the projection error vanishes, re-enacting denseness at
@@ -695,4 +734,4 @@ def random_lattice_process(grid: CompactGrid, timegrid: TimeGrid, scenarios: Sce
             idx[:, j] = per_atom[ids]
     else:
         idx = rng.integers(0, len(pool), size=(scenarios.n_scenarios, N))
-    return MeasureProcess("kernel", grid, pool_w[idx])
+    return MeasureProcess("kernel", grid, pool_w, index=idx)

@@ -85,11 +85,12 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath, lo: int = 0,
     scenarios, so bit for bit the whole stream's rows: (t, block) pairs, where ``block[:, k]``
     is the measure at time t + k and row 0 repeats the last row of the previous block (zeros
     first).  A block is a view of one reused time-major buffer, valid until the next is drawn.
+    phi's rows lo..hi are read once (``phi.rows``), gathered from its table if it is indexed.
     """
     step = _block_step(phi, S)
     N, rows = S.timegrid.n_steps, slice(lo, hi)
     dS = S.increments[rows]
-    w = phi.weights if len(phi.weights) == 1 else phi.weights[rows]  # one row broadcasts
+    w = phi.rows(lo, hi)  # one row broadcasts
     buf = np.zeros((step + 1, len(dS), phi.grid.n_atoms))  # each time's add runs contiguously
     for t in range(0, N, step):
         end = min(t + step, N)

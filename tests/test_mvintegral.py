@@ -641,9 +641,10 @@ class TestStreamedTransfer:
     def test_peak_of_the_approx_pipeline(self):
         # approximate_elementary and the transfer check at the approx-tree bench size: a depth-12
         # binary tree (P = 4096), N = 12, J = 4 and the default 37-member family.  One (P, N, K)
-        # evaluation array is 14.5 MB.  Measured: 1.06 of them, in the transfer check: the three
-        # approximants' payloads, its three running sups and its 2 MB pairing buffer (1.70 when
-        # it drew four whole charge streams, 3.75 when each step held whole arrays)
+        # evaluation array is 14.5 MB.  Measured: 0.75 of them, in the transfer check: its three
+        # running sups, its 2 MB pairing buffer and the approximants' indexes and masks (1.06
+        # when the approximants held dense payloads, 1.70 when it drew four whole charge
+        # streams, 3.75 when each step held whole arrays)
         sc, tg = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12)
         S = simulate_driver(DriverSpec("brownian"), tg, sc)
         grid = CompactGrid(1.0, 4)
