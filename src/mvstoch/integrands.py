@@ -41,10 +41,10 @@ rectangles (tree mode only, where filtration atoms are explicit).  The
 net enumeration is deterministic and documented in
 :func:`weak_star_net`; runs are reproducible.  It computes each quantity
 once per integrand: the largest net; the truncated input's distinct
-evaluation rows (``_distinct_rows``; a few dozen on a tree of thousands
-of scenarios); and each approximant's net table (``_net_table``), from
-which its norms and constants are read.  An approximant is held as the
-net's table and its assignment, never as P-row weights.
+evaluation rows (``_distinct_rows``, through its table if it is indexed);
+and each approximant's net table (``_net_table``), from which its norms
+and constants are read.  An approximant is held as the net's table and
+its assignment, never as P-row weights.
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
@@ -231,10 +231,12 @@ def evaluate(phi: MeasureProcess, f: np.ndarray,
 
 
 def variation_path(phi: MeasureProcess) -> np.ndarray:
-    """Componentwise variation per (scenario, slot); shape (P, N, d).  |weights| is formed in
-    blocks of scenarios (``phi.rows``) and, within them, of slots, of ``EVAL_ENTRIES`` values in
-    one reused buffer, never whole (an affine Volterra kernel's would be an (N, N + 1) table);
-    each row is summed whole."""
+    """Componentwise variation per (scenario, slot); shape (P, N, d), gathered by the index
+    from |table| for an indexed process.  A dense one's |weights| is formed in blocks of
+    scenarios and, within them, of slots, of ``EVAL_ENTRIES`` values in one reused buffer, never
+    whole (an affine Volterra kernel's would be an (N, N + 1) table); each row is summed whole."""
+    if phi.index is not None:
+        return np.sum(np.abs(phi.table), axis=2)[phi.index]
     Q, N, d, n_atoms = phi.shape
     b = min(Q, max(1, EVAL_ENTRIES // (N * d * n_atoms)))  # scenarios per block
     step = max(1, EVAL_ENTRIES // (b * d * n_atoms))
@@ -473,27 +475,30 @@ def weak_star_net(c: float, n: int, grid: CompactGrid, d: int = 1) -> list[Signe
 
 def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi's family evaluations as distinct rows (D, K, d), and the (P, N) index of each
-    (scenario, slot) pair's row; phi is paired in blocks of scenarios.
-
-    Within a block and a slot, runs of equal rows over consecutive scenarios are split with
-    ``!=`` (on a tree, one run per atom), and their heads are then deduplicated by their bytes.
-    A NaN row starts a run of its own; rows that differ only in the sign of a zero stay apart.
-    """
+    (scenario, slot) pair's row: candidate rows deduplicated by their bytes.  An indexed phi's
+    candidates are the (table row, slot) cells its index uses (``_table_pairs``).  A dense phi is
+    paired in blocks of scenarios, and within a block and a slot, runs of equal rows over
+    consecutive scenarios are split with ``!=`` (on a tree, one run per atom): their heads."""
     P, N, d = phi.shape[:3]
-    step = _block_scenarios(P, N, len(functions), d)
-    run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
-    heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
-    for lo in range(0, P, step):
-        evals = _family_evals(phi, functions, lo, lo + step, out=buf)  # (b, N, K, d)
-        fresh = np.ones((N, len(evals)), dtype=bool)
-        fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
-        run[:, lo : lo + len(evals)] = (np.cumsum(fresh) - 1).reshape(fresh.shape) + count
-        heads.append(evals.transpose(1, 0, 2, 3)[fresh])
-        count += len(heads[-1])
-    heads = np.concatenate(heads)  # (U, K, d), contiguous rows
+    if phi.index is not None:
+        evals, cells = _table_pairs(phi.table, phi.index, functions)
+        used = np.bincount(cells.ravel(), minlength=len(evals)) > 0
+        heads, run = evals[used], (np.cumsum(used) - 1)[cells]  # (U, K, d), contiguous rows
+    else:
+        step = _block_scenarios(P, N, len(functions), d)
+        run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
+        heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
+        for lo in range(0, P, step):
+            evals = _family_evals(phi, functions, lo, lo + step, out=buf)  # (b, N, K, d)
+            fresh = np.ones((N, len(evals)), dtype=bool)
+            fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
+            run[:, lo : lo + len(evals)] = (np.cumsum(fresh) - 1).reshape(fresh.shape) + count
+            heads.append(evals.transpose(1, 0, 2, 3)[fresh])
+            count += len(heads[-1])
+        heads, run = np.concatenate(heads), run.T  # (U, K, d), contiguous rows
     keys = heads.reshape(len(heads), -1).view(np.dtype((np.void, heads[0].nbytes)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return heads[first], inverse[run.T]
+    return heads[first], inverse[run]
 
 
 def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec], fam: TestFamily,
@@ -567,18 +572,23 @@ def _check_terms(terms: Sequence[ElementaryTerm], assign: np.ndarray, net: Seque
         raise AssertionError("rectangle refinement must reproduce the projection exactly")
 
 
+def _table_pairs(table: np.ndarray, index: np.ndarray, functions: np.ndarray) -> tuple:
+    """Pairings (T N, K, d) of the T table rows that ``index`` (Q, N) takes, each paired as a
+    scenario holding it at every slot (a product rounds a row by its place), and each cell's row."""
+    N = index.shape[1]
+    taken = np.bincount(index.ravel(), minlength=len(table)) > 0
+    tiles = np.repeat(table[taken, None], N, axis=1)  # contiguous: a stride-0 view pairs off BLAS
+    pairs = _pair_rows(tiles, functions).reshape(len(tiles) * N, -1, len(functions))
+    return pairs.swapaxes(1, 2), (np.cumsum(taken) - 1)[index] * N + np.arange(N)
+
+
 def _net_table(net_w: np.ndarray, assignment: np.ndarray, index: np.ndarray,
                functions: np.ndarray) -> tuple:
-    """The pairings of net_w[assignment] = net_w[best[index]] as a table (U N, K, d) and its (D, N)
-    row at each slot of each row of ``index``.  A product rounds each row by its place in it, so
-    each of the U net elements taken pairs as a scenario holding it at every slot."""
-    N, K = index.shape[1], len(functions)
+    """``_table_pairs`` of net_w[assignment] = net_w[best[index]]: a table (U N, K, d) and its
+    (D, N) row at each slot of each row of ``index``."""
     best = np.zeros(index.max() + 1, dtype=np.intp)
     best[index] = assignment
-    taken = np.bincount(best, minlength=len(net_w)) > 0
-    tiles = np.repeat(net_w[taken, None], N, axis=1)  # contiguous: a stride-0 view pairs off BLAS
-    table = _pair_rows(tiles, functions).reshape(len(tiles) * N, -1, K).swapaxes(1, 2)
-    return table, (np.cumsum(taken) - 1)[best][:, None] * N + np.arange(N)
+    return _table_pairs(net_w, np.repeat(best[:, None], index.shape[1], axis=1), functions)
 
 
 @dataclass(frozen=True)
@@ -637,21 +647,20 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     full = weak_star_net(c, max(schedule), phi.grid, d=phi.d)
     ids = np.repeat(np.arange(len(rows))[:, None], index.shape[1], axis=1)  # row u is rows[u]
     tables = {id(phi): (rows, ids)} if phi_c is phi else {}
-    processes, uppers = [], [_variation_norm(w, np.sum(var * var, axis=2))]
+    processes = []
     for n in schedule:
         projected, assignment, _ = project_to_net(phi_c, full[:n], fam, distinct=distinct)
         processes.append(elem := rectangle_refine(projected, assignment, full[:n], scenarios))
         tables[id(elem)] = _net_table(elem.table, elem.index, index, fam.functions)
-        var_sq = np.sum(np.square(np.sum(np.abs(elem.table), axis=2)), axis=1)  # as _continuity's
-        uppers.append(_variation_norm(w, var_sq[elem.index]))
     # per approximant its own norms, then those of its difference from phi
     terms = [(phi, None)] + [(elem, minus) for elem in processes for minus in (None, phi)]
     sums = _norm_sums(terms, fam, w, index, tables)
-    constant = _continuity(phi, fam, w, sums[0], uppers[0])["lower"]
+    upper = _variation_norm(w, np.sum(var * var, axis=2))
+    constant = _continuity(phi, fam, w, sums[0], upper)["lower"]
     reports = [ApproxReport(i, len(full[:n]), float(np.sqrt(fam.gammas @ diff)),
-                            _continuity(elem, fam, w, own, upper)["lower"], len(elem.terms))
-               for i, (elem, n, own, diff, upper)
-               in enumerate(zip(processes, schedule, sums[1::2], sums[2::2], uppers[1:]), start=1)]
+                            _continuity(elem, fam, w, own)["lower"], len(elem.terms))
+               for i, (elem, n, own, diff)
+               in enumerate(zip(processes, schedule, sums[1::2], sums[2::2]), start=1)]
     return ApproxResult(processes, reports, reports[-1].q_error <= tol, c, constant)
 
 

@@ -32,10 +32,9 @@ sequential sum bit for bit.  The integral is known through its pairings:
 and keeps the (P, K, N + 1) paths, which is all the interchange checks
 and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
 matmuls, which round by the rows one call holds, so by block partition but
-not by thread count).  The convergence transfer reads only the paired
-charge gap: per block of scenarios it draws the target's stream and every
-approximant's for those rows alone (``charge_blocks(..., lo, hi)``), pairs
-the L differences in one call and keeps only the (L, P, K) running sups.  The Volterra
+not by thread count).  The convergence transfer draws no stream: per block of scenarios and
+time it charges and pairs only the heads of runs of equal inputs so far (on a tree, the
+atoms) and keeps the (L, P, K) running sups of the paired gap.  The Volterra
 decomposition reads only ``horizon_charge``, one tiled product per scenario of the increments
 and the slot table (``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1)
 ensemble; ``mv_integral`` fills it from the same blocks as a small-size reference.
@@ -79,18 +78,13 @@ def _block_step(phi: MeasureProcess, S: DriverPath) -> int:
     return min(phi.n_steps, max(1, BLOCK_ENTRIES // (S.scenarios.n_scenarios * phi.grid.n_atoms)))
 
 
-def charge_blocks(phi: MeasureProcess, S: DriverPath, lo: int = 0,
-                  hi: int | None = None) -> Iterator[tuple[int, np.ndarray]]:
-    """The running charge of scenarios lo..hi (all by default) in the time blocks of all P
-    scenarios, so bit for bit the whole stream's rows: (t, block) pairs, where ``block[:, k]``
-    is the measure at time t + k and row 0 repeats the last row of the previous block (zeros
-    first).  A block is a view of one reused time-major buffer, valid until the next is drawn.
-    phi's rows lo..hi are read once (``phi.rows``), gathered from its table if it is indexed.
-    """
+def charge_blocks(phi: MeasureProcess, S: DriverPath) -> Iterator[tuple[int, np.ndarray]]:
+    """The running charge in time blocks: (t, block) pairs, where ``block[:, k]`` is the measure
+    at time t + k and row 0 repeats the last row of the previous block (zeros first).  A block
+    is a view of one reused time-major buffer, valid until the next is drawn.  phi's rows are
+    read once (``phi.rows``), gathered from its table if it is indexed."""
     step = _block_step(phi, S)
-    N, rows = S.timegrid.n_steps, slice(lo, hi)
-    dS = S.increments[rows]
-    w = phi.rows(lo, hi)  # one row broadcasts
+    N, dS, w = S.timegrid.n_steps, S.increments, phi.rows()  # one row broadcasts
     buf = np.zeros((step + 1, len(dS), phi.grid.n_atoms))  # each time's add runs contiguously
     for t in range(0, N, step):
         end = min(t + step, N)
@@ -256,30 +250,47 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     q-error of the approximation report at that tau dominates
     (``integrand_seminorm(phi_n, ..., minus=phi)``).
 
-    The scenarios are walked in blocks, with reused buffers.  In each, phi's charge stream and
-    every approximant's are drawn for those rows only, the L differences of each time block are
-    paired in one call (one matmul per scenario over the block's times, as the dense difference
-    would be, into a time-major buffer) and one max over the times folds them into the (L, P, K)
-    running sups: no (P, K, N + 1) gap and no whole stream is held.
-    """
+    The scenarios are walked in blocks.  A scenario heads a run at t when its inputs up to t
+    (driver increments, each process's index or weights) differ from the previous scenario's,
+    or when it opens its block (on a tree, one run per atom of time t + 1; no adaptedness is
+    assumed).  Only heads are charged, time by time, each as its run at t - 1 plus its own
+    product (``charge_blocks``' add order); their L gaps are paired in one product per approximant
+    of the kind the stream uses and folded into their runs' sups, so bit for bit as the stream
+    wherever a row's rounding does not depend on its place in a product (OpenBLAS: J + 1 < 32,
+    or < 8 for one test function).  No gap or stream is held whole."""
     if not processes:
         return []
-    P, K, L, n_atoms = S.scenarios.n_scenarios, fam.size, len(processes), phi.grid.n_atoms
-    step = _block_step(phi, S)  # times per charge block
-    rows = min(P, max(1, BLOCK_ENTRIES // (L * step * K)))  # scenarios per block
-    diff, paired = np.empty(L * rows * step * n_atoms), np.empty(L * rows * step * K)
+    procs, N, K, L = (phi, *processes), S.timegrid.n_steps, fam.size, len(processes)
+    step = max(_block_step(q, S) for q in procs)  # charge_blocks' times per block; checks grids
+    P, d, n_atoms = S.scenarios.n_scenarios, phi.d, phi.grid.n_atoms
+    # scenarios per block: four (L, b, K) sups and pairings, (L + 1) rows of up to b N run heads
+    rows = min(P, max(1, BLOCK_ENTRIES // max(4 * L * K, (L + 1) * N * d * n_atoms)))
+    held = [S.increments] + [np.broadcast_to(x, (P, *x.shape[1:]))  # one row broadcasts
+                             for x in (q.table if q.index is None else q.index for q in procs)]
     sups = np.zeros((L, P, K))  # the gap is zero at time 0
     for lo in range(0, P, rows):
-        hi = min(lo + rows, P)
-        streams = [charge_blocks(q, S, lo, hi) for q in (phi, *processes)]
-        for (_, target), *blocks in zip(*streams):
-            n = target.shape[1] - 1
-            gap = diff[: L * (hi - lo) * n * n_atoms].reshape(L, hi - lo, n, n_atoms)
-            for g, (_, block) in zip(gap, blocks):
-                np.subtract(block[:, 1:], target[:, 1:], out=g)
-            out = paired[: n * L * (hi - lo) * K].reshape(n, L, hi - lo, K)  # time-major
-            _pair_rows(gap.reshape(-1, n, n_atoms), fam.functions,
-                       out=out.reshape(n, -1, K).transpose(1, 0, 2))
-            np.abs(out, out=out)
-            np.maximum(sups[:, lo:hi], out.max(axis=0), out=sups[:, lo:hi])
+        dS, *inputs = [x[lo : lo + rows] for x in held]  # each process's weights or index
+        differs = np.ones((len(dS), N), dtype=bool)  # a block's first scenario heads its runs
+        differs[1:] = np.any([np.any(x[1:] != x[:-1], axis=tuple(range(2, x.ndim)))
+                              for x in [dS, *inputs]], axis=0)
+        heads = np.logical_or.accumulate(differs, axis=1)
+        runs = np.cumsum(heads, axis=0).T - 1  # (N, b): each scenario's run at each time
+        ts, at = np.nonzero(heads.T)  # the run heads, time by time
+        parent, cuts = np.where(ts > 0, runs[ts - 1, at], 0), np.searchsorted(ts, np.arange(N + 1))
+        w = np.empty((L + 1, len(at), d, n_atoms))
+        for w_q, q, x in zip(w, procs, inputs):
+            w_q[:] = x[at, ts] if q.index is None else q.table[x[at, ts]]
+        prods = np.einsum("lpij,pi->lpj", w, dS[at, ts])  # each head's own product
+        charge, sup = np.zeros((L + 1, 1, n_atoms)), np.zeros((L, 1, K))  # one run before time 0
+        for t, (s, e) in enumerate(zip(cuts[:-1], cuts[1:])):  # time t's heads are s..e
+            charge = np.take(charge, parent[s:e], axis=1) + prods[:, s:e]
+            if not np.all(np.isfinite(charge)):
+                raise OverflowError("measure-valued integral overflowed")
+            # as in the stream: one-row products at a time alone in its block, else two rows or more
+            gap, alone = charge[1:] - charge[0], step == 1 or t == N - 1 == t // step * step
+            gap = (gap.reshape(-1, 1, n_atoms) if alone else
+                   gap if e - s > 1 else np.repeat(gap, 2, 1))
+            paired = np.abs(_pair_rows(gap, fam.functions).reshape(L, -1, K)[:, : e - s])
+            sup = np.maximum(np.take(sup, parent[s:e], axis=1), paired, out=paired)
+        sups[:, lo : lo + rows] = np.take(sup, runs[-1], axis=1)
     return [_sup_seminorm(M, fam, S.scenarios.probs) for M in sups]

@@ -169,10 +169,10 @@ class TestApproxCommand:
                                                       "seed": 2024, "ball": 1.0})
         assert main(["approx", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         # per lattice integrand: its distinct rows and one pass over its scenarios for every
-        # seminorm and continuity constant, and its charge drawn beside each of the three
-        # approximants' charges once per block of scenarios (one block at P = 8)
+        # seminorm and continuity constant; the transfer check charges the run heads itself and
+        # draws no charge stream
         assert calls == {"_distinct_rows": 2, "_norm_sums": 2, "integrand_seminorm": 0,
-                         "continuity_constant": 0, "charge_blocks": 2 * (1 + 3)}
+                         "continuity_constant": 0, "charge_blocks": 0}
         monkeypatch.undo()
         # the reports equal the public seminorms of the approximants
         sc = ScenarioSet.tree(2, 3)

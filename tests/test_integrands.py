@@ -670,10 +670,10 @@ class TestApproximateElementary:
             monkeypatch.setattr(integrands, name, counting(key, getattr(integrands, name)))
         result = approximate_elementary(phi, self.tau, self.V, self.fam, self.sc,
                                         schedule=(4, 16, 64), c=1.0)
-        # once per call: the input's distinct rows (one block of its evaluations) serve every
-        # projection and, as truncation does not bite, its norms; the approximants are read
-        # from their net tables, never paired scenario by scenario
-        assert calls == {"evals": 1, "weights": 1, "rows": 1, "sums": 1}
+        # once per call: the input's distinct rows serve every projection and, as truncation
+        # does not bite, its norms; the indexed input is paired through its table, and the
+        # approximants are read from their net tables, so nothing is paired scenario by scenario
+        assert calls == {"evals": 0, "weights": 1, "rows": 1, "sums": 1}
         monkeypatch.undo()
         for elem, rep in zip(result.processes, result.reports):
             assert rep.q_error == integrand_seminorm(elem, self.fam, self.tau, self.V, self.sc,
