@@ -26,9 +26,11 @@ The aggregate seminorm over a test family,
 
     q(phi)^2 = sum_k gamma_k * ||phi(u_k)||^2_{L2(pre-tau weights)},
 
-is summed against :func:`mvstoch.drivers.stopping_weights` in blocks of
-scenarios (``_norm_sums``), bit for bit as over the whole (P, N, K) array
-of evaluations, which is never held.  Deterministic integrands built from
+is summed against :func:`mvstoch.drivers.stopping_weights` once per
+distinct row of squares (``_norm_sums``), read from a table of the cells
+the (scenario, slot) pairs take, never from a whole (P, N, K) array: the
+same bits for any cells, within 2 gamma_{PN+1} sum w |e|^2 of one sum
+over all pairs.  Deterministic integrands built from
 closed-form profiles may carry an exact time-antiderivative of their
 squared variation; the membership check uses it (when the control path is
 the identity) so closed-form accumulation values hold to machine
@@ -54,7 +56,6 @@ deterministic, and each BLAS call in it stays on one thread.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -294,83 +295,57 @@ def _family_evals(phi: MeasureProcess, functions: np.ndarray, lo: int = 0, hi: i
     return _pair_rows(w, functions, out).reshape(w.shape[:3] + (-1,)).swapaxes(2, 3)
 
 
-def _block_scenarios(P: int, N: int, K: int, d: int) -> int:
-    """Scenarios per block of (N, K, d) evaluations: EVAL_ENTRIES values, at least one.  One
-    family member takes all P at once: np.einsum does not sum a single column in the order of a
-    reduce over rows, and such evaluations are no larger than the weights."""
-    return P if K == 1 else max(1, EVAL_ENTRIES // (N * K * d))
-
-
-def _sq_sum(evals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """|e|^2 summed over the components (last axis) of (P, N, K, d) evaluations or an (M, K, d)
-    table, in component order, without a second evaluation-sized temporary."""
-    out = np.multiply(evals[..., 0], evals[..., 0], out=out)
+def _sq_sum(evals: np.ndarray) -> np.ndarray:
+    """|e|^2 summed over the components (last axis) of (M, K, d) evaluations, in order."""
+    out = evals[..., 0] * evals[..., 0]
     for i in range(1, evals.shape[-1]):
         out += evals[..., i] * evals[..., i]
     return out
 
 
-def _norm_sums(terms: Sequence[tuple[MeasureProcess, MeasureProcess | None]], fam: TestFamily,
-               w: np.ndarray, index: np.ndarray | None = None,
-               tables: dict | None = None) -> list[np.ndarray]:
-    """Squared weighted L2 norms (K,) of each term's evaluations in blocks of scenarios, bit for
-    bit ``np.einsum("pn,pnk->k")`` over all of them: a term (a, b) stands for a's evaluations
-    minus b's, (a, None) for a's alone.  ``tables`` maps id(q) to a table (M, K, d) of q's
-    pairings, byte for byte, and a (D, N) array of q's row in it at each of the D distinct rows
-    that ``index`` (P or 1, N) assigns and each slot: such a q is gathered, not paired, and a term
-    of them read from its squares' table when D is at most a block's scenarios."""
-    functions, tables = fam.functions, tables or {}
-    (P, N), K, d = w.shape, len(functions), terms[0][0].d
-    step = _block_scenarios(P, N, K, d)
-    block, slots = min(step, P) * N * K * d, np.arange(N)
-    rows_at = {i: table[at] for i, (table, at) in tables.items() if len(at) <= min(step, P)}
-    squares = [None if id(a) not in rows_at or (b is not None and id(b) not in rows_at)
-               else _sq_sum(rows_at[id(a)] - (0.0 if b is None else rows_at[id(b)])).reshape(-1, K)
-               for a, b in terms]
-    paired = [term for term, sq in zip(terms, squares) if sq is None]  # or gathered per block
-    procs = {id(q): q for term in paired for q in term if q is not None}
-    first = None if index is None else index[:1] * N + slots  # a one-row process's cells
+def _by_bytes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique of the rows (M, ...) by their bytes: each distinct row's first place, in byte
+    order, and each row's distinct row."""
+    keys = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
 
-    def gather(table, cells, out):  # the table's rows at cells (distinct row, slot)
-        shape = cells.shape + table.shape[1:]
-        return np.take(table, cells, axis=0, mode="clip",
-                       out=out[: math.prod(shape)].reshape(shape))
 
-    whole = {i: _family_evals(q, functions) if i not in tables
-             else gather(tables[i][0], tables[i][1].ravel()[first], np.empty(N * K * d))
-             for i, q in procs.items() if not q.is_random}
-    # a term is carried from block to block, unless summed whole by the einsum itself: when
-    # all of them are in a single block, and when it has one-row processes only
-    many = [a.is_random or (b is not None and b.is_random) for a, b in terms]
-    # reused by every block: fresh block-sized arrays would be paged in again each time
-    bufs = {i: np.empty(block) for i, q in procs.items() if q.is_random}
-    diff, sq_rows = np.empty(block if paired else 0), np.empty(K + block // d)  # a total, squares
-    totals = [np.zeros(K) for _ in terms]
-    for lo in range(0, P, step):
-        w_rows = np.concatenate(([1.0], w[lo : lo + step].ravel()))  # the carried total's is 1
-        cells = None if index is None else index[lo : lo + step] * N + slots
-        evals = dict(whole)
-        for i, buf in bufs.items():
-            evals[i] = (gather(tables[i][0], tables[i][1].ravel()[cells], buf) if i in tables
-                        else _family_evals(procs[i], functions, lo, lo + step, out=buf))
-        for total, (a, b), random, table in zip(totals, terms, many, squares):
-            carry = random and step < P
-            if lo > 0 and not carry:
-                continue
-            if table is not None:
-                sq = gather(table, cells if random else first, sq_rows[K:])
-            else:
-                e = evals[id(a)]
-                if b is not None:
-                    shape = np.broadcast_shapes(e.shape, evals[id(b)].shape)
-                    e = np.subtract(e, evals[id(b)], out=diff[: math.prod(shape)].reshape(shape))
-                sq = _sq_sum(e, out=sq_rows[K : K + e[..., 0].size].reshape(e.shape[:3]))
-            if carry:  # the block's rows w[p, n] sq[p, n] follow the total, in (p, n) order
-                sq_rows[:K] = total
-                np.einsum("r,rk->k", w_rows, sq_rows[: K + sq.size].reshape(-1, K), out=total)
-            else:
-                total[:] = np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + (K,)))
+def _joint(cells: np.ndarray, n: int, at: np.ndarray) -> tuple:
+    """The distinct (cell, at) pairs that (P or 1, N) cells and an index ``at`` into n rows take
+    together, by a 1-D np.unique: each pair's cell and row, and each (scenario, slot)'s pair."""
+    joint = cells * n + at
+    used, inverse = np.unique(joint.ravel(), return_inverse=True)
+    return used // n, used % n, inverse.reshape(joint.shape)
+
+
+def _norm_sums(w: np.ndarray, cells: np.ndarray, squares: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Weighted sums (K,) of sum_{p,n} w[p, n] sq[cells[p, n]], one per table of squares sq
+    (C, K), from (P or 1, N) cells that take every row of it.  Each distinct row of squares is
+    summed once: rows deduplicated by their bytes, taken in byte order, each times its mass (w
+    totalled by ``np.bincount`` over the pairs that take it, in (scenario, slot) order), and
+    the products summed by ``np.einsum`` (no BLAS call, so no thread count).  The values fix
+    the grouping: any cells that give each pair the same row of squares give the same bits."""
+    cells = np.broadcast_to(cells, w.shape).ravel()
+    totals = []
+    for sq in squares:
+        first, inverse = _by_bytes(sq)
+        mass = np.bincount(inverse[cells], weights=w.ravel(), minlength=len(first))
+        totals.append(np.einsum("u,uk->k", mass, sq[first]))
     return totals
+
+
+def _seminorm_sums(phi: MeasureProcess, functions: np.ndarray, w: np.ndarray,
+                   minus: MeasureProcess | None = None) -> np.ndarray:
+    """``_norm_sums`` of phi's evaluations, or of phi's minus those of ``minus``, read from each
+    process's distinct rows (``_distinct_rows``), their indexes folded into one (``_joint``)."""
+    rows, cells = _distinct_rows(phi, functions)
+    if minus is not None:
+        other, at = _distinct_rows(minus, functions)
+        mine, theirs, cells = _joint(cells, len(other), at)
+        rows = rows[mine] - other[theirs]
+    return _norm_sums(w, cells, [_sq_sum(rows)])[0]
 
 
 def _variation_norm(w: np.ndarray, var_sq: np.ndarray) -> float:
@@ -402,7 +377,7 @@ def integrand_seminorm(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, 
     no measure-level arithmetic is needed).
     """
     w = stopping_weights(tau, V, scenarios)
-    return float(np.sqrt(fam.gammas @ _norm_sums([(phi, minus)], fam, w)[0]))
+    return float(np.sqrt(fam.gammas @ _seminorm_sums(phi, fam.functions, w, minus)))
 
 
 def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule, V: np.ndarray,
@@ -413,18 +388,19 @@ def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
     the variation path, which dominates every ratio.
     """
     w = stopping_weights(tau, V, scenarios)
-    return _continuity(phi, fam, w, _norm_sums([(phi, None)], fam, w)[0])
+    return _continuity(phi, fam, w, _seminorm_sums(phi, fam.functions, w))
 
 
 def truncate(phi: MeasureProcess, c: float) -> MeasureProcess:
-    """Zero out, componentwise, the slots where the variation exceeds c."""
+    """Zero out, componentwise, the slots where the variation exceeds c; an indexed phi has its
+    table rows zeroed instead, and stays indexed."""
     if c <= 0:
         raise ValueError("truncation level must be positive")
-    keep = variation_path(phi) <= c
-    if np.all(keep):
+    var = variation_path(phi)
+    if np.all(var <= c):
         return phi
-    return MeasureProcess("kernel", phi.grid, phi.weights * keep[:, :, :, None],
-                          var_sq_integral=None)
+    keep = (var if phi.index is None else np.sum(np.abs(phi.table), axis=2)) <= c
+    return MeasureProcess("kernel", phi.grid, phi.table * keep[..., None], index=phi.index)
 
 
 def _anchor_indices(grid: CompactGrid, count: int) -> np.ndarray:
@@ -485,7 +461,7 @@ def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarr
         used = np.bincount(cells.ravel(), minlength=len(evals)) > 0
         heads, run = evals[used], (np.cumsum(used) - 1)[cells]  # (U, K, d), contiguous rows
     else:
-        step = _block_scenarios(P, N, len(functions), d)
+        step = max(1, EVAL_ENTRIES // (N * len(functions) * d))
         run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
         heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
         for lo in range(0, P, step):
@@ -496,8 +472,7 @@ def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarr
             heads.append(evals.transpose(1, 0, 2, 3)[fresh])
             count += len(heads[-1])
         heads, run = np.concatenate(heads), run.T  # (U, K, d), contiguous rows
-    keys = heads.reshape(len(heads), -1).view(np.dtype((np.void, heads[0].nbytes)))[:, 0]
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    first, inverse = _by_bytes(heads)
     return heads[first], inverse[run]
 
 
@@ -624,10 +599,11 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
 
     Every quantity is computed once per call: one net enumeration (the
     schedule's nets are its prefixes); the truncated input's distinct
-    rows; and one pass over blocks of scenarios (``_norm_sums``) for every
-    q-error and continuity constant, reading each approximant from the
-    pairings of its own table and index (``_net_table``) and an untruncated
-    input from its distinct rows.
+    rows; and one ``_norm_sums`` call for every q-error and continuity
+    constant.  Its terms share the cells (distinct row of the truncated
+    input, slot), joint with the input's own distinct row when truncation
+    bites, and read each approximant from the pairings of its own table
+    and index (``_net_table``).
     """
     if len(schedule) == 0:
         raise ValueError("schedule needs at least one net size")
@@ -636,25 +612,29 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         raise ValueError("integrand fails the finiteness check")
     w = stopping_weights(tau, V, scenarios)
     if phi.kind == "elementary":
-        constant = _continuity(phi, fam, w, _norm_sums([(phi, None)], fam, w)[0])["lower"]
+        constant = _continuity(phi, fam, w, _seminorm_sums(phi, fam.functions, w))["lower"]
         report = ApproxReport(1, 0, 0.0, constant, len(phi.terms or []))
         return ApproxResult([phi], [report], True, c or 0.0, constant)
     var = variation_path(phi)  # for the default ball, the truncation test and phi's upper bound
     if c is None:
         c = max(float(np.max(var)), 1e-12)
     phi_c = truncate(phi, c) if np.max(var) > c else phi
-    rows, index = distinct = _distinct_rows(phi_c, fam.functions)
+    _, index = distinct = _distinct_rows(phi_c, fam.functions)
     full = weak_star_net(c, max(schedule), phi.grid, d=phi.d)
-    ids = np.repeat(np.arange(len(rows))[:, None], index.shape[1], axis=1)  # row u is rows[u]
-    tables = {id(phi): (rows, ids)} if phi_c is phi else {}
-    processes = []
+    # the (distinct row, slot) cells of phi_c, joint with phi's own rows when truncation bites
+    base, at = distinct if phi_c is phi else _distinct_rows(phi, fam.functions)
+    N = index.shape[1]
+    cell, mine, cells = _joint(index * N + np.arange(N), len(base), at)
+    base = base[mine]
+    squares, processes = [_sq_sum(base)], []
     for n in schedule:
         projected, assignment, _ = project_to_net(phi_c, full[:n], fam, distinct=distinct)
         processes.append(elem := rectangle_refine(projected, assignment, full[:n], scenarios))
-        tables[id(elem)] = _net_table(elem.table, elem.index, index, fam.functions)
-    # per approximant its own norms, then those of its difference from phi
-    terms = [(phi, None)] + [(elem, minus) for elem in processes for minus in (None, phi)]
-    sums = _norm_sums(terms, fam, w, index, tables)
+        table, row = _net_table(elem.table, elem.index, index, fam.functions)
+        e = table[row.ravel()[cell]]
+        squares += [_sq_sum(e), _sq_sum(e - base)]  # its own norms, then its difference from phi
+    sums = _norm_sums(w, cells, squares)
+    del cells, squares  # freed before the variation paths of _continuity, this call's peak
     upper = _variation_norm(w, np.sum(var * var, axis=2))
     constant = _continuity(phi, fam, w, sums[0], upper)["lower"]
     reports = [ApproxReport(i, len(full[:n]), float(np.sqrt(fam.gammas @ diff)),

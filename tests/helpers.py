@@ -104,15 +104,21 @@ def dense_evals(phi, functions) -> np.ndarray:
 
 
 def dense_sq_norms(phi, w, functions, minus=None) -> np.ndarray:
-    """The former weighted squared norms (K,): the whole (P, N, K) array of squares, summed by
-    one ``np.einsum("pn,pnk->k")``; with ``minus`` those of the difference of evaluations."""
+    """The weighted squared norms (K,) by the seminorms' rule, on the whole (P, N, K) array of
+    squares: its rows grouped by their bytes, in byte order, each times the total of w over its
+    pairs in (scenario, slot) order (``np.bincount``), summed by ``np.einsum``; with ``minus``
+    those of the difference of evaluations."""
     evals = dense_evals(phi, functions)
     if minus is not None:
         evals = evals - dense_evals(minus, functions)
     sq = evals[..., 0] * evals[..., 0]
     for i in range(1, evals.shape[3]):
         sq += evals[..., i] * evals[..., i]
-    return np.einsum("pn,pnk->k", w, np.broadcast_to(sq, w.shape + sq.shape[2:]))
+    sq = np.broadcast_to(sq, w.shape + sq.shape[2:]).reshape(w.size, -1)
+    keys = sq.view(np.dtype((np.void, sq.shape[1] * sq.itemsize)))[:, 0]
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    mass = np.bincount(inverse, weights=w.ravel(), minlength=len(first))
+    return np.einsum("u,uk->k", mass, sq[first])
 
 
 def project_loop(phi, net, fam):

@@ -19,6 +19,7 @@ from mvstoch.integrands import (
     approximate_elementary,
     project_to_net,
     random_lattice_process,
+    truncate,
     variation_path,
     weak_star_net,
 )
@@ -140,6 +141,22 @@ class TestDenseTwin:
                 projections = results[0].processes
             gaps = convergence_transfer_check(phi, projections, S, fam)
             assert gaps == convergence_transfer_check(dense, [twin(q) for q in projections], S, fam)
+
+
+class TestTruncate:
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("c", [0.3, 0.5, 0.9])
+    def test_stays_indexed_and_equals_the_dense_truncation(self, d, c):
+        # at approx-tree's shape: the ball bites, and the truncated table rows under the same
+        # index are the dense twin's truncation, byte for byte, with the same distinct rows
+        sc, tg, grid = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12), CompactGrid(1.0, 4)
+        fam = build_test_family(grid, grid.n_atoms + 2**grid.n_atoms)
+        phi = random_lattice_process(grid, tg, sc, np.random.default_rng(2024), d=d)
+        got, want = truncate(phi, c), truncate(twin(phi), c)
+        assert got is not phi and got.index is phi.index and got.table.shape == phi.table.shape
+        assert same(got.weights, want.weights)
+        assert all(same(a, b) for a, b in zip(_distinct_rows(got, fam.functions),
+                                               _distinct_rows(want, fam.functions)))
 
 
 class TestBenchShape:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import dense_sq_norms, net_fineness, project_loop
+from helpers import dense_evals, dense_sq_norms, net_fineness, order_bound, project_loop
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,9 +134,9 @@ class TestIntegrandSeminorm:
         assert q == pytest.approx(math.sqrt(0.5 * 1 * 1 * 4 + 0.5 * 2 * 2 * 4))
 
     @pytest.mark.parametrize("d", [1, 2])
-    def test_difference_holds_blocks_not_evaluations(self, d):
-        # the difference seminorm keeps one block of each operand's evaluations, their
-        # difference and its weighted squares, never a whole (P, N, K, d) evaluation array
+    def test_difference_peak_at_monte_carlo(self, d):
+        # the difference seminorm of two Monte Carlo processes, whose rows do not repeat,
+        # holds each one's distinct rows, their joint rows and its squares
         import tracemalloc
 
         rng = np.random.default_rng(9)
@@ -154,55 +154,62 @@ class TestIntegrandSeminorm:
         finally:
             tracemalloc.stop()
         assert q == float(np.sqrt(fam.gammas @ dense_sq_norms(a, w, fam.functions, minus=b)))
-        block_nbytes = 8 * integrands.EVAL_ENTRIES
-        assert 5 * block_nbytes < evals_nbytes
-        # measured 4.31 (d = 1), 4.21 (d = 2), a quarter block of it the stopping weights
-        assert peak <= 5 * block_nbytes, peak / block_nbytes
+        # measured 6.23 (d = 1) and 6.14 (d = 2) evaluation arrays
+        assert peak <= 7 * evals_nbytes, peak / evals_nbytes
+
+
+def _adapted_process(kind, sc, tg, grid, d, rng, tree):
+    """A process of the given kind, adapted on a tree: ``dense``, uniform values; ``pooled``,
+    those rounded to three levels, so that rows repeat and zeros take both signs; ``lattice``,
+    net-indexed; ``one-row``, one scenario-free row."""
+    N, n_atoms = tg.n_steps, grid.n_atoms
+    if kind == "lattice":
+        return random_lattice_process(grid, tg, sc, rng, c=1.0, d=d,
+                                      pool_size=int(rng.integers(1, 25)))
+    if kind == "one-row":
+        return MeasureProcess("kernel", grid, rng.uniform(-0.5, 0.5, size=(1, N, d, n_atoms)))
+    w = (_tree_values(sc, N, rng, d, n_atoms) if tree
+         else rng.uniform(-0.5, 0.5, size=(sc.n_scenarios, N, d, n_atoms)))
+    return MeasureProcess("kernel", grid, np.round(2 * w) / 4 if kind == "pooled" else w)
 
 
 class TestNormSums:
-    """The seminorms' weighted sums in blocks of scenarios, against the whole (P, N, K) array
-    of squares summed by one einsum (``helpers.dense_sq_norms``), bit for bit, whether each
-    process is paired or gathered from a table."""
+    """The seminorms' weighted sums, each distinct row of squares once, against the same rule
+    on the whole (P, N, K) array of squares (``helpers.dense_sq_norms``), bit for bit, whether
+    the cells are the approximation pipeline's or the public seminorms' joint index."""
 
-    @given(P=st.integers(1, 40), N=st.integers(1, 8), d=st.integers(1, 2), J=st.integers(1, 40),
-           K=st.integers(1, 40), rows_of=st.lists(st.booleans(), min_size=3, max_size=3),
-           gather=st.booleans(), pooled=st.booleans(), on_net=st.booleans(),
-           eval_entries=st.integers(1, 500), seed=st.integers(0, 2**16))
+    KINDS = st.sampled_from(["dense", "pooled", "lattice", "one-row"])
+
+    @given(tree=st.booleans(), N=st.integers(1, 5), P=st.integers(1, 40), d=st.integers(1, 2),
+           J=st.integers(1, 40), K=st.integers(1, 40), kinds=st.tuples(KINDS, KINDS),
+           bites=st.booleans(), eval_entries=st.integers(1, 500), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
-    def test_blocks_equal_one_einsum(self, P, N, d, J, K, rows_of, gather, pooled, on_net,
-                                     eval_entries, seed):
-        # rows_of: whether phi and each of two approximants has P rows or one; gather: phi is
-        # read from its distinct rows; pooled: phi takes three values, so that its rows repeat;
-        # on_net: the approximants take net values by phi's distinct rows, as projections do,
-        # and are read from their net tables
+    def test_equals_the_dense_rule(self, tree, N, P, d, J, K, kinds, bites, eval_entries, seed):
+        # phi and a second process of the drawn kinds on a tree or on Monte Carlo scenarios
+        # (with zero weights there): the public route folds the two distinct-row indexes into
+        # one; on a tree, phi is approximated too, truncated when ``bites``
         rng = np.random.default_rng(seed)
-        grid = CompactGrid(1.0, J)
+        sc = ScenarioSet.tree(2, N) if tree else ScenarioSet.monte_carlo(P, seed)
+        tg, grid = TimeGrid(1.0, N), CompactGrid(1.0, J)
         fam = build_test_family(grid, K)
-        net_w = np.stack([m.weights for m in weak_star_net(1.0, 30, grid, d=d)])
-        pool = rng.integers(0, 3, size=(P if rows_of[0] else 1, N))
-        phi = MeasureProcess("kernel", grid, net_w[pool] if pooled
-                             else rng.normal(size=pool.shape + (d, J + 1)))
+        phi, other = (_adapted_process(k, sc, tg, grid, d, rng, tree) for k in kinds)
+        P = sc.n_scenarios
+        V = np.concatenate((np.zeros((P, 1)), np.cumsum(rng.random((P, N)), axis=1)), axis=1)
+        w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
-            rows, index = integrands._distinct_rows(phi, fam.functions)
-            tables = {id(phi): (rows, np.repeat(np.arange(len(rows))[:, None], N, axis=1))
-                      } if gather else {}
-            elems = []
-            for many in rows_of[1:]:
-                shape = (P if many else 1, N)
-                if on_net and shape == index.shape:
-                    assignment = rng.integers(0, len(net_w), size=len(rows))[index]
-                    elems.append(MeasureProcess("kernel", grid, net_w[assignment]))
-                    tables[id(elems[-1])] = integrands._net_table(net_w, assignment, index,
-                                                                  fam.functions)
-                else:
-                    elems.append(MeasureProcess("kernel", grid, rng.normal(size=shape + (d, J + 1))))
-            w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
-            terms = [(phi, None)] + [(e, m) for e in elems for m in (None, phi)]
-            sums = integrands._norm_sums(terms, fam, w, index, tables)
-        for total, (a, b) in zip(sums, terms):
-            assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
+            for a, b in [(phi, None), (phi, other), (other, phi)]:
+                assert np.array_equal(integrands._seminorm_sums(a, fam.functions, w, b),
+                                      dense_sq_norms(a, w, fam.functions, minus=b))
+            if tree:
+                top = float(np.max(variation_path(phi)))
+                c = 0.5 * top if bites and top > 0 else None
+                tau = StoppingRule.never(sc, N)
+                result = approximate_elementary(phi, tau, V, fam, sc, schedule=(3, 12), c=c)
+                w = stopping_weights(tau, V, sc)
+                for elem, rep in zip(result.processes, result.reports):
+                    sq = dense_sq_norms(elem, w, fam.functions, minus=phi)
+                    assert rep.q_error == float(np.sqrt(fam.gammas @ sq))
 
     def test_net_table_rows_are_each_scenarios_pairing(self):
         # J + 1 = 34, K = 37: a scenario's product rounds a row by its place in it, so the net's
@@ -217,23 +224,41 @@ class TestNormSums:
                                           fam.functions)
         assert np.array_equal(table[at.ravel()[index * 4 + np.arange(4)]], paired)
 
-    def test_several_blocks_at_the_bench_shape(self):
-        # P = 4096, N = 12, K = 37: 57 blocks of 73 scenarios against one einsum
+    def test_equals_the_dense_rule_at_the_bench_shape(self):
+        # P = 4096, N = 12, K = 37: the pipeline's 49 152 pairs take a few hundred cells
         sc, tg = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12)
         grid = CompactGrid(1.0, 4)
         fam = build_test_family(grid, 37)
         phi = random_lattice_process(grid, tg, sc, np.random.default_rng(0))
-        net = weak_star_net(1.0, 16, grid)
-        rows, index = integrands._distinct_rows(phi, fam.functions)
-        elem, assignment, _ = project_to_net(phi, net, fam, distinct=(rows, index))
-        w = stopping_weights(StoppingRule.never(sc, 12), identity_control(tg, sc.n_scenarios), sc)
-        terms = [(phi, None), (elem, None), (elem, phi)]
-        net_w = np.stack([m.weights for m in net])
-        tables = {id(phi): (rows, np.repeat(np.arange(len(rows))[:, None], 12, axis=1)),
-                  id(elem): integrands._net_table(net_w, assignment, index, fam.functions)}
-        sums = integrands._norm_sums(terms, fam, w, index, tables)
-        for total, (a, b) in zip(sums, terms):
-            assert np.array_equal(total, dense_sq_norms(a, w, fam.functions, minus=b))
+        tau, V = StoppingRule.never(sc, 12), identity_control(tg, sc.n_scenarios)
+        result = approximate_elementary(phi, tau, V, fam, sc, schedule=(4, 16), c=1.0)
+        w = stopping_weights(tau, V, sc)
+        for elem, rep in zip(result.processes, result.reports):
+            sq = dense_sq_norms(elem, w, fam.functions, minus=phi)
+            assert rep.q_error == float(np.sqrt(fam.gammas @ sq))
+            assert rep.uniform_constant == integrands._continuity(
+                elem, fam, w, dense_sq_norms(elem, w, fam.functions))["lower"]
+        assert result.constant == integrands._continuity(
+            phi, fam, w, dense_sq_norms(phi, w, fam.functions))["lower"]
+
+    @given(P=st.integers(1, 300), N=st.integers(1, 8), d=st.integers(1, 2), J=st.integers(1, 8),
+           K=st.integers(1, 40), pooled=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_within_the_order_bound_of_one_einsum(self, P, N, d, J, K, pooled, seed):
+        # every term w[p, n] sq[p, n, k] is >= 0, and either sum takes at most P N + 1 roundings
+        # per term, so the rule and one einsum over all P N pairs are each within
+        # gamma_{PN+1} sum w sq of the exact sum; the larger computed sum stands in for the exact
+        # one at the cost of one rounding more
+        rng = np.random.default_rng(seed)
+        sc, tg, grid = ScenarioSet.monte_carlo(P, seed), TimeGrid(1.0, N), CompactGrid(1.0, J)
+        fam = build_test_family(grid, K)
+        a, b = (_adapted_process("pooled" if pooled else "dense", sc, tg, grid, d, rng, False)
+                for _ in range(2))
+        w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
+        new = integrands._seminorm_sums(a, fam.functions, w, b)
+        evals = dense_evals(a, fam.functions) - dense_evals(b, fam.functions)
+        old = np.einsum("pn,pnk->k", w, np.sum(evals * evals, axis=3))
+        assert np.all(np.abs(new - old) <= order_bound(P * N + 2, np.maximum(new, old)))
 
 
 class TestContinuityConstant:
@@ -682,6 +707,38 @@ class TestApproximateElementary:
                                                                self.sc)["lower"]
         assert result.constant == continuity_constant(phi, self.fam, self.tau, self.V,
                                                       self.sc)["lower"]
+
+    def test_norm_sums_hold_cell_tables_at_the_bench_shape(self, monkeypatch):
+        # approx-tree's shape (depth 12, N = 12, J = 4, K = 37): each term's squares are a table
+        # of the (distinct row, slot) cells its pairs take, and the sums hold (P, N) indexes,
+        # never a (P, N, K) array
+        import tracemalloc
+
+        sc, tg, grid = ScenarioSet.tree(2, 12), TimeGrid(4.0, 12), CompactGrid(1.0, 4)
+        fam = build_test_family(grid, 37)
+        phi = random_lattice_process(grid, tg, sc, np.random.default_rng(2024))
+        P, N = sc.n_scenarios, 12
+        norm_sums, seen = integrands._norm_sums, []
+
+        def traced(w, cells, squares):
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            out = norm_sums(w, cells, squares)
+            seen.append((tracemalloc.get_traced_memory()[1] - held, [sq.shape for sq in squares]))
+            return out
+
+        monkeypatch.setattr(integrands, "_norm_sums", traced)
+        tracemalloc.start()
+        try:
+            approximate_elementary(phi, StoppingRule.never(sc, N), identity_control(tg, P), fam,
+                                   sc, schedule=(4, 16, 64), c=1.0)
+        finally:
+            tracemalloc.stop()
+        [(peak, shapes)] = seen
+        cells = len(integrands._distinct_rows(phi, fam.functions)[0]) * N
+        assert len(shapes) == 7 and all(C <= cells and k == 37 for C, k in shapes), shapes
+        # measured 1.01 (P, N) index arrays (398 kB); a (P, N, K) array is 37 of them
+        assert peak <= 1.25 * 8 * P * N, peak / (8 * P * N)
 
     def test_empty_schedule_rejected(self):
         phi = random_lattice_process(self.grid, self.tg, self.sc, np.random.default_rng(1))
