@@ -12,10 +12,9 @@ Usage: ``mvstoch <subcommand> --config cfg.json [--out DIR] [--seed N]``.
 The config is a JSON object, checked against the subcommand's key table
 (``RUNNER_KEYS``; the README gives the schema and defaults) before any work
 starts.  ``--seed`` overrides the scenario seed, ``--out`` the output
-directory.  Computations are deterministic; pairings of measures with test
-functions are BLAS matmuls kept on one thread, and the Monte Carlo samplers
-run on up to two threads (``drivers.pull_blocks``), of which the calling one
-first decomposes the volterra kernels: results depend on neither thread count.
+directory.  Unless ``OPENBLAS_NUM_THREADS`` is set, this module sets it to 1 before numpy
+starts BLAS: a run's only parallel threads are ``drivers.pull_blocks``' (the calling one
+first decomposes the volterra kernels), and results depend on neither thread count.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical
@@ -29,10 +28,13 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from collections import namedtuple
 from pathlib import Path
 
+# before numpy starts its BLAS pool: pull_blocks' workers are the run's parallelism
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import dominated as dom

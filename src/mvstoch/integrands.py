@@ -93,7 +93,7 @@ __all__ = [
 ]
 
 NET_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
-PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call; OpenBLAS threads a larger gemm
+PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call: fixes a product's rows, unsplit at any thread count
 EVAL_ENTRIES = PAIR_ENTRIES // 8  # float64 evaluations (256 kB) per block of scenarios, within L2
 
 
@@ -255,7 +255,8 @@ def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | No
     """Pair measures (P, ..., J + 1) with test functions (K, J + 1): (P, R, K), the middle
     axes read as R rows in C order (a view for d = 1, strided weights too); ``out`` may be a
     transposed view.  BLAS matmuls batched over scenarios, at most ``PAIR_ENTRIES`` per scenario:
-    a threaded gemm rounds by thread count, and one over all P R rows spins a second thread."""
+    this fixes the rows a call holds (a row rounds by its place among them), and under a user's
+    OPENBLAS_NUM_THREADS > 1 no gemm is split (rounding by thread count) or spins a thread."""
     rows = measures.reshape(measures.shape[0], -1, measures.shape[-1])
     out = np.empty(rows.shape[:2] + (len(functions),)) if out is None else out
     step = max(1, PAIR_ENTRIES // max(1, functions.size))

@@ -661,12 +661,29 @@ class TestConditionGrowth:
 
 
 class TestImportCost:
-    def run_fresh(self, code):
+    def run_fresh(self, code, **extra_env):
+        # this process imported mvstoch.cli, which set OPENBLAS_NUM_THREADS: leave it out
         src = str(Path(mvstoch.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        env.update(PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""), **extra_env)
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         return out.stdout.strip()
+
+    THREADS = ("import os, mvstoch.cli; "
+               "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+
+    def test_cli_import_starts_no_blas_thread(self):
+        # pull_blocks' workers are the CLI's parallelism: OpenBLAS starts no pool of its own
+        assert self.run_fresh(self.THREADS) == "1 1"
+
+    def test_cli_import_keeps_a_set_blas_thread_count(self):
+        threads = min(2, len(os.sched_getaffinity(0)))  # OpenBLAS caps its pool at the cores
+        assert self.run_fresh(self.THREADS, OPENBLAS_NUM_THREADS="2") == f"{threads} 2"
+
+    def test_library_import_leaves_blas_threads_unset(self):
+        code = "import os, mvstoch.volterra; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+        assert self.run_fresh(code) == "None"
 
     def test_cli_import_leaves_scipy_signal_unloaded(self):
         code = "import sys, mvstoch.cli; print('scipy.signal' in sys.modules)"
@@ -715,7 +732,7 @@ class TestDeterminismAcrossSubcommands:
         assert main(["approx", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "approx_report.csv").read_bytes() == (out2 / "approx_report.csv").read_bytes()
 
-    @pytest.mark.parametrize("subcommand", ["fubini", "approx", "example7"])
+    @pytest.mark.parametrize("subcommand", ["fubini", "approx", "example7", "volterra"])
     def test_reports_independent_of_blas_threads(self, tmp_path, subcommand):
         if subcommand == "fubini":
             # a one-row integrand on 1025 atoms with 45 test functions: unbounded, its
@@ -737,6 +754,15 @@ class TestDeterminismAcrossSubcommands:
                 "isometry": {"scenarios": 2 * drivers.SCENARIO_CHUNK + 17, "n_steps": 1024},
                 "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3},
             })
+        elif subcommand == "volterra":
+            # N = 256: the kernels' slot sums span three _slot_sums tiles of 128 atoms
+            cfg = write_config(tmp_path, "volterra_threads.json", {
+                "time": {"T": 1.0, "N": 256},
+                "scenarios": {"mode": "monte_carlo", "count": 4, "seed": 7},
+                "kernels": [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}],
+                "alphas": [0.25, 0.75],
+                "diagnostic": {"n_steps": 64, "scenarios": 8, "levels": 3, "seed": 3},
+            })
         else:
             cfg = write_config(tmp_path, "approx_threads.json", {
                 "time": {"T": 4.0, "N": 3},
@@ -748,16 +774,14 @@ class TestDeterminismAcrossSubcommands:
             })
         src = str(Path(mvstoch.__file__).resolve().parent.parent)
         reports = []
-        for threads in ("1", None):  # one BLAS thread, then the library's default
-            env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-            env["PYTHONPATH"] = src + os.pathsep + os.environ.get("PYTHONPATH", "")
-            if threads is not None:
-                env["OPENBLAS_NUM_THREADS"] = threads
+        for threads in ("1", "2"):  # the CLI's default, then a pool a user asked for
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
             out = tmp_path / f"out_{threads}"
             subprocess.run([sys.executable, "-m", "mvstoch.cli", subcommand, "--config", cfg,
                             "--out", str(out)], env=env, check=True, capture_output=True)
             reports.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
-        assert len(reports[0]) == 2
+        assert len(reports[0]) == (3 if subcommand == "volterra" else 2)
         assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("subcommand", ["volterra", "example7"])
