@@ -41,12 +41,14 @@ into a variation ball, project pointwise onto a finite weak* net with a
 first-index tie-break, then split the projection into predictable
 rectangles (tree mode only, where filtration atoms are explicit).  The
 net enumeration is deterministic and documented in
-:func:`weak_star_net`; runs are reproducible.  It computes each quantity
-once per integrand: the largest net; the truncated input's distinct
-evaluation rows (``_distinct_rows``, through its table if it is indexed);
-and each approximant's net table (``_net_table``), from which its norms
-and constants are read.  An approximant is held as the net's table and
-its assignment, never as P-row weights.
+:func:`weak_star_net`; runs are reproducible.  Every step reads a process
+as a table and an index (``_measures``; a dense one by its runs of equal
+vectors over consecutive scenarios) and computes each quantity once per
+integrand: the largest net; the truncated input's distinct evaluation
+rows (``_distinct_rows``, one pairing per (table row, slot) cell); and
+each approximant's net table (``_net_table``), from which its norms and
+constants are read.  An approximant is held as the net's table and its
+assignment, never as P-row weights.
 
 Process values are immutable once built and evaluation/seminorms are pure
 functions, so independent calls may run concurrently; each call is
@@ -285,15 +287,10 @@ def _slot_sums(table: np.ndarray, increments: np.ndarray) -> np.ndarray:
     return out
 
 
-def _family_evals(phi: MeasureProcess, functions: np.ndarray, lo: int = 0, hi: int | None = None,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Pairings of scenarios lo..hi (all of them for a one-row phi) with every row of
-    ``functions`` (K, J + 1), into ``out`` if given (at least P N d K values); shape (P, N, K, d).
-    One matmul per scenario, the same as when all scenarios are paired at once."""
-    w = phi.rows(lo, hi)
-    if out is not None:
-        out = out[: w[..., 0].size * len(functions)].reshape(w.shape[0], -1, len(functions))
-    return _pair_rows(w, functions, out).reshape(w.shape[:3] + (-1,)).swapaxes(2, 3)
+def _family_evals(phi: MeasureProcess, functions: np.ndarray) -> np.ndarray:
+    """Pairings (P, N, K, d) of each scenario (a one-row phi's row) with each row of functions."""
+    w = phi.rows()
+    return _pair_rows(w, functions).reshape(w.shape[:3] + (-1,)).swapaxes(2, 3)
 
 
 def _sq_sum(evals: np.ndarray) -> np.ndarray:
@@ -311,6 +308,21 @@ def _by_bytes(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     keys = keys.view(np.dtype((np.void, keys.shape[1] * keys.itemsize)))[:, 0]
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return first, inverse
+
+
+def _measures(phi: MeasureProcess) -> tuple[np.ndarray, np.ndarray]:
+    """phi's measure vectors as a table (U, d, J + 1) and the (P or 1, N) index of each
+    (scenario, slot) pair's row.  An indexed phi's are its own.  A dense phi's rows split, per
+    slot, into runs of byte-equal vectors over consecutive scenarios (``!=`` on their bits; on a
+    tree, one run per atom), whose heads are deduplicated by their bytes (``_by_bytes``)."""
+    if phi.index is not None:
+        return phi.table, phi.index
+    bits = phi.table.view(np.int64)  # signed zeros differ, NaNs of one payload agree
+    fresh = np.ones(phi.shape[:2], dtype=bool)  # a one-row phi's row heads every slot's run
+    fresh[1:] = np.any(bits[1:] != bits[:-1], axis=(2, 3))
+    heads = phi.table.swapaxes(0, 1)[fresh.T]  # slot-major, as the runs are counted
+    first, inverse = _by_bytes(heads)
+    return heads[first], inverse[(np.cumsum(fresh.T) - 1).reshape(fresh.shape[::-1]).T]
 
 
 def _joint(cells: np.ndarray, n: int, at: np.ndarray) -> tuple:
@@ -349,22 +361,19 @@ def _seminorm_sums(phi: MeasureProcess, functions: np.ndarray, w: np.ndarray,
     return _norm_sums(w, cells, [_sq_sum(rows)])[0]
 
 
-def _variation_norm(w: np.ndarray, var_sq: np.ndarray) -> float:
-    """Weighted L2 norm of a (P or 1, N) squared variation: ``continuity_constant``'s upper."""
-    return float(np.sqrt(np.sum(w * np.broadcast_to(var_sq, w.shape))))
-
-
-def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray,
-                upper: float | None = None) -> dict:
-    """``continuity_constant`` from phi's ``_norm_sums`` (and ``_variation_norm``, if known);
-    checks lower <= upper."""
+def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray) -> dict:
+    """``continuity_constant`` from phi's ``_norm_sums``; checks lower <= upper, whose square
+    sum w |var|^2 is read per row of phi's ``_measures`` table, each row's w totalled by
+    ``np.bincount`` over the pairs that take it (no (P, N, d) variation path)."""
     norms = np.sqrt(sq_norms)
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
     lower = float(np.max(ratios))
-    if upper is None:
-        var = variation_path(phi)
-        upper = _variation_norm(w, np.sum(var * var, axis=2))
+    table, index = _measures(phi)
+    var = np.sum(np.abs(table), axis=2)
+    mass = np.bincount(np.broadcast_to(index, w.shape).ravel(), weights=w.ravel(),
+                       minlength=len(table))
+    upper = float(np.sqrt(np.sum(mass * np.sum(var * var, axis=1))))
     if lower > upper + 1e-12:
         raise AssertionError("family ratio exceeded the variation bound")
     return {"lower": lower, "upper": upper}
@@ -393,15 +402,15 @@ def continuity_constant(phi: MeasureProcess, fam: TestFamily, tau: StoppingRule,
 
 
 def truncate(phi: MeasureProcess, c: float) -> MeasureProcess:
-    """Zero out, componentwise, the slots where the variation exceeds c; an indexed phi has its
-    table rows zeroed instead, and stays indexed."""
+    """Zero out, componentwise, the measure vectors whose variation exceeds c: the rows of phi's
+    ``_measures`` table, under its index (so the result is indexed)."""
     if c <= 0:
         raise ValueError("truncation level must be positive")
-    var = variation_path(phi)
-    if np.all(var <= c):
+    table, index = _measures(phi)
+    keep = np.sum(np.abs(table), axis=2) <= c
+    if np.all(keep[index]):
         return phi
-    keep = (var if phi.index is None else np.sum(np.abs(phi.table), axis=2)) <= c
-    return MeasureProcess("kernel", phi.grid, phi.table * keep[..., None], index=phi.index)
+    return MeasureProcess("kernel", phi.grid, table * keep[..., None], index=index)
 
 
 def _anchor_indices(grid: CompactGrid, count: int) -> np.ndarray:
@@ -452,29 +461,11 @@ def weak_star_net(c: float, n: int, grid: CompactGrid, d: int = 1) -> list[Signe
 
 def _distinct_rows(phi: MeasureProcess, functions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """phi's family evaluations as distinct rows (D, K, d), and the (P, N) index of each
-    (scenario, slot) pair's row: candidate rows deduplicated by their bytes.  An indexed phi's
-    candidates are the (table row, slot) cells its index uses (``_table_pairs``).  A dense phi is
-    paired in blocks of scenarios, and within a block and a slot, runs of equal rows over
-    consecutive scenarios are split with ``!=`` (on a tree, one run per atom): their heads."""
-    P, N, d = phi.shape[:3]
-    if phi.index is not None:
-        evals, cells = _table_pairs(phi.table, phi.index, functions)
-        used = np.bincount(cells.ravel(), minlength=len(evals)) > 0
-        heads, run = evals[used], (np.cumsum(used) - 1)[cells]  # (U, K, d), contiguous rows
-    else:
-        step = max(1, EVAL_ENTRIES // (N * len(functions) * d))
-        run = np.empty((N, P), dtype=np.intp)  # slot-major, as the heads are taken
-        heads, count, buf = [], 0, np.empty(min(step, P) * N * len(functions) * d)
-        for lo in range(0, P, step):
-            evals = _family_evals(phi, functions, lo, lo + step, out=buf)  # (b, N, K, d)
-            fresh = np.ones((N, len(evals)), dtype=bool)
-            fresh[:, 1:] = np.any(evals[1:] != evals[:-1], axis=(2, 3)).T
-            run[:, lo : lo + len(evals)] = (np.cumsum(fresh) - 1).reshape(fresh.shape) + count
-            heads.append(evals.transpose(1, 0, 2, 3)[fresh])
-            count += len(heads[-1])
-        heads, run = np.concatenate(heads), run.T  # (U, K, d), contiguous rows
-    first, inverse = _by_bytes(heads)
-    return heads[first], inverse[run]
+    (scenario, slot) pair's row: the (table row, slot) cells that the index of phi's
+    ``_measures`` takes, paired once each (``_cell_pairs``) and deduplicated by their bytes."""
+    evals, cells = _cell_pairs(*_measures(phi), functions)
+    first, inverse = _by_bytes(evals)
+    return evals[first], inverse[cells]
 
 
 def project_to_net(phi: MeasureProcess, net: Sequence[SignedMeasureVec], fam: TestFamily,
@@ -548,23 +539,29 @@ def _check_terms(terms: Sequence[ElementaryTerm], assign: np.ndarray, net: Seque
         raise AssertionError("rectangle refinement must reproduce the projection exactly")
 
 
-def _table_pairs(table: np.ndarray, index: np.ndarray, functions: np.ndarray) -> tuple:
-    """Pairings (T N, K, d) of the T table rows that ``index`` (Q, N) takes, each paired as a
-    scenario holding it at every slot (a product rounds a row by its place), and each cell's row."""
+def _cell_pairs(table: np.ndarray, index: np.ndarray, functions: np.ndarray) -> tuple:
+    """Pairings (C, K, d) of the C distinct (table row, slot) cells that ``index`` (Q, N) takes,
+    and each pair's cell (Q, N).  A cell is paired at its slot's place in a product shaped as a
+    scenario (a product rounds a row by its place); the cells of one slot go one per product,
+    so a product holds at most as many cells as the most any one slot takes."""
     N = index.shape[1]
-    taken = np.bincount(index.ravel(), minlength=len(table)) > 0
-    tiles = np.repeat(table[taken, None], N, axis=1)  # contiguous: a stride-0 view pairs off BLAS
-    pairs = _pair_rows(tiles, functions).reshape(len(tiles) * N, -1, len(functions))
-    return pairs.swapaxes(1, 2), (np.cumsum(taken) - 1)[index] * N + np.arange(N)
+    cells, used = index * N + np.arange(N), np.zeros((len(table), N), dtype=bool)
+    np.put(used, cells, True)  # a scatter, not a sort of the Q N cells
+    row, slot = np.nonzero(used)
+    place = (np.cumsum(used, axis=0) - 1)[row, slot]  # each cell's product
+    products = np.zeros((place.max() + 1, N) + table.shape[1:])
+    products[place, slot] = table[row]
+    pairs = _pair_rows(products, functions).reshape(products.shape[:3] + (-1,)).swapaxes(2, 3)
+    return pairs[place, slot], (np.cumsum(used) - 1)[cells]
 
 
 def _net_table(net_w: np.ndarray, assignment: np.ndarray, index: np.ndarray,
                functions: np.ndarray) -> tuple:
-    """``_table_pairs`` of net_w[assignment] = net_w[best[index]]: a table (U N, K, d) and its
+    """``_cell_pairs`` of net_w[assignment] = net_w[best[index]]: a table (C, K, d) and its
     (D, N) row at each slot of each row of ``index``."""
     best = np.zeros(index.max() + 1, dtype=np.intp)
     best[index] = assignment
-    return _table_pairs(net_w, np.repeat(best[:, None], index.shape[1], axis=1), functions)
+    return _cell_pairs(net_w, np.repeat(best[:, None], index.shape[1], axis=1), functions)
 
 
 @dataclass(frozen=True)
@@ -598,13 +595,13 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
     rectangles.  If the final q-error stays above ``tol`` the best
     sequence so far is returned with ``converged = False``.
 
-    Every quantity is computed once per call: one net enumeration (the
-    schedule's nets are its prefixes); the truncated input's distinct
-    rows; and one ``_norm_sums`` call for every q-error and continuity
-    constant.  Its terms share the cells (distinct row of the truncated
-    input, slot), joint with the input's own distinct row when truncation
-    bites, and read each approximant from the pairings of its own table
-    and index (``_net_table``).
+    The input is read as its ``_measures`` table and index; the default ball and the truncation
+    test take the variations of the table rows its index takes.  Every quantity is computed once
+    per call: one net enumeration (the schedule's nets are its prefixes); the truncated input's
+    distinct rows; and one ``_norm_sums`` call for every q-error and continuity constant.  Its
+    terms share the cells (distinct row of the truncated input, slot), joint with the input's
+    own distinct row when truncation bites, and read each approximant from the pairings of its
+    own table and index (``_net_table``).
     """
     if len(schedule) == 0:
         raise ValueError("schedule needs at least one net size")
@@ -616,7 +613,9 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         constant = _continuity(phi, fam, w, _seminorm_sums(phi, fam.functions, w))["lower"]
         report = ApproxReport(1, 0, 0.0, constant, len(phi.terms or []))
         return ApproxResult([phi], [report], True, c or 0.0, constant)
-    var = variation_path(phi)  # for the default ball, the truncation test and phi's upper bound
+    table, index = _measures(phi)
+    phi = MeasureProcess(phi.kind, phi.grid, table, index=index)  # read through its table
+    var = np.sum(np.abs(table), axis=2)[np.bincount(index.ravel(), minlength=len(table)) > 0]
     if c is None:
         c = max(float(np.max(var)), 1e-12)
     phi_c = truncate(phi, c) if np.max(var) > c else phi
@@ -635,9 +634,7 @@ def approximate_elementary(phi: MeasureProcess, tau: StoppingRule, V: np.ndarray
         e = table[row.ravel()[cell]]
         squares += [_sq_sum(e), _sq_sum(e - base)]  # its own norms, then its difference from phi
     sums = _norm_sums(w, cells, squares)
-    del cells, squares  # freed before the variation paths of _continuity, this call's peak
-    upper = _variation_norm(w, np.sum(var * var, axis=2))
-    constant = _continuity(phi, fam, w, sums[0], upper)["lower"]
+    constant = _continuity(phi, fam, w, sums[0])["lower"]
     reports = [ApproxReport(i, len(full[:n]), float(np.sqrt(fam.gammas @ diff)),
                             _continuity(elem, fam, w, own)["lower"], len(elem.terms))
                for i, (elem, n, own, diff)

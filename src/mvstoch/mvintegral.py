@@ -32,9 +32,10 @@ sequential sum bit for bit.  The integral is known through its pairings:
 and keeps the (P, K, N + 1) paths, which is all the interchange checks
 and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
 matmuls, which round by the rows one call holds, so by block partition but
-not by thread count).  The convergence transfer draws no stream: per block of scenarios and
-time it charges and pairs only the heads of runs of equal inputs so far (on a tree, the
-atoms) and keeps the (L, P, K) running sups of the paired gap.  The Volterra
+not by thread count).  The convergence transfer draws no stream: it reads each process as a
+table and an index (``integrands._measures``), and per block of scenarios and time it charges
+and pairs only the heads of runs of equal inputs so far (on a tree, the atoms) and keeps the
+(L, P, K) running sups of the paired gap.  The Volterra
 decomposition reads only ``horizon_charge``, one tiled product per scenario of the increments
 and the slot table (``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1)
 ensemble; ``mv_integral`` fills it from the same blocks as a small-size reference.
@@ -49,7 +50,8 @@ import numpy as np
 
 from .drivers import DriverPath, StoppingRule, running_sum, stopping_weights
 from .grid import CompactGrid, TestFamily
-from .integrands import MeasureProcess, integrability_check, _family_evals, _pair_rows, _slot_sums
+from .integrands import (MeasureProcess, integrability_check, _family_evals, _measures, _pair_rows,
+                         _slot_sums)
 
 __all__ = [
     "charge_blocks",
@@ -251,7 +253,7 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     (``integrand_seminorm(phi_n, ..., minus=phi)``).
 
     The scenarios are walked in blocks.  A scenario heads a run at t when its inputs up to t
-    (driver increments, each process's index or weights) differ from the previous scenario's,
+    (driver increments, each process's ``_measures`` index) differ from the previous scenario's,
     or when it opens its block (on a tree, one run per atom of time t + 1; no adaptedness is
     assumed).  Only heads are charged, time by time, each as its run at t - 1 plus its own
     product (``charge_blocks``' add order); their L gaps are paired in one product per approximant
@@ -265,11 +267,11 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     P, d, n_atoms = S.scenarios.n_scenarios, phi.d, phi.grid.n_atoms
     # scenarios per block: four (L, b, K) sups and pairings, (L + 1) rows of up to b N run heads
     rows = min(P, max(1, BLOCK_ENTRIES // max(4 * L * K, (L + 1) * N * d * n_atoms)))
-    held = [S.increments] + [np.broadcast_to(x, (P, *x.shape[1:]))  # one row broadcasts
-                             for x in (q.table if q.index is None else q.index for q in procs)]
+    tables, indexes = zip(*map(_measures, procs))
+    held = [S.increments] + [np.broadcast_to(x, (P, N)) for x in indexes]  # one row broadcasts
     sups = np.zeros((L, P, K))  # the gap is zero at time 0
     for lo in range(0, P, rows):
-        dS, *inputs = [x[lo : lo + rows] for x in held]  # each process's weights or index
+        dS, *inputs = [x[lo : lo + rows] for x in held]
         differs = np.ones((len(dS), N), dtype=bool)  # a block's first scenario heads its runs
         differs[1:] = np.any([np.any(x[1:] != x[:-1], axis=tuple(range(2, x.ndim)))
                               for x in [dS, *inputs]], axis=0)
@@ -278,8 +280,8 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
         ts, at = np.nonzero(heads.T)  # the run heads, time by time
         parent, cuts = np.where(ts > 0, runs[ts - 1, at], 0), np.searchsorted(ts, np.arange(N + 1))
         w = np.empty((L + 1, len(at), d, n_atoms))
-        for w_q, q, x in zip(w, procs, inputs):
-            w_q[:] = x[at, ts] if q.index is None else q.table[x[at, ts]]
+        for w_q, table, x in zip(w, tables, inputs):
+            w_q[:] = table[x[at, ts]]
         prods = np.einsum("lpij,pi->lpj", w, dS[at, ts])  # each head's own product
         charge, sup = np.zeros((L + 1, 1, n_atoms)), np.zeros((L, 1, K))  # one run before time 0
         for t, (s, e) in enumerate(zip(cuts[:-1], cuts[1:])):  # time t's heads are s..e

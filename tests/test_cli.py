@@ -718,13 +718,15 @@ class TestImportCost:
 
 
 class TestDeterminismAcrossSubcommands:
-    def test_approx_outputs_byte_identical(self, tmp_path):
+    # an indexed input and a dense one, read through its runs
+    @pytest.mark.parametrize("kind", ["random_lattice", "random_elementary"])
+    def test_approx_outputs_byte_identical(self, tmp_path, kind):
         cfg = write_config(tmp_path, "approx_det.json", {
             "time": {"T": 4.0, "N": 3},
             "grid": {"J": 8, "T_K": 1.0},
             "scenarios": {"mode": "tree", "branching": 2, "depth": 3},
             "driver": {"kind": "brownian"},
-            "integrand": {"kind": "random_lattice", "count": 1, "seed": 2024, "ball": 1.0},
+            "integrand": {"kind": kind, "count": 1, "seed": 2024, "ball": 1.0},
             "schedule": [4, 16, 64],
         })
         out1, out2 = tmp_path / "a1", tmp_path / "a2"

@@ -87,6 +87,44 @@ class TestRows:
                            index=None if index is None else np.zeros(index, dtype=int))
 
 
+class TestMeasures:
+    """``integrands._measures``: a dense process as a table of its distinct measure vectors and
+    an index, which gathers the payload back bit for bit; an indexed one as its own."""
+
+    NANS = np.array([0x7FF8000000000000, 0x7FF8000000000001], dtype=np.int64).view(float)
+
+    @given(kind=st.sampled_from(["tree", "monte_carlo", "one-row"]), N=st.integers(1, 5),
+           P=st.integers(1, 30), d=st.integers(1, 2), J=st.integers(1, 5),
+           seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_table_and_index_rebuild_the_payload(self, kind, N, P, d, J, seed):
+        # rows repeat over consecutive scenarios (on a tree, over an atom; on Monte Carlo
+        # scenarios, rows drawn sorted); levels include both zeros and NaNs of two payloads,
+        # and single cells then flip sign or turn NaN
+        rng = np.random.default_rng(seed)
+        levels = np.concatenate(([-0.5, 0.0, -0.0, 0.5], self.NANS))
+
+        def draw(*shape):
+            return rng.choice(levels, size=shape + (d, J + 1), p=[0.3, 0.2, 0.2, 0.24, 0.03, 0.03])
+
+        if kind == "tree":
+            sc = ScenarioSet.tree(2, N)
+            w = np.stack([draw(sc.atom_ids(j)[-1] + 1)[sc.atom_ids(j)] for j in range(N)], axis=1)
+        else:
+            Q = 1 if kind == "one-row" else P
+            w = draw(Q, N)[np.sort(rng.integers(0, Q, size=Q))]
+        w[rng.random(w.shape) < 0.05] *= -1.0
+        w[rng.random(w.shape) < 0.02] = rng.choice(self.NANS)
+        grid = CompactGrid(1.0, J)
+        table, index = integrands._measures(MeasureProcess("kernel", grid, w))
+        assert index.shape == w.shape[:2]  # (1, N) for a one-row process
+        assert same(table[index], w)
+        assert len({row.tobytes() for row in table}) == len(table)
+        indexed = MeasureProcess("kernel", grid, table, index=index)
+        got = integrands._measures(indexed)
+        assert got[0] is indexed.table and got[1] is indexed.index
+
+
 class TestDenseTwin:
     """Every reader draws the indexed process's blocks with the dense twin's values, so every
     output of the approximation pipeline and of the charge is byte-equal to the twin's."""
@@ -184,8 +222,9 @@ class TestBenchShape:
             tracemalloc.stop()
         assert result.converged and gaps[-1] <= 1e-6
         payload = sc.n_scenarios * 12 * 1 * grid.n_atoms  # P N d (J + 1) entries
-        # measured 3.07 payloads' bytes (4.32 when each projection held a dense payload): the
-        # input's distinct rows and variation, the norm sums' buffers and the terms' masks
+        # measured 2.87 payloads' bytes (3.07 when the continuity bounds formed variation paths,
+        # 4.32 when each projection held a dense payload): the input's distinct rows and
+        # variation, the norm sums' buffers and the terms' masks
         assert peak <= 3.5 * 8 * payload, peak / (8 * payload)
         sizes = [a.size for a in reachable_arrays(phi, result.processes)]
         assert sc.n_scenarios * 12 in sizes  # the walk reaches the (P, N) indexes

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 from helpers import dense_evals, dense_sq_norms, net_fineness, order_bound, project_loop
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mvstoch import integrands
@@ -154,7 +154,7 @@ class TestIntegrandSeminorm:
         finally:
             tracemalloc.stop()
         assert q == float(np.sqrt(fam.gammas @ dense_sq_norms(a, w, fam.functions, minus=b)))
-        # measured 6.23 (d = 1) and 6.14 (d = 2) evaluation arrays
+        # measured 6.23 (d = 1) and 6.09 (d = 2) evaluation arrays
         assert peak <= 7 * evals_nbytes, peak / evals_nbytes
 
 
@@ -539,28 +539,37 @@ class TestProjectToNetAgainstLoop:
                                  weak_star_net(1.0, 16, self.grid))
         assert np.isnan(attained[1, 1]) and np.isnan(attained[4]).all()
 
-    @given(P=st.integers(1, 30), N=st.integers(1, 6), d=st.integers(1, 2), J=st.integers(1, 5),
-           K=st.integers(1, 12), one_row=st.booleans(), eval_entries=st.integers(1, 400),
-           n_net=st.integers(1, 40), seed=st.integers(0, 2**16))
+    # a row paired alone rounds unlike one in a product (J + 1 = 5, K = 12 on OpenBLAS), and
+    # from J + 1 = 32 on, by its place in a product (J + 1 = 34, K = 37 and 5 or 6 rows, as in
+    # the example; not J + 1 = 41)
+    @example(P=8, N=5, d=1, J=33, K=37, one_row=False, n_net=40, seed=0)
+    @given(P=st.integers(1, 30), N=st.integers(1, 6), d=st.integers(1, 2),
+           J=st.sampled_from([1, 2, 3, 4, 5, 33, 40]), K=st.integers(1, 40),
+           one_row=st.booleans(), n_net=st.integers(1, 40), seed=st.integers(0, 2**16))
     @settings(max_examples=150, deadline=None)
-    def test_distinct_rows_in_blocks_equal_the_pair_loop(self, P, N, d, J, K, one_row,
-                                                         eval_entries, n_net, seed):
-        # few levels, so rows repeat within and across blocks; then signed zeros and NaNs
+    def test_distinct_rows_in_blocks_equal_the_pair_loop(self, P, N, d, J, K, one_row, n_net,
+                                                         seed):
+        # a dense input, indexed by its runs and paired by (table row, slot) cells: rows drawn
+        # from a few, so they repeat within and across slots, of values that round; then
+        # signed zeros and NaNs
         rng = np.random.default_rng(seed)
         grid = CompactGrid(1.0, J)
         fam = build_test_family(grid, K)
-        w = rng.choice([-0.5, 0.0, 0.25, 0.5], size=(1 if one_row else P, N, d, J + 1))
+        pool = rng.uniform(-0.5, 0.5, size=(6, d, J + 1))
+        pool[rng.random(pool.shape) < 0.2] = 0.0
+        w = pool[rng.integers(0, len(pool), size=(1 if one_row else P, N))]
         w[rng.random(w.shape) < 0.1] *= -1.0
         w[rng.random(w.shape) < 0.02] = np.nan
         phi = MeasureProcess("kernel", grid, w)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
-            projected, assignment, attained = project_to_net(
-                phi, weak_star_net(1.0, n_net, grid, d=d), fam)
+        projected, assignment, attained = project_to_net(
+            phi, weak_star_net(1.0, n_net, grid, d=d), fam)
         w_ref, a_ref, d_ref = project_loop(phi, weak_star_net(1.0, n_net, grid, d=d), fam)
         assert np.array_equal(assignment, a_ref)
         assert np.array_equal(attained, d_ref, equal_nan=True)
         assert np.array_equal(projected.weights, w_ref)
+        rows, index = integrands._distinct_rows(phi, fam.functions)  # each pair's row, bit for bit
+        want = np.ascontiguousarray(dense_evals(phi, fam.functions))
+        assert rows[index].tobytes() == want.tobytes()
 
     def test_duplicated_net_elements_take_lowest_index(self):
         base = weak_star_net(1.0, 12, self.grid)
