@@ -10,8 +10,8 @@ integrands  measure-valued predictable processes and the elementary
 mvintegral  the measure-valued stochastic integral and Fubini-type checks
 volterra    two-parameter kernels, the decomposition of Volterra paths,
             roughness diagnostics
-dominated   fixed-reference-measure integrands, the classic Fubini route
-            and integrability condition reports
+dominated   fixed-reference-measure integrands and integrability condition
+            reports
 cli         configuration-driven experiment runner
 """
 

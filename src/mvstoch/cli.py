@@ -39,10 +39,12 @@ import numpy as np
 
 from . import dominated as dom
 from . import volterra as vol
-from .drivers import DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
+from .drivers import (DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver,
+                      tree_fault)
 from .grid import CompactGrid, SignedMeasureVec, build_test_family
 from .integrands import (
     ElementaryTerm,
+    MeasureProcess,
     approximate_elementary,
     elementary_process,
     integrability_check,
@@ -173,7 +175,9 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     """``raw`` walked through ``RUNNER_KEYS[command]`` into a checked config with every
     default filled in, and ``seed`` (if given) as the scenario seed.  A tabulated kernel's
     CSV is loaded here, into its entry's ``matrix``, and an ``elementary`` integrand is built
-    on the grids, into ``process``.  Raises a ConfigError naming the key."""
+    on the grids, into ``process``.  A driver of more than one component drives only an
+    ``elementary`` integrand of as many, and a tree driver must fit its tree
+    (``drivers.tree_fault``).  Raises a ConfigError naming the key."""
     if seed is not None and isinstance(raw.get("scenarios", {}), dict):
         raw = {**raw, "scenarios": {**raw.get("scenarios", {}), "seed": seed}}
     cfg = {}
@@ -207,6 +211,14 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
                                  f"{cfg['driver']['d']}")
         except ValueError as exc:
             raise ConfigError(f"integrand.terms do not fit the grids: {exc}") from None
+    driver, sc = cfg.get("driver"), cfg.get("scenarios", {})
+    if driver is not None and driver["d"] != 1 and integrand.get("kind") != "elementary":
+        raise ConfigError(f"driver.d is {driver['d']}; only an elementary integrand "
+                          "takes a driver of more than one component")
+    if sc.get("mode") == "tree":
+        fault = tree_fault(DriverSpec(**driver), cfg["time"]["N"], sc["branching"], sc["depth"])
+        if fault is not None:
+            raise ConfigError(fault)
     return cfg
 
 
@@ -316,7 +328,8 @@ def run_fubini(cfg: dict, out_dir: Path) -> int:
         if cfg["corrupt_comparison"]:
             # negative control: compare the charge against the paths of a
             # scaled integrand so the identity genuinely breaks
-            rhs = _paired_ito_paths(phi * (1.0 + 1e-3), S, fam.functions)
+            scaled = MeasureProcess("kernel", phi.grid, phi.weights * (1.0 + 1e-3))
+            rhs = _paired_ito_paths(scaled, S, fam.functions)
             gap = float(np.max(np.abs(checks["paired"] - rhs)))
             regular = dict(regular)
             regular["max_abs_discrepancy"] = max(regular["max_abs_discrepancy"], gap)
@@ -421,11 +434,11 @@ def run_example7(cfg: dict, out_dir: Path) -> int:
         # variation closed form at t = 0 and t = T/2, read from those two slots only
         idx_half = timegrid.n_steps // 2
         var = np.sum(np.abs(phi.weights[0, [0, idx_half], 0, :]), axis=1)
-        var_err = max(abs(var[0] - T**alpha),
-                      abs(var[1] - (T - timegrid.times[idx_half]) ** alpha))
+        var_err = max(abs(var[0] - spec.profile.variation(0.0)),
+                      abs(var[1] - spec.profile.variation(timegrid.times[idx_half])))
         # accumulated squared variation at the horizon
         member = integrability_check(phi, S.control, timegrid)
-        d_err = abs(member["d_path"][0, -1] - T ** (2 * alpha + 1) / (2 * alpha + 1))
+        d_err = abs(member["d_path"][0, -1] - spec.profile.var_sq_integral(T))
         # square-density condition: closed value or divergence probe
         conds = dom.condition_evaluator(spec, S, S.control)
         cert = dom.measure_valuedness_certificate(spec, S, S.control, **probe)

@@ -8,7 +8,8 @@ masses when an antiderivative is known, midpoint quadrature otherwise),
 and the density view is the atomized Radon-Nikodym derivative
 masses / eta.  The classic Fubini route -- integrate each atom's density
 path against the driver, then eta-mix -- is then a pure reordering of the
-measure-valued route and the two agree to float accumulation error.
+measure-valued route and the two agree to float accumulation error (the
+tests hold that route as their reference).
 
 Condition reports: the integrability conditions from the classic
 literature are accumulated against a control path with the trapezoid rule
@@ -56,24 +57,20 @@ converse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from .drivers import DriverPath, TimeGrid, running_sum
 from .grid import CompactGrid
 from .integrands import MeasureProcess
-from .mvintegral import paired_charge
 
 __all__ = [
     "PowerLawDensity",
     "DominatedSpec",
     "power_law_integrand",
     "make_dominated",
-    "classic_fubini_rhs",
-    "compare_classic_vs_mv",
     "condition_evaluator",
-    "general_kernel_conditions",
     "measure_valuedness_certificate",
 ]
 
@@ -236,43 +233,11 @@ def power_law_integrand(alpha: float, timegrid: TimeGrid, n_cells: int) -> tuple
 
 
 def make_dominated(spec: DominatedSpec) -> MeasureProcess:
-    """Kernel-representation process of a dominated spec (d = 1); weights and kernel are views."""
+    """Kernel-representation process of a dominated spec (d = 1); the weights are a view of the
+    spec's masses."""
     slots = spec.point_masses[:, : spec.timegrid.n_steps, :]
-    rho = np.broadcast_to(spec.eta, slots.shape)
     var_sq = spec.profile.var_sq_integral if spec.profile is not None else None
-    return MeasureProcess("kernel", spec.grid, slots[:, :, None, :],
-                          rho=rho, var_sq_integral=var_sq)
-
-
-def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int]) -> np.ndarray:
-    """eta-mixture of the per-atom integral paths over an atom-index range.
-
-    Computes, for each atom z_j in the set, the driver integral of the
-    atom's density path, then mixes with the eta weights.
-    """
-    if S.spec.d != 1:
-        raise ValueError("the classic route is stated for scalar drivers")
-    lo, hi = cell_set
-    if not (0 <= lo <= hi <= spec.grid.n_cells):
-        raise ValueError("set is not resolvable on the grid")
-    dS = S.increments[:, :, 0]
-    slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
-    per_atom = running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
-    return per_atom.sum(axis=2)
-
-
-def compare_classic_vs_mv(spec: DominatedSpec, S: DriverPath,
-                          sets: Sequence[tuple[str, int, int]]) -> dict:
-    """Max gap between the classic mixture route and the measure-valued route."""
-    indicators = np.stack([spec.grid.indicator(lo, hi) for _, lo, hi in sets])
-    paired = paired_charge(make_dominated(spec), S, indicators)
-    rows = []
-    for k, (name, lo, hi) in enumerate(sets):
-        classic = classic_fubini_rhs(spec, S, (lo, hi))
-        mv = paired[:, k]
-        gap = float(np.max(np.abs(classic - mv)))
-        rows.append({"set": name, "max_discrepancy": gap})
-    return {"max_abs_discrepancy": max(r["max_discrepancy"] for r in rows), "per_set": rows}
+    return MeasureProcess("kernel", spec.grid, slots[:, :, None, :], var_sq_integral=var_sq)
 
 
 def _trapezoid_against(values: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -412,38 +377,6 @@ def condition_evaluator(spec: DominatedSpec, S: DriverPath, V: np.ndarray) -> di
     if spec.profile is not None:
         out["c66_closed_form"] = spec.profile.square_density_integral(spec.timegrid.horizon)
     return out
-
-
-def general_kernel_conditions(phi: MeasureProcess, V: np.ndarray) -> dict:
-    """Mixed-variation conditions for a general kernel integrand, any d.
-
-    Works from the weights w = psi * rho and the kernel rho (a scenario- and
-    time-dependent kernel is allowed, unlike the fixed-reference case):
-
-      c63: accumulate sum_i (int |psi^i| dkernel)^2 = sum_i (sum |w^i|)^2 against dV
-      c64: accumulate kernel(K) * int |psi|^2 dkernel = rho(K) * sum_{rho > 0} w^2 / rho
-
-    Values are slot quantities, so the accumulation is a left-endpoint
-    sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.  The atom sums
-    are taken in blocks of about BLOCK_ENTRIES / (d (J + 1)) slots, so no
-    temporary the size of the weights is formed.
-    """
-    if phi.rho is None:
-        raise ValueError("process carries no kernel payload")
-    w, rho = phi.weights, phi.rho[:, :, None, :]
-    inner63, sq_sum = np.empty(w.shape[:2]), np.empty(w.shape[:2])  # (P, N)
-    for s in _blocks(w.shape[1], w.shape[2] * w.shape[3]):
-        inner63[:, s] = np.sum(np.sum(np.abs(w[:, s]), axis=3) ** 2, axis=2)
-        sq = w[:, s] * w[:, s]  # w = psi * rho vanishes where rho does: divide where rho > 0
-        np.divide(sq, rho[:, s], out=sq, where=rho[:, s] > 0)
-        sq_sum[:, s] = np.sum(sq, axis=(2, 3))
-    inner64 = phi.rho.sum(axis=2) * sq_sum
-    dV = np.diff(V, axis=1)
-    c63 = running_sum(inner63 * dV)
-    c64 = running_sum(inner64 * dV)
-    if np.any(c63 > c64 + 1e-9 * (1 + np.abs(c64))):
-        raise AssertionError("Cauchy-Schwarz ordering of the condition paths failed")
-    return {"c63": _finiteness(c63), "c64": _finiteness(c64)}
 
 
 def measure_valuedness_certificate(spec: DominatedSpec, S: DriverPath, V: np.ndarray,

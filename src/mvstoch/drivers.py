@@ -13,8 +13,9 @@ Discrete-time conventions used throughout the package:
     limit of a path at tau is its value at index tau - 1 (index N for the
     never marker), read by ``StoppingRule.left_limit``.  No interpolation
     anywhere.  An integral stopped before tau is the integral against the
-    stopped driver, (H . S)^{tau-} = H . S^{tau-}: ``DriverPath.stopped``
-    masks the increments once, and no integral takes a stopping rule.
+    stopped driver, (H . S)^{tau-} = H . S^{tau-}, whose increments are the
+    driver's times ``StoppingRule.increment_mask``: no integral takes a
+    stopping rule.
   * A deterministic path (the control, the bracket, the drift variation)
     is stored as one row (1, N + 1) and broadcasts over the scenarios.
 
@@ -35,8 +36,8 @@ weighted sums.
 Control processes: a driver's control path V is a nonnegative increasing
 process against which squared stochastic integrals are bounded before any
 stopping time.  Every driver kind here has a closed form in time, so V is
-one row.  Closed forms per driver (validated empirically by
-``control_inequality_check``, which the test suite runs at scale):
+one row.  Closed forms per driver (validated empirically by the test
+suite's control-inequality check, at scale):
 
   * brownian            V_t = vol^2 * t
   * fv_drift            V_t = |a| * t + 1e-9 * t   (kept strictly increasing)
@@ -78,14 +79,14 @@ __all__ = [
     "ito_integral",
     "energy_integral",
     "stopping_weights",
-    "localizing_sequence",
-    "control_inequality_check",
+    "tree_fault",
 ]
 
 SCENARIO_CHUNK = 4096  # fixed: scenario i always lands in chunk i // SCENARIO_CHUNK
 WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads of ``pull_blocks``
 C_MIX = 4.0
 EPS_FV = 1e-9
+TREE_BRANCHES = {2: (-1.0, 1.0), 3: (-math.sqrt(1.5), 0.0, math.sqrt(1.5))}  # mean 0, variance 1
 
 
 @dataclass(frozen=True)
@@ -234,22 +235,6 @@ class PredictablePath:
             raise ValueError("predictable values must be (P, N, d)")
         self.values = v
 
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[2]
-
-    def check_adapted(self, scenarios: ScenarioSet) -> None:
-        """Assert slot j is known at t_j (constant on level-j atoms)."""
-        if not scenarios.is_tree or self.values.shape[0] == 1:
-            return
-        for j in range(self.n_steps):
-            if not scenarios.is_measurable(self.values[:, j, :], j):
-                raise AssertionError(f"slot {j} is not measurable at its left endpoint")
-
 
 class StoppingRule:
     """Per-scenario grid index in 0..N, with N + 1 as the never marker."""
@@ -263,8 +248,6 @@ class StoppingRule:
         self.indices = idx
         self.n_steps = int(n_steps)
         self.indices.setflags(write=False)
-
-    NEVER = property(lambda self: self.n_steps + 1)
 
     @classmethod
     def never(cls, scenarios: ScenarioSet, n_steps: int) -> "StoppingRule":
@@ -282,15 +265,6 @@ class StoppingRule:
     def left_limit(self, path: np.ndarray) -> np.ndarray:
         """Value at tau- of a (P or 1, N + 1) path, one per scenario: (P,)."""
         return path[np.arange(path.shape[0]), self.pre_index()]
-
-    def validate(self, scenarios: ScenarioSet) -> None:
-        """Tree mode: {tau <= l} must be a union of level-l atoms."""
-        if not scenarios.is_tree:
-            return
-        for level in range(self.n_steps + 1):
-            hit = (self.indices <= level).astype(float)
-            if not scenarios.is_measurable(hit, level):
-                raise AssertionError(f"{{tau <= {level}}} is not a union of level atoms")
 
 
 @dataclass
@@ -321,26 +295,6 @@ class DriverPath:
         inc = np.diff(self.values, axis=1)
         inc.setflags(write=False)
         return inc
-
-    def stopped(self, tau: StoppingRule) -> "DriverPath":
-        """The driver frozen strictly before tau, S^{tau-}: the path held at ``tau.pre_index()``
-        from there on, and increments exactly ``increments * tau.increment_mask()`` (a dropped
-        slot keeps the sign of its zero); the driver itself if tau never stops.  The control
-        still bounds it.  The integral against it is the integral stopped before tau."""
-        P, N = self.scenarios.n_scenarios, self.timegrid.n_steps
-        if tau.n_steps != N or tau.indices.shape != (P,):
-            raise ValueError("stopping rule grid mismatch")
-        if np.all(tau.indices > N):  # the never marker everywhere: no copy of what it keeps
-            return self
-        mask = tau.increment_mask()[:, :, None]
-        held = np.minimum(np.arange(N + 1), tau.pre_index()[:, None])[:, :, None]
-        jumps = None if self.jump_increments is None else self.jump_increments * mask
-        out = DriverPath(self.spec, self.timegrid, self.scenarios,
-                         np.take_along_axis(self.values, held, axis=1), self.control, jumps)
-        inc = self.increments * mask
-        inc.setflags(write=False)
-        out.__dict__["increments"] = inc  # fills the cached property
-        return out
 
     def decomposition_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """Bracket path of the martingale part and variation of the FV part.
@@ -446,18 +400,26 @@ def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple],
         raise failed[0]
 
 
+def tree_fault(spec: DriverSpec, n_steps: int, branching: int, depth: int) -> str | None:
+    """Why ``spec`` has no driver on a tree of this branching and depth over ``n_steps`` grid
+    steps, beginning with the config key at fault; None when it has one.  A tree driver has no
+    jumps, takes one level per step and branches as ``TREE_BRANCHES`` lists."""
+    if spec.kind == "compound_poisson":
+        return "driver.kind is 'compound_poisson'; jump drivers are not supported in tree mode"
+    if spec.jump_rate > 0:
+        return f"driver.jump_rate is {spec.jump_rate}; jump drivers are not supported in tree mode"
+    if depth != n_steps:
+        return f"scenarios.depth is {depth}; a tree takes one level per time step, N = {n_steps}"
+    if branching not in TREE_BRANCHES:
+        return f"scenarios.branching is {branching}; tree drivers support branching 2 or 3"
+    return None
+
+
 def _tree_increments(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet) -> np.ndarray:
-    if spec.kind in ("compound_poisson",) or spec.jump_rate > 0:
-        raise ValueError("jump drivers are not supported in tree mode")
-    if timegrid.n_steps != scenarios.depth:
-        raise ValueError("tree depth must equal the number of time steps")
-    b, dt = scenarios.branching, timegrid.dt
-    if b == 2:
-        branch_vals = np.array([-1.0, 1.0])
-    elif b == 3:
-        branch_vals = np.array([-math.sqrt(1.5), 0.0, math.sqrt(1.5)])
-    else:
-        raise ValueError("tree drivers support branching 2 or 3")
+    fault = tree_fault(spec, timegrid.n_steps, scenarios.branching, scenarios.depth)
+    if fault is not None:
+        raise ValueError(fault)
+    dt, branch_vals = timegrid.dt, np.array(TREE_BRANCHES[scenarios.branching])
     digits = scenarios.digits()
     inc = np.zeros((scenarios.n_scenarios, timegrid.n_steps, spec.d))
     if spec.kind in ("brownian", "mixture") and spec.vol > 0:
@@ -510,7 +472,8 @@ def control_process(spec: DriverSpec, timegrid: TimeGrid) -> np.ndarray:
 def ito_integral(H: PredictablePath, S: DriverPath) -> np.ndarray:
     """Pathwise integral sum_j H_j . (S_{j+1} - S_j), null at 0; shape (P, N + 1).
 
-    The integral stopped strictly before tau is the integral against ``S.stopped(tau)``.
+    The integral stopped strictly before tau is the integral against the stopped driver, whose
+    increments are S's times ``tau.increment_mask()``.
     """
     if H.values.shape[1:] != S.increments.shape[1:]:
         raise ValueError("integrand and driver differ in time grid or component count")
@@ -537,45 +500,3 @@ def stopping_weights(tau: StoppingRule, V: np.ndarray, scenarios: ScenarioSet) -
     """
     dV = np.diff(V, axis=1)
     return scenarios.probs[:, None] * tau.left_limit(V)[:, None] * dV * tau.increment_mask()
-
-
-def localizing_sequence(V: np.ndarray, levels: Sequence[float], scenarios: ScenarioSet,
-                        extra: np.ndarray | None = None) -> list[StoppingRule]:
-    """First-passage rules tau_M = first index where V (or extra) reaches M, per scenario."""
-    n_steps = V.shape[1] - 1
-    watched = V if extra is None else np.maximum(V, extra)
-    rules = []
-    for M in levels:
-        hit = watched >= M
-        idx = np.where(hit.any(axis=1), hit.argmax(axis=1), n_steps + 1)
-        rule = StoppingRule(np.broadcast_to(idx, scenarios.n_scenarios), n_steps)
-        rule.validate(scenarios)
-        rules.append(rule)
-    return rules
-
-
-def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[PredictablePath],
-                             tau: StoppingRule) -> dict:
-    """Monte Carlo check of the control inequality for very simple integrands.
-
-    For each H compares lhs = E[sup_{l <= tau-1} |(H . S)_l|^2] with
-    rhs = E[V_{tau-} * energy(H, V)_{tau-}]; the margin rhs - lhs is
-    reported with the standard error of the per-scenario differences.
-    """
-    probs = S.scenarios.probs
-    v_pre = tau.left_limit(V)
-    S_pre = S.stopped(tau)  # one mask for all integrands
-    rows = []
-    for H in integrands:
-        stopped = ito_integral(H, S_pre)
-        lhs_p = np.max(stopped**2, axis=1)
-        rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
-        lhs = float(probs @ lhs_p)
-        rhs = float(probs @ rhs_p)
-        diff = rhs_p - lhs_p
-        mean_diff = float(probs @ diff)
-        var_diff = float(probs @ (diff - mean_diff) ** 2)
-        se = math.sqrt(var_diff / len(diff))
-        rows.append({"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "se": se})
-    worst = min(rows, key=lambda r: r["margin"] + 3 * r["se"])
-    return {"per_integrand": rows, "min_margin": worst["margin"], "min_margin_se": worst["se"]}

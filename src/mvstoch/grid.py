@@ -95,10 +95,6 @@ class SignedMeasureVec:
     def d(self) -> int:
         return self.weights.shape[0]
 
-    def variation(self) -> np.ndarray:
-        """Componentwise variation norms, a length-d vector."""
-        return np.sum(np.abs(self.weights), axis=1)
-
 
 @dataclass(frozen=True)
 class TestFamily:

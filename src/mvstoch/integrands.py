@@ -13,8 +13,7 @@ indexed payload is never formed whole.  Three kinds share it:
     predictable rectangles ``A x (t_a, t_b]`` with ``A`` known at ``t_a``
     (the term list is kept alongside the payload);
   * ``kernel``: a density table against a nonnegative kernel, stored as
-    the resulting atom weights (the kernel ``rho`` is kept when the
-    process was built from one);
+    the resulting atom weights;
   * ``volterra``: atom weights induced by a two-parameter kernel (built
     by the volterra module).
 
@@ -63,14 +62,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .drivers import (
-    PredictablePath,
-    ScenarioSet,
-    StoppingRule,
-    TimeGrid,
-    energy_integral,
-    stopping_weights,
-)
+from .drivers import ScenarioSet, StoppingRule, TimeGrid, energy_integral, stopping_weights
 from .grid import CompactGrid, SignedMeasureVec, TestFamily
 
 __all__ = [
@@ -79,8 +71,6 @@ __all__ = [
     "ApproxReport",
     "ApproxResult",
     "elementary_process",
-    "kernel_process",
-    "evaluate",
     "variation_path",
     "integrand_seminorm",
     "continuity_constant",
@@ -130,7 +120,6 @@ class MeasureProcess:
     grid: CompactGrid
     table: np.ndarray
     terms: list[ElementaryTerm] | None = None
-    rho: np.ndarray | None = None
     var_sq_integral: Callable[[float], float] | None = None
     index: np.ndarray | None = None
 
@@ -171,19 +160,6 @@ class MeasureProcess:
     def is_random(self) -> bool:
         return self.shape[0] > 1
 
-    def __add__(self, other: "MeasureProcess") -> "MeasureProcess":
-        if self.grid is not other.grid and self.grid != other.grid:
-            raise ValueError("grid mismatch")
-        return MeasureProcess("kernel", self.grid, self.weights + other.weights)
-
-    def __sub__(self, other: "MeasureProcess") -> "MeasureProcess":
-        return self + (other * -1.0)
-
-    def __mul__(self, scalar: float) -> "MeasureProcess":
-        return MeasureProcess("kernel", self.grid, self.weights * float(scalar))
-
-    __rmul__ = __mul__
-
 
 def elementary_process(grid: CompactGrid, n_steps: int, terms: Sequence[ElementaryTerm],
                        n_scenarios: int = 1, d: int | None = None) -> MeasureProcess:
@@ -205,32 +181,6 @@ def elementary_process(grid: CompactGrid, n_steps: int, terms: Sequence[Elementa
         else:
             block[t.scenario_mask] += t.measure.weights[None, None]
     return MeasureProcess("elementary", grid, w, terms=terms)
-
-
-def kernel_process(grid: CompactGrid, psi: np.ndarray, rho: np.ndarray,
-                   var_sq_integral: Callable[[float], float] | None = None) -> MeasureProcess:
-    """Density values at atoms times nonnegative kernel cell masses."""
-    psi = np.asarray(psi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho < 0):
-        raise ValueError("kernel must be nonnegative")
-    if psi.ndim != 4 or rho.ndim != 3:
-        raise ValueError("psi must be (P, N, d, J + 1) and rho (P, N, J + 1)")
-    w = psi * rho[:, :, None, :]
-    return MeasureProcess("kernel", grid, w, rho=rho, var_sq_integral=var_sq_integral)
-
-
-def evaluate(phi: MeasureProcess, f: np.ndarray,
-             scenarios: ScenarioSet | None = None) -> PredictablePath:
-    """Pair every (scenario, slot) measure vector with the grid function f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (phi.grid.n_atoms,):
-        raise ValueError("test function does not match the grid")
-    vals = _pair_rows(phi.rows(), f[None]).reshape(phi.shape[:3])
-    path = PredictablePath(vals)
-    if scenarios is not None and scenarios.is_tree and phi.is_random:
-        path.check_adapted(scenarios)
-    return path
 
 
 def variation_path(phi: MeasureProcess) -> np.ndarray:

@@ -9,8 +9,8 @@ which for elementary integrands coincides with the rectangle-sum formula
 exactly.  The result is one-dimensional in the measure slot (components of
 the integrand pair off against driver components), null at time zero and
 adapted.  The integral stopped before tau is the integral against the
-stopped driver ``S.stopped(tau)``, so only the domination check, which
-also reads the control at tau-, takes a stopping rule.
+stopped driver, whose increments are the driver's times the rule's
+``increment_mask``, so no function here takes a stopping rule.
 
 In discrete time both sides of the stochastic Fubini identity -- pairing
 the integral measure with a test function versus integrating the paired
@@ -23,7 +23,8 @@ Seminorm machinery: the maximal seminorm aggregates, over the test
 family, the running-sup L2 norms of the paired integral paths; for
 elementary integrands it is dominated by the integrand seminorm whenever
 the driver's control inequality holds (exactly on scenario trees with
-late enough horizons, within Monte Carlo error otherwise).
+late enough horizons, within Monte Carlo error otherwise; the test suite
+checks both).
 
 The charge is accumulated in blocks of grid times that carry the running
 measure (P, J + 1) into each block's time cumsum, so it equals one
@@ -43,12 +44,11 @@ ensemble; ``mv_integral`` fills it from the same blocks as a small-size referenc
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .drivers import DriverPath, StoppingRule, running_sum, stopping_weights
+from .drivers import DriverPath, running_sum
 from .grid import CompactGrid, TestFamily
 from .integrands import (MeasureProcess, integrability_check, _family_evals, _measures, _pair_rows,
                          _slot_sums)
@@ -60,7 +60,6 @@ __all__ = [
     "mv_integral",
     "maximal_seminorm",
     "fubini_check",
-    "seminorm_domination_check",
     "convergence_transfer_check",
     "standard_cell_sets",
 ]
@@ -210,45 +209,11 @@ def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
             "paired": lhs[:K]}
 
 
-def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
-                              tau: StoppingRule, fam: TestFamily) -> dict:
-    """Check that the maximal seminorm of the integral against ``S.stopped(tau)`` is
-    dominated by the integrand seminorm (exact on trees, 3 standard errors otherwise)."""
-    if phi.kind != "elementary":
-        raise ValueError("domination check is stated for elementary integrands")
-    scenarios = S.scenarios
-    probs = scenarios.probs
-    Z = paired_charge(phi, S.stopped(tau), fam.functions)
-    M2 = np.max(np.abs(Z), axis=2) ** 2  # (P, K)
-    r_sq_p = M2 @ fam.gammas
-    r_value = float(np.sqrt(probs @ r_sq_p))
-
-    w = stopping_weights(tau, V, scenarios)
-    evals = _family_evals(phi, fam.functions)
-    sq = np.sum(evals * evals, axis=3)  # (P, N, K)
-    q_sq_p = np.einsum("pn,pnk,k->p", w / probs[:, None],
-                       np.broadcast_to(sq, w.shape + sq.shape[2:]), fam.gammas)
-    q_value = float(np.sqrt(probs @ q_sq_p))
-
-    if scenarios.is_tree:
-        se = 0.0
-        holds = r_value <= q_value + 1e-12
-    else:
-        P = scenarios.n_scenarios
-        se_r_sq = float(np.std(r_sq_p) / math.sqrt(P))
-        se_q_sq = float(np.std(q_sq_p) / math.sqrt(P))
-        se_r = se_r_sq / (2 * r_value) if r_value > 0 else 0.0
-        se_q = se_q_sq / (2 * q_value) if q_value > 0 else 0.0
-        se = se_r + se_q
-        holds = r_value <= q_value + 3 * se
-    return {"r_value": r_value, "q_value": q_value, "holds": bool(holds), "se": se}
-
-
 def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureProcess],
                                S: DriverPath, fam: TestFamily) -> list[float]:
     """Transfer of integrand convergence to the integral processes: for each
     approximant, the maximal-seminorm gap between its integral against S and
-    phi's.  Against ``S.stopped(tau)`` the gap is the stopped one, which the
+    phi's.  Against the driver stopped before tau the gap is the stopped one, which the
     q-error of the approximation report at that tau dominates
     (``integrand_seminorm(phi_n, ..., minus=phi)``).
 

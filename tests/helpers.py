@@ -1,11 +1,24 @@
 """Reference computations that only the tests read."""
 
+import math
+from typing import Callable, Sequence
+
 import numpy as np
 
-from mvstoch.drivers import DriverPath, running_sum
+from mvstoch.dominated import DominatedSpec, _blocks, _finiteness, make_dominated
+from mvstoch.drivers import (
+    DriverPath,
+    PredictablePath,
+    ScenarioSet,
+    StoppingRule,
+    energy_integral,
+    ito_integral,
+    running_sum,
+    stopping_weights,
+)
 from mvstoch.grid import CompactGrid, SignedMeasureVec, TestFamily
-from mvstoch.integrands import _pair_rows
-from mvstoch.mvintegral import _pair, charge_blocks
+from mvstoch.integrands import MeasureProcess, _family_evals, _pair_rows
+from mvstoch.mvintegral import _pair, charge_blocks, paired_charge
 from mvstoch.volterra import (
     VolterraKernel,
     _fft_paths,
@@ -144,3 +157,211 @@ def paired_gap(phi, minus, S, functions) -> np.ndarray:
     for (lo, block), (_, other) in zip(charge_blocks(phi, S), charge_blocks(minus, S)):
         _pair(gap, lo, block - other, functions)
     return gap
+
+
+def variation(m: SignedMeasureVec) -> np.ndarray:
+    """Componentwise variation norms of ``m``, a length-d vector."""
+    return np.sum(np.abs(m.weights), axis=1)
+
+
+def check_adapted(path: PredictablePath, scenarios: ScenarioSet) -> None:
+    """Assert slot j of ``path`` is known at t_j (constant on level-j atoms)."""
+    if not scenarios.is_tree or path.values.shape[0] == 1:
+        return
+    for j in range(path.values.shape[1]):
+        if not scenarios.is_measurable(path.values[:, j, :], j):
+            raise AssertionError(f"slot {j} is not measurable at its left endpoint")
+
+
+def check_stopping_time(tau: StoppingRule, scenarios: ScenarioSet) -> None:
+    """Tree mode: assert {tau <= l} is a union of level-l atoms."""
+    if not scenarios.is_tree:
+        return
+    for level in range(tau.n_steps + 1):
+        hit = (tau.indices <= level).astype(float)
+        if not scenarios.is_measurable(hit, level):
+            raise AssertionError(f"{{tau <= {level}}} is not a union of level atoms")
+
+
+def stopped_driver(S: DriverPath, tau: StoppingRule) -> DriverPath:
+    """The driver frozen strictly before tau, S^{tau-}: the path held at ``tau.pre_index()``
+    from there on, and increments exactly ``S.increments * tau.increment_mask()`` (a dropped
+    slot keeps the sign of its zero); S itself if tau never stops.  The control still bounds
+    it.  The integral against it is the integral stopped before tau."""
+    P, N = S.scenarios.n_scenarios, S.timegrid.n_steps
+    if tau.n_steps != N or tau.indices.shape != (P,):
+        raise ValueError("stopping rule grid mismatch")
+    if np.all(tau.indices > N):  # the never marker everywhere: no copy of what it keeps
+        return S
+    mask = tau.increment_mask()[:, :, None]
+    held = np.minimum(np.arange(N + 1), tau.pre_index()[:, None])[:, :, None]
+    jumps = None if S.jump_increments is None else S.jump_increments * mask
+    out = DriverPath(S.spec, S.timegrid, S.scenarios,
+                     np.take_along_axis(S.values, held, axis=1), S.control, jumps)
+    inc = S.increments * mask
+    inc.setflags(write=False)
+    out.__dict__["increments"] = inc  # fills the cached property
+    return out
+
+
+def localizing_sequence(V: np.ndarray, levels: Sequence[float], scenarios: ScenarioSet,
+                        extra: np.ndarray | None = None) -> list[StoppingRule]:
+    """First-passage rules tau_M = first index where V (or extra) reaches M, per scenario."""
+    n_steps = V.shape[1] - 1
+    watched = V if extra is None else np.maximum(V, extra)
+    rules = []
+    for M in levels:
+        hit = watched >= M
+        idx = np.where(hit.any(axis=1), hit.argmax(axis=1), n_steps + 1)
+        rule = StoppingRule(np.broadcast_to(idx, scenarios.n_scenarios), n_steps)
+        check_stopping_time(rule, scenarios)
+        rules.append(rule)
+    return rules
+
+
+def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[PredictablePath],
+                             tau: StoppingRule) -> dict:
+    """Monte Carlo check of the control inequality for very simple integrands.
+
+    For each H compares lhs = E[sup_{l <= tau-1} |(H . S)_l|^2] with
+    rhs = E[V_{tau-} * energy(H, V)_{tau-}]; the margin rhs - lhs is
+    reported with the standard error of the per-scenario differences.
+    """
+    probs = S.scenarios.probs
+    v_pre = tau.left_limit(V)
+    S_pre = stopped_driver(S, tau)  # one mask for all integrands
+    rows = []
+    for H in integrands:
+        lhs_p = np.max(ito_integral(H, S_pre) ** 2, axis=1)
+        rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
+        lhs = float(probs @ lhs_p)
+        rhs = float(probs @ rhs_p)
+        diff = rhs_p - lhs_p
+        mean_diff = float(probs @ diff)
+        var_diff = float(probs @ (diff - mean_diff) ** 2)
+        se = math.sqrt(var_diff / len(diff))
+        rows.append({"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "se": se})
+    worst = min(rows, key=lambda r: r["margin"] + 3 * r["se"])
+    return {"per_integrand": rows, "min_margin": worst["margin"], "min_margin_se": worst["se"]}
+
+
+def evaluate(phi: MeasureProcess, f: np.ndarray,
+             scenarios: ScenarioSet | None = None) -> PredictablePath:
+    """Pair every (scenario, slot) measure vector with the grid function f; on a tree with
+    ``scenarios`` given, a random phi's path is checked adapted."""
+    f = np.asarray(f, dtype=float)
+    if f.shape != (phi.grid.n_atoms,):
+        raise ValueError("test function does not match the grid")
+    path = PredictablePath(_pair_rows(phi.rows(), f[None]).reshape(phi.shape[:3]))
+    if scenarios is not None and phi.is_random:
+        check_adapted(path, scenarios)
+    return path
+
+
+def kernel_process(grid: CompactGrid, psi: np.ndarray, rho: np.ndarray,
+                   var_sq_integral: Callable[[float], float] | None = None) -> MeasureProcess:
+    """Density values psi (P, N, d, J + 1) at atoms times nonnegative kernel cell masses rho
+    (P, N, J + 1)."""
+    psi = np.asarray(psi, dtype=float)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho < 0):
+        raise ValueError("kernel must be nonnegative")
+    if psi.ndim != 4 or rho.ndim != 3:
+        raise ValueError("psi must be (P, N, d, J + 1) and rho (P, N, J + 1)")
+    return MeasureProcess("kernel", grid, psi * rho[:, :, None, :], var_sq_integral=var_sq_integral)
+
+
+def seminorm_domination_check(phi: MeasureProcess, S: DriverPath, V: np.ndarray,
+                              tau: StoppingRule, fam: TestFamily) -> dict:
+    """Check that the maximal seminorm of the integral against S stopped before tau is
+    dominated by the integrand seminorm (exact on trees, 3 standard errors otherwise)."""
+    if phi.kind != "elementary":
+        raise ValueError("domination check is stated for elementary integrands")
+    scenarios = S.scenarios
+    probs = scenarios.probs
+    Z = paired_charge(phi, stopped_driver(S, tau), fam.functions)
+    M2 = np.max(np.abs(Z), axis=2) ** 2  # (P, K)
+    r_sq_p = M2 @ fam.gammas
+    r_value = float(np.sqrt(probs @ r_sq_p))
+
+    w = stopping_weights(tau, V, scenarios)
+    evals = _family_evals(phi, fam.functions)
+    sq = np.sum(evals * evals, axis=3)  # (P, N, K)
+    q_sq_p = np.einsum("pn,pnk,k->p", w / probs[:, None],
+                       np.broadcast_to(sq, w.shape + sq.shape[2:]), fam.gammas)
+    q_value = float(np.sqrt(probs @ q_sq_p))
+
+    if scenarios.is_tree:
+        se = 0.0
+        holds = r_value <= q_value + 1e-12
+    else:
+        P = scenarios.n_scenarios
+        se_r_sq = float(np.std(r_sq_p) / math.sqrt(P))
+        se_q_sq = float(np.std(q_sq_p) / math.sqrt(P))
+        se_r = se_r_sq / (2 * r_value) if r_value > 0 else 0.0
+        se_q = se_q_sq / (2 * q_value) if q_value > 0 else 0.0
+        se = se_r + se_q
+        holds = r_value <= q_value + 3 * se
+    return {"r_value": r_value, "q_value": q_value, "holds": bool(holds), "se": se}
+
+
+def classic_fubini_rhs(spec: DominatedSpec, S: DriverPath, cell_set: tuple[int, int]) -> np.ndarray:
+    """eta-mixture of the per-atom integral paths over an atom-index range.
+
+    Computes, for each atom z_j in the set, the driver integral of the
+    atom's density path, then mixes with the eta weights.
+    """
+    if S.spec.d != 1:
+        raise ValueError("the classic route is stated for scalar drivers")
+    lo, hi = cell_set
+    if not (0 <= lo <= hi <= spec.grid.n_cells):
+        raise ValueError("set is not resolvable on the grid")
+    dS = S.increments[:, :, 0]
+    slot_masses = spec.point_masses[:, : spec.timegrid.n_steps, lo : hi + 1]
+    per_atom = running_sum(slot_masses * dS[:, :, None])  # masses already carry eta
+    return per_atom.sum(axis=2)
+
+
+def compare_classic_vs_mv(spec: DominatedSpec, S: DriverPath,
+                          sets: Sequence[tuple[str, int, int]]) -> dict:
+    """Max gap between the classic mixture route and the measure-valued route."""
+    indicators = np.stack([spec.grid.indicator(lo, hi) for _, lo, hi in sets])
+    paired = paired_charge(make_dominated(spec), S, indicators)
+    rows = []
+    for k, (name, lo, hi) in enumerate(sets):
+        gap = float(np.max(np.abs(classic_fubini_rhs(spec, S, (lo, hi)) - paired[:, k])))
+        rows.append({"set": name, "max_discrepancy": gap})
+    return {"max_abs_discrepancy": max(r["max_discrepancy"] for r in rows), "per_set": rows}
+
+
+def general_kernel_conditions(phi: MeasureProcess, rho: np.ndarray, V: np.ndarray) -> dict:
+    """Mixed-variation conditions for a general kernel integrand, any d.
+
+    Works from the weights w = psi * rho and the kernel rho, (P or 1, N, J + 1) or anything that
+    broadcasts to it, such as a dominated spec's eta (a scenario- and time-dependent kernel is
+    allowed, unlike the fixed-reference case):
+
+      c63: accumulate sum_i (int |psi^i| dkernel)^2 = sum_i (sum |w^i|)^2 against dV
+      c64: accumulate kernel(K) * int |psi|^2 dkernel = rho(K) * sum_{rho > 0} w^2 / rho
+
+    Values are slot quantities, so the accumulation is a left-endpoint
+    sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.  The atom sums
+    are taken in blocks of about ``dominated.BLOCK_ENTRIES / (d (J + 1))`` slots, so no
+    temporary the size of the weights is formed.
+    """
+    w = phi.weights
+    rho = np.broadcast_to(rho, w.shape[:2] + w.shape[3:])
+    r = rho[:, :, None, :]
+    inner63, sq_sum = np.empty(w.shape[:2]), np.empty(w.shape[:2])  # (P, N)
+    for s in _blocks(w.shape[1], w.shape[2] * w.shape[3]):
+        inner63[:, s] = np.sum(np.sum(np.abs(w[:, s]), axis=3) ** 2, axis=2)
+        sq = w[:, s] * w[:, s]  # w = psi * rho vanishes where rho does: divide where rho > 0
+        np.divide(sq, r[:, s], out=sq, where=r[:, s] > 0)
+        sq_sum[:, s] = np.sum(sq, axis=(2, 3))
+    inner64 = rho.sum(axis=2) * sq_sum
+    dV = np.diff(V, axis=1)
+    c63 = running_sum(inner63 * dV)
+    c64 = running_sum(inner64 * dV)
+    if np.any(c63 > c64 + 1e-9 * (1 + np.abs(c64))):
+        raise AssertionError("Cauchy-Schwarz ordering of the condition paths failed")
+    return {"c63": _finiteness(c63), "c64": _finiteness(c64)}

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from helpers import control_inequality_check, seminorm_domination_check
 
 from mvstoch.cli import main as cli_main
 from mvstoch.dominated import (
@@ -24,7 +25,6 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     TimeGrid,
-    control_inequality_check,
     simulate_driver,
 )
 from mvstoch.grid import CompactGrid, build_test_family
@@ -42,7 +42,6 @@ from mvstoch.mvintegral import (
     convergence_transfer_check,
     fubini_check,
     maximal_seminorm,
-    seminorm_domination_check,
     standard_cell_sets,
 )
 from mvstoch.volterra import (
@@ -243,9 +242,11 @@ class TestCriterion7SeminormSuite:
             lam = float(rng.uniform(-3, 3))
             qa = integrand_seminorm(a, fam, tau, V, sc)
             qb = integrand_seminorm(b, fam, tau, V, sc)
-            qab = integrand_seminorm(a + b, fam, tau, V, sc)
+            qab = integrand_seminorm(MeasureProcess("kernel", grid, a.weights + b.weights),
+                                     fam, tau, V, sc)
             assert qab <= qa + qb + 1e-12 * max(1.0, qa + qb)
-            qla = integrand_seminorm(lam * a, fam, tau, V, sc)
+            qla = integrand_seminorm(MeasureProcess("kernel", grid, a.weights * lam),
+                                     fam, tau, V, sc)
             assert abs(qla - abs(lam) * qa) <= 1e-12 * max(1.0, qa)
             ca = rng.normal(size=(6, 5, 4))
             cb = rng.normal(size=(6, 5, 4))

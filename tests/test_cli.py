@@ -551,7 +551,7 @@ class TestKeyTable:
         mc = {**time, "scenarios": {"count": 2, "seed": 1}}
         fubini = cli.check_config("fubini", mc)
         assert fubini["grid"] == {"J": 16, "T_K": 2.0} and fubini["test_family"]["k_max"] == 16
-        approx = cli.check_config("approx", {**time, "scenarios": {"mode": "tree", "depth": 2}})
+        approx = cli.check_config("approx", {**time, "scenarios": {"mode": "tree", "depth": 16}})
         assert approx["grid"] == {"J": 8, "T_K": 1.0}
         assert approx["test_family"]["k_max"] == 9 + 2**9
         assert cli.check_config("conditions", mc)["grid"] == {"J": 16}
@@ -620,6 +620,46 @@ class TestElementaryFromConfig:
                    "driver": {"kind": "brownian", **driver},
                    "integrand": {"kind": "elementary", "terms": [term]}}
         assert_config_error(tmp_path, monkeypatch, capsys, command, payload, "integrand.terms")
+
+
+class TestDriverFitsTheRun:
+    """A driver the run cannot take exits 2 naming the key, before any driver is simulated:
+    more than one component for anything but an elementary integrand of as many, and on a tree
+    (``drivers.tree_fault``) a depth other than N, a branching other than 2 or 3, or jumps."""
+
+    CASES = [
+        ("fubini", {"driver": {"d": 2}}, "driver.d"),
+        ("approx", {"driver": {"d": 2}}, "driver.d"),
+        ("volterra", {"driver": {"d": 2}}, "driver.d"),
+        ("conditions", {"driver": {"d": 2}}, "driver.d"),
+        ("approx", {"scenarios": {"mode": "tree", "depth": 4}}, "scenarios.depth"),
+        ("fubini", {"scenarios": {"mode": "tree", "depth": 3}}, "scenarios.depth"),
+        ("volterra", {"scenarios": {"mode": "tree", "depth": 3}}, "scenarios.depth"),
+        ("conditions", {"scenarios": {"mode": "tree", "depth": 3}}, "scenarios.depth"),
+        ("approx", {"scenarios": {"mode": "tree", "branching": 4, "depth": 3}},
+         "scenarios.branching"),
+        ("approx", {"driver": {"kind": "compound_poisson"}}, "driver.kind"),
+        ("approx", {"driver": {"kind": "brownian", "jump_rate": 0.5}}, "driver.jump_rate"),
+    ]
+
+    @pytest.mark.parametrize("command, sections, key", CASES,
+                             ids=[f"{command}:{key}" for command, _, key in CASES])
+    def test_exits_two_before_the_driver(self, tmp_path, monkeypatch, capsys, command, sections,
+                                         key):
+        assert_config_error(tmp_path, monkeypatch, capsys, command,
+                            {**shipped(command), **sections}, key)
+
+    @pytest.mark.parametrize("command", ["fubini", "approx"])
+    def test_elementary_integrand_of_as_many_components_runs(self, tmp_path, command):
+        scenarios = ({"count": 4, "seed": 3} if command == "fubini"
+                     else {"mode": "tree", "depth": 3})
+        cfg = write_config(tmp_path, "elem2.json", {
+            "time": {"T": 4.0, "N": 3}, "grid": {"J": 4}, "scenarios": scenarios,
+            "driver": {"kind": "brownian", "d": 2},
+            "integrand": {"kind": "elementary", "terms": [
+                {"weights": [[1.0, 0.0, 0.5, 0.0, 2.0], [0.0, 1.0, 0.0, -1.0, 0.0]],
+                 "start": 0, "stop": 2}]}})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
 class TestConditionGrowth:

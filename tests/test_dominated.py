@@ -2,8 +2,15 @@ import math
 import time
 import tracemalloc
 
+import helpers
 import numpy as np
 import pytest
+from helpers import (
+    classic_fubini_rhs,
+    compare_classic_vs_mv,
+    general_kernel_conditions,
+    kernel_process,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -12,10 +19,7 @@ from mvstoch import dominated as dom
 from mvstoch.dominated import (
     DominatedSpec,
     PowerLawDensity,
-    classic_fubini_rhs,
-    compare_classic_vs_mv,
     condition_evaluator,
-    general_kernel_conditions,
     make_dominated,
     measure_valuedness_certificate,
     power_law_integrand,
@@ -30,7 +34,7 @@ from mvstoch.drivers import (
     simulate_driver,
 )
 from mvstoch.grid import CompactGrid
-from mvstoch.integrands import MeasureProcess, kernel_process, variation_path
+from mvstoch.integrands import variation_path
 from mvstoch.mvintegral import standard_cell_sets
 
 
@@ -63,11 +67,6 @@ class TestMakeDominated:
         phi = make_dominated(spec)
         for slot in range(5):
             np.testing.assert_allclose(phi.weights[0, slot, 0], spec.eta, atol=1e-15)
-        # the kernel payload reads eta through a view; a copy gives the same conditions
-        assert np.shares_memory(phi.rho, spec.eta)
-        copied = MeasureProcess("kernel", grid, phi.weights, rho=phi.rho.copy())
-        V = np.linspace(0.0, 1.0, 6)[None]
-        assert general_kernel_conditions(phi, V) == general_kernel_conditions(copied, V)
 
     def test_zero_eta_gives_zero_process(self):
         tg = TimeGrid(1.0, 3)
@@ -498,12 +497,12 @@ class TestPowerLawIntegrandMemory:
     def test_general_kernel_conditions_in_slot_blocks(self):
         # whole-weights |w| and w * w temporaries would be 64 MB each here
         tg = TimeGrid(1.0, 2048)
-        phi, _ = power_law_integrand(0.75, tg, 4096)
+        phi, spec = power_law_integrand(0.75, tg, 4096)
         V = np.linspace(0.0, 1.0, tg.n_steps + 1)[None]
-        general_kernel_conditions(phi, V)  # warm-up: imports and caches
+        general_kernel_conditions(phi, spec.eta, V)  # warm-up: imports and caches
         tracemalloc.start()
         try:
-            out = general_kernel_conditions(phi, V)
+            out = general_kernel_conditions(phi, spec.eta, V)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -609,9 +608,6 @@ class TestConditionsWithJumpDriver:
 
 class TestGeneralKernelConditions:
     def test_two_component_random_kernel(self):
-        from mvstoch.integrands import kernel_process
-        from mvstoch.dominated import general_kernel_conditions
-
         rng = np.random.default_rng(41)
         grid = CompactGrid(1.0, 6)
         P, N, d = 8, 12, 2
@@ -619,7 +615,7 @@ class TestGeneralKernelConditions:
         rho = rng.uniform(0.0, 0.5, size=(P, N, 7))  # scenario-dependent kernel
         phi = kernel_process(grid, psi, rho)
         V = np.broadcast_to(np.linspace(0, 1, N + 1), (P, N + 1)).copy()
-        out = general_kernel_conditions(phi, V)
+        out = general_kernel_conditions(phi, rho, V)
         assert out["c63"]["finite"] and out["c64"]["finite"]
         assert out["c63"]["sup"] <= out["c64"]["sup"] + 1e-12
 
@@ -640,7 +636,7 @@ class TestGeneralKernelConditions:
         rho = rng.uniform(0.0, 0.5, size=(P, N, 10))
         rho[:, :, ::3] = 0.0  # massless atoms contribute nothing
         V = np.linspace(0.0, 2.0, N + 1)[None]
-        out = general_kernel_conditions(kernel_process(grid, psi, rho), V)
+        out = general_kernel_conditions(kernel_process(grid, psi, rho), rho, V)
         c63, c64 = self.psi_oracle(psi, rho, V)
         assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
         assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
@@ -651,20 +647,21 @@ class TestGeneralKernelConditions:
         phi, spec = power_law_integrand(alpha, tg, 64)
         psi = spec.density_values()[:, :16, None, :]
         V = np.linspace(0.0, 1.0, 17)[None]
-        out = general_kernel_conditions(phi, V)
-        c63, c64 = self.psi_oracle(psi, np.asarray(phi.rho), V)
+        rho = np.broadcast_to(spec.eta, (1, 16, 65))  # the kernel of the spec's process
+        out = general_kernel_conditions(phi, spec.eta, V)
+        c63, c64 = self.psi_oracle(psi, rho, V)
         assert out["c63"]["sup"] == pytest.approx(c63, rel=1e-12)
         assert out["c64"]["sup"] == pytest.approx(c64, rel=1e-12)
 
     @staticmethod
-    def whole_weights_paths(phi, V):
+    def whole_weights_paths(phi, rho, V):
         """The c63 and c64 paths from sums over the whole weights array at once."""
-        w, r = phi.weights, phi.rho[:, :, None, :]
+        w, r = phi.weights, rho[:, :, None, :]
         sq = w * w
         np.divide(sq, r, out=sq, where=r > 0)
         dV = np.diff(V, axis=1)
         return (running_sum(np.sum(np.sum(np.abs(w), axis=3) ** 2, axis=2) * dV),
-                running_sum(phi.rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV))
+                running_sum(rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV))
 
     def test_slot_blocks_equal_whole_weights_sums(self):
         # 300 slots of 2 x 200 atoms span four slot blocks; the sums of the
@@ -675,8 +672,8 @@ class TestGeneralKernelConditions:
         rho[:, :, ::5] = 0.0
         V = np.linspace(0.0, 2.0, 301)[None]
         phi = kernel_process(CompactGrid(1.0, 199), psi, rho)
-        c63, c64 = self.whole_weights_paths(phi, V)
-        out = general_kernel_conditions(phi, V)
+        c63, c64 = self.whole_weights_paths(phi, rho, V)
+        out = general_kernel_conditions(phi, rho, V)
         assert out["c63"]["sup"] == float(np.max(c63))
         assert out["c64"]["sup"] == float(np.max(c64))
 
@@ -698,18 +695,9 @@ class TestGeneralKernelConditions:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(dom, "BLOCK_ENTRIES", entries)
-            mp.setattr(dom, "running_sum", recording)
-            out = general_kernel_conditions(phi, V)
-        c63, c64 = self.whole_weights_paths(phi, V)
+            mp.setattr(helpers, "running_sum", recording)
+            out = general_kernel_conditions(phi, rho, V)
+        c63, c64 = self.whole_weights_paths(phi, rho, V)
         assert np.array_equal(paths[0], c63) and np.array_equal(paths[1], c64)
         assert out["c63"]["sup"] == float(np.max(c63))
         assert out["c64"]["sup"] == float(np.max(c64))
-
-    def test_requires_kernel_payload(self):
-        from mvstoch.integrands import MeasureProcess
-        from mvstoch.dominated import general_kernel_conditions
-
-        grid = CompactGrid(1.0, 3)
-        phi = MeasureProcess("kernel", grid, np.zeros((1, 2, 1, 4)))
-        with pytest.raises(ValueError):
-            general_kernel_conditions(phi, np.zeros((1, 3)))

@@ -6,6 +6,13 @@ import time
 
 import numpy as np
 import pytest
+from helpers import (
+    check_adapted,
+    check_stopping_time,
+    control_inequality_check,
+    localizing_sequence,
+    stopped_driver,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,12 +25,10 @@ from mvstoch.drivers import (
     StoppingRule,
     TimeGrid,
     chunk_streams,
-    control_inequality_check,
     control_process,
     energy_integral,
     increment_blocks,
     ito_integral,
-    localizing_sequence,
     pull_blocks,
     running_sum,
     simulate_driver,
@@ -429,9 +434,9 @@ class TestItoIntegral:
         rng = np.random.default_rng(2)
         H = PredictablePath(rng.normal(size=(30, 16, 1)))
         tau = StoppingRule(rng.integers(0, 18, size=30), 16)
-        stopped = ito_integral(H, path.stopped(tau))
+        frozen = ito_integral(H, stopped_driver(path, tau))
         masked = PredictablePath(H.values * tau.increment_mask()[:, :, None])
-        assert np.array_equal(stopped, ito_integral(masked, path))  # at every time
+        assert np.array_equal(frozen, ito_integral(masked, path))  # at every time
 
     def test_grid_mismatch(self):
         path = brownian_path(N=8)
@@ -440,7 +445,7 @@ class TestItoIntegral:
 
 
 class TestStoppedDriver:
-    """``DriverPath.stopped``: the driver frozen strictly before tau, whose increments are the
+    """``helpers.stopped_driver``: the driver frozen strictly before tau, whose increments are the
     driver's times the rule's mask, bit for bit."""
 
     @given(kind=st.sampled_from(["monte_carlo", "jumps", "tree"]), d=st.integers(1, 2),
@@ -462,24 +467,24 @@ class TestStoppedDriver:
         elif sc.is_tree:  # a first passage of |S|, so a stopping time
             hit = np.abs(S.values[:, :, 0]) >= rng.uniform(0.0, 1.5)
             tau = StoppingRule(np.where(hit.any(axis=1), hit.argmax(axis=1), N + 1), N)
-            tau.validate(sc)
+            check_stopping_time(tau, sc)
         else:
             tau = StoppingRule(rng.integers(0, N + 2, size=P), N)
-        stopped = S.stopped(tau)
+        S_pre = stopped_driver(S, tau)
         mask = tau.increment_mask()[:, :, None]
-        assert stopped.increments.tobytes() == (S.increments * mask).tobytes()
-        assert not stopped.increments.flags.writeable
+        assert S_pre.increments.tobytes() == (S.increments * mask).tobytes()
+        assert not S_pre.increments.flags.writeable
         for ell in range(N + 1):
             held = np.minimum(ell, tau.pre_index())
-            assert np.array_equal(stopped.values[:, ell], S.values[np.arange(P), held])
+            assert np.array_equal(S_pre.values[:, ell], S.values[np.arange(P), held])
         if never:
-            assert stopped.increments.tobytes() == S.increments.tobytes()
+            assert S_pre.increments.tobytes() == S.increments.tobytes()
         if S.jump_increments is not None:
-            assert stopped.jump_increments.tobytes() == (S.jump_increments * mask).tobytes()
+            assert S_pre.jump_increments.tobytes() == (S.jump_increments * mask).tobytes()
         with pytest.raises(ValueError, match="grid mismatch"):
-            S.stopped(StoppingRule.never(sc, N + 1))
+            stopped_driver(S, StoppingRule.never(sc, N + 1))
         with pytest.raises(ValueError, match="grid mismatch"):  # one rule row too many
-            S.stopped(StoppingRule(np.full(P + 1, N), N))
+            stopped_driver(S, StoppingRule(np.full(P + 1, N), N))
 
     def test_a_rule_that_peeks_ahead_is_not_adapted(self):
         # on a binary tree, stopping at time 1 (so freezing at 0) where the second step goes up
@@ -487,7 +492,7 @@ class TestStoppedDriver:
         S = simulate_driver(DriverSpec("brownian"), tg, sc)
         tau = StoppingRule(np.where(sc.digits()[:, 1] == 1, 1, 3), 2)
         with pytest.raises(AssertionError, match="not adapted"):
-            S.stopped(tau)
+            stopped_driver(S, tau)
 
 
 class TestEnergyIntegral:
@@ -577,7 +582,7 @@ class TestLocalizingSequence:
         inc = rng.exponential(0.2, size=(500, 20))
         V = np.concatenate([np.zeros((500, 1)), np.cumsum(inc, axis=1)], axis=1)
         rules = localizing_sequence(V, [1.0, 2.0, 4.0], sc)
-        never_frac = [np.mean(r.indices == r.NEVER) for r in rules]
+        never_frac = [np.mean(r.indices == r.n_steps + 1) for r in rules]
         assert never_frac[0] <= never_frac[1] <= never_frac[2]
 
     def test_tree_rules_are_stopping_times(self):
@@ -586,7 +591,7 @@ class TestLocalizingSequence:
         path = simulate_driver(DriverSpec("brownian"), tg, sc)
         running_max = np.maximum.accumulate(np.abs(path.values[:, :, 0]), axis=1)
         for rule in localizing_sequence(running_max, [0.5, 1.5], sc):
-            rule.validate(sc)  # raises on failure
+            check_stopping_time(rule, sc)  # raises on failure
 
 
 class TestControlInequality:
@@ -627,7 +632,7 @@ class TestControlInequality:
         probs, v_pre = path.scenarios.probs, tau.left_limit(path.control)
         expected = []
         for H in hs:
-            lhs_p = np.max(ito_integral(H, path.stopped(tau)) ** 2, axis=1)
+            lhs_p = np.max(ito_integral(H, stopped_driver(path, tau)) ** 2, axis=1)
             rhs_p = v_pre * tau.left_limit(energy_integral(H, path.control))
             diff = rhs_p - lhs_p
             mean_diff = float(probs @ diff)
@@ -660,10 +665,10 @@ class TestPredictablePath:
         rng = np.random.default_rng(0)  # slot j: one uniform per level-j atom
         good = PredictablePath(np.stack([rng.uniform(-1, 1, sc.atom_ids(j)[-1] + 1)[sc.atom_ids(j)]
                                          for j in range(2)], axis=1)[:, :, None])
-        good.check_adapted(sc)
+        check_adapted(good, sc)
         bad = PredictablePath(np.arange(8.0).reshape(4, 2, 1))
         with pytest.raises(AssertionError):
-            bad.check_adapted(sc)
+            check_adapted(bad, sc)
 
     def test_tree_probabilities(self):
         sc = ScenarioSet.tree(3, 2)
@@ -702,6 +707,28 @@ class TestLocalizingWithAuxiliaryPath:
         (tau_both,) = localizing_sequence(V, [1.0], sc, extra=extra)
         assert np.all(tau_v.indices == 8)
         assert np.all(tau_both.indices == 2)
+
+
+class TestTreeFault:
+    """``drivers.tree_fault`` is the one rule for a driver on a tree: simulation raises its
+    message, which names the config key at fault."""
+
+    @pytest.mark.parametrize("spec, branching, depth, key", [
+        (DriverSpec("compound_poisson"), 2, 3, "driver.kind"),
+        (DriverSpec("mixture", jump_rate=0.5), 2, 3, "driver.jump_rate"),
+        (DriverSpec("brownian"), 2, 2, "scenarios.depth"),
+        (DriverSpec("brownian"), 4, 3, "scenarios.branching"),
+    ])
+    def test_simulation_raises_the_fault(self, spec, branching, depth, key):
+        fault = drivers.tree_fault(spec, 3, branching, depth)
+        assert fault.startswith(f"{key} is ")
+        with pytest.raises(ValueError) as raised:
+            simulate_driver(spec, TimeGrid(1.0, 3), ScenarioSet.tree(branching, depth))
+        assert str(raised.value) == fault
+
+    @pytest.mark.parametrize("branching", [2, 3])
+    def test_a_fitting_driver_has_none(self, branching):
+        assert drivers.tree_fault(DriverSpec("mixture", drift=0.3), 3, branching, 3) is None
 
 
 class TestTreeBranchProbabilities:

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from helpers import pair, resolve, weak_star_delta
+from helpers import pair, resolve, variation, weak_star_delta
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,7 +20,7 @@ def power_law_measure(alpha, T, t, J):
 
 
 def variation_norm(m):
-    return float(m.variation()[0])
+    return float(variation(m)[0])
 
 
 def integral(m, f):

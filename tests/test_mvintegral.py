@@ -3,7 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import order_bound, paired_gap, resolve
+from helpers import (
+    evaluate,
+    order_bound,
+    paired_gap,
+    resolve,
+    seminorm_domination_check,
+    stopped_driver,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,7 +32,6 @@ from mvstoch.integrands import (
     _pair_rows,
     approximate_elementary,
     elementary_process,
-    evaluate,
     integrand_seminorm,
     random_elementary_process,
     random_lattice_process,
@@ -39,7 +45,6 @@ from mvstoch.mvintegral import (
     maximal_seminorm,
     mv_integral,
     paired_charge,
-    seminorm_domination_check,
     standard_cell_sets,
 )
 
@@ -118,7 +123,7 @@ class TestMvIntegral:
         rng = np.random.default_rng(1)
         a = MeasureProcess("kernel", grid, rng.normal(size=(6, 10, 1, 5)))
         b = MeasureProcess("kernel", grid, rng.normal(size=(6, 10, 1, 5)))
-        lhs = mv_integral(a + b, S)
+        lhs = mv_integral(MeasureProcess("kernel", grid, a.weights + b.weights), S)
         rhs = mv_integral(a, S) + mv_integral(b, S)
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
@@ -128,7 +133,7 @@ class TestMvIntegral:
         rng = np.random.default_rng(2)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(12, 8, 1, 4)))
         tau = StoppingRule(rng.integers(0, 10, size=12), 8)
-        stopped = mv_integral(phi, S.stopped(tau))
+        stopped = mv_integral(phi, stopped_driver(S, tau))
         masked = MeasureProcess("kernel", grid,
                                 phi.weights * tau.increment_mask()[:, :, None, None])
         unstopped = mv_integral(masked, S)
@@ -174,7 +179,7 @@ class TestMvIntegral:
         phi = MeasureProcess("kernel", grid, w)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError):
-                charge = mv_integral(phi * 1e8, S)
+                charge = mv_integral(MeasureProcess("kernel", grid, w * 1e8), S)
 
 
 def dense_charge_oracle(phi, S):
@@ -213,7 +218,7 @@ class TestChargeBlocks:
         phi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
         psi = MeasureProcess("kernel", grid, rng.normal(size=(n_rows, N, d, J + 1)))
         if stopped:
-            S = S.stopped(StoppingRule(rng.integers(0, N + 2, size=P), N))
+            S = stopped_driver(S, StoppingRule(rng.integers(0, N + 2, size=P), N))
         functions = build_test_family(grid, K).functions
         dense = dense_charge_oracle(phi, S)
         with pytest.MonkeyPatch.context() as mp:
@@ -244,7 +249,7 @@ class TestChargeBlocks:
         w[0, 0] = 1e308
         monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)  # one time per block
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = charge_blocks(MeasureProcess("kernel", grid, w) * 1e8, S)
+            blocks = charge_blocks(MeasureProcess("kernel", grid, w * 1e8), S)
             with pytest.raises(OverflowError):
                 next(blocks)
 
@@ -609,7 +614,7 @@ class TestStreamedTransfer:
         phi, *processes = [MeasureProcess("kernel", grid, rng.normal(size=(P if many else 1, N, d, J + 1)))
                            for many in rows_of]
         if stopped:
-            S = S.stopped(StoppingRule(rng.integers(0, N + 2, size=P), N))
+            S = stopped_driver(S, StoppingRule(rng.integers(0, N + 2, size=P), N))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
             got = convergence_transfer_check(phi, processes, S, fam)
@@ -649,7 +654,8 @@ class TestStreamedTransfer:
         processes.append(MeasureProcess("kernel", grid, w))
         if stopped:  # an adapted rule: the first time the driver reaches a level, if it does
             hit = S.values[:, 1:, 0] >= rng.normal(0.0, 0.5)
-            S = S.stopped(StoppingRule(np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, N + 1), N))
+            first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, N + 1)
+            S = stopped_driver(S, StoppingRule(first, N))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
             got = convergence_transfer_check(phi, processes, S, fam)
