@@ -176,8 +176,9 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     default filled in, and ``seed`` (if given) as the scenario seed.  A tabulated kernel's
     CSV is loaded here, into its entry's ``matrix``, and an ``elementary`` integrand is built
     on the grids, into ``process``.  A driver of more than one component drives only an
-    ``elementary`` integrand of as many, and a tree driver must fit its tree
-    (``drivers.tree_fault``).  Raises a ConfigError naming the key."""
+    ``elementary`` integrand of as many, a ``brownian`` or ``fv_drift`` driver takes no
+    ``jump_rate``, and a tree driver must fit its tree (``drivers.tree_fault``).  Raises a
+    ConfigError naming the key."""
     if seed is not None and isinstance(raw.get("scenarios", {}), dict):
         raw = {**raw, "scenarios": {**raw.get("scenarios", {}), "seed": seed}}
     cfg = {}
@@ -215,6 +216,10 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     if driver is not None and driver["d"] != 1 and integrand.get("kind") != "elementary":
         raise ConfigError(f"driver.d is {driver['d']}; only an elementary integrand "
                           "takes a driver of more than one component")
+    if driver is not None and driver["jump_rate"] > 0 and driver["kind"] in ("brownian",
+                                                                           "fv_drift"):
+        raise ConfigError(f"driver.jump_rate is {driver['jump_rate']}; a {driver['kind']} "
+                          "driver draws no jumps")
     if sc.get("mode") == "tree":
         fault = tree_fault(DriverSpec(**driver), cfg["time"]["N"], sc["branching"], sc["depth"])
         if fault is not None:
@@ -379,6 +384,24 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
     return 0 if all_ok else 1
 
 
+def _kernel_row(params: dict, timegrid: TimeGrid, S: DriverPath) -> list:
+    """One ``kernels`` entry's report row: its name, identity gap and density-route gap.  Only
+    the direct path outlives the identity gap, and nothing outlives the row, so the next
+    kernel decomposes beside none of this one's paths."""
+    kernel = vol.make_kernel(params["name"], params, timegrid)
+    out = vol.decompose(kernel, S)
+    # a kernel failing the variation condition has no decomposition: its row reads nan
+    if not out["condition_ok"]:
+        return [kernel.name, float("nan"), float("nan")]
+    gap, x_direct = out["max_identity_gap"], out["x_direct"]
+    del out
+    density_gap = float("nan")
+    if kernel.density_fn is not None and not kernel.is_random and kernel.d == 1:
+        x = vol.density_construction(kernel, S)["x"]
+        density_gap = float(np.max(np.abs(np.subtract(x, x_direct, out=x), out=x)))
+    return [kernel.name, gap, density_gap]
+
+
 def run_volterra(cfg: dict, out_dir: Path) -> int:
     timegrid, _, S = _driver_path(cfg)
     diag, tol = cfg["diagnostic"], cfg["tolerances"]["decomposition"]
@@ -386,17 +409,7 @@ def run_volterra(cfg: dict, out_dir: Path) -> int:
     rows = []
 
     def decompose_kernels() -> None:
-        for params in cfg["kernels"]:
-            kernel = vol.make_kernel(params["name"], params, timegrid)
-            out = vol.decompose(kernel, S)
-            # a kernel failing the variation condition has no decomposition: its row reads nan
-            gap = density_gap = float("nan")
-            if out["condition_ok"]:
-                gap = out["max_identity_gap"]
-                if kernel.density_fn is not None and not kernel.is_random and kernel.d == 1:
-                    dc = vol.density_construction(kernel, S)
-                    density_gap = float(np.max(np.abs(dc["x"] - out["x_direct"])))
-            rows.append([kernel.name, gap, density_gap])
+        rows.extend(_kernel_row(params, timegrid, S) for params in cfg["kernels"])
 
     # the kernels are decomposed on this thread while the diagnostic's other worker draws
     tv = vol.power_volterra_paths(cfg["alphas"], tg, diag["scenarios"], seed=diag["seed"],

@@ -25,8 +25,9 @@ the power-kernel samplers in ``volterra`` share (the tests check that they
 agree), so ensembles are reproducible.  A consumer that reads a few rows
 at a time asks for blocks of that many rows (the numbers of the 4096-scenario
 chunks ``simulate_driver`` takes whole; jump drivers take whole chunks only),
-and up to two threads (``pull_blocks``) may consume them in order or draw
-whole chunks (``chunk_streams``) at once, to the same results.
+and up to two threads (``pull_blocks``) may pull them in order, each drawing
+its block into its own buffer, or draw whole chunks (``chunk_streams``) at
+once, to the same results.
 Paths accumulate through one ``running_sum`` and every reduction is a
 deterministic ordered sum.  Scenario trees carry an explicit per-level
 partition into filtration atoms (scenario indices are arranged so atoms are
@@ -316,38 +317,41 @@ class DriverPath:
 
 def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
                   rows: int = SCENARIO_CHUNK) -> Iterator[tuple[int, int, Callable]]:
-    """``increment_blocks`` per chunk: (lo, hi, blocks), where ``blocks(buf=None)``
-    lazily draws the chunk's blocks from its own generator, into the first rows of
-    a C-contiguous ``buf`` when given.  Threads may draw different chunks at once."""
+    """``increment_blocks`` per chunk: (lo, hi, draws).  ``draws()`` lazily yields, for each
+    block of the chunk in order, ``draw(buf=None)``, which draws (lo, hi, inc, jumps) from the
+    chunk's own generator, into the first rows of a C-contiguous ``buf`` when given.  Each draw
+    is called before the next is taken, so a caller picks every block's buffer as it draws it.
+    Threads may draw different chunks at once."""
     if rows < 1 or (spec.has_jumps and rows < SCENARIO_CHUNK):
         raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
     N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
 
-    def blocks(child, chunk_lo, chunk_hi, buf=None):
+    def draw(rng, lo, hi, buf=None):
+        inc = np.empty((hi - lo, N, d)) if buf is None else buf[: hi - lo]
+        if spec.kind in ("brownian", "mixture") and spec.vol > 0:
+            rng.standard_normal(out=inc)
+            inc *= spec.vol * math.sqrt(dt)
+        else:
+            inc.fill(0.0)
+        jumps = None
+        if spec.kind in ("fv_drift", "mixture"):
+            inc += spec.drift * dt
+        if spec.has_jumps:
+            counts = rng.poisson(spec.jump_rate * dt, size=inc.shape)
+            z = rng.standard_normal(inc.shape)
+            jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
+            inc += jumps
+        return lo, hi, inc, jumps
+
+    def draws(child, chunk_lo, chunk_hi):
         rng = np.random.default_rng(child)
         for lo in range(chunk_lo, chunk_hi, rows):
-            hi = min(lo + rows, chunk_hi)
-            inc = np.empty((hi - lo, N, d)) if buf is None else buf[: hi - lo]
-            if spec.kind in ("brownian", "mixture") and spec.vol > 0:
-                rng.standard_normal(out=inc)
-                inc *= spec.vol * math.sqrt(dt)
-            else:
-                inc.fill(0.0)
-            jumps = None
-            if spec.kind in ("fv_drift", "mixture"):
-                inc += spec.drift * dt
-            if spec.has_jumps:
-                counts = rng.poisson(spec.jump_rate * dt, size=inc.shape)
-                z = rng.standard_normal(inc.shape)
-                jumps = counts * spec.jump_mean + spec.jump_std * np.sqrt(counts) * z
-                inc += jumps
-            yield lo, hi, inc, jumps
-            del inc, jumps  # free this block before the next one is drawn
+            yield partial(draw, rng, lo, min(lo + rows, chunk_hi))
 
     n_chunks = (n_scenarios + SCENARIO_CHUNK - 1) // SCENARIO_CHUNK
     for c, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
         lo, hi = c * SCENARIO_CHUNK, min((c + 1) * SCENARIO_CHUNK, n_scenarios)
-        yield lo, hi, partial(blocks, child, lo, hi)
+        yield lo, hi, partial(draws, child, lo, hi)
 
 
 def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
@@ -363,28 +367,30 @@ def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenario
     are the whole-chunk draw, bit for bit.  A jump driver draws its counts
     after the whole chunk's normals, so it takes only whole chunks.
     """
-    for _, _, blocks in chunk_streams(spec, timegrid, seed, n_scenarios, rows):
-        yield from blocks()
+    for _, _, draws in chunk_streams(spec, timegrid, seed, n_scenarios, rows):
+        for draw in draws():
+            yield draw()  # no reference kept: the block is freed before the next is drawn
 
 
-def pull_blocks(consume: Callable[[int, tuple], None], blocks: Iterator[tuple],
+def pull_blocks(consume: Callable[[int, tuple], None], source: Callable[[int], tuple | None],
                 lead: Callable[[], None] | None = None) -> None:
-    """Call ``consume(worker, block)`` on every block on WORKERS threads, the
-    caller being worker 0, which first runs ``lead()`` while the others pull.
-    Blocks are pulled in order under one lock, so an ``increment_blocks``
-    generator draws as on one thread, and consumed outside it (numpy releases
-    the GIL); the first error, the lead's too, stops the pulls and is raised here."""
+    """Call ``consume(worker, block)`` on every block on WORKERS threads, the caller being
+    worker 0, which first runs ``lead()`` while the others pull.  A worker pulls its next block
+    as ``source(worker)`` (None after the last) under one lock, so a source drawing from an
+    ``increment_blocks``-ordered stream draws as on one thread, and may draw into the pulling
+    worker's own buffers; blocks are consumed outside the lock (numpy releases the GIL).  The
+    first error, the lead's too, stops the pulls and is raised here."""
     lock, failed = threading.Lock(), []
 
-    def pull():
+    def pull(worker: int):
         with lock:
-            return None if failed else next(blocks, None)
+            return None if failed else source(worker)
 
     def work(worker: int, first: Callable[[], None] | None = None) -> None:
         try:
             if first is not None:
                 first()
-            while (block := pull()) is not None:
+            while (block := pull(worker)) is not None:
                 consume(worker, block)
                 del block  # free it before this worker draws the next one
         except BaseException as exc:  # re-raised in the caller
@@ -406,7 +412,7 @@ def tree_fault(spec: DriverSpec, n_steps: int, branching: int, depth: int) -> st
     jumps, takes one level per step and branches as ``TREE_BRANCHES`` lists."""
     if spec.kind == "compound_poisson":
         return "driver.kind is 'compound_poisson'; jump drivers are not supported in tree mode"
-    if spec.jump_rate > 0:
+    if spec.has_jumps:
         return f"driver.jump_rate is {spec.jump_rate}; jump drivers are not supported in tree mode"
     if depth != n_steps:
         return f"scenarios.depth is {depth}; a tree takes one level per time step, N = {n_steps}"

@@ -314,7 +314,9 @@ def _seminorm_sums(phi: MeasureProcess, functions: np.ndarray, w: np.ndarray,
 def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: np.ndarray) -> dict:
     """``continuity_constant`` from phi's ``_norm_sums``; checks lower <= upper, whose square
     sum w |var|^2 is read per row of phi's ``_measures`` table, each row's w totalled by
-    ``np.bincount`` over the pairs that take it (no (P, N, d) variation path)."""
+    ``np.bincount`` over the pairs that take it (no (P, N, d) variation path).  Both sides
+    round by at most their sums' lengths times eps, relative to upper: the check allows
+    twice that, 2 (P N + table entries) eps upper, and no absolute slack."""
     norms = np.sqrt(sq_norms)
     sup = np.max(np.abs(fam.functions), axis=1)
     ratios = np.divide(norms, sup, out=np.zeros_like(norms), where=sup > 0)
@@ -324,7 +326,7 @@ def _continuity(phi: MeasureProcess, fam: TestFamily, w: np.ndarray, sq_norms: n
     mass = np.bincount(np.broadcast_to(index, w.shape).ravel(), weights=w.ravel(),
                        minlength=len(table))
     upper = float(np.sqrt(np.sum(mass * np.sum(var * var, axis=1))))
-    if lower > upper + 1e-12:
+    if lower > upper * (1.0 + 2 * (w.size + table.size) * np.finfo(float).eps):
         raise AssertionError("family ratio exceeded the variation bound")
     return {"lower": lower, "upper": upper}
 

@@ -43,8 +43,10 @@ with the number of scenarios; every block is transformed in the same work
 buffers.  Each block is read once for every exponent, against profile
 spectra transformed once per call, and only per-path total variations (or
 terminal values) are kept, never the ensemble.  Both run on up to two
-threads that write their own rows, drawing in order (paths) or a chunk each
-into their own buffer (terminals): results do not depend on the worker count.
+threads that write their own rows: the paths' workers draw the blocks in
+stream order, each into its own path buffer, which the forward transform
+reads before the inverse overwrites it; the terminals' workers draw a chunk
+each into their own buffer.  Results do not depend on the worker count.
 The paths' calling thread may first run other work (the CLI's decompositions).
 """
 
@@ -63,7 +65,6 @@ from .drivers import (
     PredictablePath,
     TimeGrid,
     chunk_streams,
-    increment_blocks,
     ito_integral,
     running_sum,
 )
@@ -263,10 +264,9 @@ def _profile_spectra(profiles: Sequence[np.ndarray], N: int) -> list[np.ndarray]
 
 
 def _fft_work(P: int, N: int) -> tuple[np.ndarray, ...]:
-    """P-row buffers: ``_fft_paths``' spectrum, product and path, then level differences."""
+    """P-row buffers for ``_fft_paths``: spectrum, product and path."""
     n = _fft_length(N)
-    return (np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex),
-            np.empty((P, n)), np.empty((P, N)))
+    return np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex), np.empty((P, n))
 
 
 def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
@@ -274,11 +274,13 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
     """X_l = sum_{j < l} w[l - j] dW[:, j], l = 0..N, for each profile spectrum
     from ``_profile_spectra``: one forward rFFT of the (P, N) increments, one
     inverse per profile.  The transforms write into ``work`` (at least P rows),
-    which a block loop passes again so that no block maps fresh pages; each
-    yielded path is overwritten by the next."""
+    which a block loop passes again so that no block maps fresh pages; ``dW`` may
+    lie in the path buffer, which the forward transform reads before any inverse
+    writes it.  Each yielded path is overwritten by the next, and the product
+    buffer is free while a path is read."""
     P, N = dW.shape
     n = _fft_length(N)
-    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N))[:3])
+    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N)))
     np.fft.rfft(dW, n, axis=1, out=spectrum)
     for s in spectra:
         np.fft.irfft(np.multiply(spectrum, s, out=product), n, axis=1, out=x)
@@ -327,10 +329,12 @@ def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
     if not check["integrable"]:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    y = np.cumsum(horizon_charge(phi, S), axis=1)  # Y_l pairs it with I_{[0, t_l]}
+    y = horizon_charge(phi, S)
+    np.cumsum(y, axis=1, out=y)  # Y_l pairs it with I_{[0, t_l]}
     x_direct = volterra_direct(kernel, S)
     x_reconstructed = diag + y
-    gap = float(np.max(np.abs(x_direct - x_reconstructed)))
+    diff = np.subtract(x_direct, x_reconstructed)
+    gap = float(np.max(np.abs(diff, out=diff)))
     return {
         "condition_ok": True,
         "diag": diag,
@@ -358,9 +362,11 @@ def density_construction(kernel: VolterraKernel, S: DriverPath) -> dict:
         raise ValueError("density route implemented for deterministic scalar kernels")
     # inner[:, k]: the driver integral of psi(t_k, .) up to k
     inner, residual = kernel.density_sums(S.increments[:, :, 0])
-    time_part = running_sum(inner[:, 1:] * S.timegrid.dt)
+    time_part = running_sum(np.multiply(inner[:, 1:], S.timegrid.dt, out=inner[:, 1:]))
+    del inner
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)
-    return {"x": diag + time_part, "diag": diag, "kernel_rebuild_residual": residual}
+    return {"x": np.add(diag, time_part, out=time_part), "diag": diag,
+            "kernel_rebuild_residual": residual}
 
 
 def level_variations(Y: np.ndarray, n_levels: int = 6, out: np.ndarray | None = None,
@@ -411,13 +417,14 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
     bufs = [np.empty((min(DRAW_ROWS, n_scenarios), N, 1)) for _ in range(drivers.WORKERS)]
 
     def consume(worker: int, chunk: tuple) -> None:
-        for lo, hi, dW, _ in chunk[2](bufs[worker]):
+        for draw in chunk[2]():
+            lo, hi, dW, _ = draw(bufs[worker])
             for a, row in enumerate(weights):
                 for c, w in enumerate(row):  # one gemv per column: a gemm rounds differently
                     out[lo:hi, a, c] = dW[:, :, 0] @ w
 
-    drivers.pull_blocks(consume, chunk_streams(DriverSpec("brownian"), timegrid, seed,
-                                               n_scenarios, rows=DRAW_ROWS))
+    chunks = chunk_streams(DriverSpec("brownian"), timegrid, seed, n_scenarios, rows=DRAW_ROWS)
+    drivers.pull_blocks(consume, lambda worker: next(chunks, None))
     return out
 
 
@@ -428,19 +435,28 @@ def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenario
     FFT convolution (``_fft_paths``) on the shared Brownian blocks, (n_alpha, P, n_levels).
     Each block is drawn and transformed once for all exponents, by one of
     ``drivers.WORKERS`` threads (``drivers.pull_blocks``) in ``DRAW_ROWS // WORKERS``
-    rows, into its own buffers; the calling thread runs ``lead()`` first, as the pool's
-    lead."""
+    rows, and holds only that worker's three transform buffers: the block is drawn, in
+    stream order under the pool's lock, into the first rows * N floats of the worker's
+    path buffer, and each level's differences go into its product buffer.  The calling
+    thread runs ``lead()`` first, as the pool's lead."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
     rows = max(1, DRAW_ROWS // drivers.WORKERS)
     works = [_fft_work(rows, N) for _ in range(drivers.WORKERS)]
+    blocks = [x.reshape(-1)[: rows * N].reshape(rows, N, 1) for _, _, x in works]
+    draws = (draw for _, _, chunk in chunk_streams(DriverSpec("brownian"), timegrid, seed,
+                                                   n_scenarios, rows=rows) for draw in chunk())
+
+    def source(worker: int) -> tuple | None:
+        draw = next(draws, None)
+        return None if draw is None else draw(blocks[worker])
 
     def consume(worker: int, item: tuple) -> None:
         lo, hi, dW, _ = item
+        diffs = works[worker][1].view(float)
         for a, paths in enumerate(_fft_paths(dW[:, :, 0], spectra, works[worker])):
-            level_variations(paths, n_levels, out[a, lo:hi], works[worker][3])
+            level_variations(paths, n_levels, out[a, lo:hi], diffs)
 
-    drivers.pull_blocks(consume, increment_blocks(DriverSpec("brownian"), timegrid, seed,
-                                                  n_scenarios, rows=rows), lead)
+    drivers.pull_blocks(consume, source, lead)
     return out

@@ -1,6 +1,7 @@
 """Reference computations that only the tests read."""
 
 import math
+import tracemalloc
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,6 +27,18 @@ from mvstoch.volterra import (
     _variation_check,
     induced_phi,
 )
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak traced bytes of one ``fn()`` call, after an untraced warm-up call, so that one-time
+    set-up (imports, FFT plans, caches) is not counted."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def resolve(grid: CompactGrid, point: float, tol: float = 1e-12) -> int:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import traced_peak
 
 import mvstoch
 from mvstoch import cli, drivers, integrands, mvintegral
@@ -264,6 +265,21 @@ class TestVolterraCommand:
             assert None not in row.values()
         assert rows[1]["kernel"] == "affine[1.0,2.0]"
         assert float(rows[1]["identity_gap"]) <= 1e-10
+
+    def test_kernel_loop_peak_flat_in_kernels(self, tmp_path):
+        # each kernel's row is built in its own call, which keeps only the direct path past
+        # the identity gap: four kernels peak as high as one (measured 1.001x; 1.40x when the
+        # previous kernel's decomposition and density paths stayed alive beside the next)
+        kernels = shipped("volterra")["kernels"]
+        assert len(kernels) == 4
+        peaks = {}
+        for count in (1, 4):
+            cfg = cli.check_config("volterra", {
+                "time": {"T": 1.0, "N": 1024}, "scenarios": {"count": 100, "seed": 7},
+                "kernels": kernels[:count], "alphas": [0.75],
+                "diagnostic": {"n_steps": 16, "scenarios": 4, "levels": 3}})
+            peaks[count] = traced_peak(lambda: cli.run_volterra(cfg, tmp_path))
+        assert peaks[4] <= 1.2 * peaks[1], peaks
 
     def test_unknown_kernel_exits_two(self, tmp_path, monkeypatch):
         # the kernels are the lead of the diagnostic's pool: its worker must be joined
@@ -624,8 +640,9 @@ class TestElementaryFromConfig:
 
 class TestDriverFitsTheRun:
     """A driver the run cannot take exits 2 naming the key, before any driver is simulated:
-    more than one component for anything but an elementary integrand of as many, and on a tree
-    (``drivers.tree_fault``) a depth other than N, a branching other than 2 or 3, or jumps."""
+    more than one component for anything but an elementary integrand of as many, a jump rate
+    on a kind that draws no jumps, and on a tree (``drivers.tree_fault``) a depth other than N,
+    a branching other than 2 or 3, or jumps."""
 
     CASES = [
         ("fubini", {"driver": {"d": 2}}, "driver.d"),
@@ -640,6 +657,10 @@ class TestDriverFitsTheRun:
          "scenarios.branching"),
         ("approx", {"driver": {"kind": "compound_poisson"}}, "driver.kind"),
         ("approx", {"driver": {"kind": "brownian", "jump_rate": 0.5}}, "driver.jump_rate"),
+        # a driver kind that draws no jumps takes no jump_rate, on Monte Carlo runs too
+        ("fubini", {"driver": {"kind": "brownian", "jump_rate": 0.5}}, "driver.jump_rate"),
+        ("volterra", {"driver": {"kind": "brownian", "jump_rate": 0.5}}, "driver.jump_rate"),
+        ("conditions", {"driver": {"kind": "fv_drift", "jump_rate": 0.5}}, "driver.jump_rate"),
     ]
 
     @pytest.mark.parametrize("command, sections, key", CASES,

@@ -181,18 +181,23 @@ class TestChunkStreams:
         assert np.array_equal(np.concatenate([inc for _, _, inc, _ in streamed]), expected)
         # chunks drawn last to first, each into one buffer reused by its blocks
         buf = np.full((rows, N, d), np.nan)
-        for lo, hi, blocks in reversed(chunks):
-            for b_lo, b_hi, inc, _ in blocks(buf):
+        for lo, hi, draws in reversed(chunks):
+            for draw in draws():
+                b_lo, b_hi, inc, _ = draw(buf)
                 assert np.shares_memory(inc, buf) and lo <= b_lo < b_hi <= hi
                 assert np.array_equal(inc, expected[b_lo:b_hi])
 
 
 def counted(n_blocks, pulled):
-    """Blocks 0..n_blocks-1, recording each one pulled; a generator raises if
-    two threads advance it at once."""
-    for b in range(n_blocks):
-        pulled.append(b)
-        yield b
+    """A source of blocks 0..n_blocks-1, recording each one pulled; its generator
+    raises if two threads advance it at once."""
+    def blocks():
+        for b in range(n_blocks):
+            pulled.append(b)
+            yield b
+
+    stream = blocks()
+    return lambda worker: next(stream, None)
 
 
 def run_bounded(fn, timeout=30.0):
@@ -307,8 +312,10 @@ class TestPullBlocks:
                 events.append(("pull", b))
                 yield b
 
+        stream = blocks()
         err = run_bounded(lambda: pull_blocks(lambda w, b: events.append(("consume", w, b)),
-                                              blocks(), lambda: events.append("lead")))
+                                              lambda w: next(stream, None),
+                                              lambda: events.append("lead")))
         assert err is None
         assert events == ["lead"] + [e for b in range(3) for e in (("pull", b), ("consume", 0, b))]
 
@@ -318,7 +325,7 @@ class TestPullBlocks:
         spec = DriverSpec("compound_poisson", jump_rate=2.0, jump_std=0.5)
         blocks = increment_blocks(spec, TimeGrid(1.0, 4), 3, 10, rows=8)
         with pytest.raises(ValueError, match="whole chunks"):
-            pull_blocks(lambda w, b: None, blocks)
+            pull_blocks(lambda w, b: None, lambda w: next(blocks, None))
 
 
 class TestControlProcess:

@@ -20,6 +20,7 @@ from mvstoch import integrands
 from mvstoch.dominated import DominatedSpec, power_law_integrand
 from mvstoch.drivers import ScenarioSet, StoppingRule, TimeGrid, stopping_weights
 from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
+from mvstoch.grid import TestFamily as Family  # a Test* name would be collected
 from mvstoch.integrands import (
     ElementaryTerm,
     MeasureProcess,
@@ -308,6 +309,35 @@ class TestContinuityConstant:
         out = continuity_constant(phi, fam, StoppingRule.never(sc, 512), V, sc)
         closed = 1.0 * (1.0 / 3.0)  # V_T times the accumulated squared variation
         assert out["upper"] ** 2 == pytest.approx(closed, abs=2.0 / 512)
+
+
+class TestContinuityTolerance:
+    """``_continuity``'s lower <= upper check allows rounding relative to upper, from the
+    lengths of the sums, not an absolute 1e-12."""
+
+    J, P, N = 40, 6, 5
+
+    def inputs(self, seed):
+        # positive atoms near 150 paired with the all-ones function: lower == upper exactly in
+        # real arithmetic, upper about 6150, and the two sides round differently
+        grid, tg = CompactGrid(1.0, self.J), TimeGrid(1.0, self.N)
+        sc = ScenarioSet.monte_carlo(self.P, 0)
+        w = stopping_weights(StoppingRule.never(sc, self.N), identity_control(tg, self.P), sc)
+        values = np.random.default_rng(seed).uniform(149.0, 151.0, (self.P, self.N, 1, self.J + 1))
+        phi = MeasureProcess("kernel", grid, values)
+        fam = Family(grid, np.ones((1, self.J + 1)))
+        return phi, fam, w, integrands._seminorm_sums(phi, fam.functions, w)
+
+    @pytest.mark.parametrize("seed", range(150, 160))
+    def test_scaled_equality_passes(self, seed):
+        # seeds 152-154 put lower 1.8e-12 above upper, which the absolute tolerance raised on
+        out = integrands._continuity(*self.inputs(seed))
+        assert out["lower"] == pytest.approx(out["upper"], rel=1e-14)
+
+    def test_real_violation_raises(self):
+        phi, fam, w, sq_norms = self.inputs(150)
+        with pytest.raises(AssertionError, match="variation bound"):
+            integrands._continuity(phi, fam, w, sq_norms * (1.0 + 1e-9) ** 2)
 
 
 class TestTruncate:

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from helpers import (
@@ -7,6 +5,7 @@ from helpers import (
     fft_volterra,
     left_limit_remainder,
     order_bound,
+    traced_peak,
     variation_condition_check,
 )
 from hypothesis import given, settings
@@ -164,13 +163,8 @@ class TestSharedBrownianSource:
         # the peak stays near one chunk's normals (2.0 chunks if it is not)
         tg = TimeGrid(1.0, 64)
         chunk_bytes = SCENARIO_CHUNK * tg.n_steps * 8
-        power_volterra_terminals([0.75], [32, 64], tg, 1, seed=3)  # one-time set-up untraced
-        tracemalloc.start()
-        try:
-            power_volterra_terminals([0.75], [32, 64], tg, 2 * SCENARIO_CHUNK, seed=3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(
+            lambda: power_volterra_terminals([0.75], [32, 64], tg, 2 * SCENARIO_CHUNK, seed=3))
         assert peak <= 1.3 * chunk_bytes, (peak, chunk_bytes)
 
     @pytest.mark.parametrize("sampler", ["terminals", "paths"])
@@ -182,15 +176,7 @@ class TestSharedBrownianSource:
             run = lambda P: power_volterra_terminals([0.75], [tg.n_steps], tg, P, seed=3)
         else:
             run = lambda P: power_volterra_paths([0.75], tg, P, seed=3, n_levels=3)
-        peaks = {}
-        for P in (vol.DRAW_ROWS, SCENARIO_CHUNK):
-            run(P)  # one-time set-up untraced
-            tracemalloc.start()
-            try:
-                run(P)
-                peaks[P] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+        peaks = {P: traced_peak(lambda: run(P)) for P in (vol.DRAW_ROWS, SCENARIO_CHUNK)}
         assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[vol.DRAW_ROWS], peaks
 
     def test_two_workers_hold_one_block_of_rows(self, monkeypatch):
@@ -199,14 +185,24 @@ class TestSharedBrownianSource:
         tg, peaks = TimeGrid(1.0, 2048), {}
         for workers in (1, 2):
             monkeypatch.setattr(drivers, "WORKERS", workers)
-            power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3)  # set-up untraced
-            tracemalloc.start()
-            try:
-                power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3)
-                peaks[workers] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[workers] = traced_peak(
+                lambda: power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3))
         assert peaks[2] <= 1.3 * peaks[1], peaks
+
+    def test_two_workers_hold_three_transform_buffers_each(self, monkeypatch):
+        # each worker draws its block into its path buffer and takes its level differences in
+        # its product buffer (measured 1.82-2.02 MB against a 2.15 MB bound; 2.35-2.54 MB with
+        # a fresh block and a difference buffer per worker beside the three)
+        monkeypatch.setattr(drivers, "WORKERS", 2)
+        tg = TimeGrid(1.0, 2048)
+        n = vol._fft_length(tg.n_steps)
+        transforms = vol.DRAW_ROWS // 2 * (2 * (n // 2 + 1) * 16 + n * 8)  # one worker's
+        spectra = (n // 2 + 1) * 16
+        # a strided ufunc (the level differences, the spectrum product) buffers three operands
+        # of np.getbufsize() values, in both workers at once; then the profile and the output
+        slack = 2 * 3 * np.getbufsize() * 8 + 0.15e6
+        peak = traced_peak(lambda: power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3))
+        assert peak <= 2 * transforms + spectra + slack, (peak, transforms)
 
     @given(P=st.integers(1, SCENARIO_CHUNK + 3), rows=st.integers(1, 40),
            n_levels=st.integers(3, 5), workers=st.sampled_from([1, 2]))
@@ -242,13 +238,7 @@ class TestSharedBrownianSource:
         tg = TimeGrid(1.0, 4096)
         buffer_bytes = vol.DRAW_ROWS * tg.n_steps * 8
         run = lambda: power_volterra_terminals([0.75], [tg.n_steps], tg, 32 * vol.DRAW_ROWS, seed=3)
-        run()  # one-time set-up untraced
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run)
         assert peak <= (workers + 0.5) * buffer_bytes, (peak, buffer_bytes)
 
     def test_batched_exponents_equal_single_calls(self):
@@ -428,12 +418,7 @@ class TestDecompose:
         peaks = {}
         for P in (1, 64):
             S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(P, 3))
-            tracemalloc.start()
-            try:
-                decompose(kernel, S)
-                peaks[P] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[P] = traced_peak(lambda: decompose(kernel, S))
         for P, peak in peaks.items():
             assert peak <= 1e6 + 8 * P * 8 * 513, (P, peak)
 
@@ -516,13 +501,7 @@ class TestStationaryKernel:
             decompose(kernel, S)
             density_construction(kernel, S)
 
-        run()  # untraced warm-up
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(run)
         assert peak < 12e6, peak
 
 
@@ -553,13 +532,8 @@ class TestSlotSums:
         tg = TimeGrid(1.0, 2048)
         S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
         kernel = make_kernel("power_alpha" if "alpha" in entry else "affine", entry, tg)
-        tracemalloc.start()
-        try:
-            out = decompose(kernel, S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert out["max_identity_gap"] <= 1e-10
+        assert decompose(kernel, S)["max_identity_gap"] <= 1e-10
+        peak = traced_peak(lambda: decompose(kernel, S))
         assert peak < 8 * 2048 * 2049, peak
 
 
@@ -637,12 +611,7 @@ class TestDensityConstruction:
         # psi is zeroed, summed and compared in place: the where formula peaked near 6 tables
         S = brownian(4, 512)
         kernel = power_kernel(0.75, S.timegrid)
-        tracemalloc.start()
-        try:
-            density_construction(kernel, S)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: density_construction(kernel, S))
         assert peak < 3 * 8 * 513 * 512, peak
 
     def test_zero_density_reduces_to_diagonal(self):
