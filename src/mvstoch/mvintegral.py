@@ -37,8 +37,10 @@ not by thread count).  The convergence transfer draws no stream: it reads each p
 table and an index (``integrands._measures``), and per block of scenarios and time it charges
 and pairs only the heads of runs of equal inputs so far (on a tree, the atoms) and keeps the
 (L, P, K) running sups of the paired gap.  The Volterra
-decomposition reads only ``horizon_charge``, one tiled product per scenario of the increments
-and the slot table (``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1)
+decomposition reads only ``horizon_charge``: for a stationary integrand, which carries its slot 0
+measure as a ``lag`` profile, the increments convolved with it by FFT in blocks of scenarios
+(``integrands._lag_sums``); otherwise one tiled product per scenario of the increments and the
+slot table (``integrands._slot_sums``).  No consumer holds the dense (P, N + 1, J + 1)
 ensemble; ``mv_integral`` fills it from the same blocks as a small-size reference.
 """
 
@@ -50,8 +52,8 @@ import numpy as np
 
 from .drivers import DriverPath, running_sum
 from .grid import CompactGrid, TestFamily
-from .integrands import (MeasureProcess, integrability_check, _family_evals, _measures, _pair_rows,
-                         _slot_sums)
+from .integrands import (MeasureProcess, integrability_check, _family_evals, _lag_sums, _measures,
+                         _pair_rows, _slot_sums)
 
 __all__ = [
     "charge_blocks",
@@ -102,11 +104,15 @@ def charge_blocks(phi: MeasureProcess, S: DriverPath) -> Iterator[tuple[int, np.
 
 def horizon_charge(phi: MeasureProcess, S: DriverPath) -> np.ndarray:
     """The charge at the horizon, (P, J + 1): the (P, N d) increments times phi's (N d, J + 1)
-    slot table, one tiled product per scenario (``integrands._slot_sums``); the last row of
-    ``charge_blocks`` up to the rounding of a sum of N d products."""
+    slot table, one tiled product per scenario (``integrands._slot_sums``), or for a stationary
+    phi the increments convolved with its ``lag`` profile (``integrands._lag_sums``); the last
+    row of ``charge_blocks`` up to the rounding of either sum."""
     _check_grids(phi, S)
     w, dS = phi.weights, S.increments
-    total = _slot_sums(w.reshape(len(w), -1, w.shape[3]), dS.reshape(len(dS), -1))
+    if phi.lag is not None:
+        total = _lag_sums(dS[:, :, 0], phi.lag)
+    else:
+        total = _slot_sums(w.reshape(len(w), -1, w.shape[3]), dS.reshape(len(dS), -1))
     if not np.all(np.isfinite(total)):
         raise OverflowError("measure-valued integral overflowed")
     return total

@@ -5,10 +5,10 @@ read at the slot's left endpoint in its second argument (the predictable
 convention) and vanishes for s > t.  Kernels are tabulated on the grid as
 a matrix K[l, j] = K(t_l, t_j), deterministic (shape (N+1, N+1, d)) or
 per-scenario (leading scenario axis).  A stationary kernel K(t, s) = f(t - s)
-(power, affine) holds only its lag profile f(t_k), k = 0..N: its matrix, its
-induced integrand's weights and the tables its direct and density sums read
-are read-only views of vectors of at most 2N + 1 values, so no route builds
-an (N + 1)^2 table for it.  Only tabulated and random kernels are dense.
+(power, affine) holds only its lag profile f(t_k), k = 0..N: its matrix and
+its induced integrand's weights are read-only views of vectors of at most
+2N + 1 values, so no route builds an (N + 1)^2 table for it.  Only tabulated
+and random kernels are dense.
 
 Splitting K(t, s) = K(s, s) + (K(t, s) - K(s, s)) decomposes X into a
 driver integral of the diagonal slice plus the remainder Y.  The
@@ -24,8 +24,12 @@ is a finite-sum rearrangement and holds pathwise to accumulation error.
 evaluation index) from ``mvintegral.horizon_charge``, not the running charge.
 
 Every slot sum -- the horizon charge, the direct and the density sums -- is
-the increments times a slot table, one tiled product per scenario
-(``integrands._slot_sums``), so its rounding does not depend on P.
+the increments times a slot table.  A stationary kernel's is a causal
+convolution, taken by FFT (``integrands._lag_sums``) FFT_ROWS scenarios at a
+time: the direct sum with the lag profile, the density sums with f', and the
+horizon charge with the profile of differences that the induced integrand
+carries, so Y is still that integrand's charge.  A dense table's is one
+tiled product per scenario (``integrands._slot_sums``).  Neither rounds by P.
 
 For kernels carrying a time-derivative density the classical
 absolutely-continuous route is also provided: X = diagonal integral plus
@@ -36,13 +40,13 @@ density is read at the lags, psi(t_k, t_j) = f'(t_{k - j}).
 The roughness diagnostic estimates how the mean total variation of an
 ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
-Its power-kernel paths are FFT convolutions (``numpy.fft``).  The
-power-kernel samplers draw the Brownian increments DRAW_ROWS scenarios at a
-time, the rows they transform or sum next, so their memory does not grow
-with the number of scenarios; every block is transformed in the same work
-buffers.  Each block is read once for every exponent, against profile
-spectra transformed once per call, and only per-path total variations (or
-terminal values) are kept, never the ensemble.  Both run on up to two
+Its power-kernel paths are the same FFT convolutions (``numpy.fft``).  The
+power-kernel samplers draw the Brownian increments a block of scenarios at a
+time, the rows they transform (FFT_ROWS) or sum (DRAW_ROWS) next, so their
+memory does not grow with the number of scenarios; every block is
+transformed in the same work buffers.  Each block is read once for every
+exponent, against profile spectra transformed once per call, and only
+per-path total variations (or terminal values) are kept, never the ensemble.  Both run on up to two
 threads that write their own rows: the paths' workers draw the blocks in
 stream order, each into its own path buffer, which the forward transform
 reads before the inverse overwrites it; the terminals' workers draw a chunk
@@ -53,12 +57,12 @@ The paths' calling thread may first run other work (the CLI's decompositions).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import drivers
+from . import drivers, integrands
 from .drivers import (
     DriverPath,
     DriverSpec,
@@ -69,7 +73,8 @@ from .drivers import (
     running_sum,
 )
 from .grid import CompactGrid
-from .integrands import MeasureProcess, _slot_sums, integrability_check
+from .integrands import (MeasureProcess, _fft_paths, _fft_work, _lag_sums, _profile_spectra,
+                         _slot_sums, integrability_check)
 from .mvintegral import horizon_charge
 
 __all__ = [
@@ -88,7 +93,7 @@ __all__ = [
     "power_volterra_paths",
 ]
 
-#: Scenarios per Brownian draw of the power-kernel samplers: 256 KB at N = 2048.
+#: Scenarios per Brownian draw of the terminal sampler, whose gemvs read them: 256 KB at N = 2048.
 DRAW_ROWS = 16
 
 
@@ -159,13 +164,14 @@ class VolterraKernel:
         return weights
 
     def causal_sums(self, dS: np.ndarray) -> np.ndarray:
-        """sum_{j < l} K(t_l, t_j) . dS[:, j] for l = 0..N, from (P, N, d) increments: (P, N + 1),
-        the kernel's strictly-lower rows as a slot table [(j, i), l] (``_slot_sums``)."""
+        """sum_{j < l} K(t_l, t_j) . dS[:, j] for l = 0..N, from (P, N, d) increments: (P, N + 1);
+        a stationary kernel's by convolving its lag profile (``_lag_sums``), a dense one's from
+        its strictly-lower rows as a slot table [(j, i), l] (``_slot_sums``)."""
         P, N = dS.shape[:2]
         if self.d == 1:  # a scalar kernel weighs every driver component alike
             dS = np.sum(dS, axis=2, keepdims=True)
         if self.lag is not None:
-            return _slot_sums(_lag_windows(self.lag)[N:0:-1][None], dS[:, :, 0])
+            return _lag_sums(dS[:, :, 0], self.lag)
         K = self.matrix if self.is_random else self.matrix[None]
         if K.shape[0] not in (1, P):
             raise ValueError("kernel scenario dimension mismatch")
@@ -178,14 +184,15 @@ class VolterraKernel:
         deterministic scalar kernel with a density: (P, N + 1); and the largest gap, over
         j < l, between K(t_l, t_j) - K(t_j, t_j) and its rebuild sum_{j < k <= l} psi(t_k, t_j) dt.
 
-        A stationary kernel's density is psi(t_k, t_j) = f'(t_{k - j}): its sums read a view of
-        one (N + 1) profile, and the rebuild gap depends on l - j only, so it is taken from the
-        profile.  A dense kernel's density table is summed, then rebuilt in its own place."""
+        A stationary kernel's density is psi(t_k, t_j) = f'(t_{k - j}): its sums convolve one
+        (N + 1) profile (``_lag_sums``), and the rebuild gap depends on l - j only, so it is taken
+        from the profile.  A dense kernel's density table is summed, then rebuilt in its own
+        place."""
         N, dt = self.timegrid.n_steps, self.timegrid.dt
         t = self.timegrid.times
         if self.lag is not None:
             psi = self.density_fn(t, t[0])  # f'(t_k); k = 0 is never read
-            inner = _slot_sums(_lag_windows(psi)[N:0:-1][None], dS)
+            inner = _lag_sums(dS, psi)
             rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), out=psi[1:])
             rebuilt -= self.lag[1:] - self.lag[0]
             return inner, float(np.max(np.abs(rebuilt)))
@@ -202,7 +209,7 @@ class VolterraKernel:
 def _lag_windows(profile: np.ndarray, first: int = 1) -> np.ndarray:
     """Read-only windows W[a, c] = profile[a + c - N] of an (N + 1) profile, zero where
     a + c - N < first, with positive strides on both axes: W[N - j, l] = profile[l - j].  Rows
-    N..1 (``[N:0:-1]``) are the slot table [j, l] that ``_slot_sums`` reads."""
+    N..1 (``[N:0:-1]``) are the slot table [j, l], as the induced integrand's weights."""
     n1 = len(profile)
     padded = np.zeros(2 * n1 - 1)
     padded[n1 - 1 + first :] = profile[first:]
@@ -252,42 +259,6 @@ def make_kernel(name: str, params: dict, timegrid: TimeGrid) -> VolterraKernel:
     raise KeyError(f"unknown kernel {name!r}")
 
 
-def _fft_length(N: int) -> int:
-    return 1 << (2 * N - 1).bit_length()  # the full convolution length 2N, to a power of 2
-
-
-def _profile_spectra(profiles: Sequence[np.ndarray], N: int) -> list[np.ndarray]:
-    """rFFTs of (N + 1,) lag profiles w at ``_fft_length(N)``; lag 0 is the slot's
-    own increment, which the sum over j < l excludes."""
-    n = _fft_length(N)
-    return [np.fft.rfft(np.concatenate(([0.0], w[1:])), n) for w in profiles]
-
-
-def _fft_work(P: int, N: int) -> tuple[np.ndarray, ...]:
-    """P-row buffers for ``_fft_paths``: spectrum, product and path."""
-    n = _fft_length(N)
-    return np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex), np.empty((P, n))
-
-
-def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
-               work: tuple[np.ndarray, ...] | None = None) -> Iterator[np.ndarray]:
-    """X_l = sum_{j < l} w[l - j] dW[:, j], l = 0..N, for each profile spectrum
-    from ``_profile_spectra``: one forward rFFT of the (P, N) increments, one
-    inverse per profile.  The transforms write into ``work`` (at least P rows),
-    which a block loop passes again so that no block maps fresh pages; ``dW`` may
-    lie in the path buffer, which the forward transform reads before any inverse
-    writes it.  Each yielded path is overwritten by the next, and the product
-    buffer is free while a path is read."""
-    P, N = dW.shape
-    n = _fft_length(N)
-    spectrum, product, x = (w[:P] for w in (work or _fft_work(P, N)))
-    np.fft.rfft(dW, n, axis=1, out=spectrum)
-    for s in spectra:
-        np.fft.irfft(np.multiply(spectrum, s, out=product), n, axis=1, out=x)
-        x[:, 0] = 0.0
-        yield x[:, : N + 1]
-
-
 def volterra_direct(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
     """X_l = sum_{j < l} K(t_l, t_j) . dS_{j+1} per scenario; O(N^2) direct, from the
     kernel's strictly-lower rows (``VolterraKernel.causal_sums``)."""
@@ -304,11 +275,13 @@ def induced_phi(kernel: VolterraKernel, timegrid: TimeGrid) -> MeasureProcess:
     K(t_l, t_j) - K(t_{l-1}, t_j) for l > j, atom 0 carries no mass, and
     the componentwise variation is the grid total variation of the
     kernel's t-slice.  The weights are ``VolterraKernel.t_increments``: for a
-    stationary kernel a read-only (1, N, 1, N + 1) view of diff(lag).
+    stationary kernel a read-only (1, N, 1, N + 1) view of diff(lag), whose
+    slot 0, diff(lag) itself, the process carries as its ``lag`` profile.
     """
     grid = CompactGrid(timegrid.horizon, timegrid.n_steps)
-    return MeasureProcess("volterra", grid, kernel.t_increments(),
-                          var_sq_integral=kernel.var_sq_integral)
+    weights = kernel.t_increments()
+    return MeasureProcess("volterra", grid, weights, var_sq_integral=kernel.var_sq_integral,
+                          lag=None if kernel.lag is None else weights[0, 0, 0])
 
 
 def _variation_check(phi: MeasureProcess, V: np.ndarray, timegrid: TimeGrid) -> dict:
@@ -380,9 +353,10 @@ def level_variations(Y: np.ndarray, n_levels: int = 6, out: np.ndarray | None = 
         raise ValueError("finest grid must divide by the subsampling strides")
     out = np.empty((P, n_levels)) if out is None else out
     buf = np.empty((P, N)) if buf is None else buf
-    for k, s in enumerate(2 ** np.arange(n_levels)):
+    for k in range(n_levels):
+        s = 1 << k
         d = np.subtract(Y[:, s::s], Y[:, :-s:s], out=buf[:P, : N // s])
-        np.sum(np.abs(d, out=d), axis=1, out=out[:, k])
+        np.add.reduce(np.abs(d, out=d), axis=1, out=out[:, k])
     return out
 
 
@@ -434,15 +408,15 @@ def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenario
     """``level_variations`` of the power-kernel paths ``volterra_direct`` sums, here by
     FFT convolution (``_fft_paths``) on the shared Brownian blocks, (n_alpha, P, n_levels).
     Each block is drawn and transformed once for all exponents, by one of
-    ``drivers.WORKERS`` threads (``drivers.pull_blocks``) in ``DRAW_ROWS // WORKERS``
-    rows, and holds only that worker's three transform buffers: the block is drawn, in
-    stream order under the pool's lock, into the first rows * N floats of the worker's
-    path buffer, and each level's differences go into its product buffer.  The calling
-    thread runs ``lead()`` first, as the pool's lead."""
+    ``drivers.WORKERS`` threads (``drivers.pull_blocks``) in ``FFT_ROWS`` rows, whatever
+    the worker count, and holds only that worker's three transform buffers (``_fft_work``,
+    1.6 MB at N = 8192): the block is drawn, in stream order under the pool's lock, into
+    the first rows * N floats of the worker's path buffer, and each level's differences go
+    into its product buffer.  The calling thread runs ``lead()`` first, as the pool's lead."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
-    rows = max(1, DRAW_ROWS // drivers.WORKERS)
+    rows = integrands.FFT_ROWS
     works = [_fft_work(rows, N) for _ in range(drivers.WORKERS)]
     blocks = [x.reshape(-1)[: rows * N].reshape(rows, N, 1) for _, _, x in works]
     draws = (draw for _, _, chunk in chunk_streams(DriverSpec("brownian"), timegrid, seed,

@@ -13,20 +13,20 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     energy_integral,
-    ito_integral,
     running_sum,
     stopping_weights,
 )
 from mvstoch.grid import CompactGrid, SignedMeasureVec, TestFamily
-from mvstoch.integrands import MeasureProcess, _family_evals, _pair_rows
-from mvstoch.mvintegral import _pair, charge_blocks, paired_charge
-from mvstoch.volterra import (
-    VolterraKernel,
+from mvstoch.integrands import (
+    MeasureProcess,
+    _family_evals,
+    _fft_length,
     _fft_paths,
+    _pair_rows,
     _profile_spectra,
-    _variation_check,
-    induced_phi,
 )
+from mvstoch.mvintegral import _pair, charge_blocks, paired_charge
+from mvstoch.volterra import VolterraKernel, _variation_check, induced_phi
 
 
 def traced_peak(fn: Callable[[], object]) -> int:
@@ -88,6 +88,39 @@ def order_bound(m: int, abs_sum) -> np.ndarray:
     return 2 * mu / (1 - mu) * np.asarray(abs_sum)
 
 
+def fft_error_bound(profile: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """An a-priori bound, per row (P, 1), on how far ``integrands._lag_sums`` of (P, N)
+    increments x with an (N + 1) profile may lie from the exact sums sum_{j < l} w[l - j] x_j.
+
+    The sums are y = F^-1 (F x . F w) at n = ``_fft_length(N)``, w the profile without lag 0.
+    Each transform is taken to err as Higham's radix-2 bound (Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 24.2) allows, ||fl(F z) - F z||_2 <= delta ||F z||_2, with
+    delta = L eta / (1 - L eta) and eta = mu + gamma_4 (sqrt 2 + mu): L = log2 n + 1 passes (one
+    more for a real transform's split) and twiddles good to mu = 2u.  With ||F z||_2 =
+    sqrt(n) ||z||_2, |F z| <= ||z||_1 entrywise, a complex product's rounding below
+    sqrt(2) gamma_2 < 3u and an exact 1/n (n a power of 2), every entry errs by at most, to first
+    order in u, (2 delta + 3u) ||w||_1 ||x||_2 + delta ||x||_1 ||w||_2."""
+    x, w = np.asarray(increments, dtype=float), np.asarray(profile, dtype=float)[1:]
+    u, L = np.finfo(float).eps / 2, math.log2(_fft_length(x.shape[1])) + 1
+    eta = 2 * u + 4 * u / (1 - 4 * u) * (math.sqrt(2) + 2 * u)
+    delta = L * eta / (1 - L * eta)
+    norms = lambda z: (np.sum(np.abs(z), axis=-1, keepdims=True),
+                       np.sqrt(np.sum(z * z, axis=-1, keepdims=True)))
+    (x1, x2), (w1, w2) = norms(x), norms(w)
+    return (2 * delta + 3 * u) * w1 * x2 + delta * x1 * w2
+
+
+def lag_sum_bound(profile: np.ndarray, increments: np.ndarray) -> np.ndarray:
+    """How far the lag route's sums (``_lag_sums``, by FFT) and the dense table's
+    (``_slot_sums``, N rounded products each) of the same profile may lie apart, (P, N + 1):
+    ``fft_error_bound`` plus the table's ``order_bound``."""
+    x = np.asarray(increments, dtype=float)
+    N = x.shape[1]
+    gap = np.arange(N + 1)[:, None] - np.arange(N)[None, :]
+    table = np.where(gap > 0, np.abs(profile)[np.clip(gap, 0, N)], 0.0)  # [l, j] = |w[l - j]|
+    return fft_error_bound(profile, x) + order_bound(N, np.abs(x) @ table.T)
+
+
 def variation_condition_check(kernel: VolterraKernel, S: DriverPath, V: np.ndarray) -> dict:
     """Finiteness of the accumulated squared t-variation of the kernel."""
     return _variation_check(induced_phi(kernel, S.timegrid), V, S.timegrid)
@@ -113,7 +146,8 @@ def diagonal_jump_check(kernel: VolterraKernel, M: DriverPath) -> dict:
 
 def fft_volterra(kernel: VolterraKernel, S: DriverPath) -> np.ndarray:
     """The Volterra path of a stationary deterministic scalar kernel, (P, N + 1), by the
-    roughness diagnostic's FFT convolution of its lag profile K(t_l, 0) with the increments."""
+    roughness diagnostic's FFT convolution of its lag profile K(t_l, 0) with the increments,
+    all scenarios in one transform."""
     N = S.timegrid.n_steps
     return next(_fft_paths(S.increments[:, :, 0], _profile_spectra([kernel.matrix[:, 0, 0]], N)))
 
@@ -233,19 +267,41 @@ def localizing_sequence(V: np.ndarray, levels: Sequence[float], scenarios: Scena
 
 
 def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[PredictablePath],
-                             tau: StoppingRule) -> dict:
+                             tau: StoppingRule, rows: int = 2048) -> dict:
     """Monte Carlo check of the control inequality for very simple integrands.
 
     For each H compares lhs = E[sup_{l <= tau-1} |(H . S)_l|^2] with
     rhs = E[V_{tau-} * energy(H, V)_{tau-}]; the margin rhs - lhs is
     reported with the standard error of the per-scenario differences.
+
+    The scenarios are walked ``rows`` at a time: each block's increments are masked once by
+    ``tau.increment_mask()`` (the increments of the driver stopped before tau), and every
+    integrand's running sum, square and sup are taken in one reused time-major (N + 1, rows)
+    buffer.  The d products are added in order and each time to the last, as ``ito_integral``
+    adds them, so each scenario's sup is its bit for bit (for d <= 8; a zero's sign aside, which
+    the square drops).
     """
-    probs = S.scenarios.probs
-    v_pre = tau.left_limit(V)
-    S_pre = stopped_driver(S, tau)  # one mask for all integrands
-    rows = []
-    for H in integrands:
-        lhs_p = np.max(ito_integral(H, S_pre) ** 2, axis=1)
+    probs, dS = S.scenarios.probs, S.increments
+    if any(H.values.shape[1:] != dS.shape[1:] for H in integrands):
+        raise ValueError("integrand and driver differ in time grid or component count")
+    v_pre, mask = tau.left_limit(V), tau.increment_mask()[:, :, None]  # one mask for all
+    P, N, d = dS.shape
+    lhs_ps = np.empty((len(integrands), P))
+    paths, incs = np.zeros((N + 1, min(rows, P))), np.empty((N, min(rows, P), d))
+    for lo in range(0, P, rows):
+        hi = min(lo + rows, P)
+        path, inc = paths[:, : hi - lo], incs[:, : hi - lo]
+        np.multiply(dS[lo:hi].transpose(1, 0, 2), mask[lo:hi].transpose(1, 0, 2), out=inc)
+        for H, lhs_p in zip(integrands, lhs_ps):
+            h = (H.values[lo:hi] if len(H.values) > 1 else H.values).transpose(1, 0, 2)
+            np.multiply(h[..., 0], inc[..., 0], out=path[1:])
+            for i in range(1, d):
+                path[1:] += h[..., i] * inc[..., i]
+            for t in range(1, N + 1):  # cumsum order, each time a contiguous add
+                np.add(path[t - 1], path[t], out=path[t])
+            np.max(np.multiply(path, path, out=path), axis=0, out=lhs_p[lo:hi])
+    rows_out = []
+    for H, lhs_p in zip(integrands, lhs_ps):
         rhs_p = v_pre * tau.left_limit(energy_integral(H, V))
         lhs = float(probs @ lhs_p)
         rhs = float(probs @ rhs_p)
@@ -253,9 +309,9 @@ def control_inequality_check(S: DriverPath, V: np.ndarray, integrands: Sequence[
         mean_diff = float(probs @ diff)
         var_diff = float(probs @ (diff - mean_diff) ** 2)
         se = math.sqrt(var_diff / len(diff))
-        rows.append({"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "se": se})
-    worst = min(rows, key=lambda r: r["margin"] + 3 * r["se"])
-    return {"per_integrand": rows, "min_margin": worst["margin"], "min_margin_se": worst["se"]}
+        rows_out.append({"lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "se": se})
+    worst = min(rows_out, key=lambda r: r["margin"] + 3 * r["se"])
+    return {"per_integrand": rows_out, "min_margin": worst["margin"], "min_margin_se": worst["se"]}
 
 
 def evaluate(phi: MeasureProcess, f: np.ndarray,

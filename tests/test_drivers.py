@@ -657,6 +657,9 @@ class TestControlInequality:
         rep = control_inequality_check(path, path.control, hs, tau)
         assert len(masks) == 1
         assert rep["per_integrand"] == expected  # bit for bit
+        for rows in (1, 7, 256):  # blocks of scenarios that split the 300 unevenly
+            blocked = control_inequality_check(path, path.control, hs, tau, rows=rows)
+            assert blocked["per_integrand"] == expected
 
     def test_integrand_must_match_the_driver(self):
         path = brownian_path(P=4, N=8)

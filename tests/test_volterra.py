@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 from helpers import (
     diagonal_jump_check,
+    fft_error_bound,
     fft_volterra,
+    lag_sum_bound,
     left_limit_remainder,
     order_bound,
     traced_peak,
     variation_condition_check,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvstoch import drivers, mvintegral
+from mvstoch import drivers, integrands, mvintegral
 from mvstoch import volterra as vol
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
@@ -85,12 +87,12 @@ class TestVolterraDirect:
         assert abs(discrete - 1.0 / (2 * alpha + 1)) < 2.0 / N
 
     def test_fft_path_matches_direct(self):
-        S = brownian(8, 64)
+        # one transform of all scenarios against the direct sum's FFT_ROWS-row blocks: pocketfft
+        # rounds a row alike whatever the rows beside it
+        S = brownian(11, 64)
         # the affine profile is nonzero at lag 0, which the sum over j < l excludes
         for k in (power_kernel(0.75, S.timegrid), affine_kernel(1.0, 2.0, S.timegrid)):
-            direct = volterra_direct(k, S)
-            fft = fft_volterra(k, S)
-            np.testing.assert_allclose(fft, direct, atol=1e-10)
+            assert np.array_equal(fft_volterra(k, S), volterra_direct(k, S))
 
     def test_terminal_sampler_matches_driver_route(self):
         N, P = 32, 20
@@ -107,10 +109,10 @@ def serial_paths(alphas, tg, P, seed, n_levels):
     """power_volterra_paths as one thread's loop over DRAW_ROWS-row blocks, with
     np.diff for the level differences."""
     N = tg.n_steps
-    spectra = vol._profile_spectra([(np.arange(N + 1) * tg.dt) ** a for a in alphas], N)
+    spectra = integrands._profile_spectra([(np.arange(N + 1) * tg.dt) ** a for a in alphas], N)
     out = np.empty((len(alphas), P, n_levels))
     for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=vol.DRAW_ROWS):
-        for a, paths in enumerate(vol._fft_paths(dW[:, :, 0], spectra)):
+        for a, paths in enumerate(integrands._fft_paths(dW[:, :, 0], spectra)):
             diffs = [np.diff(paths[:, :: 2**k], axis=1) for k in range(n_levels)]
             out[a, lo:hi] = np.stack([np.sum(np.abs(d), axis=1) for d in diffs], axis=1)
     return out
@@ -180,23 +182,28 @@ class TestSharedBrownianSource:
         assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[vol.DRAW_ROWS], peaks
 
     def test_two_workers_hold_one_block_of_rows(self, monkeypatch):
-        # each of two workers draws DRAW_ROWS // 2 rows into its own half-size
-        # buffers (measured 1.09x one worker's peak; 1.96x at DRAW_ROWS each)
+        # every worker draws FFT_ROWS rows into its own buffers, whatever the worker count: one
+        # worker holds one block's transforms and a strided ufunc's three buffers, and a second
+        # worker adds as much (measured 0.64 and 1.23 MB; a bound of 0.81 and 1.27 MB)
         tg, peaks = TimeGrid(1.0, 2048), {}
+        n = integrands._fft_length(tg.n_steps)
+        share = integrands.FFT_ROWS * (2 * (n // 2 + 1) * 16 + n * 8) + 3 * np.getbufsize() * 8
         for workers in (1, 2):
             monkeypatch.setattr(drivers, "WORKERS", workers)
             peaks[workers] = traced_peak(
                 lambda: power_volterra_paths([0.75], tg, 256, seed=3, n_levels=3))
-        assert peaks[2] <= 1.3 * peaks[1], peaks
+        # then the profile's spectrum and the output
+        assert peaks[1] <= share + (n // 2 + 1) * 16 + 0.15e6, peaks
+        assert peaks[2] <= peaks[1] + share + 0.05e6, peaks
 
     def test_two_workers_hold_three_transform_buffers_each(self, monkeypatch):
-        # each worker draws its block into its path buffer and takes its level differences in
-        # its product buffer (measured 1.82-2.02 MB against a 2.15 MB bound; 2.35-2.54 MB with
-        # a fresh block and a difference buffer per worker beside the three)
+        # each worker draws its FFT_ROWS-row block into its path buffer and takes its level
+        # differences in its product buffer (measured 1.23 MB against a 1.36 MB bound; 1.82-2.02
+        # MB against 2.15 MB with 8-row blocks)
         monkeypatch.setattr(drivers, "WORKERS", 2)
         tg = TimeGrid(1.0, 2048)
-        n = vol._fft_length(tg.n_steps)
-        transforms = vol.DRAW_ROWS // 2 * (2 * (n // 2 + 1) * 16 + n * 8)  # one worker's
+        n = integrands._fft_length(tg.n_steps)
+        transforms = integrands.FFT_ROWS * (2 * (n // 2 + 1) * 16 + n * 8)  # one worker's
         spectra = (n // 2 + 1) * 16
         # a strided ufunc (the level differences, the spectrum product) buffers three operands
         # of np.getbufsize() values, in both workers at once; then the profile and the output
@@ -208,10 +215,11 @@ class TestSharedBrownianSource:
            n_levels=st.integers(3, 5), workers=st.sampled_from([1, 2]))
     @settings(max_examples=20, deadline=None)
     def test_paths_equal_the_serial_block_loop(self, P, rows, n_levels, workers):
+        # blocks of any rows against the serial loop's DRAW_ROWS-row blocks
         tg, alphas = TimeGrid(1.0, 2 ** (n_levels - 1) * 3), (0.25, 0.75)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(drivers, "WORKERS", workers)
-            mp.setattr(vol, "DRAW_ROWS", rows)
+            mp.setattr(integrands, "FFT_ROWS", rows)
             tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels)
         assert np.array_equal(tv, serial_paths(alphas, tg, P, 29, n_levels))
 
@@ -367,6 +375,8 @@ class TestDecompose:
                                 np.abs(S.increments))
             d = S.increments.shape[2]
             bound = order_bound(N * d + N + 1, np.cumsum(np.sum(abs_inc, axis=1), axis=1))
+            if phi.lag is not None:  # a convolution by FFT in place of the slot sum
+                bound += np.arange(1, N + 2) * fft_error_bound(phi.lag, S.increments[:, :, 0])
             assert np.all(np.abs(out["y"] - cum[:, N, :]) <= bound), kernel.name
             assert np.array_equal(y_leftlim[:, 1:], cum[:, idx - 1, idx]), kernel.name
             assert np.all(y_leftlim[:, 0] == 0.0)
@@ -457,15 +467,28 @@ class TestStationaryKernel:
         # diff of the lag equals diff of the table, value for value
         phi, phi_dense = induced_phi(kernel, tg), induced_phi(dense, tg)
         assert np.array_equal(phi.weights, phi_dense.weights)
-        assert np.array_equal(mvintegral.horizon_charge(phi, S), mvintegral.horizon_charge(phi_dense, S))
-        # both direct sums read the same slot table through the same tiles
+        # the lag route convolves by FFT and the dense one sums its table: each sum lies within
+        # the FFT's a-priori error and the table's rounding of the other
+        dS, eps = S.increments[:, :, 0], np.finfo(float).eps
+        charge = mvintegral.horizon_charge(phi, S)
+        assert np.all(np.abs(charge - mvintegral.horizon_charge(phi_dense, S))
+                      <= lag_sum_bound(phi.lag, dS))
         out, out_dense = decompose(kernel, S), decompose(dense, S)
-        assert np.array_equal(out["y"], out_dense["y"])
-        assert np.array_equal(out["x_direct"], out_dense["x_direct"])
-        assert out["max_identity_gap"] == out_dense["max_identity_gap"]
+        bound_x = lag_sum_bound(kernel.lag, dS)
+        assert np.all(np.abs(out["x_direct"] - out_dense["x_direct"]) <= bound_x)
+        # y is the charge's cumsum over atoms: the charges' gaps add up, and both cumsums round
+        bound_y = (np.cumsum(lag_sum_bound(phi.lag, dS), axis=1)
+                   + order_bound(N + 1, np.cumsum(np.abs(charge), axis=1)))
+        assert np.all(np.abs(out["y"] - out_dense["y"]) <= bound_y)
+        # each gap rounds once in diag + y and once in the subtraction
+        slack = eps * (np.abs(out["x_reconstructed"]) + np.abs(out["x_direct"]))
+        assert (abs(out["max_identity_gap"] - out_dense["max_identity_gap"])
+                <= np.max(bound_x + bound_y + slack))
         # a scalar kernel weighs every component of a vector driver alike
         S2 = simulate_driver(DriverSpec("brownian", d=2), tg, ScenarioSet.monte_carlo(6, N))
-        assert np.array_equal(volterra_direct(kernel, S2), volterra_direct(dense, S2))
+        summed = np.sum(S2.increments, axis=2)
+        assert np.all(np.abs(volterra_direct(kernel, S2) - volterra_direct(dense, S2))
+                      <= lag_sum_bound(kernel.lag, summed))
         # the density as a table of psi(t_k, t_j), not of f'(t_{k - j}): other values
         with_density = VolterraKernel("dense", np.array(kernel.matrix), tg,
                                       density_fn=kernel.density_fn)
@@ -504,22 +527,50 @@ class TestStationaryKernel:
         peak = traced_peak(run)
         assert peak < 12e6, peak
 
+    @given(P=st.integers(1, 13), N=st.integers(1, 64), alpha=st.sampled_from([0.25, 0.75, 1.5]),
+           kind=st.sampled_from(["power", "affine"]), seed=st.integers(0, 2**16))
+    @example(P=5, N=64, alpha=0.25, kind="power", seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_first_scenarios_equal_at_p_and_2p(self, P, N, alpha, kind, seed):
+        # every lag sum takes FFT_ROWS scenarios per block: unless P is a multiple of it, the
+        # first P of 2P scenarios are split into other blocks, and must still be the same bits
+        tg = TimeGrid(1.0, N)
+        S2 = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(2 * P, seed))
+        S1 = DriverPath(S2.spec, tg, ScenarioSet.monte_carlo(P, seed), S2.values[:P], S2.control)
+        kernel = power_kernel(alpha, tg) if kind == "power" else affine_kernel(1.0, 2 - alpha, tg)
+        for f in (lambda S: mvintegral.horizon_charge(induced_phi(kernel, tg), S),
+                  lambda S: volterra_direct(kernel, S),
+                  lambda S: density_construction(kernel, S)["x"]):
+            assert np.array_equal(f(S1), f(S2)[:P])
+
+    @pytest.mark.parametrize("entry", [{"alpha": 0.75}, {"level": 1.0, "slope": 2.0}],
+                             ids=["power", "affine"])
+    def test_decompositions_hold_no_whole_spectrum(self, entry):
+        # N = 4096, P = 100: a whole (P, n / 2 + 1) spectrum is 6.6 MB, two paths' worth.  The
+        # decomposition holds five (P, N + 1) paths (its parts, their sum and their gap) and the
+        # density route three, beside one FFT_ROWS-row work set (measured 16.49 and 9.87 MB)
+        tg = TimeGrid(1.0, 4096)
+        S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
+        kernel = make_kernel("power_alpha" if "alpha" in entry else "affine", entry, tg)
+        path = 8 * 100 * 4097
+        work = sum(b.nbytes for b in integrands._fft_work(integrands.FFT_ROWS, 4096)) + 0.5e6
+        assert traced_peak(lambda: decompose(kernel, S)) <= 5 * path + work
+        assert traced_peak(lambda: density_construction(kernel, S)) <= 3 * path + work
+
 
 class TestSlotSums:
-    """Every Volterra slot sum is one tiled product per scenario (``integrands._slot_sums``)."""
+    """A dense kernel's slot sums are one tiled product per scenario (``integrands._slot_sums``)."""
 
     @given(P=st.integers(1, 12), N=st.integers(1, 40), d=st.integers(1, 2),
-           kind=st.sampled_from(["power", "dense", "random"]), seed=st.integers(0, 2**16))
+           kind=st.sampled_from(["dense", "random"]), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_first_scenarios_equal_at_p_and_2p(self, P, N, d, kind, seed):
         # the first P of 2P scenarios, and a random kernel's first P rows
         tg, rng = TimeGrid(1.0, N), np.random.default_rng(seed)
-        d = 1 if kind == "power" else d
         S2 = simulate_driver(DriverSpec("brownian", d=d), tg, ScenarioSet.monte_carlo(2 * P, seed))
         S1 = DriverPath(S2.spec, tg, ScenarioSet.monte_carlo(P, seed), S2.values[:P], S2.control)
         table = rng.normal(size=(2 * P, N + 1, N + 1, d))
-        kernels = {"power": lambda rows: power_kernel(0.75, tg),
-                   "dense": lambda rows: tabulated_kernel(table[0], tg),
+        kernels = {"dense": lambda rows: tabulated_kernel(table[0], tg),
                    "random": lambda rows: tabulated_kernel(table[:rows], tg)}[kind]
         k1, k2 = kernels(P), kernels(2 * P)
         for f in (lambda k, S: mvintegral.horizon_charge(induced_phi(k, tg), S), volterra_direct):
@@ -603,8 +654,14 @@ class TestDensityConstruction:
             x, residual, abs_terms = density_construction_oracle(kernel, S)
             out = density_construction(kernel, S)
             # a term of x_l passes through a product, the slot sum (N - 1 adds), dt, the time
-            # sum (N - 1 adds) and the diagonal's add: at most 2 N + 1 roundings
-            assert np.all(np.abs(out["x"] - x) <= order_bound(2 * N + 1, abs_terms)), kernel.name
+            # sum (N - 1 adds) and the diagonal's add: at most 2 N + 1 roundings; a stationary
+            # kernel's inner sums are convolutions instead, each within the FFT's a-priori error
+            bound = order_bound(2 * N + 1, abs_terms)
+            if kernel.lag is not None:
+                psi = kernel.density_fn(S.timegrid.times, 0.0)
+                bound += (np.arange(N + 1) * S.timegrid.dt
+                          * fft_error_bound(psi, S.increments[:, :, 0]))
+            assert np.all(np.abs(out["x"] - x) <= bound), kernel.name
             assert out["kernel_rebuild_residual"] == residual, kernel.name
 
     def test_peak_under_three_tables(self):
