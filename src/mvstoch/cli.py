@@ -16,6 +16,11 @@ directory.  Unless ``OPENBLAS_NUM_THREADS`` is set, this module sets it to 1 bef
 starts BLAS: a run's only parallel threads are ``drivers.pull_blocks``' (the calling one
 first decomposes the volterra kernels), and results depend on neither thread count.
 
+The paper's identities hold one scenario at a time, and the fubini and volterra runners check
+them a block of scenarios at a time (``DriverPath.view``): their memory does not grow with the
+scenario count, and their reports do not depend on the block size.  The volterra driver is
+freed once the kernels are checked, before the diagnostic's last blocks.
+
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical
 files.  Exit codes: 0 all checks passed, 1 a tolerance was breached,
@@ -38,25 +43,20 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 import numpy as np
 
 from . import dominated as dom
+from . import integrands
 from . import volterra as vol
 from .drivers import (DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver,
                       tree_fault)
 from .grid import CompactGrid, SignedMeasureVec, build_test_family
 from .integrands import (
     ElementaryTerm,
-    MeasureProcess,
     approximate_elementary,
     elementary_process,
     integrability_check,
     random_elementary_process,
     random_lattice_process,
 )
-from .mvintegral import (
-    _paired_ito_paths,
-    convergence_transfer_check,
-    fubini_check,
-    standard_cell_sets,
-)
+from .mvintegral import convergence_transfer_check, fubini_check, standard_cell_sets
 
 SCHEMA_VERSION = 1
 
@@ -67,13 +67,14 @@ class ConfigError(Exception):
 
 # The config schema.  A Key is a JSON number cast to float or int (an integral one), a
 # boolean (bool) or a string (str); a number must be finite and within its bound: POSITIVE,
-# NONNEGATIVE, ANY or a least integer.  A ListOf is a list of ``item``s, and Modes an object
+# NONNEGATIVE, ANY or a least integer.  A ListOf is a list of ``item``s, at least ``least``
+# of them, and Modes an object
 # whose other keys are those of ``tables[mode]``, mode being the value of its ``key``.  A
 # callable default is read from the config checked so far; REQUIRED marks a key without one.
 POSITIVE, NONNEGATIVE, ANY = "positive", "nonnegative", "any"
 REQUIRED = MISSING = object()  # also what an absent key reads as
 Key = namedtuple("Key", "cast bound default", defaults=(ANY, REQUIRED))
-ListOf = namedtuple("ListOf", "item default", defaults=(REQUIRED,))
+ListOf = namedtuple("ListOf", "item default least", defaults=(REQUIRED, 0))
 Modes = namedtuple("Modes", "key default tables")
 
 TIME = {"T": Key(float, POSITIVE), "N": Key(int, POSITIVE)}
@@ -99,7 +100,7 @@ KERNELS = ListOf(Modes("name", None, {
     "power_alpha": {"alpha": Key(float, POSITIVE)},
     "affine": {"level": Key(float, ANY, 1.0), "slope": Key(float, ANY, 1.0)},
     "tabulated": {"path": Key(str)},  # its CSV is loaded by check_config
-}), [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}])
+}), [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"}], 1)
 # the roughness slope needs at least 3 levels; example7 seeds the diagnostic from the scenarios
 DIAGNOSTIC = {"levels": Key(int, 3, 6), "n_steps": Key(int, POSITIVE, 2**12),
               "scenarios": Key(int, POSITIVE, 500)}
@@ -127,19 +128,19 @@ RUNNER_KEYS = {
         # every atom hat and every sign vector: the family attains the variation norm
         "test_family": {"k_max": Key(
             int, POSITIVE, lambda cfg: cfg["grid"]["J"] + 1 + 2 ** (cfg["grid"]["J"] + 1))},
-        "schedule": ListOf(Key(int, POSITIVE), [4, 16, 64]),
+        "schedule": ListOf(Key(int, POSITIVE), [4, 16, 64], 1),
         "tolerances": {"approx_q": Key(float, NONNEGATIVE, 1e-6)}, "output": OUTPUT,
     },
     "volterra": {
         "time": TIME, "scenarios": SCENARIOS, "driver": DRIVER, "kernels": KERNELS,
-        "alphas": ListOf(Key(float), [0.25, 0.75]),
+        "alphas": ListOf(Key(float, POSITIVE), [0.25, 0.75]),  # power kernels, as in example7
         "diagnostic": {**DIAGNOSTIC, "seed": Key(int, NONNEGATIVE, 101)},
         "tolerances": {"decomposition": Key(float, NONNEGATIVE, 1e-10)}, "output": OUTPUT,
     },
     "example7": {
         "time": TIME, "scenarios": {"seed": Key(int, NONNEGATIVE, 12345)},
         "grid": {"J": Key(int, POSITIVE, 2**12)},
-        "alphas": ListOf(Key(float, POSITIVE), [0.5, 1.0, 2.0]),
+        "alphas": ListOf(Key(float, POSITIVE), [0.5, 1.0, 2.0], 1),
         # the variance gate needs two scenarios, and a midpoint u = T/2 after t = 0
         "isometry": {"scenarios": Key(int, 2, 20000), "n_steps": Key(int, 2, 1024)},
         "diagnostic": DIAGNOSTIC, "probe": PROBE,
@@ -188,16 +189,13 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
     if diag and diag["n_steps"] % 2 ** (diag["levels"] - 1):
         raise ConfigError(f"diagnostic.n_steps {diag['n_steps']} is not divisible by "
                           f"2**(levels - 1) = {2 ** (diag['levels'] - 1)}")
-    if cfg.get("schedule") == []:
-        raise ConfigError("schedule is empty; it needs at least one net size")
     n1 = cfg["time"]["N"] + 1
     for i, kernel in enumerate(cfg.get("kernels", [])):
         try:
             if kernel["name"] == "tabulated":
-                kernel["matrix"] = np.loadtxt(kernel["path"], delimiter=",", ndmin=2)
-                if kernel["matrix"].shape != (n1, n1):
-                    raise ValueError(f"a {kernel['matrix'].shape} table; the time grid needs "
-                                     f"{(n1, n1)}")
+                kernel["matrix"] = matrix = np.loadtxt(kernel["path"], delimiter=",", ndmin=2)
+                if matrix.shape != (n1, n1):
+                    raise ValueError(f"a {matrix.shape} table; the time grid needs {(n1, n1)}")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"kernels[{i}].path {kernel['path']!r}: {exc}") from None
     integrand = cfg.get("integrand", {})
@@ -206,10 +204,9 @@ def check_config(command: str, raw: dict, seed: int | None = None) -> dict:
         try:
             terms = [ElementaryTerm(SignedMeasureVec(grid, np.asarray(t["weights"], float)),
                                     t["start"], t["stop"]) for t in integrand["terms"]]
-            integrand["process"] = elementary_process(grid, cfg["time"]["N"], terms)
-            if integrand["process"].d != cfg["driver"]["d"]:
-                raise ValueError(f"{integrand['process'].d} components; driver.d is "
-                                 f"{cfg['driver']['d']}")
+            integrand["process"] = process = elementary_process(grid, cfg["time"]["N"], terms)
+            if process.d != cfg["driver"]["d"]:
+                raise ValueError(f"{process.d} components; driver.d is {cfg['driver']['d']}")
         except ValueError as exc:
             raise ConfigError(f"integrand.terms do not fit the grids: {exc}") from None
     driver, sc = cfg.get("driver"), cfg.get("scenarios", {})
@@ -247,6 +244,8 @@ def _walk(spec, raw, key: str, cfg: dict):
     if isinstance(spec, ListOf):
         if not isinstance(raw, list):
             raise ConfigError(f"{key} must be a list, not {raw!r}")
+        if len(raw) < spec.least:
+            raise ConfigError(f"{key} is empty; it needs at least {spec.least} entry")
         return [_walk(spec.item, item, f"{key}[{i}]", cfg) for i, item in enumerate(raw)]
     if spec.cast in (bool, str):
         if not isinstance(raw, spec.cast):
@@ -327,15 +326,14 @@ def run_fubini(cfg: dict, out_dir: Path) -> int:
     tol = cfg["tolerances"]["fubini"]
 
     rows, worst = [], 0.0
+    # negative control: compare the charge against the paths of a scaled integrand, so that the
+    # identity genuinely breaks
+    corrupt = 1e-3 if cfg["corrupt_comparison"] else None
     for label, phi in _integrand_list(cfg["integrand"], grid, timegrid, scenarios, S):
-        checks = fubini_check(phi, S, fam, sets=standard_cell_sets(grid))
+        checks = fubini_check(phi, S, fam, sets=standard_cell_sets(grid), corrupt=corrupt)
         regular, general = checks["regular"], checks["general"]
-        if cfg["corrupt_comparison"]:
-            # negative control: compare the charge against the paths of a
-            # scaled integrand so the identity genuinely breaks
-            scaled = MeasureProcess("kernel", phi.grid, phi.weights * (1.0 + 1e-3))
-            rhs = _paired_ito_paths(scaled, S, fam.functions)
-            gap = float(np.max(np.abs(checks["paired"] - rhs)))
+        if corrupt is not None:
+            gap = checks["corrupted"]
             regular = dict(regular)
             regular["max_abs_discrepancy"] = max(regular["max_abs_discrepancy"], gap)
             regular["per_f"] = regular["per_f"] + [
@@ -385,21 +383,39 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
 
 
 def _kernel_row(params: dict, timegrid: TimeGrid, S: DriverPath) -> list:
-    """One ``kernels`` entry's report row: its name, identity gap and density-route gap.  Only
-    the direct path outlives the identity gap, and nothing outlives the row, so the next
-    kernel decomposes beside none of this one's paths."""
+    """One ``kernels`` entry's report row: its name, identity gap and density-route gap.
+
+    The gaps are the largest over blocks of S's scenarios (``DriverPath.view``) of about
+    ``integrands.EVAL_ENTRIES`` path values, a whole number of ``FFT_ROWS`` rows
+    (``_block_gaps``), so the row holds one block's paths whatever P, and its values are those
+    of the whole ensemble, bit for bit.  The per-kernel work runs once: the variation check,
+    which reads the control alone, and the kernel's spectra, which it caches."""
     kernel = vol.make_kernel(params["name"], params, timegrid)
-    out = vol.decompose(kernel, S)
+    check = vol._variation_check(kernel.induced, S.control, timegrid)
     # a kernel failing the variation condition has no decomposition: its row reads nan
-    if not out["condition_ok"]:
+    if not check["integrable"]:
         return [kernel.name, float("nan"), float("nan")]
+    density = kernel.density_fn is not None and not kernel.is_random and kernel.d == 1
+    fft_rows = integrands.FFT_ROWS
+    rows = fft_rows * max(1, integrands.EVAL_ENTRIES // (fft_rows * (timegrid.n_steps + 1)))
+    gaps = [_block_gaps(kernel, S.view(lo, lo + rows), check, density)
+            for lo in range(0, S.scenarios.n_scenarios, rows)]
+    # np.max, not max: a nan gap stays nan
+    return [kernel.name, *(float(np.max(column)) for column in zip(*gaps))]
+
+
+def _block_gaps(kernel: vol.VolterraKernel, S: DriverPath, check: dict,
+                density: bool) -> tuple[float, float]:
+    """The identity gap and (if ``density``) the density-route gap on S's scenarios.  Only the
+    direct path outlives the identity gap, and nothing outlives the call, so the next block
+    decomposes beside none of this one's paths."""
+    out = vol.decompose(kernel, S, check)
     gap, x_direct = out["max_identity_gap"], out["x_direct"]
     del out
-    density_gap = float("nan")
-    if kernel.density_fn is not None and not kernel.is_random and kernel.d == 1:
-        x = vol.density_construction(kernel, S)["x"]
-        density_gap = float(np.max(np.abs(np.subtract(x, x_direct, out=x), out=x)))
-    return [kernel.name, gap, density_gap]
+    if not density:
+        return gap, float("nan")
+    x = vol.density_construction(kernel, S)["x"]
+    return gap, float(np.max(np.abs(np.subtract(x, x_direct, out=x), out=x)))
 
 
 def run_volterra(cfg: dict, out_dir: Path) -> int:
@@ -409,7 +425,9 @@ def run_volterra(cfg: dict, out_dir: Path) -> int:
     rows = []
 
     def decompose_kernels() -> None:
+        nonlocal S
         rows.extend(_kernel_row(params, timegrid, S) for params in cfg["kernels"])
+        S = None  # the diagnostic's workers run on without the driver
 
     # the kernels are decomposed on this thread while the diagnostic's other worker draws
     tv = vol.power_volterra_paths(cfg["alphas"], tg, diag["scenarios"], seed=diag["seed"],

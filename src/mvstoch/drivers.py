@@ -55,6 +55,7 @@ Doob bound makes the margin certain.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 import threading
@@ -109,7 +110,8 @@ class TimeGrid:
 
 
 class ScenarioSet:
-    """Probability model: Monte Carlo ensemble or a finite scenario tree.
+    """Probability model: Monte Carlo ensemble or a finite scenario tree, or (mode "rows") a
+    block of either's scenarios under their conditional probabilities (``DriverPath.view``).
 
     Tree scenarios are indexed so that the level-l atom of scenario p is
     the contiguous block p // b**(depth - l); the per-level partition
@@ -297,6 +299,24 @@ class DriverPath:
         inc.setflags(write=False)
         return inc
 
+    def view(self, lo: int, hi: int) -> "DriverPath":
+        """Scenarios lo..hi (hi clipped to P) as a driver path of their own that shares this
+        one's arrays: the values, the jump part and, once read here, the increments are views of
+        their rows, and the control is shared.  Its scenarios are the rows' conditional
+        probabilities, in a set of mode "rows" (no seed, no atoms).  The adaptedness check is
+        not run again, so a walk over blocks of rows costs no more than the rows it reads."""
+        hi = min(hi, self.scenarios.n_scenarios)
+        if not 0 <= lo < hi:
+            raise ValueError("need 0 <= lo < hi and lo below the scenario count")
+        view, probs = copy.copy(self), self.scenarios.probs[lo:hi]
+        view.scenarios = ScenarioSet("rows", hi - lo, probs / probs.sum())
+        view.values = self.values[lo:hi]
+        if self.jump_increments is not None:
+            view.jump_increments = self.jump_increments[lo:hi]
+        if "increments" in self.__dict__:  # the cached property's value
+            view.__dict__["increments"] = self.increments[lo:hi]
+        return view
+
     def decomposition_paths(self) -> tuple[np.ndarray, np.ndarray]:
         """Bracket path of the martingale part and variation of the FV part.
 
@@ -326,7 +346,7 @@ def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: 
         raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
     N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
 
-    def draw(rng, lo, hi, buf=None):
+    def draw(rng, lo, hi, buf: np.ndarray | None = None):
         inc = np.empty((hi - lo, N, d)) if buf is None else buf[: hi - lo]
         if spec.kind in ("brownian", "mixture") and spec.vol > 0:
             rng.standard_normal(out=inc)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -156,6 +157,11 @@ class MeasureProcess:
         the range: a view of a dense payload, gathered from an indexed process's table."""
         rows = slice(lo, hi) if self.is_random else slice(None)
         return self.table[rows] if self.index is None else self.table[self.index[rows]]
+
+    @cached_property
+    def lag_spectrum(self) -> np.ndarray:
+        """The spectrum of the ``lag`` profile (``_profile_spectra``), taken once per process."""
+        return _profile_spectra([self.lag], self.n_steps)[0]
 
     @property
     def n_steps(self) -> int:
@@ -284,16 +290,17 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
         yield x[:, : N + 1]
 
 
-def _lag_sums(increments: np.ndarray, profile: np.ndarray) -> np.ndarray:
+def _lag_sums(increments: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_{j < l} profile[l - j] increments[:, j] for l = 0..N, (P, N + 1), from (P, N)
-    increments: the slot sums of a stationary table, a causal convolution.  ``_fft_paths`` takes
+    increments and the profile's spectrum (``_profile_spectra``, which its owner takes once):
+    the slot sums of a stationary table, a causal convolution.  ``_fft_paths`` takes
     FFT_ROWS scenarios at a time through one work set, so no (P, n) spectrum is held, and
     rounds as pocketfft does: about eps log2(n) sum |profile| |increments|_2 per row, in
     place of ``_slot_sums``' O(P N^2) products."""
     P, N = increments.shape
-    spectra, work, out = _profile_spectra([profile], N), _fft_work(FFT_ROWS, N), np.empty((P, N + 1))
+    work, out = _fft_work(FFT_ROWS, N), np.empty((P, N + 1))
     for lo in range(0, P, FFT_ROWS):
-        out[lo : lo + FFT_ROWS] = next(_fft_paths(increments[lo : lo + FFT_ROWS], spectra, work))
+        out[lo : lo + FFT_ROWS] = next(_fft_paths(increments[lo : lo + FFT_ROWS], [spectrum], work))
     return out
 
 

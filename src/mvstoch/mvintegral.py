@@ -33,7 +33,13 @@ sequential sum bit for bit.  The integral is known through its pairings:
 and keeps the (P, K, N + 1) paths, which is all the interchange checks
 and the seminorms read, through ``integrands._pair_rows`` (one-thread BLAS
 matmuls, which round by the rows one call holds, so by block partition but
-not by thread count).  The convergence transfer draws no stream: it reads each process as a
+not by thread count).  A block holds the times whose pairing with the K
+functions is one product per scenario (``_block_step``: J + 1 and K set it,
+never P), so every scenario's pairings are the same bits whatever the other
+scenarios drawn.  ``fubini_check`` therefore walks blocks of scenarios
+(``DriverPath.view``) of about BLOCK_ENTRIES values, each charged, paired,
+compared with its Ito side and folded into the largest gaps, and holds no
+array that grows with P.  The convergence transfer draws no stream: it reads each process as a
 table and an index (``integrands._measures``), and per block of scenarios and time it charges
 and pairs only the heads of runs of equal inputs so far (on a tree, the atoms) and keeps the
 (L, P, K) running sups of the paired gap.  The Volterra
@@ -46,10 +52,12 @@ ensemble; ``mv_integral`` fills it from the same blocks as a small-size referenc
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import integrands
 from .drivers import DriverPath, running_sum
 from .grid import CompactGrid, TestFamily
 from .integrands import (MeasureProcess, integrability_check, _family_evals, _lag_sums, _measures,
@@ -66,7 +74,8 @@ __all__ = [
     "standard_cell_sets",
 ]
 
-# float64 entries (2 MB) of one charge block over all scenarios and atoms; at least one time
+# float64 entries (2 MB) that one block of scenarios holds in a walk over them (``fubini_check``,
+# ``convergence_transfer_check``); at least one scenario
 BLOCK_ENTRIES = 2**18
 
 
@@ -75,18 +84,23 @@ def _check_grids(phi: MeasureProcess, S: DriverPath) -> None:
         raise ValueError("time grid or component count mismatch")
 
 
-def _block_step(phi: MeasureProcess, S: DriverPath) -> int:
-    """Grid times per charge block: BLOCK_ENTRIES values over all scenarios and atoms."""
-    _check_grids(phi, S)
-    return min(phi.n_steps, max(1, BLOCK_ENTRIES // (S.scenarios.n_scenarios * phi.grid.n_atoms)))
+def _block_step(phi: MeasureProcess, n_functions: int) -> int:
+    """Grid times per charge block paired with n_functions test functions: one scenario's block
+    pairs in one product of at most ``PAIR_ENTRIES`` multiply-adds (``_pair_rows``' own split), so
+    the pairings round by J + 1 and n_functions alone, never by the number of scenarios drawn."""
+    return min(phi.n_steps, max(1, integrands.PAIR_ENTRIES // (n_functions * phi.grid.n_atoms)))
 
 
-def charge_blocks(phi: MeasureProcess, S: DriverPath) -> Iterator[tuple[int, np.ndarray]]:
+def charge_blocks(phi: MeasureProcess, S: DriverPath,
+                  n_functions: int = 1) -> Iterator[tuple[int, np.ndarray]]:
     """The running charge in time blocks: (t, block) pairs, where ``block[:, k]`` is the measure
     at time t + k and row 0 repeats the last row of the previous block (zeros first).  A block
-    is a view of one reused time-major buffer, valid until the next is drawn.  phi's rows are
-    read once (``phi.rows``), gathered from its table if it is indexed."""
-    step = _block_step(phi, S)
+    holds the ``_block_step(phi, n_functions)`` times that pair with n_functions test functions,
+    of every scenario of S (a walk over scenarios passes a ``DriverPath.view``); it is a view of
+    one reused time-major buffer, valid until the next is drawn.  phi's rows are read once
+    (``phi.rows``), gathered from its table if it is indexed."""
+    _check_grids(phi, S)
+    step = _block_step(phi, n_functions)
     N, dS, w = S.timegrid.n_steps, S.increments, phi.rows()  # one row broadcasts
     buf = np.zeros((step + 1, len(dS), phi.grid.n_atoms))  # each time's add runs contiguously
     for t in range(0, N, step):
@@ -110,7 +124,7 @@ def horizon_charge(phi: MeasureProcess, S: DriverPath) -> np.ndarray:
     _check_grids(phi, S)
     w, dS = phi.weights, S.increments
     if phi.lag is not None:
-        total = _lag_sums(dS[:, :, 0], phi.lag)
+        total = _lag_sums(dS[:, :, 0], phi.lag_spectrum)
     else:
         total = _slot_sums(w.reshape(len(w), -1, w.shape[3]), dS.reshape(len(dS), -1))
     if not np.all(np.isfinite(total)):
@@ -131,7 +145,7 @@ def paired_charge(phi: MeasureProcess, S: DriverPath, functions: np.ndarray) -> 
     if functions.ndim != 2 or functions.shape[1] != phi.grid.n_atoms:
         raise ValueError("test functions do not match the grid")
     out = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
-    for lo, block in charge_blocks(phi, S):
+    for lo, block in charge_blocks(phi, S, len(functions)):
         _pair(out, lo, block, functions)
     return out
 
@@ -158,14 +172,11 @@ def _sup_seminorm(M: np.ndarray, fam: TestFamily, probs: np.ndarray) -> float:
     return float(np.sqrt(fam.gammas @ (probs @ (M * M))))
 
 
-def _discrepancy_rows(lhs_stack: np.ndarray, rhs_stack: np.ndarray, labels: Sequence) -> dict:
-    """Max pathwise gaps per test function; lhs/rhs stacked (n_f, P, N + 1)."""
-    rows = []
-    for label, lhs, rhs in zip(labels, lhs_stack, rhs_stack):
-        gap = np.abs(lhs - rhs)
-        p, ell = np.unravel_index(np.argmax(gap), gap.shape)
-        rows.append({"test": label, "max_discrepancy": float(gap[p, ell]),
-                     "scenario": int(p), "time_index": int(ell)})
+def _discrepancy_rows(gaps: np.ndarray, where: np.ndarray, labels: Sequence) -> dict:
+    """The report of the largest pathwise gap per test function, (n_f,), and its first
+    (scenario, time), (n_f, 2)."""
+    rows = [{"test": label, "max_discrepancy": float(gap), "scenario": int(p), "time_index": int(ell)}
+            for label, gap, (p, ell) in zip(labels, gaps, where)]
     worst = max(rows, key=lambda r: r["max_discrepancy"])
     return {
         "max_abs_discrepancy": worst["max_discrepancy"],
@@ -174,12 +185,22 @@ def _discrepancy_rows(lhs_stack: np.ndarray, rhs_stack: np.ndarray, labels: Sequ
     }
 
 
-def _paired_ito_paths(phi: MeasureProcess, S: DriverPath, functions: np.ndarray) -> np.ndarray:
-    """ito integrals of phi(f) for each row f of ``functions``; (n_f, P, N + 1)."""
-    evals = _family_evals(phi, functions)
+def _paired_ito_paths(evals: np.ndarray, S: DriverPath) -> np.ndarray:
+    """Ito integrals of phi(f), from phi's pairings (P or 1, N, n_f, d) with the functions f
+    (``_family_evals``); (P, N + 1, n_f)."""
     dS = S.increments
     contrib = np.einsum("pnki,pni->pnk", np.broadcast_to(evals, dS.shape[:2] + evals.shape[2:]), dS)
-    return np.moveaxis(running_sum(contrib), 2, 0)
+    return running_sum(contrib)
+
+
+def _scenario_rows(phi: MeasureProcess, lo: int, hi: int) -> MeasureProcess:
+    """phi's scenarios lo..hi as a process of their own: phi itself if it has one row, else a
+    view of its dense payload's rows or of its index's rows."""
+    if not phi.is_random:
+        return phi
+    if phi.index is None:
+        return replace(phi, table=phi.table[lo:hi], terms=None)
+    return replace(phi, index=phi.index[lo:hi], terms=None)
 
 
 def standard_cell_sets(grid: CompactGrid) -> list[tuple[str, int, int]]:
@@ -196,23 +217,62 @@ def standard_cell_sets(grid: CompactGrid) -> list[tuple[str, int, int]]:
 
 
 def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
-                 sets: Sequence[tuple[str, int, int]] | None = None) -> dict:
+                 sets: Sequence[tuple[str, int, int]] | None = None,
+                 corrupt: float | None = None) -> dict:
     """Compare pairing-the-integral with integrating-the-pairing, for every
     family member ("regular") and for indicators of atom-index ranges
-    ("general", ``standard_cell_sets`` by default).  The charge is paired
-    once with both stacked; "paired" holds its (K, P, N + 1) family pairings.
+    ("general", ``standard_cell_sets`` by default): per test function the
+    largest gap and its first (scenario, time).  With ``corrupt``, also the
+    negative control "corrupted": the largest gap between the family pairings
+    and the Ito paths of phi scaled by 1 + corrupt, where the identity breaks.
+
+    The scenarios are walked in blocks of about BLOCK_ENTRIES values
+    (``DriverPath.view`` and phi's rows).  Each block's charge is paired once
+    with the family and the indicators stacked (``paired_charge``, whose time
+    blocks J + 1 and the function count set), its Ito side is formed, and its
+    gaps are folded in.  Every value is per scenario, so the reports do not
+    depend on the block size, and no array grows with P.  The finiteness check
+    runs on each block of a P-row phi; a one-row phi is checked and evaluated once.
     """
-    if not integrability_check(phi, S.control, S.timegrid)["member"]:
-        raise ValueError("integrand fails the finiteness check")
     if sets is None:
         sets = standard_cell_sets(phi.grid)
-    K = fam.size
+    K, P, N = fam.size, S.scenarios.n_scenarios, S.timegrid.n_steps
+    if phi.is_random and phi.shape[0] != P:
+        raise ValueError("integrand and driver differ in scenario count")
     functions = np.vstack([fam.functions] + [phi.grid.indicator(lo, hi) for _, lo, hi in sets])
-    lhs = np.moveaxis(paired_charge(phi, S, functions), 1, 0)
-    rhs = _paired_ito_paths(phi, S, functions)
-    return {"regular": _discrepancy_rows(lhs[:K], rhs[:K], [f"u_{k+1}" for k in range(K)]),
-            "general": _discrepancy_rows(lhs[K:], rhs[K:], [name for name, _, _ in sets]),
-            "paired": lhs[:K]}
+    n_f = len(functions)
+    # per scenario: one charge block, and four (n_f, N + 1) paths: the pairings, the Ito paths,
+    # the gap and the control's Ito paths
+    rows = min(P, max(1, BLOCK_ENTRIES // ((_block_step(phi, n_f) + 1) * phi.grid.n_atoms
+                                            + 4 * n_f * (N + 1))))
+    best, where, corrupted = np.full(n_f, -np.inf), np.zeros((n_f, 2), dtype=np.intp), -np.inf
+    for lo in range(0, P, rows):
+        q, part = _scenario_rows(phi, lo, lo + rows), S.view(lo, lo + rows)
+        if lo == 0 or q is not phi:
+            if not integrability_check(q, S.control, S.timegrid)["member"]:
+                raise ValueError("integrand fails the finiteness check")
+            evals = _family_evals(q, functions)
+            if corrupt is not None:
+                scaled = MeasureProcess("kernel", q.grid, q.rows() * (1.0 + corrupt))
+                scaled_evals = _family_evals(scaled, fam.functions)
+        lhs = paired_charge(q, part, functions)  # (b, n_f, N + 1)
+        gap = np.empty((n_f,) + lhs.shape[::2])
+        np.abs(np.subtract(lhs.swapaxes(0, 1), np.moveaxis(_paired_ito_paths(evals, part), 2, 0),
+                           out=gap), out=gap)
+        flat = gap.reshape(n_f, -1)
+        at = np.argmax(flat, axis=1)  # the first largest (or nan) gap in (scenario, time) order
+        top = flat[np.arange(n_f), at]
+        new = (top > best) | (np.isnan(top) & ~np.isnan(best))  # an earlier block wins a tie
+        best[new] = top[new]
+        where[new] = np.column_stack([lo + at // (N + 1), at % (N + 1)])[new]
+        if corrupt is not None:
+            control = np.moveaxis(_paired_ito_paths(scaled_evals, part), 2, 1)
+            corrupted = np.maximum(corrupted, np.max(np.abs(lhs[:, :K] - control)))
+    out = {"regular": _discrepancy_rows(best[:K], where[:K], [f"u_{k+1}" for k in range(K)]),
+           "general": _discrepancy_rows(best[K:], where[K:], [name for name, _, _ in sets])}
+    if corrupt is not None:
+        out["corrupted"] = float(corrupted)
+    return out
 
 
 def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureProcess],
@@ -234,7 +294,9 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     if not processes:
         return []
     procs, N, K, L = (phi, *processes), S.timegrid.n_steps, fam.size, len(processes)
-    step = max(_block_step(q, S) for q in procs)  # charge_blocks' times per block; checks grids
+    for q in procs:
+        _check_grids(q, S)
+    step = _block_step(phi, K)  # the times per block of the streams charge_blocks pairs
     P, d, n_atoms = S.scenarios.n_scenarios, phi.d, phi.grid.n_atoms
     # scenarios per block: four (L, b, K) sups and pairings, (L + 1) rows of up to b N run heads
     rows = min(P, max(1, BLOCK_ENTRIES // max(4 * L * K, (L + 1) * N * d * n_atoms)))

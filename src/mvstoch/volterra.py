@@ -22,6 +22,13 @@ indicator I_{[0, t]}.  In discrete time the identity
 is a finite-sum rearrangement and holds pathwise to accumulation error.
 ``decompose`` reads the identity-exact Y (which sees the driver up to the
 evaluation index) from ``mvintegral.horizon_charge``, not the running charge.
+The identity holds one scenario at a time, and every path ``decompose`` and
+``density_construction`` form is per scenario, so on a block of rows
+(``DriverPath.view``) they give those rows of the whole ensemble's paths bit
+for bit: the CLI checks a kernel a block at a time.  What depends on the
+kernel alone is taken once per kernel: its induced integrand (``induced``), the
+spectra of a stationary kernel's lag and density profiles, a dense kernel's slot
+table, and, by the caller, the variation check.
 
 Every slot sum -- the horizon charge, the direct and the density sums -- is
 the increments times a slot table.  A stationary kernel's is a causal
@@ -57,6 +64,7 @@ The paths' calling thread may first run other work (the CLI's decompositions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -137,6 +145,39 @@ class VolterraKernel:
     def d(self) -> int:
         return self.matrix.shape[-1]
 
+    @cached_property
+    def induced(self) -> MeasureProcess:
+        """``induced_phi`` on the kernel's grid, built once per kernel: its weights and, for a
+        stationary kernel, its lag spectrum serve every ``decompose`` of the kernel."""
+        return induced_phi(self, self.timegrid)
+
+    @cached_property
+    def lag_spectrum(self) -> np.ndarray:
+        """The spectrum of a stationary kernel's lag profile (``_profile_spectra``), taken once."""
+        return _profile_spectra([self.lag], self.timegrid.n_steps)[0]
+
+    @cached_property
+    def slot_table(self) -> np.ndarray:
+        """A dense kernel's strictly-lower rows as a slot table [(j, i), l], (P or 1, N d, N + 1),
+        built once per kernel."""
+        N = self.timegrid.n_steps
+        K = self.matrix if self.is_random else self.matrix[None]
+        l = np.arange(N + 1)
+        masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
+        return masked.transpose(0, 2, 3, 1).reshape(len(K), -1, N + 1)
+
+    @cached_property
+    def density_lag(self) -> tuple[np.ndarray, float]:
+        """A stationary kernel's density profile psi(t_k, t_0) = f'(t_k) as its spectrum, and the
+        largest gap between K(t_l, t_j) - K(t_j, t_j) = f(t_{l - j}) - f(0) and its rebuild
+        sum_{0 < k <= l - j} f'(t_k) dt, which depends on l - j only: taken once."""
+        t, dt = self.timegrid.times, self.timegrid.dt
+        psi = self.density_fn(t, t[0])  # f'(t_k); k = 0 is never read
+        spectrum = _profile_spectra([psi], self.timegrid.n_steps)[0]
+        rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), out=psi[1:])
+        rebuilt -= self.lag[1:] - self.lag[0]
+        return spectrum, float(np.max(np.abs(rebuilt)))
+
     @property
     def is_random(self) -> bool:
         return self.matrix.ndim == 4
@@ -171,13 +212,10 @@ class VolterraKernel:
         if self.d == 1:  # a scalar kernel weighs every driver component alike
             dS = np.sum(dS, axis=2, keepdims=True)
         if self.lag is not None:
-            return _lag_sums(dS[:, :, 0], self.lag)
-        K = self.matrix if self.is_random else self.matrix[None]
-        if K.shape[0] not in (1, P):
+            return _lag_sums(dS[:, :, 0], self.lag_spectrum)
+        if self.slot_table.shape[0] not in (1, P):
             raise ValueError("kernel scenario dimension mismatch")
-        l = np.arange(N + 1)
-        masked = np.where((l[:, None] > np.arange(N)[None, :])[None, :, :, None], K[:, :, :N, :], 0.0)
-        return _slot_sums(masked.transpose(0, 2, 3, 1).reshape(len(K), -1, N + 1), dS.reshape(P, -1))
+        return _slot_sums(self.slot_table, dS.reshape(P, -1))
 
     def density_sums(self, dS: np.ndarray) -> tuple[np.ndarray, float]:
         """sum_{j < k} psi(t_k, t_j) dS[:, j] for k = 0..N, from (P, N) increments of a
@@ -185,17 +223,14 @@ class VolterraKernel:
         j < l, between K(t_l, t_j) - K(t_j, t_j) and its rebuild sum_{j < k <= l} psi(t_k, t_j) dt.
 
         A stationary kernel's density is psi(t_k, t_j) = f'(t_{k - j}): its sums convolve one
-        (N + 1) profile (``_lag_sums``), and the rebuild gap depends on l - j only, so it is taken
-        from the profile.  A dense kernel's density table is summed, then rebuilt in its own
-        place."""
+        (N + 1) profile (``_lag_sums``), and the rebuild gap depends on l - j only, so both are
+        taken from the profile, once per kernel (``density_lag``).  A dense kernel's density
+        table is summed, then rebuilt in its own place."""
         N, dt = self.timegrid.n_steps, self.timegrid.dt
         t = self.timegrid.times
         if self.lag is not None:
-            psi = self.density_fn(t, t[0])  # f'(t_k); k = 0 is never read
-            inner = _lag_sums(dS, psi)
-            rebuilt = np.cumsum(np.multiply(psi[1:], dt, out=psi[1:]), out=psi[1:])
-            rebuilt -= self.lag[1:] - self.lag[0]
-            return inner, float(np.max(np.abs(rebuilt)))
+            spectrum, residual = self.density_lag
+            return _lag_sums(dS, spectrum), residual
         psi = self.density_fn(t[:, None], t[None, :N])  # [k, j] = psi(t_k, t_j)
         np.copyto(psi, 0.0, where=t[:, None] <= t[None, :N])
         inner = _slot_sums(psi.T[None], dS)
@@ -290,15 +325,22 @@ def _variation_check(phi: MeasureProcess, V: np.ndarray, timegrid: TimeGrid) -> 
             **({"location": out["location"]} if "location" in out else {})}
 
 
-def decompose(kernel: VolterraKernel, S: DriverPath) -> dict:
+def decompose(kernel: VolterraKernel, S: DriverPath, check: dict | None = None) -> dict:
     """Split the Volterra path into a diagonal driver integral plus remainder.
 
     Returns the diagonal part, the remainder Y read from the horizon
     charge (identity-exact), the reconstruction, the direct path and its
-    maximal gap to the reconstruction.
+    maximal gap to the reconstruction.  Every path is per scenario, so the
+    rows of a block of scenarios (``DriverPath.view``) are those rows of the
+    whole ensemble's, bit for bit.  ``check`` is the variation check of the
+    kernel's induced integrand (``kernel.induced``) against S's control, which
+    reads neither the scenarios nor the increments: a caller walking blocks of
+    S, whose views share its control, runs it once and passes it.  When not
+    given it is run here.
     """
-    phi = induced_phi(kernel, S.timegrid)
-    check = _variation_check(phi, S.control, S.timegrid)
+    phi = kernel.induced
+    if check is None:
+        check = _variation_check(phi, S.control, S.timegrid)
     if not check["integrable"]:
         return {"condition_ok": False, **check}
     diag = ito_integral(PredictablePath(kernel.diagonal()), S)

@@ -201,7 +201,8 @@ def paired_gap(phi, minus, S, functions) -> np.ndarray:
     """The pairing of phi's charge minus that of ``minus``, (P, K, N + 1): the two block
     streams drawn in step and the difference of each pair of blocks paired whole."""
     gap = np.zeros((S.scenarios.n_scenarios, len(functions), S.timegrid.n_steps + 1))
-    for (lo, block), (_, other) in zip(charge_blocks(phi, S), charge_blocks(minus, S)):
+    k = len(functions)
+    for (lo, block), (_, other) in zip(charge_blocks(phi, S, k), charge_blocks(minus, S, k)):
         _pair(gap, lo, block - other, functions)
     return gap
 

@@ -14,10 +14,12 @@ from helpers import traced_peak
 
 import mvstoch
 from mvstoch import cli, drivers, integrands, mvintegral
+from mvstoch import dominated as dom
 from mvstoch.cli import main
 from mvstoch.dominated import DominatedSpec
 from mvstoch.drivers import DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
 from mvstoch.grid import CompactGrid, build_test_family
+from mvstoch.mvintegral import fubini_check
 
 
 def write_config(tmp_path, name, payload):
@@ -85,6 +87,35 @@ class TestFubiniCommand:
         assert main(["fubini", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
         summary = json.loads((tmp_path / "bad" / "summary.json").read_text())
         assert not summary["pass"]
+
+    @pytest.mark.parametrize("integrand", [{"kind": "power_law"},
+                                           {"kind": "random_elementary", "count": 2}],
+                             ids=["one_row", "per_scenario"])
+    def test_reports_identical_across_block_budgets(self, tmp_path, monkeypatch, integrand):
+        # fubini_check walks blocks of scenarios of BLOCK_ENTRIES values: from one scenario to
+        # all of them per block, the reports are the same bytes, the negative control's too
+        cfg = fubini_config(tmp_path, integrand=integrand, corrupt_comparison=True)
+        reports = set()
+        for entries in (1, 20000, mvintegral.BLOCK_ENTRIES):
+            monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", entries)
+            out = tmp_path / f"o{entries}"
+            assert main(["fubini", "--config", cfg, "--out", str(out)]) == 1
+            reports.add(tuple((out / f).read_bytes() for f in ("fubini_report.csv",
+                                                                "summary.json")))
+        assert len(reports) == 1
+
+    def test_check_peak_flat_in_scenarios(self):
+        # one block of scenarios at a time: a charge block, the pairings and the Ito paths of
+        # its rows (measured 2.21 and 2.22 MB at N = J = 128; the whole-ensemble check, which
+        # held (P, n_f, N + 1) pairings on both sides, peaked at 6.5 and 51.9 MB)
+        tg = TimeGrid(1.0, 128)
+        phi, _ = dom.power_law_integrand(1.0, tg, 128)
+        fam = build_test_family(phi.grid, 16)
+        peaks = {}
+        for P in (100, 800):
+            S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(P, 3))
+            peaks[P] = traced_peak(lambda: fubini_check(phi, S, fam, corrupt=1e-3))
+        assert peaks[800] <= peaks[100] + 0.05e6, peaks
 
     def test_corrupt_comparison_must_be_a_boolean(self, tmp_path, monkeypatch, capsys):
         # bool("false") is true: read that way, the negative control would run and exit 1
@@ -267,9 +298,10 @@ class TestVolterraCommand:
         assert float(rows[1]["identity_gap"]) <= 1e-10
 
     def test_kernel_loop_peak_flat_in_kernels(self, tmp_path):
-        # each kernel's row is built in its own call, which keeps only the direct path past
-        # the identity gap: four kernels peak as high as one (measured 1.001x; 1.40x when the
-        # previous kernel's decomposition and density paths stayed alive beside the next)
+        # each kernel's row is built in its own call, a block of scenarios at a time, which keeps
+        # only the direct path past the identity gap: four kernels peak as high as one
+        # (measured 1.000x at 2.47 MB, 5.82 MB when a row decomposed all 100 scenarios at once;
+        # 1.40x when the previous kernel's decomposition and density paths stayed alive)
         kernels = shipped("volterra")["kernels"]
         assert len(kernels) == 4
         peaks = {}
@@ -280,6 +312,48 @@ class TestVolterraCommand:
                 "diagnostic": {"n_steps": 16, "scenarios": 4, "levels": 3}})
             peaks[count] = traced_peak(lambda: cli.run_volterra(cfg, tmp_path))
         assert peaks[4] <= 1.2 * peaks[1], peaks
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.0])
+    def test_nonpositive_diagnostic_alpha_exits_two(self, tmp_path, monkeypatch, capsys, alpha):
+        # the diagnostic's power kernels need alpha > 0, as power_kernel and example7 do: -1.0
+        # divided by zero at lag 0 and passed, and 0.0 passed
+        payload = {**shipped("volterra"), "alphas": [0.25, alpha]}
+        assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload, "alphas[1]")
+
+    def test_empty_kernels_exit_two(self, tmp_path, monkeypatch, capsys):
+        # no kernel wrote an empty report with "pass": true
+        payload = {**shipped("volterra"), "kernels": []}
+        assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload, "kernels")
+
+    def test_reports_identical_across_block_budgets(self, tmp_path, monkeypatch):
+        # each kernel row folds its gaps over blocks of about EVAL_ENTRIES path values: 4, 12
+        # and all 30 scenarios per block give the same bytes
+        cfg = self.volterra_config(tmp_path)
+        reports = set()
+        for entries in (1, 12 * 129, integrands.EVAL_ENTRIES):
+            monkeypatch.setattr(integrands, "EVAL_ENTRIES", entries)
+            out = tmp_path / f"o{entries}"
+            assert main(["volterra", "--config", cfg, "--out", str(out)]) == 0
+            reports.add((out / "volterra_report.csv").read_bytes())
+        assert len(reports) == 1
+
+    def test_kernel_row_peak_flat_in_scenarios(self):
+        # a row holds one block of 60 rows at N = 512 (EVAL_ENTRIES // (N + 1), to FFT_ROWS):
+        # the decomposition's five paths (1.23 MB) and about 0.3 MB of fixed slack, the
+        # kernel's spectra and work sets among them (measured 1.526 MB at P = 64, 1.535 MB at
+        # P = 512; 2.03 MB when a block's last paths lived on beside the next block's, and
+        # 10.8 MB when the row decomposed all 512 scenarios at once)
+        tg = TimeGrid(1.0, 512)
+        block = 5 * 60 * 513 * 8
+        for params in ({"name": "power_alpha", "alpha": 0.75}, {"name": "affine", "level": 1.0,
+                                                                "slope": 2.0}):
+            peaks = {}
+            for P in (64, 512):
+                S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(P, 3))
+                peaks[P] = traced_peak(lambda: cli._kernel_row(params, tg, S))
+            slack = peaks[64] - block
+            assert slack <= 0.4e6, peaks
+            assert peaks[512] <= block + slack + 0.02e6, peaks
 
     def test_unknown_kernel_exits_two(self, tmp_path, monkeypatch):
         # the kernels are the lead of the diagnostic's pool: its worker must be joined
@@ -401,6 +475,11 @@ class TestExample7Command:
             "alphas": [0.0],
         })
         assert main(["example7", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+    def test_empty_alphas_exit_two(self, tmp_path, monkeypatch, capsys):
+        # an empty study wrote an empty report with "pass": true
+        payload = {**shipped("example7"), "alphas": []}
+        assert_config_error(tmp_path, monkeypatch, capsys, "example7", payload, "alphas")
 
 
 class TestConditionsCommand:

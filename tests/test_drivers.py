@@ -816,6 +816,43 @@ class TestIncrementsCache:
             first[0, 0, 0] = 1.0
 
 
+class TestDriverPathView:
+    """``DriverPath.view``: a block of scenario rows as a driver path of its own."""
+
+    def test_rows_share_the_ensemble_arrays(self):
+        spec = DriverSpec("mixture", jump_rate=3.0, jump_mean=0.1, jump_std=0.4)
+        S = simulate_driver(spec, TimeGrid(2.0, 12), ScenarioSet.monte_carlo(9, 5))
+        view = S.view(2, 6)
+        assert view.values.base is not None and np.shares_memory(view.values, S.values)
+        assert np.array_equal(view.values, S.values[2:6])
+        assert np.array_equal(view.jump_increments, S.jump_increments[2:6])
+        assert np.shares_memory(view.jump_increments, S.jump_increments)
+        assert view.control is S.control and (view.spec, view.timegrid) == (S.spec, S.timegrid)
+        assert view.scenarios.n_scenarios == 4 and view.scenarios.mode == "rows"
+        assert np.allclose(view.scenarios.probs, 0.25)
+        assert np.array_equal(view.increments, np.diff(S.values[2:6], axis=1))  # the view's own
+        assert "increments" not in S.__dict__
+        assert np.array_equal(view.increments, S.increments[2:6])
+        S.increments  # once read, the views share it
+        assert np.shares_memory(S.view(0, 3).increments, S.increments)
+        assert S.view(7, 100).scenarios.n_scenarios == 2  # hi is clipped to P
+        for lo, hi in [(-1, 3), (3, 3), (9, 12)]:
+            with pytest.raises(ValueError):
+                S.view(lo, hi)
+
+    def test_tree_rows_take_conditional_probabilities_unchecked(self, monkeypatch):
+        sc = ScenarioSet.tree(2, 4, level_probs=[0.3, 0.7])
+        S = simulate_driver(DriverSpec("brownian"), TimeGrid(4.0, 4), sc)
+
+        def no_check(*args):
+            raise AssertionError("the adaptedness check ran again")
+
+        monkeypatch.setattr(ScenarioSet, "is_measurable", no_check)
+        view = S.view(4, 12)
+        assert np.array_equal(view.values, S.values[4:12]) and not view.scenarios.is_tree
+        assert np.allclose(view.scenarios.probs, sc.probs[4:12] / sc.probs[4:12].sum())
+
+
 class TestRunningSum:
     @pytest.mark.parametrize("shape", [(5, 9), (4, 7, 3)])
     def test_zero_row_then_cumsum(self, shape):

@@ -14,9 +14,10 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvstoch import mvintegral
+from mvstoch import integrands, mvintegral
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
+    DriverPath,
     DriverSpec,
     PredictablePath,
     ScenarioSet,
@@ -29,6 +30,7 @@ from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
 from mvstoch.integrands import (
     ElementaryTerm,
     MeasureProcess,
+    _family_evals,
     _pair_rows,
     approximate_elementary,
     elementary_process,
@@ -167,7 +169,7 @@ class TestMvIntegral:
         rng = np.random.default_rng(4)
         phi = MeasureProcess("kernel", grid, rng.normal(size=(4, 6, 1, 4)))
         dense = mv_integral(phi, S)
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)  # one grid time per block
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", 1)  # one grid time per block
         blocked = mv_integral(phi, S)
         assert np.array_equal(dense, blocked)
         assert np.array_equal(blocked, dense_charge_oracle(phi, S))
@@ -201,16 +203,16 @@ class TestChargeBlocks:
     """The time-blocked accumulator, and the pairings drawn from it, against
     the former dense fill."""
 
-    # BLOCK_ENTRIES 1 and 97 against P (J + 1) from 2 to 270 give from one time per block to
+    # PAIR_ENTRIES 1 and 97 against K (J + 1) from 2 to 90 give from one time per block to
     # all of them; the shipped 2**18 holds every time in one block and pairs all scenarios at once
-    @pytest.mark.parametrize("block_entries", [1, 97, mvintegral.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("pair_entries", [1, 97, integrands.PAIR_ENTRIES])
     @pytest.mark.parametrize("rows", [1, "P"])
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("stopped", [False, True])
     @given(P=st.integers(1, 30), N=st.integers(1, 30), J=st.integers(1, 8), K=st.integers(1, 10),
            seed=st.integers(0, 2**16))
     @settings(max_examples=8, deadline=None)
-    def test_equals_dense_fill(self, block_entries, rows, d, stopped, P, N, J, K, seed):
+    def test_equals_dense_fill(self, pair_entries, rows, d, stopped, P, N, J, K, seed):
         S = brownian(P, N, d=d, seed=seed)
         grid = CompactGrid(1.0, J)
         rng = np.random.default_rng(seed)
@@ -222,9 +224,9 @@ class TestChargeBlocks:
         functions = build_test_family(grid, K).functions
         dense = dense_charge_oracle(phi, S)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            mp.setattr(integrands, "PAIR_ENTRIES", pair_entries)
             assert np.array_equal(mv_integral(phi, S), dense)
-            step = next(charge_blocks(phi, S))[1].shape[1] - 1  # times per block
+            step = next(charge_blocks(phi, S, K))[1].shape[1] - 1  # times per block of K pairings
             assert np.array_equal(paired_charge(phi, S, functions), pair(dense, functions, step))
             # the in-step difference pairs as the difference of the dense charges
             gap = paired_gap(phi, psi, S, functions)
@@ -235,7 +237,7 @@ class TestChargeBlocks:
         grid = CompactGrid(1.0, 4)
         phi = MeasureProcess("kernel", grid, np.random.default_rng(2).normal(size=(1, 10, 1, 5)))
         dense = dense_charge_oracle(phi, S)
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 3 * 5 * 4)  # four times per block
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", 5 * 4)  # four times per block
         seen = []
         for lo, block in charge_blocks(phi, S):
             assert np.array_equal(block, dense[:, lo : lo + block.shape[1]])
@@ -247,7 +249,7 @@ class TestChargeBlocks:
         grid = CompactGrid(1.0, 2)
         w = np.zeros((1, 6, 1, 3))
         w[0, 0] = 1e308
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 1)  # one time per block
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", 1)  # one time per block
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = charge_blocks(MeasureProcess("kernel", grid, w * 1e8), S)
             with pytest.raises(OverflowError):
@@ -273,10 +275,10 @@ class TestHorizonCharge:
     charges atoms from a random first one on, with zeros scattered after it."""
 
     @given(P=st.integers(1, 40), N=st.integers(1, 30), d=st.integers(1, 3), J=st.integers(1, 30),
-           one_row=st.booleans(), block_entries=st.integers(1, 64), seed=st.integers(0, 2**16),
+           one_row=st.booleans(), pair_entries=st.integers(1, 64), seed=st.integers(0, 2**16),
            data=st.data())
     @settings(max_examples=200, deadline=None)
-    def test_equals_the_last_row_of_the_block_stream(self, P, N, d, J, one_row, block_entries,
+    def test_equals_the_last_row_of_the_block_stream(self, P, N, d, J, one_row, pair_entries,
                                                      seed, data):
         # a first atom of J + 1 leaves the slot without mass
         first = data.draw(st.lists(st.integers(0, J + 1), min_size=N, max_size=N))
@@ -287,7 +289,7 @@ class TestHorizonCharge:
             w[:, n, :, :f] = 0.0
         phi, S = MeasureProcess("kernel", CompactGrid(1.0, J), w), brownian(P, N, seed=seed, d=d)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            mp.setattr(integrands, "PAIR_ENTRIES", pair_entries)
             gap = np.abs(horizon_charge(phi, S) - last_charge_row(phi, S))
         assert np.all(gap <= horizon_gap_bound(phi, S))
 
@@ -298,7 +300,7 @@ class TestHorizonCharge:
         w = np.zeros((1, 40, 1, 4))
         w[..., 3] = np.random.default_rng(seed).normal(size=(1, 40, 1))
         phi = MeasureProcess("kernel", CompactGrid(1.0, 3), w)
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", 256)
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", 256)
         gap = np.abs(horizon_charge(phi, S) - last_charge_row(phi, S))
         assert np.all(gap <= horizon_gap_bound(phi, S))
 
@@ -475,8 +477,58 @@ class TestFubiniCheck:
         assert both["general"] == fubini_check(phi, S, build_test_family(grid, 3))["general"]
         assert [r["test"] for r in both["general"]["per_f"]] == [
             name for name, _, _ in standard_cell_sets(grid)]
-        charge = mv_integral(phi, S)
-        assert np.array_equal(both["paired"], np.moveaxis(pair(charge, fam.functions), 1, 0))
+        # the negative control: the family pairings against the Ito paths of phi scaled by
+        # 1 + 1e-3, folded into the same walk; J + 1 = 7 pairs alike in any block of times
+        scaled = MeasureProcess("kernel", grid, phi.weights * (1.0 + 1e-3))
+        ito = mvintegral._paired_ito_paths(_family_evals(scaled, fam.functions), S)
+        gap = np.max(np.abs(pair(mv_integral(phi, S), fam.functions) - np.moveaxis(ito, 2, 1)))
+        corrupted = fubini_check(phi, S, fam, corrupt=1e-3)
+        assert "corrupted" not in both and corrupted["corrupted"] == gap > 1e-6
+        assert {k: corrupted[k] for k in both} == both
+
+    # pairings round by their place among a product's rows from J + 1 = 32 up, past the J + 1
+    # hats of the family, with values that round (uniform, not dyadic)
+    @given(P=st.integers(1, 8), N=st.integers(1, 64), J=st.integers(31, 40),
+           extra=st.integers(1, 8), one_row=st.booleans(),
+           block_entries=st.sampled_from([1, 2000, 2**18]), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_first_scenarios_equal_at_p_and_2p(self, P, N, J, extra, one_row, block_entries,
+                                               seed):
+        # the charge's time blocks are set by J + 1 and the function count, not by P
+        rng = np.random.default_rng(seed)
+        S2, grid = brownian(2 * P, N, seed=seed), CompactGrid(1.0, J)
+        S1 = DriverPath(S2.spec, S2.timegrid, ScenarioSet.monte_carlo(P, seed), S2.values[:P],
+                        S2.control)
+        fam = build_test_family(grid, J + 1 + extra)
+        w = rng.uniform(-1.0, 1.0, size=(1 if one_row else P, N, 1, J + 1))
+        phi1 = MeasureProcess("kernel", grid, w)
+        phi2 = phi1 if one_row else MeasureProcess("kernel", grid, np.concatenate([w, 0 * w]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            assert np.array_equal(paired_charge(phi1, S1, fam.functions),
+                                  paired_charge(phi2, S2, fam.functions)[:P])
+            if not one_row:  # the second P scenarios charge nothing, and their gaps are zero
+                assert fubini_check(phi1, S1, fam, corrupt=1e-3) == fubini_check(
+                    phi2, S2, fam, corrupt=1e-3)
+
+    @given(P=st.integers(1, 30), N=st.integers(1, 16), J=st.sampled_from([3, 33]),
+           kind=st.sampled_from(["one_row", "dense", "indexed"]), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_reports_do_not_depend_on_the_scenario_blocks(self, P, N, J, kind, seed):
+        rng = np.random.default_rng(seed)
+        S, grid = brownian(P, N, seed=seed), CompactGrid(1.0, J)
+        fam = build_test_family(grid, J + 4)
+        phi = {"one_row": lambda: MeasureProcess("kernel", grid,
+                                                 rng.uniform(-1, 1, size=(1, N, 1, J + 1))),
+               "dense": lambda: MeasureProcess("kernel", grid,
+                                               rng.uniform(-1, 1, size=(P, N, 1, J + 1))),
+               "indexed": lambda: random_lattice_process(grid, S.timegrid, S.scenarios, rng)}[kind]()
+        reports = []
+        for block_entries in (1, 97, 5000, mvintegral.BLOCK_ENTRIES):  # 1 scenario to all of them
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+                reports.append(fubini_check(phi, S, fam, corrupt=1e-3))
+        assert all(r == reports[0] for r in reports[1:])
 
     def test_finiteness_check_guards_the_indicator_comparison(self):
         S = brownian(3, 4)
@@ -487,7 +539,8 @@ class TestFubiniCheck:
 
     def test_peak_memory_does_not_follow_the_dense_charge(self):
         # the dense (P, N + 1, J + 1) charge grows 64x from N = J = 128 to 1024;
-        # the pairings and the Ito paths grow 8x, with N only
+        # the pairings and the Ito paths grow 8x, with N only (measured 1.52x in blocks of
+        # scenarios, 2.62x when every scenario was charged and paired at once)
         import tracemalloc
 
         peaks = []
@@ -616,7 +669,8 @@ class TestStreamedTransfer:
         if stopped:
             S = stopped_driver(S, StoppingRule(rng.integers(0, N + 2, size=P), N))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)  # scenarios per block
+            mp.setattr(integrands, "PAIR_ENTRIES", block_entries)  # the streams' times per block
             got = convergence_transfer_check(phi, processes, S, fam)
             want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions), fam, S.scenarios.probs)
                     for q in processes]
@@ -657,7 +711,8 @@ class TestStreamedTransfer:
             first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, N + 1)
             S = stopped_driver(S, StoppingRule(first, N))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)  # scenarios per block
+            mp.setattr(integrands, "PAIR_ENTRIES", block_entries)  # the streams' times per block
             got = convergence_transfer_check(phi, processes, S, fam)
             want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions), fam, S.scenarios.probs)
                     for q in processes]

@@ -284,6 +284,36 @@ class TestSharedBrownianSource:
             assert out["slope"] == slope
 
 
+class TestRowView:
+    """Every path a decomposition reads is per scenario: on a block of rows (``DriverPath.view``)
+    it is those rows of the whole ensemble's, bit for bit, which lets the CLI walk blocks."""
+
+    @given(tree=st.booleans(), N=st.integers(1, 40), P=st.integers(1, 30),
+           kind=st.sampled_from(["power", "affine", "tabulated"]), alpha=st.floats(0.1, 1.9),
+           data=st.data(), seed=st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_rows_equal_the_whole_ensemble_rows(self, tree, N, P, kind, alpha, data, seed):
+        N = min(N, 7) if tree else N  # a tree takes one level per step
+        sc = ScenarioSet.tree(2, N) if tree else ScenarioSet.monte_carlo(P, seed)
+        tg = TimeGrid(1.0, N)
+        S = simulate_driver(DriverSpec("brownian"), tg, sc)
+        lo = data.draw(st.integers(0, sc.n_scenarios - 1))
+        hi = data.draw(st.integers(lo + 1, sc.n_scenarios))
+        kernel = {"power": lambda: power_kernel(alpha, tg),
+                  "affine": lambda: affine_kernel(1.0, alpha, tg),
+                  "tabulated": lambda: random_fv_kernel(np.random.default_rng(seed), tg)}[kind]()
+        diagonal = PredictablePath(kernel.diagonal())
+        paths = [lambda S: ito_integral(diagonal, S), lambda S: volterra_direct(kernel, S),
+                 lambda S: mvintegral.horizon_charge(induced_phi(kernel, tg), S)]
+        if kind != "tabulated":  # a tabulated kernel carries no density
+            paths.append(lambda S: density_construction(kernel, S)["x"])
+        for path in paths:
+            assert np.array_equal(path(S.view(lo, hi)), path(S)[lo:hi])
+        whole, part = decompose(kernel, S), decompose(kernel, S.view(lo, hi))
+        for key in ("diag", "y", "x_reconstructed", "x_direct"):
+            assert np.array_equal(part[key], whole[key][lo:hi])
+
+
 class TestInducedPhi:
     def test_time_constant_kernel_gives_zero_measures(self):
         tg = TimeGrid(1.0, 8)
@@ -343,8 +373,8 @@ class TestDecompose:
         assert out["condition_ok"]
         assert out["max_identity_gap"] <= 1e-10
 
-    @pytest.mark.parametrize("block_entries", [1, mvintegral.BLOCK_ENTRIES])
-    def test_remainders_equal_dense_cumsum(self, monkeypatch, block_entries):
+    @pytest.mark.parametrize("pair_entries", [1, integrands.PAIR_ENTRIES])
+    def test_remainders_equal_dense_cumsum(self, monkeypatch, pair_entries):
         # oracle: the dense charge and its full cumsum over atoms
         N, P = 24, 6
         rng = np.random.default_rng(31)
@@ -356,7 +386,7 @@ class TestDecompose:
         cases = [(power_kernel(0.75, tg), S1), (affine_kernel(1.0, 2.0, tg), S1),
                  (random_fv_kernel(rng, tg), S1), (random, S1),
                  (tabulated_kernel(rng.normal(size=(N + 1, N + 1, 2)), tg, name="d2"), S2)]
-        monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(integrands, "PAIR_ENTRIES", pair_entries)  # times per charge block
         for kernel, S in cases:
             phi = induced_phi(kernel, tg)
             inc = np.einsum("pnij,pni->pnj",
@@ -548,7 +578,7 @@ class TestStationaryKernel:
     def test_decompositions_hold_no_whole_spectrum(self, entry):
         # N = 4096, P = 100: a whole (P, n / 2 + 1) spectrum is 6.6 MB, two paths' worth.  The
         # decomposition holds five (P, N + 1) paths (its parts, their sum and their gap) and the
-        # density route three, beside one FFT_ROWS-row work set (measured 16.49 and 9.87 MB)
+        # density route three, beside one FFT_ROWS-row work set (measured 16.42 and 9.87 MB)
         tg = TimeGrid(1.0, 4096)
         S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
         kernel = make_kernel("power_alpha" if "alpha" in entry else "affine", entry, tg)
