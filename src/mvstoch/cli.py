@@ -452,9 +452,14 @@ def run_example7(cfg: dict, out_dir: Path) -> int:
     seed, T = cfg["scenarios"]["seed"], timegrid.horizon
 
     S = simulate_driver(DriverSpec("brownian"), timegrid, ScenarioSet.monte_carlo(2, seed))
-    # terminal-variance check: one draw of the isometry stream serves every exponent
+    # terminal-variance check: one draw of the isometry stream serves every exponent.
+    # Only its 2 * len(alphas) sample variances are read, so they are taken here and the
+    # (P, len(alphas), 2) ensemble is freed before the diagnostic's transforms start.
     u_indices = [tg_iso.n_steps // 2, tg_iso.n_steps]
     terminals = vol.power_volterra_terminals(alphas, u_indices, tg_iso, iso_P, seed=seed)
+    iso_var = [[float(np.var(terminals[:, a, col], ddof=1)) for col in range(len(u_indices))]
+               for a in range(len(alphas))]
+    del terminals
     # roughness slopes: every exponent reads the same diagnostic stream
     tv = vol.power_volterra_paths(alphas, tg_diag, diag["scenarios"], seed=seed + 1,
                                   n_levels=diag["levels"])
@@ -491,7 +496,7 @@ def run_example7(cfg: dict, out_dir: Path) -> int:
             target = float(np.sum((u - tg_iso.times[:u_idx]) ** (2 * alpha)) * tg_iso.dt)
             continuous = u ** (2 * alpha + 1) / (2 * alpha + 1)
             iso_bias = max(iso_bias, abs(target - continuous) / continuous)
-            sample = float(np.var(terminals[:, a, col], ddof=1))
+            sample = iso_var[a][col]
             se = sample * np.sqrt(2.0 / (iso_P - 1))
             iso_z = max(iso_z, abs(sample - target) / se)
         slope = vol.semimartingale_diagnostic(tv[a], tg_diag)["slope"]

@@ -20,14 +20,14 @@ Discrete-time conventions used throughout the package:
     is stored as one row (1, N + 1) and broadcasts over the scenarios.
 
 Two scenario models are supported.  Monte Carlo ensembles come from one
-seeded block source, ``increment_blocks``, which the driver simulator and
+seeded block source, ``chunk_streams``, which the driver simulator and
 the power-kernel samplers in ``volterra`` share (the tests check that they
 agree), so ensembles are reproducible.  A consumer that reads a few rows
-at a time asks for blocks of that many rows (the numbers of the 4096-scenario
-chunks ``simulate_driver`` takes whole; jump drivers take whole chunks only),
-and up to two threads (``pull_blocks``) may pull them in order, each drawing
-its block into its own buffer, or draw whole chunks (``chunk_streams``) at
-once, to the same results.
+at a time asks for blocks of that many rows of the 4096-scenario chunks
+(``simulate_driver`` sums SIM_ROWS at a time; jump drivers take whole chunks
+only), and up to two threads (``pull_blocks``) may pull them in order, each
+drawing its block into its own buffer, or draw different chunks at once, to
+the same results.
 Paths accumulate through one ``running_sum`` and every reduction is a
 deterministic ordered sum.  Scenario trees carry an explicit per-level
 partition into filtration atoms (scenario indices are arranged so atoms are
@@ -73,7 +73,6 @@ __all__ = [
     "PredictablePath",
     "StoppingRule",
     "chunk_streams",
-    "increment_blocks",
     "pull_blocks",
     "simulate_driver",
     "running_sum",
@@ -85,6 +84,7 @@ __all__ = [
 ]
 
 SCENARIO_CHUNK = 4096  # fixed: scenario i always lands in chunk i // SCENARIO_CHUNK
+SIM_ROWS = 64  # scenarios per block ``simulate_driver`` draws and sums (128 kB at N = 256)
 WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads of ``pull_blocks``
 C_MIX = 4.0
 EPS_FV = 1e-9
@@ -337,11 +337,21 @@ class DriverPath:
 
 def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
                   rows: int = SCENARIO_CHUNK) -> Iterator[tuple[int, int, Callable]]:
-    """``increment_blocks`` per chunk: (lo, hi, draws).  ``draws()`` lazily yields, for each
-    block of the chunk in order, ``draw(buf=None)``, which draws (lo, hi, inc, jumps) from the
-    chunk's own generator, into the first rows of a C-contiguous ``buf`` when given.  Each draw
-    is called before the next is taken, so a caller picks every block's buffer as it draws it.
-    Threads may draw different chunks at once."""
+    """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per chunk and row block.
+
+    Scenario i always lands in chunk i // SCENARIO_CHUNK, drawn from that
+    chunk's child of SeedSequence(seed) in a fixed order (diffusion normals,
+    Poisson counts, jump normals): one (spec, grid, seed) is one driver.
+    Each chunk is drawn in blocks of ``rows`` scenarios, in order from the
+    chunk's own generator, which fills in C order: without jumps the blocks
+    are the whole-chunk draw, bit for bit.  A jump driver draws its counts
+    after the whole chunk's normals, so it takes only whole chunks.
+
+    Yields (lo, hi, draws) per chunk.  ``draws()`` lazily yields, for each block of the chunk
+    in order, ``draw(buf=None)``, which draws (lo, hi, inc, jumps) from the chunk's own
+    generator, into the first rows of a C-contiguous ``buf`` when given.  Each draw is called
+    before the next is taken, so a caller picks every block's buffer as it draws it.  Threads
+    may draw different chunks at once."""
     if rows < 1 or (spec.has_jumps and rows < SCENARIO_CHUNK):
         raise ValueError("rows must be positive, and a jump driver is drawn in whole chunks")
     N, d, dt = timegrid.n_steps, spec.d, timegrid.dt
@@ -374,30 +384,12 @@ def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: 
         yield lo, hi, partial(draws, child, lo, hi)
 
 
-def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
-                     rows: int = SCENARIO_CHUNK
-                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
-    """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per row block.
-
-    Scenario i always lands in chunk i // SCENARIO_CHUNK, drawn from that
-    chunk's child of SeedSequence(seed) in a fixed order (diffusion normals,
-    Poisson counts, jump normals): one (spec, grid, seed) is one driver.
-    Each chunk is drawn in blocks of ``rows`` scenarios, in order from the
-    chunk's own generator, which fills in C order: without jumps the blocks
-    are the whole-chunk draw, bit for bit.  A jump driver draws its counts
-    after the whole chunk's normals, so it takes only whole chunks.
-    """
-    for _, _, draws in chunk_streams(spec, timegrid, seed, n_scenarios, rows):
-        for draw in draws():
-            yield draw()  # no reference kept: the block is freed before the next is drawn
-
-
 def pull_blocks(consume: Callable[[int, tuple], None], source: Callable[[int], tuple | None],
                 lead: Callable[[], None] | None = None) -> None:
     """Call ``consume(worker, block)`` on every block on WORKERS threads, the caller being
     worker 0, which first runs ``lead()`` while the others pull.  A worker pulls its next block
-    as ``source(worker)`` (None after the last) under one lock, so a source drawing from an
-    ``increment_blocks``-ordered stream draws as on one thread, and may draw into the pulling
+    as ``source(worker)`` (None after the last) under one lock, so a source drawing from a
+    ``chunk_streams``-ordered stream draws as on one thread, and may draw into the pulling
     worker's own buffers; blocks are consumed outside the lock (numpy releases the GIL).  The
     first error, the lead's too, stops the pulls and is raised here."""
     lock, failed = threading.Lock(), []
@@ -463,12 +455,19 @@ def simulate_driver(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet
     if scenarios.is_tree:
         values, jumps = running_sum(_tree_increments(spec, timegrid, scenarios)), None
     else:
+        # blocks of SIM_ROWS rows (a jump driver's whole chunks) are drawn into one reused
+        # buffer and summed straight into their rows of the values
         values = np.empty((P, N + 1, d))
+        values[:, 0] = 0.0
         jumps = np.empty((P, N, d)) if spec.has_jumps else None
-        for lo, hi, inc, block_jumps in increment_blocks(spec, timegrid, scenarios.seed, P):
-            values[lo:hi] = running_sum(inc)
-            if jumps is not None:
-                jumps[lo:hi] = block_jumps
+        rows = SCENARIO_CHUNK if spec.has_jumps else SIM_ROWS
+        buf = np.empty((min(rows, P), N, d))
+        for _, _, draws in chunk_streams(spec, timegrid, scenarios.seed, P, rows):
+            for draw in draws():
+                lo, hi, inc, block_jumps = draw(buf)
+                np.cumsum(inc, axis=1, out=values[lo:hi, 1:])
+                if jumps is not None:
+                    jumps[lo:hi] = block_jumps
     control = control_process(spec, timegrid)
     return DriverPath(spec, timegrid, scenarios, values, control, jump_increments=jumps)
 

@@ -89,8 +89,10 @@ __all__ = [
 NET_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call: fixes a product's rows, unsplit at any thread count
 EVAL_ENTRIES = PAIR_ENTRIES // 8  # float64 evaluations (256 kB) per block of scenarios, within L2
-#: Scenarios per block of every lag convolution (``_fft_paths``): pocketfft's cost per row is
-#: flat from 4 rows up, and 40-100 % higher at 1-2 rows (numpy 2.4, n = 16384, x86-64).
+#: Scenarios per block of every lag convolution (``_fft_paths``): pocketfft's rfft + irfft cost
+#: per row is flat from 4 rows up, 0-3 % higher at 2 rows and 15-24 % at 1 row (numpy 2.4,
+#: n = 16384, 2-core x86-64, no scratch re-mapping).  Blocks add per-block overhead too: the
+#: bench volterra run takes 9 % more CPU at 2 rows, for 0.9 MB less peak RSS.
 FFT_ROWS = 4
 
 

@@ -2,16 +2,20 @@
 
 import math
 import tracemalloc
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from mvstoch.dominated import DominatedSpec, _blocks, _finiteness, make_dominated
 from mvstoch.drivers import (
+    SCENARIO_CHUNK,
     DriverPath,
+    DriverSpec,
     PredictablePath,
     ScenarioSet,
     StoppingRule,
+    TimeGrid,
+    chunk_streams,
     energy_integral,
     running_sum,
     stopping_weights,
@@ -39,6 +43,17 @@ def traced_peak(fn: Callable[[], object]) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def increment_blocks(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
+                     rows: int = SCENARIO_CHUNK
+                     ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray | None]]:
+    """``drivers.chunk_streams`` flattened: each row block's (lo, hi, increments, jumps) in
+    stream order, each drawn fresh, so a reference route can read the ensemble block by block
+    without holding it."""
+    for _, _, draws in chunk_streams(spec, timegrid, seed, n_scenarios, rows):
+        for draw in draws():
+            yield draw()  # no reference kept: the block is freed before the next is drawn
 
 
 def resolve(grid: CompactGrid, point: float, tol: float = 1e-12) -> int:

@@ -469,6 +469,35 @@ class TestExample7Command:
                      for u in (0.5, 1.0))
         assert float(row["isometry_bias_rel"]) == pytest.approx(excess, rel=1e-12)
 
+    def test_no_isometry_ensemble_beside_the_diagnostic(self, tmp_path, monkeypatch):
+        # the (P, n_alpha, 2) terminal ensemble is reduced to its variances and freed before
+        # the roughness diagnostic starts: here it would hold 657 kB
+        alphas, P = [0.25, 0.4, 0.75, 1.0, 2.0], 2 * drivers.SCENARIO_CHUNK + 17
+        cfg = write_config(tmp_path, "ex7_held.json", {
+            "time": {"T": 1.0, "N": 64},
+            "grid": {"J": 64},
+            "scenarios": {"seed": 11},
+            "alphas": alphas,
+            "isometry": {"scenarios": P, "n_steps": 64},
+            "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3},
+        })
+        ensemble = P * len(alphas) * 2 * 8
+        paths, held = cli.vol.power_volterra_paths, []
+
+        def entered(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return paths(*args, **kwargs)
+
+        monkeypatch.setattr(cli.vol, "power_volterra_paths", entered)
+        argv = ["example7", "--config", cfg, "--out", str(tmp_path / "out")]
+        main(argv)  # untraced warm-up: the imports a first run makes are not counted
+        tracemalloc.start()
+        try:
+            main(argv)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 2 and held[1] < ensemble // 2
+
     def test_nonpositive_alpha_rejected(self, tmp_path):
         cfg = write_config(tmp_path, "ex7bad.json", {
             "time": {"T": 1.0, "N": 16},

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import sys
@@ -10,8 +11,10 @@ from helpers import (
     check_adapted,
     check_stopping_time,
     control_inequality_check,
+    increment_blocks,
     localizing_sequence,
     stopped_driver,
+    traced_peak,
 )
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +30,6 @@ from mvstoch.drivers import (
     chunk_streams,
     control_process,
     energy_integral,
-    increment_blocks,
     ito_integral,
     pull_blocks,
     running_sum,
@@ -103,6 +105,63 @@ class TestSimulateDriver:
         sc = ScenarioSet.tree(2, 3)
         with pytest.raises(ValueError):
             simulate_driver(DriverSpec("compound_poisson", jump_rate=1.0, jump_std=1.0), tg, sc)
+
+
+def whole_chunk_values(spec, tg, seed, P):
+    """``simulate_driver``'s values and jump part by whole-chunk draws, each chunk's
+    increments summed by ``running_sum``."""
+    values, jumps = np.empty((P, tg.n_steps + 1, spec.d)), []
+    for lo, hi, inc, block_jumps in increment_blocks(spec, tg, seed, P,
+                                                     rows=drivers.SCENARIO_CHUNK):
+        values[lo:hi] = running_sum(inc)
+        jumps.append(block_jumps)
+    return values, (np.concatenate(jumps) if spec.has_jumps else None)
+
+
+class TestSimulateDriverBlocks:
+    """``simulate_driver`` sums SIM_ROWS-row blocks into the values: the same bits as the
+    whole chunks, and no chunk-sized temporary."""
+
+    SPECS = {"brownian": DriverSpec("brownian", vol=0.8),
+             "fv_drift": DriverSpec("fv_drift", drift=1.5),
+             "mixture": DriverSpec("mixture", vol=0.7, drift=-0.3),
+             "compound_poisson": DriverSpec("compound_poisson", jump_rate=2.0, jump_std=0.5),
+             "jump_mixture": DriverSpec("mixture", vol=0.5, drift=0.2, jump_rate=1.0,
+                                        jump_mean=0.2, jump_std=0.3)}
+
+    @given(kind=st.sampled_from(list(SPECS)), chunk=st.integers(1, 40), P=st.integers(1, 130),
+           rows=st.integers(1, 50), N=st.integers(1, 6), d=st.integers(1, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_values_equal_the_whole_chunk_sums(self, kind, chunk, P, rows, N, d):
+        spec, tg = dataclasses.replace(self.SPECS[kind], d=d), TimeGrid(2.0, N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "SCENARIO_CHUNK", chunk)
+            mp.setattr(drivers, "SIM_ROWS", rows)
+            path = simulate_driver(spec, tg, ScenarioSet.monte_carlo(P, 41))
+            values, jumps = whole_chunk_values(spec, tg, 41, P)
+        assert np.array_equal(path.values, values)
+        if jumps is None:
+            assert path.jump_increments is None
+        else:
+            assert np.array_equal(path.jump_increments, jumps)
+
+    @pytest.mark.parametrize("kind", ["brownian", "jump_mixture"])
+    def test_values_equal_across_the_real_chunk_boundary(self, kind):
+        spec, tg, P = self.SPECS[kind], TimeGrid(1.0, 3), SCENARIO_CHUNK + 70
+        path = simulate_driver(spec, tg, ScenarioSet.monte_carlo(P, 5))
+        values, jumps = whole_chunk_values(spec, tg, 5, P)
+        assert np.array_equal(path.values, values)
+        assert jumps is None or np.array_equal(path.jump_increments, jumps)
+
+    def test_traced_peak_flat_in_scenarios(self):
+        # beyond the (P, N + 1) values it returns, the simulation holds one SIM_ROWS block
+        # (128 kB at N = 256); whole chunks held 2 * 8.4 MB more at P = 4096
+        tg, over = TimeGrid(1.0, 256), {}
+        for P in (64, 4096):
+            sc = ScenarioSet.monte_carlo(P, 3)
+            over[P] = (traced_peak(lambda: simulate_driver(DriverSpec("brownian"), tg, sc))
+                       - P * (tg.n_steps + 1) * 8)
+        assert over[4096] <= over[64] + 64 * 1024
 
 
 class TestIncrementRowBlocks:

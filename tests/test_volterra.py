@@ -4,6 +4,7 @@ from helpers import (
     diagonal_jump_check,
     fft_error_bound,
     fft_volterra,
+    increment_blocks,
     lag_sum_bound,
     left_limit_remainder,
     order_bound,
@@ -24,7 +25,6 @@ from mvstoch.drivers import (
     ScenarioSet,
     TimeGrid,
     control_process,
-    increment_blocks,
     ito_integral,
     simulate_driver,
 )
