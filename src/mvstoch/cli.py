@@ -16,10 +16,10 @@ directory.  Unless ``OPENBLAS_NUM_THREADS`` is set, this module sets it to 1 bef
 starts BLAS: a run's only parallel threads are ``drivers.pull_blocks``' (the calling one
 first decomposes the volterra kernels), and results depend on neither thread count.
 
-The paper's identities hold one scenario at a time, and the fubini and volterra runners check
-them a block of scenarios at a time (``DriverPath.view``): their memory does not grow with the
-scenario count, and their reports do not depend on the block size.  The volterra driver is
-freed once the kernels are checked, before the diagnostic's last blocks.
+The paper's identities hold one scenario at a time, and every runner walks its scenarios in
+blocks of one byte budget (``drivers.block_rows``): past the arrays no walk blocks, a run holds
+about two budgets per worker thread, and its reports do not depend on the budget.  The volterra
+driver is freed once the kernels are checked, before the diagnostic's last blocks.
 
 Outputs are plot-ready CSV files plus a schema-versioned ``summary.json``.
 Runs are deterministic: a fixed config and seed produce byte-identical
@@ -45,8 +45,8 @@ import numpy as np
 from . import dominated as dom
 from . import integrands
 from . import volterra as vol
-from .drivers import (DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver,
-                      tree_fault)
+from .drivers import (DriverPath, DriverSpec, ScenarioSet, StoppingRule, TimeGrid, block_rows,
+                      simulate_driver, tree_fault)
 from .grid import CompactGrid, SignedMeasureVec, build_test_family
 from .integrands import (
     ElementaryTerm,
@@ -385,21 +385,20 @@ def run_approx(cfg: dict, out_dir: Path) -> int:
 def _kernel_row(params: dict, timegrid: TimeGrid, S: DriverPath) -> list:
     """One ``kernels`` entry's report row: its name, identity gap and density-route gap.
 
-    The gaps are the largest over blocks of S's scenarios (``DriverPath.view``) of about
-    ``integrands.EVAL_ENTRIES`` path values, a whole number of ``FFT_ROWS`` rows
-    (``_block_gaps``), so the row holds one block's paths whatever P, and its values are those
-    of the whole ensemble, bit for bit.  The per-kernel work runs once: the variation check,
-    which reads the control alone, and the kernel's spectra, which it caches."""
+    The gaps are the largest over ``block_rows`` of S's scenarios (``DriverPath.view``,
+    ``_block_gaps``: five (N + 1) paths and a row of FFT work each), the whole ensemble's bit
+    for bit, whatever P.  The per-kernel work runs once: the variation check, which reads the
+    control alone, and the kernel's spectra, which it caches."""
     kernel = vol.make_kernel(params["name"], params, timegrid)
     check = vol._variation_check(kernel.induced, S.control, timegrid)
     # a kernel failing the variation condition has no decomposition: its row reads nan
     if not check["integrable"]:
         return [kernel.name, float("nan"), float("nan")]
     density = kernel.density_fn is not None and not kernel.is_random and kernel.d == 1
-    fft_rows = integrands.FFT_ROWS
-    rows = fft_rows * max(1, integrands.EVAL_ENTRIES // (fft_rows * (timegrid.n_steps + 1)))
+    N, P = timegrid.n_steps, S.scenarios.n_scenarios
+    rows = block_rows(5 * (N + 1) * 8 + integrands._fft_row_bytes(N), P)
     gaps = [_block_gaps(kernel, S.view(lo, lo + rows), check, density)
-            for lo in range(0, S.scenarios.n_scenarios, rows)]
+            for lo in range(0, P, rows)]
     # np.max, not max: a nan gap stays nan
     return [kernel.name, *(float(np.max(column)) for column in zip(*gaps))]
 

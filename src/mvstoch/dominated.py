@@ -21,7 +21,7 @@ atom j is m0[j - m l] for the one vector m0[k] = (k h)^a - ((k - 1) h)^a,
 k >= 1 (zero otherwise), and ``point_masses`` is a read-only strided view of
 it.  The eta-mixes of such a spec are prefix sums of fn(m0 / h) h read at
 J - m l, so a spec and every certificate probe cost O(N + J).  Other grids
-difference the antiderivative one block of grid times (rows) at a time.
+difference the antiderivative one block of grid times at a time (``block_rows``).
 
     variation(t)          = (T - t)^alpha
     int_0^t variation^2   = (T^(2a+1) - (T-t)^(2a+1)) / (2a + 1)
@@ -61,7 +61,7 @@ from typing import Callable
 
 import numpy as np
 
-from .drivers import DriverPath, TimeGrid, running_sum
+from .drivers import DriverPath, TimeGrid, block_rows, running_sum
 from .grid import CompactGrid
 from .integrands import MeasureProcess
 
@@ -74,9 +74,9 @@ __all__ = [
     "measure_valuedness_certificate",
 ]
 
-#: Entries per scenario row in one block of a spec walked by grid time (row
-#: blocks) or by atom (column blocks): 256 KB of float64, which stays in cache.
-BLOCK_ENTRIES = 2**15
+#: Entries per density row in one column block of the square-root Veraar mix, which adds one
+#: product per block to the root: the width fixes its rounding, so it is no memory budget.
+ETA_FOLD_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -161,9 +161,10 @@ class DominatedSpec:
             return spec
         t = timegrid.times[:, None]
         masses = np.zeros((1, N + 1, grid.n_atoms))
-        for rows in _blocks(N + 1, grid.n_atoms):
-            prim = profile.mass_antiderivative(z[None, :], t[rows])
-            np.subtract(prim[:, 1:], prim[:, :-1], out=masses[0, rows, 1:])
+        step = block_rows(2 * grid.n_atoms * 8, N + 1)  # a row's antiderivative and a temporary
+        for lo in range(0, N + 1, step):
+            prim = profile.mass_antiderivative(z[None, :], t[lo : lo + step])
+            np.subtract(prim[:, 1:], prim[:, :-1], out=masses[0, lo : lo + step, 1:])
         return cls(grid, timegrid, masses, eta, profile=profile)
 
     @classmethod
@@ -246,14 +247,9 @@ def _trapezoid_against(values: np.ndarray, V: np.ndarray) -> np.ndarray:
     return running_sum(avg * np.diff(V, axis=1))
 
 
-def _blocks(n: int, width: int) -> list[slice]:
-    """Slices covering range(n), each spanning about BLOCK_ENTRIES / width indices."""
-    step = max(1, BLOCK_ENTRIES // width)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 def _eta_mix(spec: DominatedSpec, fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """int fn(psi_t) deta at every grid time, (Pw, N + 1), a row block at a time.
+    """int fn(psi_t) deta at every grid time, (Pw, N + 1), each row summed whole, a block of
+    grid times at a time (``block_rows``: a block's density and one temporary).
 
     A stationary spec needs one prefix sum: row l holds m0 shifted by m l
     atoms, so its mix is the sum of fn(m0 / h) h up to atom J - m l (fn(0) = 0).
@@ -262,9 +258,11 @@ def _eta_mix(spec: DominatedSpec, fn: Callable[[np.ndarray], np.ndarray]) -> np.
         J, N, h = spec.grid.n_cells, spec.timegrid.n_steps, spec.grid.cell_width
         prefix = np.cumsum(fn(spec.stationary / h) * h)
         return prefix[J - (J // N) * np.arange(N + 1)][None]
+    n1 = spec.timegrid.n_steps + 1
+    step = block_rows(2 * spec.n_scenario_rows * spec.grid.n_atoms * 8, n1)
     return np.concatenate(
-        [np.sum(fn(spec.density_values(rows=rows)) * spec.eta, axis=2)
-         for rows in _blocks(spec.timegrid.n_steps + 1, spec.grid.n_atoms)], axis=1)
+        [np.sum(fn(spec.density_values(rows=slice(lo, lo + step))) * spec.eta, axis=2)
+         for lo in range(0, n1, step)], axis=1)
 
 
 def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
@@ -279,7 +277,7 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
     atom's time sum only grows when the bracket does, so its sup over t is
     this horizon value and a path finite at T is finite throughout; a
     decreasing bracket raises ``ValueError``.  The atoms' sums are formed in
-    column blocks of about BLOCK_ENTRIES / N atoms (set by the grid, never by
+    column blocks of about ETA_FOLD_ENTRIES / N atoms (set by the grid, never by
     P), each added in time order and mixed by the block's eta.  A stationary
     spec against a one-row bracket forms no density block: grid time r adds
     (m0[k] / h)^2 d<M>_r to atom m r + k, k >= 1, the same products in the
@@ -291,7 +289,8 @@ def _veraar_paths(spec: DominatedSpec, abs_mix: np.ndarray, qv: np.ndarray,
         raise ValueError("the bracket must be nondecreasing in time")
     N, Pw, n_atoms = spec.timegrid.n_steps, spec.n_scenario_rows, spec.grid.n_atoms
     R = max(Pw, len(dqv))
-    root, blocks = np.zeros(R), _blocks(n_atoms, N)
+    step = max(1, ETA_FOLD_ENTRIES // N)
+    root, blocks = np.zeros(R), [slice(lo, lo + step) for lo in range(0, n_atoms, step)]
     if spec.stationary is not None and len(dqv) == 1:
         m = spec.grid.n_cells // N
         dsq = np.square(spec.stationary / spec.grid.cell_width)

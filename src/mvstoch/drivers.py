@@ -22,12 +22,11 @@ Discrete-time conventions used throughout the package:
 Two scenario models are supported.  Monte Carlo ensembles come from one
 seeded block source, ``chunk_streams``, which the driver simulator and
 the power-kernel samplers in ``volterra`` share (the tests check that they
-agree), so ensembles are reproducible.  A consumer that reads a few rows
-at a time asks for blocks of that many rows of the 4096-scenario chunks
-(``simulate_driver`` sums SIM_ROWS at a time; jump drivers take whole chunks
-only), and up to two threads (``pull_blocks``) may pull them in order, each
-drawing its block into its own buffer, or draw different chunks at once, to
-the same results.
+agree), so ensembles are reproducible.  A consumer that reads a few rows at
+a time (``block_rows``, as every walk sizes its blocks) asks for blocks of that
+many rows of the 4096-scenario chunks (jump drivers take whole chunks only), and
+up to two threads (``pull_blocks``) may pull them in order, each drawing its
+block into its own buffer, or draw different chunks at once, to the same results.
 Paths accumulate through one ``running_sum`` and every reduction is a
 deterministic ordered sum.  Scenario trees carry an explicit per-level
 partition into filtration atoms (scenario indices are arranged so atoms are
@@ -74,6 +73,7 @@ __all__ = [
     "StoppingRule",
     "chunk_streams",
     "pull_blocks",
+    "block_rows",
     "simulate_driver",
     "running_sum",
     "control_process",
@@ -84,7 +84,10 @@ __all__ = [
 ]
 
 SCENARIO_CHUNK = 4096  # fixed: scenario i always lands in chunk i // SCENARIO_CHUNK
-SIM_ROWS = 64  # scenarios per block ``simulate_driver`` draws and sums (128 kB at N = 256)
+#: Bytes a block of any walk holds (its inputs, reused work buffers and kept paths), unless its
+#: size fixes bits, as SCENARIO_CHUNK, integrands.PAIR_ENTRIES and dominated.ETA_FOLD_ENTRIES
+#: do: 2 MiB, one core's L2 cache on the 2-core Xeon the bench runs on.
+BLOCK_BYTES = 2**21
 WORKERS = min(2, len(os.sched_getaffinity(0)))  # threads of ``pull_blocks``
 C_MIX = 4.0
 EPS_FV = 1e-9
@@ -335,6 +338,11 @@ class DriverPath:
         return qv, var_a
 
 
+def block_rows(row_bytes: int, n: int) -> int:
+    """Rows per block of a walk over n rows holding ``row_bytes`` a row: 1 to n, in BLOCK_BYTES."""
+    return min(n, max(1, BLOCK_BYTES // row_bytes))
+
+
 def chunk_streams(spec: DriverSpec, timegrid: TimeGrid, seed: int, n_scenarios: int,
                   rows: int = SCENARIO_CHUNK) -> Iterator[tuple[int, int, Callable]]:
     """Seeded Monte Carlo increments (hi - lo, N, d) and their jump part, per chunk and row block.
@@ -455,12 +463,12 @@ def simulate_driver(spec: DriverSpec, timegrid: TimeGrid, scenarios: ScenarioSet
     if scenarios.is_tree:
         values, jumps = running_sum(_tree_increments(spec, timegrid, scenarios)), None
     else:
-        # blocks of SIM_ROWS rows (a jump driver's whole chunks) are drawn into one reused
+        # blocks of the budget's rows (a jump driver's whole chunks) are drawn into one reused
         # buffer and summed straight into their rows of the values
         values = np.empty((P, N + 1, d))
         values[:, 0] = 0.0
         jumps = np.empty((P, N, d)) if spec.has_jumps else None
-        rows = SCENARIO_CHUNK if spec.has_jumps else SIM_ROWS
+        rows = SCENARIO_CHUNK if spec.has_jumps else block_rows(N * d * 8, P)
         buf = np.empty((min(rows, P), N, d))
         for _, _, draws in chunk_streams(spec, timegrid, scenarios.seed, P, rows):
             for draw in draws():

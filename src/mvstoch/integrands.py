@@ -64,7 +64,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .drivers import ScenarioSet, StoppingRule, TimeGrid, energy_integral, stopping_weights
+from .drivers import (ScenarioSet, StoppingRule, TimeGrid, block_rows, energy_integral,
+                      stopping_weights)
 from .grid import CompactGrid, SignedMeasureVec, TestFamily
 
 __all__ = [
@@ -88,12 +89,6 @@ __all__ = [
 
 NET_LEVELS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 PAIR_ENTRIES = 2**18  # multiply-adds per BLAS call: fixes a product's rows, unsplit at any thread count
-EVAL_ENTRIES = PAIR_ENTRIES // 8  # float64 evaluations (256 kB) per block of scenarios, within L2
-#: Scenarios per block of every lag convolution (``_fft_paths``): pocketfft's rfft + irfft cost
-#: per row is flat from 4 rows up, 0-3 % higher at 2 rows and 15-24 % at 1 row (numpy 2.4,
-#: n = 16384, 2-core x86-64, no scratch re-mapping).  Blocks add per-block overhead too: the
-#: bench volterra run takes 9 % more CPU at 2 rows, for 0.9 MB less peak RSS.
-FFT_ROWS = 4
 
 
 @dataclass(frozen=True)
@@ -202,15 +197,14 @@ def elementary_process(grid: CompactGrid, n_steps: int, terms: Sequence[Elementa
 
 def variation_path(phi: MeasureProcess) -> np.ndarray:
     """Componentwise variation per (scenario, slot); shape (P, N, d), gathered by the index
-    from |table| for an indexed process.  A dense one's |weights| is formed in blocks of
-    scenarios and, within them, of slots, of ``EVAL_ENTRIES`` values in one reused buffer, never
-    whole (an affine Volterra kernel's would be an (N, N + 1) table); each row is summed whole."""
+    from |table| for an indexed process.  A dense one's rows of |weights| are formed a block of
+    scenarios and slots at a time (``block_rows``) in one reused buffer and summed whole."""
     if phi.index is not None:
         return np.sum(np.abs(phi.table), axis=2)[phi.index]
     Q, N, d, n_atoms = phi.shape
-    b = min(Q, max(1, EVAL_ENTRIES // (N * d * n_atoms)))  # scenarios per block
-    step = max(1, EVAL_ENTRIES // (b * d * n_atoms))
-    out, buf = np.empty((Q, N, d)), np.empty(b * min(step, N) * d * n_atoms)
+    b = block_rows(N * d * n_atoms * 8, Q)  # scenarios per block
+    step = block_rows(b * d * n_atoms * 8, N)
+    out, buf = np.empty((Q, N, d)), np.empty(b * step * d * n_atoms)
     for p in range(0, Q, b):
         block = phi.rows(p, p + b)
         for lo in range(0, N, step):
@@ -237,12 +231,13 @@ def _pair_rows(measures: np.ndarray, functions: np.ndarray, out: np.ndarray | No
 def _slot_sums(table: np.ndarray, increments: np.ndarray) -> np.ndarray:
     """sum_r increments[p, r] table[p or 0, r, m], (P, M), from (P, R) increments and a table
     (1 or P, R, M) of any strides.  The table is copied a tile of atoms at a time, as rows of R
-    values, into one reused buffer of ``EVAL_ENTRIES`` values, which stays in L2 and is
+    values, into one reused buffer of ``PAIR_ENTRIES / 8`` values, which stays in L2 and is
     BLAS-ready (a transposed view is not).  Each scenario's increments take one product with the
-    tile (``_pair_rows``, one thread): the rounding depends on R and M, never on P."""
+    tile (``_pair_rows``, one thread): the rounding depends on R and M (the tile's width), never
+    on P or the block budget."""
     increments = np.ascontiguousarray(increments)
     (P, R), M = increments.shape, table.shape[2]
-    width = min(M, max(1, EVAL_ENTRIES // R))
+    width = min(M, max(1, PAIR_ENTRIES // (8 * R)))
     buf, out = np.empty(width * R), np.empty((P, M))
     for lo in range(0, M, width):
         hi = min(lo + width, M)
@@ -265,9 +260,14 @@ def _profile_spectra(profiles: Sequence[np.ndarray], N: int) -> list[np.ndarray]
     return [np.fft.rfft(np.concatenate(([0.0], w[1:])), n) for w in profiles]
 
 
+def _fft_row_bytes(N: int) -> int:
+    """Bytes of one row of ``_fft_work``: two spectra and a path (48 N at a power of 2 N)."""
+    n = _fft_length(N)
+    return 2 * (n // 2 + 1) * 16 + n * 8
+
+
 def _fft_work(P: int, N: int) -> tuple[np.ndarray, ...]:
-    """P-row buffers for ``_fft_paths``: spectrum, product and path (0.8 MB at P = 4,
-    N = 4096)."""
+    """P-row buffers for ``_fft_paths``: spectrum, product and path (``_fft_row_bytes`` a row)."""
     n = _fft_length(N)
     return np.empty((P, n // 2 + 1), complex), np.empty((P, n // 2 + 1), complex), np.empty((P, n))
 
@@ -295,14 +295,14 @@ def _fft_paths(dW: np.ndarray, spectra: Sequence[np.ndarray],
 def _lag_sums(increments: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     """sum_{j < l} profile[l - j] increments[:, j] for l = 0..N, (P, N + 1), from (P, N)
     increments and the profile's spectrum (``_profile_spectra``, which its owner takes once):
-    the slot sums of a stationary table, a causal convolution.  ``_fft_paths`` takes
-    FFT_ROWS scenarios at a time through one work set, so no (P, n) spectrum is held, and
-    rounds as pocketfft does: about eps log2(n) sum |profile| |increments|_2 per row, in
-    place of ``_slot_sums``' O(P N^2) products."""
+    the slot sums of a stationary table, a causal convolution: ``_fft_paths`` on blocks of
+    scenarios (``block_rows``) through one work set, never a (P, n) spectrum, rounding as
+    pocketfft does (eps log2(n) sum |profile| |increments|_2 a row), not O(P N^2) products."""
     P, N = increments.shape
-    work, out = _fft_work(FFT_ROWS, N), np.empty((P, N + 1))
-    for lo in range(0, P, FFT_ROWS):
-        out[lo : lo + FFT_ROWS] = next(_fft_paths(increments[lo : lo + FFT_ROWS], [spectrum], work))
+    rows = block_rows(_fft_row_bytes(N), P)
+    work, out = _fft_work(rows, N), np.empty((P, N + 1))
+    for lo in range(0, P, rows):
+        out[lo : lo + rows] = next(_fft_paths(increments[lo : lo + rows], [spectrum], work))
     return out
 
 

@@ -36,10 +36,9 @@ matmuls, which round by the rows one call holds, so by block partition but
 not by thread count).  A block holds the times whose pairing with the K
 functions is one product per scenario (``_block_step``: J + 1 and K set it,
 never P), so every scenario's pairings are the same bits whatever the other
-scenarios drawn.  ``fubini_check`` therefore walks blocks of scenarios
-(``DriverPath.view``) of about BLOCK_ENTRIES values, each charged, paired,
-compared with its Ito side and folded into the largest gaps, and holds no
-array that grows with P.  The convergence transfer draws no stream: it reads each process as a
+scenarios drawn.  ``fubini_check`` therefore walks blocks of scenarios (``DriverPath.view``,
+``block_rows``), each charged, paired, compared with its Ito side and folded into the largest
+gaps, and holds no array that grows with P.  The convergence transfer draws no stream: it reads each process as a
 table and an index (``integrands._measures``), and per block of scenarios and time it charges
 and pairs only the heads of runs of equal inputs so far (on a tree, the atoms) and keeps the
 (L, P, K) running sups of the paired gap.  The Volterra
@@ -58,7 +57,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import integrands
-from .drivers import DriverPath, running_sum
+from .drivers import DriverPath, block_rows, running_sum
 from .grid import CompactGrid, TestFamily
 from .integrands import (MeasureProcess, integrability_check, _family_evals, _lag_sums, _measures,
                          _pair_rows, _slot_sums)
@@ -73,10 +72,6 @@ __all__ = [
     "convergence_transfer_check",
     "standard_cell_sets",
 ]
-
-# float64 entries (2 MB) that one block of scenarios holds in a walk over them (``fubini_check``,
-# ``convergence_transfer_check``); at least one scenario
-BLOCK_ENTRIES = 2**18
 
 
 def _check_grids(phi: MeasureProcess, S: DriverPath) -> None:
@@ -226,8 +221,8 @@ def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
     negative control "corrupted": the largest gap between the family pairings
     and the Ito paths of phi scaled by 1 + corrupt, where the identity breaks.
 
-    The scenarios are walked in blocks of about BLOCK_ENTRIES values
-    (``DriverPath.view`` and phi's rows).  Each block's charge is paired once
+    The scenarios are walked in blocks of ``drivers.BLOCK_BYTES`` (``block_rows``;
+    ``DriverPath.view`` and phi's rows).  Each block's charge is paired once
     with the family and the indicators stacked (``paired_charge``, whose time
     blocks J + 1 and the function count set), its Ito side is formed, and its
     gaps are folded in.  Every value is per scenario, so the reports do not
@@ -243,8 +238,7 @@ def fubini_check(phi: MeasureProcess, S: DriverPath, fam: TestFamily,
     n_f = len(functions)
     # per scenario: one charge block, and four (n_f, N + 1) paths: the pairings, the Ito paths,
     # the gap and the control's Ito paths
-    rows = min(P, max(1, BLOCK_ENTRIES // ((_block_step(phi, n_f) + 1) * phi.grid.n_atoms
-                                            + 4 * n_f * (N + 1))))
+    rows = block_rows(((_block_step(phi, n_f) + 1) * phi.grid.n_atoms + 4 * n_f * (N + 1)) * 8, P)
     best, where, corrupted = np.full(n_f, -np.inf), np.zeros((n_f, 2), dtype=np.intp), -np.inf
     for lo in range(0, P, rows):
         q, part = _scenario_rows(phi, lo, lo + rows), S.view(lo, lo + rows)
@@ -299,7 +293,7 @@ def convergence_transfer_check(phi: MeasureProcess, processes: Sequence[MeasureP
     step = _block_step(phi, K)  # the times per block of the streams charge_blocks pairs
     P, d, n_atoms = S.scenarios.n_scenarios, phi.d, phi.grid.n_atoms
     # scenarios per block: four (L, b, K) sups and pairings, (L + 1) rows of up to b N run heads
-    rows = min(P, max(1, BLOCK_ENTRIES // max(4 * L * K, (L + 1) * N * d * n_atoms)))
+    rows = block_rows(max(4 * L * K, (L + 1) * N * d * n_atoms) * 8, P)
     tables, indexes = zip(*map(_measures, procs))
     held = [S.increments] + [np.broadcast_to(x, (P, N)) for x in indexes]  # one row broadcasts
     sups = np.zeros((L, P, K))  # the gap is zero at time 0

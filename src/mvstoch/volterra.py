@@ -32,7 +32,7 @@ table, and, by the caller, the variation check.
 
 Every slot sum -- the horizon charge, the direct and the density sums -- is
 the increments times a slot table.  A stationary kernel's is a causal
-convolution, taken by FFT (``integrands._lag_sums``) FFT_ROWS scenarios at a
+convolution, taken by FFT (``integrands._lag_sums``) a block of scenarios at a
 time: the direct sum with the lag profile, the density sums with f', and the
 horizon charge with the profile of differences that the induced integrand
 carries, so Y is still that integrand's charge.  A dense table's is one
@@ -49,11 +49,11 @@ ensemble scales across dyadic subsamplings; a slope near zero over
 log(1/mesh) indicates finite variation, a positive slope divergence.
 Its power-kernel paths are the same FFT convolutions (``numpy.fft``).  The
 power-kernel samplers draw the Brownian increments a block of scenarios at a
-time, the rows they transform (FFT_ROWS) or sum (DRAW_ROWS) next, so their
-memory does not grow with the number of scenarios; every block is
-transformed in the same work buffers.  Each block is read once for every
-exponent, against profile spectra transformed once per call, and only
-per-path total variations (or terminal values) are kept, never the ensemble.  Both run on up to two
+time, as many as ``drivers.block_rows`` gives, so their memory does not
+grow with the number of scenarios; every block is transformed in the same
+work buffers.  Each block is read once for every exponent, against profile
+spectra transformed once per call, and only per-path total variations (or
+terminal values) are kept, never the ensemble.  Both run on up to two
 threads that write their own rows: the paths' workers draw the blocks in
 stream order, each into its own path buffer, which the forward transform
 reads before the inverse overwrites it; the terminals' workers draw a chunk
@@ -70,7 +70,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import drivers, integrands
+from . import drivers
 from .drivers import (
     DriverPath,
     DriverSpec,
@@ -81,8 +81,8 @@ from .drivers import (
     running_sum,
 )
 from .grid import CompactGrid
-from .integrands import (MeasureProcess, _fft_paths, _fft_work, _lag_sums, _profile_spectra,
-                         _slot_sums, integrability_check)
+from .integrands import (MeasureProcess, _fft_paths, _fft_row_bytes, _fft_work, _lag_sums,
+                         _profile_spectra, _slot_sums, integrability_check)
 from .mvintegral import horizon_charge
 
 __all__ = [
@@ -100,9 +100,6 @@ __all__ = [
     "power_volterra_terminals",
     "power_volterra_paths",
 ]
-
-#: Scenarios per Brownian draw of the terminal sampler, whose gemvs read them: 256 KB at N = 2048.
-DRAW_ROWS = 16
 
 
 @dataclass
@@ -422,7 +419,7 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
     """Streamed power-kernel path samples at chosen grid indices, (P, n_alpha, n_u).
 
     Reads the Brownian driver ``simulate_driver`` builds for ``ScenarioSet.monte_carlo(
-    n_scenarios, seed)``, a chunk per ``drivers.pull_blocks`` worker, DRAW_ROWS rows at a
+    n_scenarios, seed)``, a chunk per ``drivers.pull_blocks`` worker, ``block_rows`` at a
     time into the worker's buffer; each block is drawn once for all exponents.
     """
     N = timegrid.n_steps
@@ -430,7 +427,8 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
     out = np.empty((n_scenarios, len(alphas), len(u_indices)))
     weights = [[np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u]) for u in u_indices]
                for alpha in alphas]
-    bufs = [np.empty((min(DRAW_ROWS, n_scenarios), N, 1)) for _ in range(drivers.WORKERS)]
+    rows = drivers.block_rows(N * 8, n_scenarios)
+    bufs = [np.empty((rows, N, 1)) for _ in range(drivers.WORKERS)]
 
     def consume(worker: int, chunk: tuple) -> None:
         for draw in chunk[2]():
@@ -439,7 +437,7 @@ def power_volterra_terminals(alphas: Sequence[float], u_indices: Sequence[int],
                 for c, w in enumerate(row):  # one gemv per column: a gemm rounds differently
                     out[lo:hi, a, c] = dW[:, :, 0] @ w
 
-    chunks = chunk_streams(DriverSpec("brownian"), timegrid, seed, n_scenarios, rows=DRAW_ROWS)
+    chunks = chunk_streams(DriverSpec("brownian"), timegrid, seed, n_scenarios, rows=rows)
     drivers.pull_blocks(consume, lambda worker: next(chunks, None))
     return out
 
@@ -450,15 +448,16 @@ def power_volterra_paths(alphas: Sequence[float], timegrid: TimeGrid, n_scenario
     """``level_variations`` of the power-kernel paths ``volterra_direct`` sums, here by
     FFT convolution (``_fft_paths``) on the shared Brownian blocks, (n_alpha, P, n_levels).
     Each block is drawn and transformed once for all exponents, by one of
-    ``drivers.WORKERS`` threads (``drivers.pull_blocks``) in ``FFT_ROWS`` rows, whatever
-    the worker count, and holds only that worker's three transform buffers (``_fft_work``,
-    1.6 MB at N = 8192): the block is drawn, in stream order under the pool's lock, into
-    the first rows * N floats of the worker's path buffer, and each level's differences go
-    into its product buffer.  The calling thread runs ``lead()`` first, as the pool's lead."""
+    ``drivers.WORKERS`` threads (``drivers.pull_blocks``), in as many rows as the budget
+    holds of transform work (``block_rows``), whatever the worker count, and holds only that
+    worker's three transform buffers (``_fft_work``): the block is drawn, in stream order
+    under the pool's lock, into the first rows * N floats of the worker's path buffer, and
+    each level's differences go into its product buffer.  The calling thread runs ``lead()``
+    first, as the pool's lead."""
     N = timegrid.n_steps
     spectra = _profile_spectra([(np.arange(N + 1) * timegrid.dt) ** alpha for alpha in alphas], N)
     out = np.empty((len(alphas), n_scenarios, n_levels))
-    rows = integrands.FFT_ROWS
+    rows = drivers.block_rows(_fft_row_bytes(N), n_scenarios)
     works = [_fft_work(rows, N) for _ in range(drivers.WORKERS)]
     blocks = [x.reshape(-1)[: rows * N].reshape(rows, N, 1) for _, _, x in works]
     draws = (draw for _, _, chunk in chunk_streams(DriverSpec("brownian"), timegrid, seed,

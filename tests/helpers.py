@@ -6,7 +6,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from mvstoch.dominated import DominatedSpec, _blocks, _finiteness, make_dominated
+from mvstoch.dominated import DominatedSpec, _finiteness, make_dominated
 from mvstoch.drivers import (
     SCENARIO_CHUNK,
     DriverPath,
@@ -15,6 +15,7 @@ from mvstoch.drivers import (
     ScenarioSet,
     StoppingRule,
     TimeGrid,
+    block_rows,
     chunk_streams,
     energy_integral,
     running_sum,
@@ -431,14 +432,15 @@ def general_kernel_conditions(phi: MeasureProcess, rho: np.ndarray, V: np.ndarra
 
     Values are slot quantities, so the accumulation is a left-endpoint
     sum.  c63 <= c64 pointwise by Cauchy-Schwarz, asserted.  The atom sums
-    are taken in blocks of about ``dominated.BLOCK_ENTRIES / (d (J + 1))`` slots, so no
-    temporary the size of the weights is formed.
+    are taken in blocks of slots (``drivers.block_rows``, one (P, d, J + 1) weights block per
+    slot), so no temporary the size of the weights is formed.
     """
     w = phi.weights
     rho = np.broadcast_to(rho, w.shape[:2] + w.shape[3:])
     r = rho[:, :, None, :]
     inner63, sq_sum = np.empty(w.shape[:2]), np.empty(w.shape[:2])  # (P, N)
-    for s in _blocks(w.shape[1], w.shape[2] * w.shape[3]):
+    step = block_rows(8 * w.shape[0] * w.shape[2] * w.shape[3], w.shape[1])
+    for s in (slice(lo, lo + step) for lo in range(0, w.shape[1], step)):
         inner63[:, s] = np.sum(np.sum(np.abs(w[:, s]), axis=3) ** 2, axis=2)
         sq = w[:, s] * w[:, s]  # w = psi * rho vanishes where rho does: divide where rho > 0
         np.divide(sq, r[:, s], out=sq, where=r[:, s] > 0)

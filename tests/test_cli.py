@@ -1,7 +1,10 @@
+import contextlib
 import csv
+import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 import threading
@@ -11,6 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import traced_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvstoch
 from mvstoch import cli, drivers, integrands, mvintegral
@@ -87,22 +92,6 @@ class TestFubiniCommand:
         assert main(["fubini", "--config", cfg, "--out", str(tmp_path / "bad")]) == 1
         summary = json.loads((tmp_path / "bad" / "summary.json").read_text())
         assert not summary["pass"]
-
-    @pytest.mark.parametrize("integrand", [{"kind": "power_law"},
-                                           {"kind": "random_elementary", "count": 2}],
-                             ids=["one_row", "per_scenario"])
-    def test_reports_identical_across_block_budgets(self, tmp_path, monkeypatch, integrand):
-        # fubini_check walks blocks of scenarios of BLOCK_ENTRIES values: from one scenario to
-        # all of them per block, the reports are the same bytes, the negative control's too
-        cfg = fubini_config(tmp_path, integrand=integrand, corrupt_comparison=True)
-        reports = set()
-        for entries in (1, 20000, mvintegral.BLOCK_ENTRIES):
-            monkeypatch.setattr(mvintegral, "BLOCK_ENTRIES", entries)
-            out = tmp_path / f"o{entries}"
-            assert main(["fubini", "--config", cfg, "--out", str(out)]) == 1
-            reports.add(tuple((out / f).read_bytes() for f in ("fubini_report.csv",
-                                                                "summary.json")))
-        assert len(reports) == 1
 
     def test_check_peak_flat_in_scenarios(self):
         # one block of scenarios at a time: a charge block, the pairings and the Ito paths of
@@ -325,26 +314,15 @@ class TestVolterraCommand:
         payload = {**shipped("volterra"), "kernels": []}
         assert_config_error(tmp_path, monkeypatch, capsys, "volterra", payload, "kernels")
 
-    def test_reports_identical_across_block_budgets(self, tmp_path, monkeypatch):
-        # each kernel row folds its gaps over blocks of about EVAL_ENTRIES path values: 4, 12
-        # and all 30 scenarios per block give the same bytes
-        cfg = self.volterra_config(tmp_path)
-        reports = set()
-        for entries in (1, 12 * 129, integrands.EVAL_ENTRIES):
-            monkeypatch.setattr(integrands, "EVAL_ENTRIES", entries)
-            out = tmp_path / f"o{entries}"
-            assert main(["volterra", "--config", cfg, "--out", str(out)]) == 0
-            reports.add((out / "volterra_report.csv").read_bytes())
-        assert len(reports) == 1
-
     def test_kernel_row_peak_flat_in_scenarios(self):
-        # a row holds one block of 60 rows at N = 512 (EVAL_ENTRIES // (N + 1), to FFT_ROWS):
-        # the decomposition's five paths (1.23 MB) and about 0.3 MB of fixed slack, the
-        # kernel's spectra and work sets among them (measured 1.526 MB at P = 64, 1.535 MB at
-        # P = 512; 2.03 MB when a block's last paths lived on beside the next block's, and
-        # 10.8 MB when the row decomposed all 512 scenarios at once)
+        # a row holds one block of 46 rows at N = 512 (``block_rows``): the decomposition's
+        # five paths and a row of FFT work per scenario (2.08 MB), and about 0.2 MB of fixed
+        # slack, the kernel's spectra among them (measured 2.249 MB at P = 64, 2.259 MB at
+        # P = 512; with the former 60-row blocks, 2.03 MB when a block's last paths lived on
+        # beside the next block's, and 10.8 MB when the row decomposed all 512 at once)
         tg = TimeGrid(1.0, 512)
-        block = 5 * 60 * 513 * 8
+        row = 5 * 513 * 8 + integrands._fft_row_bytes(512)
+        block = drivers.block_rows(row, 512) * row
         for params in ({"name": "power_alpha", "alpha": 0.75}, {"name": "affine", "level": 1.0,
                                                                 "slope": 2.0}):
             peaks = {}
@@ -998,3 +976,171 @@ class TestDeterminismAcrossSubcommands:
         assert main(["conditions", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["conditions", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "conditions.json").read_bytes() == (out2 / "conditions.json").read_bytes()
+
+
+def kernel_table(tmp_path, N: int) -> str:
+    """A CSV of a dense lower-triangular (N + 1, N + 1) kernel table with values that round."""
+    path = tmp_path / "kernel.csv"
+    table = np.tril(np.random.default_rng(3).uniform(0.5, 1.5, size=(N + 1, N + 1)))
+    np.savetxt(path, table, delimiter=",")
+    return str(path)
+
+
+class TestBlockBudget:
+    """Every runner walks its scenarios (or grid times, atoms or slots) in blocks of
+    ``drivers.BLOCK_BYTES`` (``drivers.block_rows``); the square-root Veraar mix alone keeps its
+    own fixed fold (``dominated.ETA_FOLD_ENTRIES``)."""
+
+    @staticmethod
+    def small(tmp_path, case):
+        """(command, config, exit code) of a run whose walks span several blocks at a 16 kB
+        budget: J is no multiple of N where a dense power-law spec is walked by grid time, and
+        a tabulated kernel takes the tiled slot sums.  Fubini's negative control breaks the
+        identity, and example7's tolerances fail at N = 32 (as below the bench sizes)."""
+        return {
+            "fubini-one_row": ("fubini", {
+                "time": {"T": 1.0, "N": 32}, "grid": {"J": 32},
+                "scenarios": {"count": 20, "seed": 99}, "test_family": {"k_max": 8},
+                "corrupt_comparison": True}, 1),
+            "fubini-per_scenario": ("fubini", {
+                "time": {"T": 1.0, "N": 32}, "grid": {"J": 32},
+                "scenarios": {"count": 20, "seed": 99}, "test_family": {"k_max": 8},
+                "integrand": {"kind": "random_elementary", "count": 2},
+                "corrupt_comparison": True}, 1),
+            "approx": ("approx", {
+                "time": {"T": 4.0, "N": 4}, "grid": {"J": 8, "T_K": 1.0},
+                "scenarios": {"mode": "tree", "branching": 2, "depth": 4},
+                "integrand": {"kind": "random_elementary", "count": 1, "seed": 5},
+                "test_family": {"k_max": 12}, "schedule": [4, 16]}, 0),
+            "volterra": ("volterra", {
+                "time": {"T": 1.0, "N": 32}, "scenarios": {"count": 30, "seed": 7},
+                "kernels": [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"},
+                            {"name": "tabulated", "path": kernel_table(tmp_path, 32)}],
+                "alphas": [0.25], "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3}},
+                0),
+            "example7": ("example7", {
+                "time": {"T": 1.0, "N": 32}, "grid": {"J": 50}, "alphas": [0.75],
+                "isometry": {"scenarios": 300, "n_steps": 32},
+                "diagnostic": {"n_steps": 64, "scenarios": 40, "levels": 3}}, 1),
+            "conditions": ("conditions", {
+                "time": {"T": 1.0, "N": 32}, "grid": {"J": 50},
+                "scenarios": {"count": 4, "seed": 2}}, 0),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["fubini-one_row", "fubini-per_scenario", "approx",
+                                      "volterra", "example7", "conditions"])
+    def test_reports_identical_across_budgets(self, tmp_path, monkeypatch, case):
+        # from one row per block (a budget of one byte) through 16 kB to every walk whole, the
+        # reports are the same bytes, a negative control's too
+        command, payload, code = self.small(tmp_path, case)
+        cfg = write_config(tmp_path, f"{command}.json", payload)
+        reports = set()
+        for budget in (1, 2**14, 2**40):
+            monkeypatch.setattr(drivers, "BLOCK_BYTES", budget)
+            out = tmp_path / f"o{budget}"
+            assert main([command, "--config", cfg, "--out", str(out)]) == code
+            reports.add(tuple((f.name, f.read_bytes()) for f in sorted(out.iterdir())))
+        assert len(reports) == 1
+
+    @staticmethod
+    def large(tmp_path, command):
+        """A config whose walks hold more than the budget if held whole, and a dense power-law
+        spec where J is no multiple of N."""
+        return {
+            "fubini": {"time": {"T": 1.0, "N": 64}, "grid": {"J": 64},
+                       "scenarios": {"count": 200, "seed": 3}, "test_family": {"k_max": 16}},
+            "approx": {"time": {"T": 4.0, "N": 11}, "grid": {"J": 4, "T_K": 1.0},
+                       "scenarios": {"mode": "tree", "branching": 2, "depth": 11},
+                       "integrand": {"kind": "random_elementary", "count": 1, "seed": 5},
+                       "schedule": [4, 16]},
+            "volterra": {"time": {"T": 1.0, "N": 128}, "scenarios": {"count": 200, "seed": 7},
+                         "kernels": [{"name": "power_alpha", "alpha": 0.75}, {"name": "affine"},
+                                     {"name": "tabulated", "path": kernel_table(tmp_path, 128)}],
+                         "alphas": [0.25],
+                         "diagnostic": {"n_steps": 1024, "scenarios": 200, "levels": 3}},
+            "example7": {"time": {"T": 1.0, "N": 64}, "grid": {"J": 100}, "alphas": [0.75],
+                         "isometry": {"scenarios": 4000, "n_steps": 256},
+                         "diagnostic": {"n_steps": 1024, "scenarios": 400, "levels": 3}},
+            "conditions": {"time": {"T": 1.0, "N": 256}, "grid": {"J": 1000},
+                           "scenarios": {"count": 50, "seed": 2}},
+        }[command]
+
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_peak_above_the_unblocked_arrays_within_budget(self, tmp_path, monkeypatch, command):
+        # What no walk blocks (the driver, the integrands, the reports, the dense specs) is
+        # read as the run's traced peak at 64 kB blocks.  Raising the budget to its 2 MiB adds
+        # at most two budgets per worker: the blocks of every walk and their temporaries
+        # (measured with two workers: 0.80 budgets for fubini, 0.83 approx, 2.75 volterra,
+        # whose kernel rows on the calling thread run beside the diagnostic's second worker,
+        # 1.78 example7 and 1.16 conditions).  At least half a budget: the walks fill it at
+        # these sizes, so a main walk that ignored it would show
+        cfg = cli.check_config(command, self.large(tmp_path, command))
+        peaks = {}
+        for budget in (2**16, drivers.BLOCK_BYTES):
+            monkeypatch.setattr(drivers, "BLOCK_BYTES", budget)
+            peaks[budget] = traced_peak(lambda: cli.RUNNERS[command](cfg, tmp_path))
+        assert budget / 2 <= peaks[budget] - peaks[2**16] <= 2 * budget * drivers.WORKERS, peaks
+
+
+#: The integer keys that set a run's size, by key name: tiny runs, from one scenario and one
+#: time step up (so every walk meets ``drivers.block_rows`` at n = 1); a diagnostic of 6 steps
+#: and a driver of two components are config errors in most runs.
+TINY = {"N": st.integers(1, 4), "depth": st.integers(1, 4), "J": st.integers(1, 5),
+        "count": st.integers(1, 5), "k_max": st.integers(1, 5), "scenarios": st.integers(1, 6),
+        "n_steps": st.sampled_from([4, 8, 16, 6]), "levels": st.integers(3, 4),
+        "d": st.sampled_from([1, 1, 1, 2])}
+
+
+def tiny(spec, name: str, missing: str):
+    """A strategy of tiny values for the ``RUNNER_KEYS`` entry ``spec`` at key ``name``, mostly
+    within its bounds: every key present, lists of their least length up to two items, a
+    tabulated kernel read from the path ``missing``."""
+    if isinstance(spec, cli.Modes):
+        return st.sampled_from(list(spec.tables)).flatmap(lambda mode: st.fixed_dictionaries(
+            {spec.key: st.just(mode), **{k: tiny(s, k, missing)
+                                         for k, s in spec.tables[mode].items()}}))
+    if isinstance(spec, dict):
+        return st.fixed_dictionaries({k: tiny(s, k, missing) for k, s in spec.items()})
+    if isinstance(spec, cli.ListOf):
+        return st.lists(tiny(spec.item, name, missing), min_size=spec.least,
+                        max_size=max(2, spec.least))
+    if spec.cast is bool:
+        return st.booleans()
+    if spec.cast is str:
+        return st.just(missing if name == "path" else "out")
+    if spec.cast is int:
+        low = {cli.POSITIVE: 1, cli.NONNEGATIVE: 0, cli.ANY: 0}.get(spec.bound, spec.bound)
+        return TINY.get(name, st.integers(low, low + 3))
+    if spec.bound == cli.POSITIVE:
+        return st.floats(0.25, 3.0)
+    return st.just(0.0) | st.floats(0.0 if spec.bound == cli.NONNEGATIVE else -2.0, 2.0)
+
+
+class TestAnyTinyConfig:
+    """A run ends in one of three ways, whatever config the key table admits or rejects: exit
+    0, exit 1 with "pass": false, or exit 2 with a config error; never a traceback."""
+
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_three_outcomes(self, tmp_path_factory, command):
+        root = tmp_path_factory.mktemp(command)
+        missing = str(root / "missing.csv")
+
+        @given(raw=tiny(cli.RUNNER_KEYS[command], command, missing),
+               budget=st.sampled_from([1, 2**12, drivers.BLOCK_BYTES]))
+        @settings(max_examples=25, deadline=None, database=None)
+        def run(raw, budget):
+            cfg, out = root / "cfg.json", root / "out"
+            shutil.rmtree(out, ignore_errors=True)
+            cfg.write_text(json.dumps(raw))
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err), \
+                    np.errstate(all="ignore"):
+                mp.setattr(drivers, "BLOCK_BYTES", budget)
+                code = main([command, "--config", str(cfg), "--out", str(out)])
+            if code == 2:
+                assert err.getvalue().startswith("config error: "), err.getvalue()
+            else:
+                summary = json.loads((out / "summary.json").read_text())
+                assert (code, summary["pass"]) in ((0, True), (1, False)), (code, summary)
+
+        run()

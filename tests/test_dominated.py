@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from mvstoch import dominated as dom
+from mvstoch import drivers
 from mvstoch.dominated import (
     DominatedSpec,
     PowerLawDensity,
@@ -234,7 +235,7 @@ class TestVeraarAgainstBroadcastOracle:
     def test_power_law(self, driver):
         S = simulate_driver(driver, TimeGrid(1.0, 48), ScenarioSet.monte_carlo(5, 19))
         # three column blocks of atoms
-        spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 2 * (dom.BLOCK_ENTRIES // 48) + 300)
+        spec = DominatedSpec.from_power_profile(0.75, S.timegrid, 2 * (dom.ETA_FOLD_ENTRIES // 48) + 300)
         oracle_fv, oracle_root = self.check(spec, S)
         sup = condition_evaluator(spec, S, S.control)["c_veraar"]["sup"]
         assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
@@ -246,7 +247,7 @@ class TestVeraarAgainstBroadcastOracle:
                             tg, ScenarioSet.monte_carlo(7, 43))
         spec = DominatedSpec.from_adapted_density(
             lambda t, z, s: np.cos(3 * z + 2 * t + s), S,
-            CompactGrid(1.0, dom.BLOCK_ENTRIES // 40 + 77))
+            CompactGrid(1.0, dom.ETA_FOLD_ENTRIES // 40 + 77))
         _, var_a = S.decomposition_paths()
         assert spec.n_scenario_rows == 7
         assert not np.all(var_a == var_a[:1])  # the jumps make var_a scenario-dependent
@@ -255,7 +256,7 @@ class TestVeraarAgainstBroadcastOracle:
         assert sup == pytest.approx(max(oracle_fv.max(), oracle_root.max()), rel=1e-12)
 
     @pytest.mark.parametrize("case", ["power_law", "adapted", "scenario_bracket"])
-    @pytest.mark.parametrize("block_entries", [16 * 7, 16 * 50, 16 * 64, dom.BLOCK_ENTRIES])
+    @pytest.mark.parametrize("block_entries", [16 * 7, 16 * 50, 16 * 64, dom.ETA_FOLD_ENTRIES])
     def test_reused_buffers_equal_fresh_blocks(self, monkeypatch, case, block_entries):
         # the square root walks the atoms in blocks through one set of buffers (the last block
         # narrower, one atom wide at 16 * 50); its horizon values must equal the last row of the
@@ -271,11 +272,12 @@ class TestVeraarAgainstBroadcastOracle:
             spec = DominatedSpec.from_density_callable(lambda t, z: np.sin(z + t) + 0.5,
                                                        S.timegrid, CompactGrid(1.0, 150))
             qv = qv + np.linspace(0.0, 0.1, 6)[:, None] * S.timegrid.times
-        monkeypatch.setattr(dom, "BLOCK_ENTRIES", block_entries)
+        monkeypatch.setattr(dom, "ETA_FOLD_ENTRIES", block_entries)
         fv, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
         dqv = np.diff(qv, axis=1)
         fresh = np.zeros_like(root)
-        for cols in dom._blocks(spec.grid.n_atoms, 16):
+        step = max(1, block_entries // 16)  # atoms per column block
+        for cols in (slice(lo, lo + step) for lo in range(0, spec.grid.n_atoms, step)):
             dens = spec.density_values(rows=slice(0, 16), cols=cols)
             last = running_sum(np.square(dens, out=dens) * dqv[:, :, None])[:, -1]
             fresh += np.sqrt(last) @ spec.eta[cols]
@@ -398,14 +400,15 @@ class TestStationarySpec:
     @settings(max_examples=100, deadline=None)
     def test_eta_mix_equals_row_loop_in_row_blocks(self, n_exp, m_exp, alpha, entries):
         # dyadic grids, where the row loop's masses are the stationary ones bit for bit;
-        # the row loop walks row blocks of every height from one grid time up
+        # the row loop walks row blocks of every height from one grid time up (a block holds
+        # 16 bytes per atom of a grid time: its density and one temporary)
         tg, m = TimeGrid(1.0, 2**n_exp), 2**m_exp
         spec, oracle = (DominatedSpec.from_power_profile(alpha, tg, m * tg.n_steps),
                         row_loop_spec(alpha, tg, m * tg.n_steps))
         assert np.array_equal(spec.point_masses, oracle.point_masses)
         exact = alpha in (1.0, 2.0)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            mp.setattr(drivers, "BLOCK_BYTES", 16 * entries)
             for fn in (np.abs, np.square):
                 got, want = dom._eta_mix(spec, fn), dom._eta_mix(oracle, fn)
                 assert got.shape == want.shape == (1, tg.n_steps + 1)
@@ -434,7 +437,7 @@ class TestStationarySpec:
             qv[0, 1:] = np.cumsum(rng.uniform(0.0, 0.1, N) * (rng.random(N) < 0.7))
         var_a = np.zeros((1, N + 1))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            mp.setattr(dom, "ETA_FOLD_ENTRIES", entries)
             _, root = dom._veraar_paths(spec, dom._eta_mix(spec, np.abs), qv, var_a)
             assert root.shape == (1,)
             for oracle in oracles:
@@ -664,7 +667,7 @@ class TestGeneralKernelConditions:
                 running_sum(rho.sum(axis=2) * np.sum(sq, axis=(2, 3)) * dV))
 
     def test_slot_blocks_equal_whole_weights_sums(self):
-        # 300 slots of 2 x 200 atoms span four slot blocks; the sums of the
+        # 300 slots of 3 x 2 x 200 atoms span two slot blocks; the sums of the
         # whole weights array are the reference, bit for bit
         rng = np.random.default_rng(7)
         psi = rng.normal(size=(3, 300, 2, 200))
@@ -694,7 +697,7 @@ class TestGeneralKernelConditions:
             return paths[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(dom, "BLOCK_ENTRIES", entries)
+            mp.setattr(drivers, "BLOCK_BYTES", 8 * n * entries)  # entries per scenario row
             mp.setattr(helpers, "running_sum", recording)
             out = general_kernel_conditions(phi, rho, V)
         c63, c64 = self.whole_weights_paths(phi, rho, V)

@@ -119,8 +119,8 @@ def whole_chunk_values(spec, tg, seed, P):
 
 
 class TestSimulateDriverBlocks:
-    """``simulate_driver`` sums SIM_ROWS-row blocks into the values: the same bits as the
-    whole chunks, and no chunk-sized temporary."""
+    """``simulate_driver`` sums blocks of the budget's rows into the values: the same bits as
+    the whole chunks, and no chunk-sized temporary."""
 
     SPECS = {"brownian": DriverSpec("brownian", vol=0.8),
              "fv_drift": DriverSpec("fv_drift", drift=1.5),
@@ -136,7 +136,7 @@ class TestSimulateDriverBlocks:
         spec, tg = dataclasses.replace(self.SPECS[kind], d=d), TimeGrid(2.0, N)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(drivers, "SCENARIO_CHUNK", chunk)
-            mp.setattr(drivers, "SIM_ROWS", rows)
+            mp.setattr(drivers, "BLOCK_BYTES", rows * N * d * 8)  # rows per block
             path = simulate_driver(spec, tg, ScenarioSet.monte_carlo(P, 41))
             values, jumps = whole_chunk_values(spec, tg, 41, P)
         assert np.array_equal(path.values, values)
@@ -154,14 +154,15 @@ class TestSimulateDriverBlocks:
         assert jumps is None or np.array_equal(path.jump_increments, jumps)
 
     def test_traced_peak_flat_in_scenarios(self):
-        # beyond the (P, N + 1) values it returns, the simulation holds one SIM_ROWS block
-        # (128 kB at N = 256); whole chunks held 2 * 8.4 MB more at P = 4096
+        # beyond the (P, N + 1) values it returns, the simulation holds one block of the
+        # budget's rows (1024 rows at N = 256); whole chunks held 2 * 8.4 MB more at P = 4096
         tg, over = TimeGrid(1.0, 256), {}
-        for P in (64, 4096):
+        block = drivers.block_rows(tg.n_steps * 8, SCENARIO_CHUNK)
+        for P in (block, SCENARIO_CHUNK):
             sc = ScenarioSet.monte_carlo(P, 3)
             over[P] = (traced_peak(lambda: simulate_driver(DriverSpec("brownian"), tg, sc))
                        - P * (tg.n_steps + 1) * 8)
-        assert over[4096] <= over[64] + 64 * 1024
+        assert over[SCENARIO_CHUNK] <= over[block] + 64 * 1024
 
 
 class TestIncrementRowBlocks:

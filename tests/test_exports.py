@@ -469,3 +469,43 @@ PLANTED = ["d", "n_steps", "shape", "is_random", "times", "dt", "size", "n_atoms
     *[("grid", "CompactGrid", name) for name in PLANTED if name != "n_atoms"]])
 def test_a_dead_property_read_through_a_typed_receiver_is_reported(tmp_path, module, cls, name):
     assert unreached(plant(tmp_path, module, cls, name)) == [f"{module}.{cls}.{name}"]
+
+
+#: The module-level block sizes ``src/`` may define: the one memory budget of every walk, and
+#: the three sizes that fix bits (the seeding, the rows of a BLAS product, the Veraar mix's fold).
+BLOCK_CONSTANTS = {"drivers.BLOCK_BYTES", "drivers.SCENARIO_CHUNK", "integrands.PAIR_ENTRIES",
+                   "dominated.ETA_FOLD_ENTRIES"}
+
+
+def block_constants(src: Path = SRC) -> set:
+    """``module.NAME`` for every module-level name in ``src`` bound to a value and named like a
+    block size: ending in _ROWS, _ENTRIES, _BYTES or _CHUNK."""
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [node.target]
+            else:
+                continue
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            found |= {f"{path.stem}.{name}" for name in names
+                      if name.endswith(("_ROWS", "_ENTRIES", "_BYTES", "_CHUNK"))}
+    return found
+
+
+def test_block_sizes_are_the_budget_and_the_bit_fixing_three():
+    # a new walk sizes its blocks through ``drivers.block_rows``, not a constant of its own
+    assert block_constants() == BLOCK_CONSTANTS
+
+
+@pytest.mark.parametrize("line", ["DRAW_ROWS = 16", "EVAL_ENTRIES = PAIR_ENTRIES // 8",
+                                  "CACHE_BYTES: int = 2**18", "A_CHUNK, b = 64, 1"])
+def test_a_planted_block_constant_is_reported(tmp_path, line):
+    src = tmp_path / "mvstoch"
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "integrands.py"
+    path.write_text(path.read_text() + f"\n{line}\n")
+    name = line.split(" ")[0].rstrip(":,")
+    assert block_constants(src) == BLOCK_CONSTANTS | {f"integrands.{name}"}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvstoch import integrands, mvintegral
+from mvstoch import drivers, integrands, mvintegral
 from mvstoch.drivers import DriverSpec, ScenarioSet, StoppingRule, TimeGrid, simulate_driver
 from mvstoch.grid import CompactGrid, build_test_family
 from mvstoch.integrands import (
@@ -135,15 +135,16 @@ class TestDenseTwin:
     # "uniform" table puts values that round at every atom: at J + 1 = 34, K = 37, as in the
     # example, reversing a 5-row product changes 17 % of its rows (none at K = 12).
     @example(tree=True, d=1, one_row=False, N=5, P=1, J=33, K=37, values="uniform", pool=25,
-             bites=True, block_entries=2**18, eval_entries=2**15, seed=0)
+             bites=True, block_entries=2**18, budget=2**21, seed=0)
     @given(tree=st.booleans(), d=st.integers(1, 2), one_row=st.booleans(), N=st.integers(1, 5),
            P=st.integers(1, 30), J=st.sampled_from([1, 2, 3, 4, 5, 33, 40]), K=st.integers(1, 40),
            values=st.sampled_from(["net", "uniform"]), pool=st.integers(1, 25),
            bites=st.booleans(), block_entries=st.sampled_from([1, 37, 400, 2**18]),
-           eval_entries=st.sampled_from([1, 29, 300, 2**15]), seed=st.integers(0, 2**16))
+           budget=st.sampled_from([8, 232, 296, 2400, 3200, 2**18, 2**21]),
+           seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_byte_equal_to_the_dense_twin(self, tree, d, one_row, N, P, J, K, values, pool,
-                                          bites, block_entries, eval_entries, seed):
+                                          bites, block_entries, budget, seed):
         rng = np.random.default_rng(seed)
         sc = ScenarioSet.tree(2, N) if tree else ScenarioSet.monte_carlo(P, seed)
         tg, grid = TimeGrid(1.0, N), CompactGrid(1.0, J)
@@ -155,9 +156,8 @@ class TestDenseTwin:
         dense = twin(phi)
         nets = [weak_star_net(1.0, n, grid, d=d) for n in (3, 12, 40)]
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)  # fubini's scenarios per block
+            mp.setattr(drivers, "BLOCK_BYTES", budget)  # fubini's scenarios, the variation's slots
             mp.setattr(integrands, "PAIR_ENTRIES", block_entries)  # the charge's times per block
-            mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
             got = [(t, b.copy()) for t, b in charge_blocks(phi, S)]
             want = [(t, b.copy()) for t, b in charge_blocks(dense, S)]
             assert [t for t, _ in got] == [t for t, _ in want]

@@ -16,7 +16,7 @@ from helpers import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mvstoch import integrands
+from mvstoch import drivers, integrands
 from mvstoch.dominated import DominatedSpec, power_law_integrand
 from mvstoch.drivers import ScenarioSet, StoppingRule, TimeGrid, stopping_weights
 from mvstoch.grid import CompactGrid, SignedMeasureVec, build_test_family
@@ -207,7 +207,7 @@ class TestNormSums:
         V = np.concatenate((np.zeros((P, 1)), np.cumsum(rng.random((P, N)), axis=1)), axis=1)
         w = rng.random((P, N)) * (rng.random((P, N)) < 0.8)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(integrands, "EVAL_ENTRIES", eval_entries)
+            mp.setattr(drivers, "BLOCK_BYTES", 8 * eval_entries)
             for a, b in [(phi, None), (phi, other), (other, phi)]:
                 assert np.array_equal(integrands._seminorm_sums(a, fam.functions, w, b),
                                       dense_sq_norms(a, w, fam.functions, minus=b))

@@ -14,7 +14,7 @@ from helpers import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mvstoch import integrands, mvintegral
+from mvstoch import drivers, integrands, mvintegral
 from mvstoch.dominated import power_law_integrand
 from mvstoch.drivers import (
     DriverPath,
@@ -504,7 +504,7 @@ class TestFubiniCheck:
         phi1 = MeasureProcess("kernel", grid, w)
         phi2 = phi1 if one_row else MeasureProcess("kernel", grid, np.concatenate([w, 0 * w]))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+            mp.setattr(drivers, "BLOCK_BYTES", 8 * block_entries)
             assert np.array_equal(paired_charge(phi1, S1, fam.functions),
                                   paired_charge(phi2, S2, fam.functions)[:P])
             if not one_row:  # the second P scenarios charge nothing, and their gaps are zero
@@ -524,9 +524,9 @@ class TestFubiniCheck:
                                                rng.uniform(-1, 1, size=(P, N, 1, J + 1))),
                "indexed": lambda: random_lattice_process(grid, S.timegrid, S.scenarios, rng)}[kind]()
         reports = []
-        for block_entries in (1, 97, 5000, mvintegral.BLOCK_ENTRIES):  # 1 scenario to all of them
+        for budget in (8, 8 * 97, 8 * 5000, drivers.BLOCK_BYTES):  # 1 scenario to all of them
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)
+                mp.setattr(drivers, "BLOCK_BYTES", budget)
                 reports.append(fubini_check(phi, S, fam, corrupt=1e-3))
         assert all(r == reports[0] for r in reports[1:])
 
@@ -669,7 +669,7 @@ class TestStreamedTransfer:
         if stopped:
             S = stopped_driver(S, StoppingRule(rng.integers(0, N + 2, size=P), N))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)  # scenarios per block
+            mp.setattr(drivers, "BLOCK_BYTES", 8 * block_entries)  # scenarios per block
             mp.setattr(integrands, "PAIR_ENTRIES", block_entries)  # the streams' times per block
             got = convergence_transfer_check(phi, processes, S, fam)
             want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions), fam, S.scenarios.probs)
@@ -711,7 +711,7 @@ class TestStreamedTransfer:
             first = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, N + 1)
             S = stopped_driver(S, StoppingRule(first, N))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(mvintegral, "BLOCK_ENTRIES", block_entries)  # scenarios per block
+            mp.setattr(drivers, "BLOCK_BYTES", 8 * block_entries)  # scenarios per block
             mp.setattr(integrands, "PAIR_ENTRIES", block_entries)  # the streams' times per block
             got = convergence_transfer_check(phi, processes, S, fam)
             want = [maximal_seminorm(paired_gap(q, phi, S, fam.functions), fam, S.scenarios.probs)

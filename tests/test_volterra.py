@@ -87,8 +87,8 @@ class TestVolterraDirect:
         assert abs(discrete - 1.0 / (2 * alpha + 1)) < 2.0 / N
 
     def test_fft_path_matches_direct(self):
-        # one transform of all scenarios against the direct sum's FFT_ROWS-row blocks: pocketfft
-        # rounds a row alike whatever the rows beside it
+        # one transform of all scenarios against the direct sum's blocks: pocketfft rounds a
+        # row alike whatever the rows beside it
         S = brownian(11, 64)
         # the affine profile is nonzero at lag 0, which the sum over j < l excludes
         for k in (power_kernel(0.75, S.timegrid), affine_kernel(1.0, 2.0, S.timegrid)):
@@ -106,12 +106,12 @@ class TestVolterraDirect:
 
 
 def serial_paths(alphas, tg, P, seed, n_levels):
-    """power_volterra_paths as one thread's loop over DRAW_ROWS-row blocks, with
+    """power_volterra_paths as one thread's loop over 16-row blocks, with
     np.diff for the level differences."""
     N = tg.n_steps
     spectra = integrands._profile_spectra([(np.arange(N + 1) * tg.dt) ** a for a in alphas], N)
     out = np.empty((len(alphas), P, n_levels))
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=vol.DRAW_ROWS):
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=16):
         for a, paths in enumerate(integrands._fft_paths(dW[:, :, 0], spectra)):
             diffs = [np.diff(paths[:, :: 2**k], axis=1) for k in range(n_levels)]
             out[a, lo:hi] = np.stack([np.sum(np.abs(d), axis=1) for d in diffs], axis=1)
@@ -119,11 +119,12 @@ def serial_paths(alphas, tg, P, seed, n_levels):
 
 
 def serial_terminals(alphas, u_indices, tg, P, seed):
-    """power_volterra_terminals as one thread's loop over DRAW_ROWS-row blocks,
-    one gemv per exponent and index."""
+    """power_volterra_terminals as one thread's loop over blocks of the budget's rows, one
+    gemv per exponent and index: a gemv rounds a row by its place among the rows it holds."""
     N, t = tg.n_steps, tg.times
     out = np.empty((P, len(alphas), len(u_indices)))
-    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=vol.DRAW_ROWS):
+    rows = drivers.block_rows(N * 8, P)
+    for lo, hi, dW, _ in increment_blocks(DriverSpec("brownian"), tg, seed, P, rows=rows):
         for a, alpha in enumerate(alphas):
             for c, u in enumerate(u_indices):
                 w = np.maximum(t[u] - t[:N], 0.0) ** alpha * (t[:N] < t[u])
@@ -160,10 +161,11 @@ class TestSharedBrownianSource:
             fft = fft_volterra(power_kernel(alpha, tg), driver)
             np.testing.assert_allclose(tv[a], level_variations(fft, 4), rtol=1e-12)
 
-    def test_terminals_hold_one_chunk_of_normals(self):
-        # two chunks: the first must be freed before the second is drawn, so
-        # the peak stays near one chunk's normals (2.0 chunks if it is not)
+    def test_terminals_hold_one_chunk_of_normals(self, monkeypatch):
+        # two chunks, drawn in 16-row blocks: the first must be freed before the second is
+        # drawn, so the peak stays near one chunk's normals (2.0 chunks if it is not)
         tg = TimeGrid(1.0, 64)
+        monkeypatch.setattr(drivers, "BLOCK_BYTES", 16 * tg.n_steps * 8)
         chunk_bytes = SCENARIO_CHUNK * tg.n_steps * 8
         peak = traced_peak(
             lambda: power_volterra_terminals([0.75], [32, 64], tg, 2 * SCENARIO_CHUNK, seed=3))
@@ -176,18 +178,20 @@ class TestSharedBrownianSource:
         tg = TimeGrid(1.0, 2048)
         if sampler == "terminals":
             run = lambda P: power_volterra_terminals([0.75], [tg.n_steps], tg, P, seed=3)
+            block = drivers.block_rows(tg.n_steps * 8, SCENARIO_CHUNK)
         else:
             run = lambda P: power_volterra_paths([0.75], tg, P, seed=3, n_levels=3)
-        peaks = {P: traced_peak(lambda: run(P)) for P in (vol.DRAW_ROWS, SCENARIO_CHUNK)}
-        assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[vol.DRAW_ROWS], peaks
+            block = drivers.block_rows(integrands._fft_row_bytes(tg.n_steps), SCENARIO_CHUNK)
+        peaks = {P: traced_peak(lambda: run(P)) for P in (block, SCENARIO_CHUNK)}
+        assert peaks[SCENARIO_CHUNK] <= 1.3 * peaks[block], peaks
 
     def test_two_workers_hold_one_block_of_rows(self, monkeypatch):
-        # every worker draws FFT_ROWS rows into its own buffers, whatever the worker count: one
-        # worker holds one block's transforms and a strided ufunc's three buffers, and a second
-        # worker adds as much (measured 0.64 and 1.23 MB; a bound of 0.81 and 1.27 MB)
+        # every worker draws the budget's rows into its own buffers, whatever the worker count:
+        # one worker holds one block's transforms and a strided ufunc's three buffers, and a
+        # second worker adds as much
         tg, peaks = TimeGrid(1.0, 2048), {}
-        n = integrands._fft_length(tg.n_steps)
-        share = integrands.FFT_ROWS * (2 * (n // 2 + 1) * 16 + n * 8) + 3 * np.getbufsize() * 8
+        n, row = integrands._fft_length(tg.n_steps), integrands._fft_row_bytes(tg.n_steps)
+        share = drivers.block_rows(row, 256) * row + 3 * np.getbufsize() * 8
         for workers in (1, 2):
             monkeypatch.setattr(drivers, "WORKERS", workers)
             peaks[workers] = traced_peak(
@@ -197,13 +201,12 @@ class TestSharedBrownianSource:
         assert peaks[2] <= peaks[1] + share + 0.05e6, peaks
 
     def test_two_workers_hold_three_transform_buffers_each(self, monkeypatch):
-        # each worker draws its FFT_ROWS-row block into its path buffer and takes its level
-        # differences in its product buffer (measured 1.23 MB against a 1.36 MB bound; 1.82-2.02
-        # MB against 2.15 MB with 8-row blocks)
+        # each worker draws its block of the budget's rows into its path buffer and takes its
+        # level differences in its product buffer
         monkeypatch.setattr(drivers, "WORKERS", 2)
         tg = TimeGrid(1.0, 2048)
-        n = integrands._fft_length(tg.n_steps)
-        transforms = integrands.FFT_ROWS * (2 * (n // 2 + 1) * 16 + n * 8)  # one worker's
+        n, row = integrands._fft_length(tg.n_steps), integrands._fft_row_bytes(tg.n_steps)
+        transforms = drivers.block_rows(row, 256) * row  # one worker's
         spectra = (n // 2 + 1) * 16
         # a strided ufunc (the level differences, the spectrum product) buffers three operands
         # of np.getbufsize() values, in both workers at once; then the profile and the output
@@ -215,11 +218,11 @@ class TestSharedBrownianSource:
            n_levels=st.integers(3, 5), workers=st.sampled_from([1, 2]))
     @settings(max_examples=20, deadline=None)
     def test_paths_equal_the_serial_block_loop(self, P, rows, n_levels, workers):
-        # blocks of any rows against the serial loop's DRAW_ROWS-row blocks
+        # blocks of any rows against the serial loop's 16-row blocks
         tg, alphas = TimeGrid(1.0, 2 ** (n_levels - 1) * 3), (0.25, 0.75)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(drivers, "WORKERS", workers)
-            mp.setattr(integrands, "FFT_ROWS", rows)
+            mp.setattr(drivers, "BLOCK_BYTES", rows * integrands._fft_row_bytes(tg.n_steps))
             tv = power_volterra_paths(alphas, tg, P, seed=29, n_levels=n_levels)
         assert np.array_equal(tv, serial_paths(alphas, tg, P, 29, n_levels))
 
@@ -233,19 +236,20 @@ class TestSharedBrownianSource:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(drivers, "SCENARIO_CHUNK", chunk)
             mp.setattr(drivers, "WORKERS", workers)
-            mp.setattr(vol, "DRAW_ROWS", rows)
+            mp.setattr(drivers, "BLOCK_BYTES", rows * tg.n_steps * 8)
             terms = power_volterra_terminals(alphas, u_indices, tg, P, seed=31)
             assert np.array_equal(terms, serial_terminals(alphas, u_indices, tg, P, 31))
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_terminal_workers_hold_one_buffer_each(self, monkeypatch, workers):
-        # eight chunks: each worker draws all of its chunks' blocks into one
-        # DRAW_ROWS-row buffer; a fresh array per block beside it doubles that
-        monkeypatch.setattr(drivers, "SCENARIO_CHUNK", 4 * vol.DRAW_ROWS)
+        # eight chunks: each worker draws all of its chunks' 16-row blocks into one
+        # buffer; a fresh array per block beside it doubles that
+        tg, rows = TimeGrid(1.0, 4096), 16
+        monkeypatch.setattr(drivers, "SCENARIO_CHUNK", 4 * rows)
+        monkeypatch.setattr(drivers, "BLOCK_BYTES", rows * tg.n_steps * 8)
         monkeypatch.setattr(drivers, "WORKERS", workers)
-        tg = TimeGrid(1.0, 4096)
-        buffer_bytes = vol.DRAW_ROWS * tg.n_steps * 8
-        run = lambda: power_volterra_terminals([0.75], [tg.n_steps], tg, 32 * vol.DRAW_ROWS, seed=3)
+        buffer_bytes = rows * tg.n_steps * 8
+        run = lambda: power_volterra_terminals([0.75], [tg.n_steps], tg, 32 * rows, seed=3)
         peak = traced_peak(run)
         assert peak <= (workers + 0.5) * buffer_bytes, (peak, buffer_bytes)
 
@@ -562,28 +566,31 @@ class TestStationaryKernel:
     @example(P=5, N=64, alpha=0.25, kind="power", seed=0)
     @settings(max_examples=40, deadline=None)
     def test_first_scenarios_equal_at_p_and_2p(self, P, N, alpha, kind, seed):
-        # every lag sum takes FFT_ROWS scenarios per block: unless P is a multiple of it, the
+        # every lag sum takes 4 scenarios per block here: unless P is a multiple of 4, the
         # first P of 2P scenarios are split into other blocks, and must still be the same bits
         tg = TimeGrid(1.0, N)
         S2 = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(2 * P, seed))
         S1 = DriverPath(S2.spec, tg, ScenarioSet.monte_carlo(P, seed), S2.values[:P], S2.control)
         kernel = power_kernel(alpha, tg) if kind == "power" else affine_kernel(1.0, 2 - alpha, tg)
-        for f in (lambda S: mvintegral.horizon_charge(induced_phi(kernel, tg), S),
-                  lambda S: volterra_direct(kernel, S),
-                  lambda S: density_construction(kernel, S)["x"]):
-            assert np.array_equal(f(S1), f(S2)[:P])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(drivers, "BLOCK_BYTES", 4 * integrands._fft_row_bytes(N))
+            for f in (lambda S: mvintegral.horizon_charge(induced_phi(kernel, tg), S),
+                      lambda S: volterra_direct(kernel, S),
+                      lambda S: density_construction(kernel, S)["x"]):
+                assert np.array_equal(f(S1), f(S2)[:P])
 
     @pytest.mark.parametrize("entry", [{"alpha": 0.75}, {"level": 1.0, "slope": 2.0}],
                              ids=["power", "affine"])
     def test_decompositions_hold_no_whole_spectrum(self, entry):
         # N = 4096, P = 100: a whole (P, n / 2 + 1) spectrum is 6.6 MB, two paths' worth.  The
         # decomposition holds five (P, N + 1) paths (its parts, their sum and their gap) and the
-        # density route three, beside one FFT_ROWS-row work set (measured 16.42 and 9.87 MB)
+        # density route three, beside one work set of the budget's rows
         tg = TimeGrid(1.0, 4096)
         S = simulate_driver(DriverSpec("brownian"), tg, ScenarioSet.monte_carlo(100, 12345))
         kernel = make_kernel("power_alpha" if "alpha" in entry else "affine", entry, tg)
         path = 8 * 100 * 4097
-        work = sum(b.nbytes for b in integrands._fft_work(integrands.FFT_ROWS, 4096)) + 0.5e6
+        row = integrands._fft_row_bytes(4096)
+        work = drivers.block_rows(row, 100) * row + 0.5e6
         assert traced_peak(lambda: decompose(kernel, S)) <= 5 * path + work
         assert traced_peak(lambda: density_construction(kernel, S)) <= 3 * path + work
 
